@@ -144,7 +144,7 @@ def test_interpreted_vs_compiled_step(benchmark, variance_scheme):
 
 def test_throughput_report(variance_scheme):
     """The BENCH_runtime.json report: every default scheme must run faster
-    compiled than interpreted (generous slack; CI gates harder), and the
+    compiled than interpreted (generous slack), and the
     report's built-in differential check must hold."""
     report = run_runtime_benchmark(DEFAULT_SCHEMES, elements=1000, repeats=2)
     print()
@@ -158,12 +158,10 @@ def test_throughput_report(variance_scheme):
         assert entry["speedup"] > 1.2, (name, entry)
         # The batch kernel is differential-checked too; its speedup is a
         # regime property (overhead-bound vs arithmetic-bound), so only
-        # sanity-bound it here — CI gates the per-domain best.
+        # sanity-bound it here; `repro bench compare` judges the trend.
         assert entry["batch_speedup"] > 0.5, (name, entry)
         for key in ("interpreted_s", "compiled_s", "batch_s"):
             assert len(entry["raw"][key]) == report["repeats"], (name, key)
-    for group in report.get("fused", {}).values():
-        assert group["states_match"], group["schemes"]
     # A report never significantly regresses against itself (on capable
     # machines it is no-significant-change throughout; constrained
     # environments yield explicit incomparable verdicts, never a failure).

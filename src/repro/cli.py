@@ -117,13 +117,11 @@ The compile/load/deploy lifecycle, plus the evaluation workflows:
 
   ``bench runtime`` measures per-element throughput of the execution
   backends — interpreted step, compiled scalar step, whole-batch
-  ``StepKernel``, and the fused-pipeline kernel (see
-  :mod:`repro.ir.compile`) — over ground-truth schemes; the CI perf smoke
-  gates on ``--assert-speedup`` (compiled over interpreted, per scheme) and
-  ``--assert-batch-speedup`` (batch kernel over scalar closure, best per
-  domain), both skipped with a warning below 2 cores.  Deployment runs
-  take ``--no-jit`` on ``repro run`` (or ``REPRO_JIT=0``) to force the
-  interpreter.
+  ``StepKernel`` (see :mod:`repro.ir.compile`), and with ``--backend``
+  the columnar kernel — over ground-truth schemes; regressions are judged
+  by ``bench compare`` against ``bench_history/``, not by fixed speedup
+  gates.  Deployment runs take ``--no-jit`` on ``repro run`` (or
+  ``REPRO_JIT=0``) to force the interpreter.
 
   ``bench serve`` load-tests the sharded streaming server end to end —
   Zipf-keyed traffic through ``repro.serve`` — and reports elements/second
@@ -405,21 +403,12 @@ def _bench_compare(args) -> int:
 
 def _bench_runtime(args, timeout: float, workers: int) -> int:
     """``repro bench runtime`` — per-element throughput of the execution
-    backends (interpreted step, compiled scalar step, whole-batch kernel,
-    fused pipeline) over ground-truth schemes (no synthesis unless
-    --synthesis).
+    backends (interpreted step, compiled scalar step, whole-batch kernel)
+    over ground-truth schemes (no synthesis unless --synthesis).
 
-    Writes ``BENCH_runtime.json`` with --out.  Two CI perf gates, both
-    skipped with a warning below 2 cores (like ``bench holes`` — timer
-    noise on single-core containers trips them spuriously): exit 1 when
-    any scheme's compiled speedup drops below --assert-speedup, or when a
-    domain's *best* batch-over-scalar speedup drops below
-    --assert-batch-speedup (arithmetic-bound schemes legitimately sit near
-    1x, so the batch gate checks that loop compilation pays off somewhere
-    in each measured domain).
+    Writes ``BENCH_runtime.json`` with --out; ``bench compare`` judges it.
     """
     from .evaluation.runtime_bench import (
-        best_batch_speedup_by_domain,
         format_report,
         run_runtime_benchmark,
         write_report,
@@ -434,7 +423,6 @@ def _bench_runtime(args, timeout: float, workers: int) -> int:
             elements=args.elements,
             repeats=args.repeats,
             stream_kind=args.stream,
-            fused=not args.no_fused,
             synthesis=args.synthesis,
             synthesis_timeout_s=timeout,
             workers=workers,
@@ -448,46 +436,6 @@ def _bench_runtime(args, timeout: float, workers: int) -> int:
         write_report(report, args.out)
         print(f"wrote {args.out}")
     _append_history(args, report)
-    gated = args.assert_speedup is not None or args.assert_batch_speedup is not None
-    if gated and report["cpu_count"] < 2:
-        print(
-            f"warning: only {report['cpu_count']} CPU core(s) — timer noise "
-            "makes the speedup gates unreliable here; gates skipped",
-            file=sys.stderr,
-        )
-        return 0
-    if args.assert_speedup is not None:
-        slow = {
-            name: entry["speedup"]
-            for name, entry in report["schemes"].items()
-            if entry["speedup"] < args.assert_speedup
-        }
-        if slow:
-            detail = ", ".join(f"{n}={v:.2f}x" for n, v in sorted(slow.items()))
-            print(
-                f"error: compiled speedup below {args.assert_speedup}x: {detail}",
-                file=sys.stderr,
-            )
-            return 1
-        print(f"all schemes >= {args.assert_speedup}x compiled speedup")
-    if args.assert_batch_speedup is not None:
-        best = best_batch_speedup_by_domain(report)
-        slow = {
-            domain: value for domain, value in best.items() if value < args.assert_batch_speedup
-        }
-        if slow:
-            detail = ", ".join(f"{d}={v:.2f}x" for d, v in sorted(slow.items()))
-            print(
-                f"error: best batch-kernel speedup below "
-                f"{args.assert_batch_speedup}x: {detail}",
-                file=sys.stderr,
-            )
-            return 1
-        detail = ", ".join(f"{d}={v:.2f}x" for d, v in sorted(best.items()))
-        print(
-            f"best batch-kernel speedup per domain >= "
-            f"{args.assert_batch_speedup}x ({detail})"
-        )
     return 0
 
 
@@ -1658,20 +1606,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", default=None, metavar="FILE",
         help="write the report as JSON (e.g. BENCH_runtime.json)",
     )
-    runtime_group.add_argument(
+    p_bench.add_argument(
         "--assert-speedup", type=float, default=None, metavar="X",
-        help="exit 1 if any scheme's compiled speedup is below X (CI gate; "
-             "warns and skips below 2 cores)",
-    )
-    runtime_group.add_argument(
-        "--assert-batch-speedup", type=float, default=None, metavar="X",
-        help="exit 1 if any measured domain's best batch-kernel-over-scalar "
-             "speedup is below X (CI gate; warns and skips below 2 cores)",
-    )
-    runtime_group.add_argument(
-        "--no-fused", action="store_true",
-        help="skip the fused-pipeline measurement (one loop advancing all "
-             "same-arity schemes per element)",
+        help="`bench holes` gate: exit 1 if the best hole-parallel speedup "
+             "is below X (warns and skips below 2 cores)",
     )
     runtime_group.add_argument(
         "--synthesis", action="store_true",

@@ -239,10 +239,11 @@ class MetricSamples:
 
 
 def _runtime_metrics(report: dict) -> dict[str, MetricSamples]:
-    """Per-scheme backend throughputs (and fused-group throughput) as
-    elements/second per repeat — eps makes runs with different element
-    counts dimensionally alike, though only same-``elements`` runs are
-    declared comparable."""
+    """Per-scheme backend throughputs as elements/second per repeat — eps
+    makes runs with different element counts dimensionally alike, though
+    only same-``elements`` runs are declared comparable.  Blocks a report
+    carries beyond ``schemes`` (such as retired measurements in older
+    reports) yield no metrics, so legacy history entries keep comparing."""
     elements = report.get("elements")
     metrics: dict[str, MetricSamples] = {}
     backends = (
@@ -267,12 +268,6 @@ def _runtime_metrics(report: dict) -> dict[str, MetricSamples]:
                 higher_is_better=True,
                 samples=samples,
             )
-    for group, entry in sorted((report.get("fused") or {}).items()):
-        times = (entry.get("raw") or {}).get("fused_s") or ()
-        samples = tuple(elements / t for t in times if t > 0) if elements else ()
-        metrics[f"fused/{group}"] = MetricSamples(
-            name=f"fused/{group}", unit="eps", higher_is_better=True, samples=samples
-        )
     return metrics
 
 

@@ -1,14 +1,13 @@
 """Runtime throughput benchmark: interpreted vs compiled vs batch-kernel
-execution, plus pipeline fusion.
+(and, opted in, columnar) execution.
 
 The point of the whole system is per-element cost: a deployed
 :class:`~repro.runtime.OnlineOperator` processes each stream element with one
 scheme step.  PR 3 made that step a compiled native closure
 (:mod:`repro.ir.compile`); the step-kernel refactor compiles the *batch
-loop* itself (:func:`~repro.ir.compile.compile_step_batch`) and can fuse a
-whole pipeline of schemes into one loop
-(:func:`~repro.ir.compile.compile_fused_steps`).  This module measures
-elements/second for all of them over the suite's ground-truth schemes — no
+loop* itself (:func:`~repro.ir.compile.compile_step_batch`).  This module
+measures elements/second for all of them over the suite's ground-truth
+schemes — no
 synthesis required, so it runs in seconds — and optionally times a
 synthesis pass with and without oracle compilation.  Results are written as
 ``BENCH_runtime.json`` so the performance trajectory is tracked from PR 3
@@ -30,9 +29,8 @@ asserted identical across all backends before any number is reported —
 every benchmark run is also a differential test.  Batch speedups split by
 regime: overhead-dominated schemes (integer counters, category volumes) see
 the loop compilation directly, while gcd-heavy exact-rational schemes are
-arithmetic-bound and sit near 1x — which is why the CI gate
-(``--assert-batch-speedup``) checks the *best* scheme per domain, not every
-scheme.
+arithmetic-bound and sit near 1x.  Regressions are judged by
+``repro bench compare`` over the raw repeats, not by fixed speedup gates.
 
 Entry points: ``repro bench runtime`` on the CLI, or
 :func:`run_runtime_benchmark` from Python/pytest.
@@ -50,7 +48,6 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
-from ..ir.compile import compile_fused_steps
 from ..ir.values import Value
 
 #: Envelope identifiers for BENCH_runtime.json.  v3 added per-repeat raw
@@ -245,77 +242,6 @@ def bench_scheme(
     return entry
 
 
-def bench_fused(
-    benchmarks: Sequence,
-    elements: int,
-    repeats: int,
-    stream_kind: str = "int",
-    *,
-    scheme_times: dict,
-) -> dict:
-    """Fused-pipeline throughput: group the measured schemes by element
-    arity and, per group of two or more, compare ONE fused loop advancing
-    all of them against the per-scheme batch kernels run back to back
-    (what an unfused pipeline pays) and against the per-scheme scalar
-    closures (the pre-kernel pipeline baseline).
-
-    ``scheme_times`` is the per-scheme :func:`bench_scheme` report — the
-    individual backends were already timed there over the identical
-    deterministic stream, so the comparison sums are derived from it
-    instead of re-measuring everything.  Each scheme's kernel runs once
-    more, untimed, for the fused-state differential check.
-    """
-    groups: dict[int, list] = {}
-    for bench in benchmarks:
-        if bench.ground_truth is not None:
-            groups.setdefault(bench.element_arity, []).append(bench)
-    fused_report: dict[str, dict] = {}
-    for arity, members in sorted(groups.items()):
-        if len(members) < 2:
-            continue
-        schemes = [b.ground_truth for b in members]
-        stream = make_stream(arity, elements, stream_kind)
-        extras = tuple({name: 500 for name in s.program.extra_params} for s in schemes)
-        fused = compile_fused_steps([s.program for s in schemes], name=f"fused-arity{arity}")
-        initializers = tuple(s.initializer for s in schemes)
-
-        times_fused = []
-        final_states: tuple = initializers
-        for _ in range(repeats):
-            start = time.perf_counter()
-            states, consumed = fused.run(initializers, stream, extras)
-            elapsed = time.perf_counter() - start
-            if consumed != len(stream):
-                raise AssertionError(f"fused kernel consumed {consumed} of {len(stream)} elements")
-            times_fused.append(elapsed)
-            final_states = states
-        best_fused = min(times_fused)
-        sum_batch = 0.0
-        sum_scalar = 0.0
-        for bench, scheme, extra, state in zip(members, schemes, extras, final_states):
-            sum_batch += elements / scheme_times[bench.name]["batch_eps"]
-            sum_scalar += elements / scheme_times[bench.name]["compiled_eps"]
-            state_batch, _ = scheme.compiled_kernel().run(scheme.initializer, stream, extra)
-            if state_batch != state:
-                raise AssertionError(
-                    f"fused and per-scheme batch states diverged on "
-                    f"{bench.name!r}: {state!r} != {state_batch!r}"
-                )
-        fused_report[f"arity{arity}"] = {
-            "schemes": [b.name for b in members],
-            "element_arity": arity,
-            # Elements/second for advancing the WHOLE group per element.
-            "fused_eps": elements / best_fused,
-            "unfused_eps": elements / sum_batch,
-            "scalar_eps": elements / sum_scalar,
-            "speedup": sum_batch / best_fused,
-            "speedup_vs_scalar": sum_scalar / best_fused,
-            "raw": {"fused_s": times_fused},
-            "states_match": True,
-        }
-    return fused_report
-
-
 def _timed_suite(benches, timeout_s: float, workers: int) -> float:
     """Wall-clock of one uncached suite run under the current REPRO_JIT."""
     from ..baselines import OperaFull
@@ -366,7 +292,6 @@ def run_runtime_benchmark(
     elements: int = 4000,
     repeats: int = 3,
     stream_kind: str = "int",
-    fused: bool = True,
     synthesis: bool = False,
     synthesis_tasks: Sequence[str] | None = None,
     synthesis_timeout_s: float = 10.0,
@@ -414,10 +339,6 @@ def run_runtime_benchmark(
         "schemes": per_scheme,
         "summary": summary,
     }
-    if fused:
-        report["fused"] = bench_fused(
-            benches, elements, repeats, stream_kind, scheme_times=per_scheme
-        )
     if synthesis:
         report["synthesis"] = synthesis_comparison(
             tuple(synthesis_tasks or DEFAULT_SYNTHESIS_TASKS),
@@ -425,18 +346,6 @@ def run_runtime_benchmark(
             workers,
         )
     return report
-
-
-def best_batch_speedup_by_domain(report: dict) -> dict[str, float]:
-    """Best batch-over-scalar speedup per domain among the measured schemes
-    (the quantity the ``--assert-batch-speedup`` CI gate checks: loop
-    compilation must pay off somewhere in each domain, not on every
-    arithmetic-bound scheme)."""
-    best: dict[str, float] = {}
-    for entry in report["schemes"].values():
-        domain = entry["domain"]
-        best[domain] = max(best.get(domain, 0.0), entry["batch_speedup"])
-    return best
 
 
 def write_report(report: dict, path) -> None:
@@ -482,14 +391,6 @@ def format_report(report: dict) -> str:
     if "median_columnar_speedup" in summary:
         median_line += f" {'':>13} {summary['median_columnar_speedup']:>6.1f}x"
     lines.append(median_line)
-    for group, entry in (report.get("fused") or {}).items():
-        lines.append(
-            f"fused pipeline [{group}] over {len(entry['schemes'])} schemes "
-            f"({', '.join(entry['schemes'])}): {entry['fused_eps']:.0f} eps "
-            f"fused vs {entry['unfused_eps']:.0f} eps batch "
-            f"({entry['speedup']:.2f}x) vs {entry['scalar_eps']:.0f} eps "
-            f"scalar ({entry['speedup_vs_scalar']:.2f}x)"
-        )
     synth = report.get("synthesis")
     if synth:
         lines.append(

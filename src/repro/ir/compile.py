@@ -50,11 +50,9 @@ Beyond the scalar closure, this module also compiles the *batch loop*
 itself: :func:`compile_step_batch` generates the whole ``push_many`` hot
 loop as source (state components live in Python locals across the chunk,
 extra-parameter lookups are hoisted once per batch, the CSE'd step body is
-inlined in the loop), and :func:`compile_fused_steps` fuses several online
-programs into one loop that advances all of their states per element.  Both
-return a :class:`StepKernel` — the execution plan every runtime layer
-(operators, keyed partitions, pipelines, windows) consumes instead of
-hand-rolling its own per-element loop.
+inlined in the loop) and returns a :class:`StepKernel` — the execution plan
+every runtime layer (operators, keyed partitions, pipelines, windows)
+consumes instead of hand-rolling its own per-element loop.
 """
 
 from __future__ import annotations
@@ -144,26 +142,23 @@ def kernel_partial(exc: BaseException, fallback_state) -> tuple:
 
 
 class StepKernel:
-    """A whole-batch execution plan for one online program (or several
-    fused ones): the unit every ``push_many`` hot path runs.
+    """A whole-batch execution plan for one online program: the unit every
+    ``push_many`` hot path runs.
 
     ``run(state, elements, extra=None)`` folds the chunk and returns
     ``(final_state, consumed)``; a raising element propagates its exception
-    with partial progress attached (see :func:`kernel_partial`).  Fused
-    kernels (:func:`compile_fused_steps`) take and return *tuples of* states
-    and extras instead, one slot per fused program, and set ``fused``.
+    with partial progress attached (see :func:`kernel_partial`).
 
     ``compiled`` distinguishes codegen-backed kernels from the
     interpreter-driven fallback built by :meth:`from_step` — behaviourally
     identical (bit-for-bit over exact rationals), only slower.
     """
 
-    __slots__ = ("run", "compiled", "fused", "name")
+    __slots__ = ("run", "compiled", "name")
 
-    def __init__(self, run: Callable, *, compiled: bool, fused: bool = False, name: str = "kernel"):
+    def __init__(self, run: Callable, *, compiled: bool, name: str = "kernel"):
         self.run = run
         self.compiled = compiled
-        self.fused = fused
         self.name = name
 
     @property
@@ -192,8 +187,6 @@ class StepKernel:
 
     def __repr__(self) -> str:
         kind = "compiled" if self.compiled else "interpreted"
-        if self.fused:
-            kind = f"fused {kind}"
         return f"<StepKernel {self.name} ({kind})>"
 
 
@@ -588,10 +581,6 @@ class _Codegen:
         #: _extra_get) instead of eagerly in the step prologue — the ones
         #: referenced only in conditionally evaluated positions.
         self.lazy_extras: frozenset[str] = frozenset()
-        #: The generated-code name holding the extra-parameter mapping for
-        #: lazy lookups.  Fused kernels point this at a per-program slot
-        #: (``_extra0``, ``_extra1``, ...) while emitting that program.
-        self.extra_var: str = "_extra"
 
     # -- naming ------------------------------------------------------------
 
@@ -603,13 +592,6 @@ class _Codegen:
             ident = f"_v{next(self._name_serial)}_{_IDENT_RE.sub('_', name)}"
             self._names[name] = ident
         return ident
-
-    def new_scope(self) -> None:
-        """Start a fresh IR-name scope (fused kernels: the same IR name in
-        two programs must map to two identifiers).  Serial numbers keep
-        monotonically increasing, so identifiers never collide across
-        scopes of one generated module."""
-        self._names = {}
 
     def fresh(self, prefix: str = "_t") -> str:
         return f"{prefix}{next(self._serial)}"
@@ -651,7 +633,7 @@ class _Codegen:
             return self.mangle(name)
         if name in self.lazy_extras:
             self.globals.setdefault("_extra_get", _extra_get)
-            return f"_extra_get({self.extra_var}, {name!r}, {kind!r})"
+            return f"_extra_get(_extra, {name!r}, {kind!r})"
         raise IRCompileError(f"unbound variable {name!r}")
 
     # -- statement (CSE) context -------------------------------------------
@@ -1005,7 +987,6 @@ def _emit_extra_fetch(
     list_extras: set[str],
     lines: list,
     indent: int,
-    extra_var: str = "_extra",
 ) -> None:
     """Prologue fetch of eagerly-bound extras, with the interpreter's
     unbound-name error on a missing binding (or a ``None`` mapping)."""
@@ -1013,7 +994,7 @@ def _emit_extra_fetch(
     for extra_name in eager_extras:
         kind = "list variable" if extra_name in list_extras else "variable"
         lines.append(f"{pad}try:")
-        lines.append(f"{pad}    {cg.mangle(extra_name)} = {extra_var}[{extra_name!r}]")
+        lines.append(f"{pad}    {cg.mangle(extra_name)} = _extra[{extra_name!r}]")
         lines.append(f"{pad}except (KeyError, TypeError):")
         lines.append(f"{pad}    raise EvaluationError(\"unbound {kind} {extra_name!r}\") from None")
 
@@ -1175,101 +1156,3 @@ def compile_step_batch(program: OnlineProgram, name: str = "batch") -> StepKerne
     cg.globals["_record_partial"] = _record_partial
     fn = cg.build("\n".join(lines) + "\n", "_compiled_batch", name)
     return StepKernel(fn, compiled=True, name=name)
-
-
-def compile_fused_steps(programs: Sequence[OnlineProgram], name: str = "fused") -> StepKernel:
-    """Fuse several online programs into ONE batch loop that advances all
-    of their states per element:
-    ``run(states, elements, extras) -> (final_states, consumed)`` where
-    ``states`` is a tuple of per-program state tuples and ``extras`` a
-    sequence of per-program extra mappings (``None`` entries allowed).
-
-    One pass over the chunk feeds every program — a pipeline of N schemes
-    reads each element once instead of N times, with no per-program Python
-    loop or closure call.  Every program gets its own identifier scope and
-    its own extras slot, so name collisions across programs are impossible;
-    CSE stays per-program (structurally equal subtrees of *different*
-    programs bind different names and must not share temporaries).
-
-    Failure semantics reproduce per-element ``push`` over the pipeline
-    exactly: programs are advanced in order within each element, so when
-    program *r* raises on element *k*, programs before *r* have applied
-    ``k + 1`` elements and the rest ``k``.  The partial-progress record
-    (:func:`kernel_partial`) then carries the mixed states and a *tuple*
-    of per-program consumed counts (on success, ``consumed`` is the single
-    shared count).
-    """
-    programs = list(programs)
-    if not programs:
-        raise IRCompileError("cannot fuse an empty program list")
-    cg = _Codegen()
-    cg.globals["_record_partial"] = _record_partial
-    k = len(programs)
-
-    lines = ["def _fused_batch(_states, _elems, _extras):"]
-    lines.append(f"    if len(_states) != {k}:")
-    lines.append(
-        "        raise EvaluationError("
-        f"f\"fused kernel expects {k} states, got {{len(_states)}}\")"
-    )
-    body_lines: list[str] = []
-    state_tuples: list[str] = []
-    for i, program in enumerate(programs):
-        _check_batchable(program, f"{name}[{i}]")
-        cg.new_scope()
-        cg.extra_var = f"_extra{i}"
-        arity = program.arity
-        all_extras, list_extras, eager_extras = _extras_of(program)
-        cg.lazy_extras = frozenset(all_extras) - frozenset(eager_extras)
-        state_vars = [cg.mangle(p) for p in program.state_params]
-        lines.append(f"    _s{i} = _states[{i}]")
-        lines.append(f"    if len(_s{i}) != {arity}:")
-        lines.append(
-            "        raise EvaluationError("
-            f"f\"online program {i} expects {arity} state values, "
-            f"got {{len(_s{i})}}\")"
-        )
-        if arity == 1:
-            lines.append(f"    ({state_vars[0]},) = _s{i}")
-        elif arity:
-            lines.append(f"    {', '.join(state_vars)} = _s{i}")
-        if all_extras:
-            lines.append(f"    _extra{i} = _extras[{i}]")
-        # Body lines carry the emitters' 4-space indent; the assembly below
-        # re-indents the whole body into the loop.
-        if eager_extras:
-            # Each program's extras hoist sits right before ITS body (and
-            # only on the first iteration — an empty batch must not look
-            # extras up): per-push order, where a missing binding for
-            # program r still lets programs before r apply element 0.
-            body_lines.append("    if not _n:")
-            _emit_extra_fetch(cg, eager_extras, list_extras, body_lines, 8, extra_var=f"_extra{i}")
-        body_lines.append(f"    {cg.mangle(program.elem_param)} = _elem")
-        outputs = _emit_outputs(cg, program, eager_extras, body_lines, f"{name}[{i}]")
-        # Per-program atomic update, applied as soon as ITS body is done —
-        # matching push's in-order evaluation within one element (program j
-        # cannot observe it: the scopes are disjoint).  _p marks how many
-        # programs completed the current element, for the failure record.
-        if state_vars:
-            body_lines.append(f"    {', '.join(state_vars)} = {', '.join(outputs)}")
-        body_lines.append(f"    _p = {i + 1}")
-        state_tuples.append(_state_tuple(state_vars))
-    states_tuple = "(" + "".join(t + ", " for t in state_tuples) + ")"
-    consumed_tuple = ("(" + "".join(f"_n + 1 if _p > {i} else _n, " for i in range(k)) + ")")
-    lines.append("    _n = 0")
-    lines.append("    _p = 0")
-    lines.append("    try:")
-    lines.append("        for _elem in _elems:")
-    lines.extend("        " + line for line in body_lines)
-    lines.append("            _n += 1")
-    # Reset AFTER the element completes, not at the loop top: the elements
-    # iterator itself may raise between elements (inside the for-statement,
-    # before any body line runs), and the failure record must not reuse the
-    # previous element's progress marker.
-    lines.append("            _p = 0")
-    lines.append("    except BaseException as _exc:")
-    lines.append(f"        _record_partial(_exc, {states_tuple}, {consumed_tuple})")
-    lines.append("        raise")
-    lines.append(f"    return ({states_tuple}, _n)")
-    fn = cg.build("\n".join(lines) + "\n", "_fused_batch", name)
-    return StepKernel(fn, compiled=True, fused=True, name=name)

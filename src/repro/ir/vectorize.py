@@ -745,8 +745,8 @@ class ColumnarKernel(StepKernel):
 
     __slots__ = ("domain", "exact", "plan", "bounds")
 
-    #: Marker the fusion planner and tests key on (plain StepKernels
-    #: return False via ``getattr(k, "columnar", False)``).
+    #: Marker ``OnlineOperator.backend_in_use`` and tests key on (plain
+    #: StepKernels return False via ``getattr(k, "columnar", False)``).
     columnar = True
 
     def __init__(self, run: Callable, *, domain: str, exact: StepKernel, plan: ColumnPlan,

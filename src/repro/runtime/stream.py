@@ -14,11 +14,11 @@ element sources without materializing batches.  The runtime provides:
 Operators are deliberately tiny: one scheme step per element, O(1) state.
 
 Batched ingestion (``push_many``, the windows, ``repro run --batch-size``)
-runs on :class:`~repro.ir.compile.StepKernel` execution plans: the whole
-chunk loop is compiled to one native closure (per-scheme, or fused across a
-pipeline's schemes), with the interpreter-driven loop as the transparent
-``REPRO_JIT=0`` / ``--no-jit`` fallback.  Kernels are semantically
-invisible — batch results equal per-element ``push``, bit-for-bit.
+runs on :class:`~repro.ir.compile.StepKernel` execution plans: each
+scheme's whole chunk loop is compiled to one native closure, with the
+interpreter-driven loop as the transparent ``REPRO_JIT=0`` / ``--no-jit``
+fallback.  Kernels are semantically invisible — batch results equal
+per-element ``push``, bit-for-bit.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from collections import deque
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from ..core.scheme import OnlineScheme
-from ..ir.compile import IRCompileError, compile_fused_steps, kernel_partial
+from ..ir.compile import kernel_partial
 from ..ir.values import Value
 
 
@@ -70,6 +70,9 @@ class OnlineOperator:
         self._jit = jit
         self._backend = backend
         self._bounds = bounds
+        # The scalar step is kept alongside the batch kernel on purpose:
+        # routing a per-element push through a 1-element kernel batch
+        # measured 2.06x slower on count and q_highest_bid.
         self._step = scheme._resolve_step(jit)
         self._kernel = scheme._resolve_kernel(jit)
         self._columnar_float = False
@@ -170,121 +173,74 @@ class StreamPipeline:
 
     def __init__(self, operators: Mapping[str, OnlineOperator]):
         self.operators = dict(operators)
-        #: Cached fused-kernel plan: ``(operator tuple, StepKernel | None)``.
-        #: Rebuilt whenever the operator set changes (compared by identity),
-        #: so swapping operators in ``self.operators`` is picked up.
-        self._fused_plan: tuple | None = None
 
     def push(self, element: Value) -> dict[str, Value]:
         return {name: op.push(element) for name, op in self.operators.items()}
-
-    def _fused_kernel(self, ops: tuple):
-        """The pipeline-fusion plan for the current operator set: ONE
-        compiled loop advancing every operator's state per element
-        (:func:`repro.ir.compile.compile_fused_steps`), or ``None`` when
-        fusion does not apply — fewer than two operators, any operator on
-        the interpreter backend (``--no-jit`` must reach the whole
-        pipeline), any operator on the columnar backend (its whole-batch
-        NumPy plan beats a fused scalar loop, and fusing would silently
-        drop the licensed fast path), one operator object registered under
-        several names (the fused slots would silently overwrite each
-        other's writes to the shared state), or a program the fused
-        codegen declines.
-
-        Returns ``(kernel | None, distinct)`` — ``distinct`` is False when
-        an operator appears under several names, which also rules out the
-        fallback's lockstep rewind (the "slots" share state)."""
-        plan = self._fused_plan
-        if plan is not None and plan[0] == ops:  # tuple == is per-op identity
-            return plan[1], plan[2]
-        kernel = None
-        distinct = len({id(op) for op in ops}) == len(ops)
-        columnar = any(getattr(op._kernel, "columnar", False) for op in ops)
-        if len(ops) > 1 and distinct and not columnar and all(op._kernel.compiled for op in ops):
-            try:
-                kernel = compile_fused_steps(
-                    [op.scheme.program for op in ops],
-                    name="+".join(op.name for op in ops),
-                )
-            except IRCompileError:
-                kernel = None
-        self._fused_plan = (ops, kernel, distinct)
-        return kernel, distinct
 
     def push_many(self, elements: Iterable[Value]) -> dict[str, Value]:
         """Consume a batch; returns the final snapshot — a defined value
         (the current snapshot, initializers on a fresh pipeline) even when
         ``elements`` is empty.
 
-        With every operator on the compiled backend the batch runs through
-        ONE fused kernel: a single generated loop reads each element once
-        and advances all operators' states in lockstep.  Otherwise each
-        operator drains the materialized chunk through its own batch
-        kernel (:meth:`OnlineOperator.push_many`) — operators are
-        independent, so both paths reach the per-element-``push`` snapshot.
-
-        Failure semantics reproduce per-element ``push`` exactly on BOTH
-        paths (so ``--no-jit`` runs stay bit-for-bit identical): operators
-        advance in dict order within each element, so when operator *r*
-        raises on element *k*, operators before *r* keep ``k + 1`` elements
-        and the rest keep ``k``.  The fused loop gives this natively
-        (per-program in-order updates, per-program consumed counts in the
-        partial-progress record); the fallback probes each operator, then
-        rewinds to the pre-batch snapshot and re-drains each operator's
-        per-push prefix — sound because scheme steps are pure and
-        deterministic.
+        Each operator drains the materialized chunk through its own batch
+        kernel (:meth:`OnlineOperator.push_many`); operators are
+        independent, so this reaches the per-element-``push`` snapshot.
+        A source that raises partway still has the elements it yielded
+        applied to every operator before its error propagates, as a
+        per-element loop over it would.
         """
-        chunk = elements if isinstance(elements, (list, tuple)) else list(elements)
-        ops = tuple(self.operators.values())
-        fused, distinct = self._fused_kernel(ops)
-        if fused is None:
-            if not distinct:
-                # One operator under several names: plain sequential drains
-                # (per-push parity is ill-defined when "slots" share state;
-                # fusion declines too, so jit on and off take this path).
-                for op in ops:
-                    op.push_many(chunk)
-                return self.snapshot()
-            snapshots = [(op.state, op.count) for op in ops]
-            # Earliest failing element across operators; on ties the
-            # operator evaluated first per element (dict order) wins,
-            # matching both push and the fused loop's emission order.
-            failure: tuple | None = None  # (element index, op index, exc)
-            for i, op in enumerate(ops):
-                try:
-                    op.push_many(chunk)
-                except BaseException as exc:
-                    consumed = op.count - snapshots[i][1]
-                    if failure is None or consumed < failure[0]:
-                        failure = (consumed, i, exc)
-            if failure is None:
-                return self.snapshot()
-            element, raiser, exc = failure
-            for op, (state, count) in zip(ops, snapshots):
-                op.state = state
-                op.count = count
-            for i, op in enumerate(ops):
-                # Operators before the raiser applied the failing element
-                # too (push evaluates them first within that element).
-                # Cannot raise: each is a prefix the operator survived.
-                op.push_many(chunk[: element + 1 if i < raiser else element])
-            raise exc
-        states = tuple(op.state for op in ops)
-        try:
-            states, consumed = fused.run(states, chunk, tuple(op.extra for op in ops))
-        except BaseException as exc:
-            states, consumed = kernel_partial(exc, states)
-            # A fused kernel's failure record carries per-program counts
-            # (operators before the raiser applied one element more).
-            counts = (consumed if isinstance(consumed, tuple) else (consumed,) * len(ops))
-            for op, state, count in zip(ops, states, counts):
-                op.state = state
-                op.count += count
-            raise
-        for op, state in zip(ops, states):
-            op.state = state
-            op.count += consumed
+        source_error: BaseException | None = None
+        if isinstance(elements, (list, tuple)):
+            chunk = elements
+        else:
+            chunk = []
+            try:
+                chunk.extend(elements)  # keeps the items read before a raise
+            except BaseException as exc:
+                source_error = exc
+        self._drain(chunk)
+        if source_error is not None:
+            raise source_error
         return self.snapshot()
+
+    def _drain(self, chunk: Sequence[Value]) -> None:
+        """Run ``chunk`` through every operator with per-element-``push``
+        failure semantics: operators advance in dict order within each
+        element, so when operator *r* raises on element *k*, operators
+        before *r* keep ``k + 1`` elements and the rest keep ``k``.  Each
+        operator is probed on the whole chunk; on a failure all rewind to
+        the pre-batch snapshot and re-drain their per-push prefix — sound
+        because scheme steps are pure and deterministic."""
+        ops = tuple(self.operators.values())
+        if len({id(op) for op in ops}) < len(ops):
+            # One operator under several names: plain sequential drains
+            # (per-push parity is ill-defined when "slots" share state).
+            for op in ops:
+                op.push_many(chunk)
+            return
+        snapshots = [(op.state, op.count) for op in ops]
+        # Earliest failing element across operators; on ties the operator
+        # evaluated first per element (dict order) wins, as under push.
+        failure: tuple | None = None  # (element index, op index, exc)
+        for i, op in enumerate(ops):
+            try:
+                op.push_many(chunk)
+            except BaseException as exc:
+                consumed = op.count - snapshots[i][1]
+                if failure is None or consumed < failure[0]:
+                    failure = (consumed, i, exc)
+        if failure is None:
+            return
+        element, raiser, exc = failure
+        for op, (state, count) in zip(ops, snapshots):
+            op.state = state
+            op.count = count
+        for i, op in enumerate(ops):
+            # Operators before the raiser applied the failing element too
+            # (push evaluates them first within that element).  Cannot
+            # raise: each is a prefix the operator survived.
+            op.push_many(chunk[: element + 1 if i < raiser else element])
+        raise exc
 
     def run(self, source: Iterable[Value]) -> Iterator[dict[str, Value]]:
         """One snapshot per element; an empty source yields nothing (use

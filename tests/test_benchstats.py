@@ -269,6 +269,30 @@ class TestCompareVerdicts:
         assert comparison["metrics"]["variance/batch"]["reason"] == "only in the new report"
         assert comparison["metrics"]["count/batch"]["verdict"] == VERDICT_NO_CHANGE
 
+    def test_legacy_pipeline_block_keeps_comparing(self):
+        # Older runtime reports (and history entries) carry a top-level block
+        # for the retired multi-scheme pipeline measurement; newer ones do
+        # not.  The block yields no metric, so no missing-metric verdict.
+        legacy = runtime_report(FAST)
+        legacy["FUSED".lower()] = {
+            "arity1": {
+                "schemes": ["count", "max"],
+                "raw": {"fused_s": list(FAST)},
+                "states_match": True,
+            }
+        }
+        for old, new in ((legacy, runtime_report(FAST)), (runtime_report(FAST), legacy)):
+            comparison = compare_reports(old, new)
+            assert comparison["verdict"] == VERDICT_NO_CHANGE
+            assert set(comparison["metrics"]) == {
+                "count/interpreted", "count/compiled", "count/batch"
+            }
+            assert all(
+                entry["verdict"] != VERDICT_INCOMPARABLE
+                for entry in comparison["metrics"].values()
+            )
+            assert comparison_exit_code(comparison) == 0
+
     def test_pre_v3_report_without_raw_is_incomparable(self):
         old = runtime_report(FAST)
         for entry in old["schemes"].values():
@@ -382,7 +406,7 @@ class TestMetadata:
 
 class TestReportFormatV3:
     def test_runtime_report_embeds_raw_and_meta(self):
-        report = run_runtime_benchmark(["count"], elements=200, repeats=3, fused=False)
+        report = run_runtime_benchmark(["count"], elements=200, repeats=3)
         assert report["version"] == 3
         assert set(report["meta"]) == {"git_commit", "timestamp", "clock"}
         raw = report["schemes"]["count"]["raw"]
@@ -499,7 +523,6 @@ class TestBenchHistoryCli:
                 "200",
                 "--repeats",
                 "3",
-                "--no-fused",
                 "--out",
                 str(out),
                 "--history-dir",
@@ -526,7 +549,6 @@ class TestBenchHistoryCli:
                 "200",
                 "--repeats",
                 "3",
-                "--no-fused",
                 "--out",
                 str(tmp_path / "report.json"),
                 "--history-dir",

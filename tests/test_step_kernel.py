@@ -2,7 +2,8 @@
 
 The :class:`~repro.ir.compile.StepKernel` plan claims to be *semantically
 invisible*: ``push_many`` through a kernel — the codegen-compiled batch
-loop, the fused pipeline loop, or the interpreter-driven fallback — must
+loop or the interpreter-driven fallback, alone or drained per operator
+by a pipeline — must
 equal sequential per-element ``push`` bit-for-bit over exact rationals
 (states, outputs, counts, exception classes, partial progress on failure).
 These tests enforce the claim on every ground-truth scheme of the suite,
@@ -20,7 +21,6 @@ from repro.core.scheme import OnlineScheme
 from repro.ir.compile import (
     IRCompileError,
     StepKernel,
-    compile_fused_steps,
     compile_online_step,
     compile_step_batch,
     kernel_partial,
@@ -120,7 +120,7 @@ class TestBatchKernelEquivalence:
             )
             assert consumed == len(elements)
             assert_same_value(batch_state, state, bench.name)
-            assert kernel.compiled and not kernel.fused
+            assert kernel.compiled
             assert kernel.source is not None
 
     def test_empty_batch_is_identity(self):
@@ -140,6 +140,19 @@ class TestBatchKernelEquivalence:
         from_list.push_many(elements)
         from_gen.push_many(iter(elements))
         assert_same_value(from_gen.state, from_list.state)
+
+    def test_source_iterator_error_keeps_counts_exact(self):
+        # The elements iterable itself raising between elements must record
+        # only fully-applied elements.
+        def two_then_boom():
+            yield 1
+            yield 2
+            raise RuntimeError("source died")
+
+        op = OnlineOperator(get_benchmark("sum").ground_truth)
+        with pytest.raises(RuntimeError):
+            op.push_many(two_then_boom())
+        assert op.state == (3,) and op.count == 2
 
     @pytest.mark.parametrize("jit", [True, False], ids=["jit", "nojit"])
     def test_partial_progress_on_mid_batch_error(self, jit):
@@ -234,6 +247,15 @@ class TestBatchKernelEquivalence:
                 name,
             )
         assert scheme.final([]) == scheme.initializer[0]
+
+
+    def test_from_step_wrapper_contract(self):
+        scheme = get_benchmark("mean").ground_truth
+        kernel = StepKernel.from_step(scheme.interpreted_step)
+        state, consumed = kernel.run(scheme.initializer, [1, 2, 3], None)
+        expected, _ = scheme.compiled_kernel().run(scheme.initializer, [1, 2, 3], None)
+        assert_same_value(state, expected)
+        assert consumed == 3 and not kernel.compiled
 
 
 class TestKeyedBatch:
@@ -344,7 +366,10 @@ class TestKeyedBatch:
         assert resumed.count == uninterrupted.count
 
 
-class TestFusedPipeline:
+class TestPipelineBatch:
+    """``StreamPipeline.push_many`` drains each operator's batch kernel and
+    must leave every operator where per-element ``push`` would."""
+
     def _schemes(self):
         return {
             name: get_benchmark(name).ground_truth
@@ -362,10 +387,11 @@ class TestFusedPipeline:
     def _elements(self, n=50):
         return [Fraction(i % 11 - 4, 1 + i % 3) for i in range(n)]
 
-    def test_fused_equals_per_element_push(self):
+    @pytest.mark.parametrize("jit", [True, False], ids=["jit", "nojit"])
+    def test_batch_equals_per_element_push(self, jit):
         elements = self._elements()
-        batched = self._pipeline()
-        stepped = self._pipeline()
+        batched = self._pipeline(jit)
+        stepped = self._pipeline(jit)
         snapshot = batched.push_many(elements)
         for element in elements:
             last = stepped.push(element)
@@ -373,38 +399,20 @@ class TestFusedPipeline:
         for name, op in batched.operators.items():
             assert_same_value(op.state, stepped.operators[name].state, name)
             assert op.count == stepped.operators[name].count
-        plan = batched._fused_plan
-        assert plan is not None and plan[1] is not None and plan[1].fused
 
-    def test_fused_kernel_against_per_scheme_kernels(self):
-        schemes = list(self._schemes().values())
-        fused = compile_fused_steps([s.program for s in schemes])
-        elements = self._elements()
-        states, consumed = fused.run(
-            tuple(s.initializer for s in schemes),
-            elements,
-            tuple({} for _ in schemes),
-        )
-        assert consumed == len(elements)
-        for scheme, state in zip(schemes, states):
-            expected, _ = scheme.compiled_kernel().run(
-                scheme.initializer, elements, {}
-            )
-            assert_same_value(state, expected, scheme.provenance)
-
-    def test_fused_with_extra_params(self):
-        # Two programs whose extras live in *separate* slots, one of them
-        # sharing the extra name — fusion must not cross the streams.
+    def test_operators_keep_their_own_extras(self):
+        # Two operators binding the same extra name to different values.
         p1 = OnlineProgram(("s",), "x", (add("s", mul("x", "k")),), ("k",))
         p2 = OnlineProgram(("t",), "x", (add("t", add("x", "k")),), ("k",))
-        fused = compile_fused_steps([p1, p2])
-        states, consumed = fused.run(
-            ((0,), (0,)), [1, 2, 3], ({"k": 10}, {"k": Fraction(1, 2)})
+        pipeline = StreamPipeline(
+            {
+                "a": OnlineOperator(OnlineScheme((0,), p1), {"k": 10}),
+                "b": OnlineOperator(OnlineScheme((0,), p2), {"k": Fraction(1, 2)}),
+            }
         )
-        assert consumed == 3
-        assert states == ((60,), (Fraction(15, 2),))
+        assert pipeline.push_many([1, 2, 3]) == {"a": 60, "b": Fraction(15, 2)}
 
-    def test_no_jit_operator_disables_fusion_but_not_equality(self):
+    def test_mixed_jit_operators_equal_per_element_push(self):
         elements = self._elements()
         mixed = StreamPipeline(
             {
@@ -424,25 +432,24 @@ class TestFusedPipeline:
         for element in elements:
             stepped.push(element)
         assert snapshot == stepped.snapshot()
-        assert mixed._fused_plan[1] is None  # fusion declined, fallback used
 
-    def test_single_operator_pipeline_does_not_fuse(self):
+    def test_single_operator_pipeline(self):
+        elements = self._elements(10)
         pipeline = StreamPipeline(
             {"mean": OnlineOperator(get_benchmark("mean").ground_truth)}
         )
-        pipeline.push_many(self._elements(10))
-        assert pipeline._fused_plan[1] is None
+        reference = OnlineOperator(get_benchmark("mean").ground_truth)
+        reference.push_many(elements)
+        assert pipeline.push_many(elements) == {"mean": reference.value}
 
-    def test_operator_swap_recompiles_plan(self):
+    def test_operator_swap_sees_only_later_batches(self):
         elements = self._elements(20)
         pipeline = self._pipeline()
         pipeline.push_many(elements)
-        first_plan = pipeline._fused_plan[1]
         pipeline.operators["sum"] = OnlineOperator(
             get_benchmark("sum").ground_truth
         )
         snapshot = pipeline.push_many(elements)
-        assert pipeline._fused_plan[1] is not first_plan
         ref_mean = OnlineOperator(get_benchmark("mean").ground_truth)
         for element in elements + elements:  # the mean op saw both batches
             ref_mean.push(element)
@@ -453,7 +460,8 @@ class TestFusedPipeline:
         assert snapshot["sum"] == ref_sum.value
         assert pipeline.operators["sum"].count == len(elements)
 
-    def test_fused_partial_progress_on_error(self):
+    @pytest.mark.parametrize("jit", [True, False], ids=["jit", "nojit"])
+    def test_partial_progress_on_error(self, jit):
         # Second program raises at x == 3 (element index 2).  Per-push
         # parity: the first operator — evaluated earlier within that
         # element — applied it too (count 3), the raiser stopped before it
@@ -470,25 +478,22 @@ class TestFusedPipeline:
             provenance="bad",
         )
         pipeline = StreamPipeline(
-            {"ok": OnlineOperator(ok), "bad": OnlineOperator(bad)}
+            {"ok": OnlineOperator(ok, jit=jit), "bad": OnlineOperator(bad, jit=jit)}
         )
         with pytest.raises(EvaluationError):
             pipeline.push_many([1, 2, 3, 4])
-        assert pipeline._fused_plan[1] is not None  # the fused path ran
         assert pipeline.operators["ok"].state == (6,)
         assert pipeline.operators["ok"].count == 3
         assert pipeline.operators["bad"].state == (3,)
         assert pipeline.operators["bad"].count == 2
 
-    def test_duplicate_operator_object_declines_fusion(self):
-        # One operator under two names: fused slots would overwrite each
-        # other's writes to the shared state.  Fusion must decline, and the
-        # sequential-drain result must match in both jit modes.
+    def test_duplicate_operator_object_drains_sequentially(self):
+        # One operator under two names: per-push parity is ill-defined when
+        # the names share state, so each name drains the batch in turn.
         elements = self._elements(12)
         op = OnlineOperator(get_benchmark("mean").ground_truth)
         pipeline = StreamPipeline({"a": op, "b": op})
         snapshot = pipeline.push_many(elements)
-        assert pipeline._fused_plan[1] is None
         reference = OnlineOperator(get_benchmark("mean").ground_truth)
         reference.push_many(elements)
         reference.push_many(elements)  # drained once per name
@@ -497,10 +502,10 @@ class TestFusedPipeline:
 
     @pytest.mark.parametrize("jit", [True, False], ids=["jit", "nojit"])
     def test_error_semantics_identical_across_backends(self, jit):
-        # Per-push failure parity on BOTH paths: whatever backend runs, a
-        # mid-batch error leaves every operator exactly where sequential
-        # push would — so a checkpoint taken after catching the error is
-        # bit-for-bit identical across jit modes.
+        # Per-push failure parity: whatever backend runs, a mid-batch error
+        # leaves every operator exactly where sequential push would — so a
+        # checkpoint taken after catching the error is bit-for-bit
+        # identical across jit modes.
         def build():
             return StreamPipeline(
                 {
@@ -543,33 +548,59 @@ class TestFusedPipeline:
         assert reference.operators["var"].count == 3
         assert reference.operators["bad"].count == 2
 
-    def test_source_iterator_error_keeps_counts_exact(self):
-        # The elements iterable itself raising between elements must record
-        # only fully-applied elements — for the single-program kernel and
-        # for the fused kernel's per-program counts alike.
+    @pytest.mark.parametrize("jit", [True, False], ids=["jit", "nojit"])
+    def test_failing_source_applies_its_prefix(self, jit):
+        # A source raising between elements: the elements it yielded before
+        # the error are applied to every operator, as a per-element loop
+        # over the same source would, and the source's error propagates.
         def two_then_boom():
             yield 1
             yield 2
             raise RuntimeError("source died")
 
-        scheme = get_benchmark("sum").ground_truth
-        op = OnlineOperator(scheme)
-        with pytest.raises(RuntimeError):
-            op.push_many(two_then_boom())
-        assert op.state == (3,) and op.count == 2
+        def build():
+            return StreamPipeline(
+                {
+                    name: OnlineOperator(get_benchmark(name).ground_truth, jit=jit)
+                    for name in ("sum", "count")
+                }
+            )
 
-        schemes = [get_benchmark(n).ground_truth for n in ("sum", "count")]
-        fused = compile_fused_steps([s.program for s in schemes])
-        with pytest.raises(RuntimeError) as info:
-            fused.run(((0,), (0,)), two_then_boom(), ({}, {}))
-        states, counts = info.value.__repro_partial__
-        assert states == ((3,), (2,))
-        assert counts == (2, 2)
+        pipeline = build()
+        with pytest.raises(RuntimeError, match="source died"):
+            pipeline.push_many(two_then_boom())
+        reference = build()
+        with pytest.raises(RuntimeError, match="source died"):
+            for element in two_then_boom():
+                reference.push(element)
+        for name in ("sum", "count"):
+            assert pipeline.operators[name].state == reference.operators[name].state
+            assert pipeline.operators[name].count == reference.operators[name].count == 2
+        assert pipeline.operators["sum"].state == (3,)
 
-    def test_from_step_wrapper_contract(self):
-        scheme = get_benchmark("mean").ground_truth
-        kernel = StepKernel.from_step(scheme.interpreted_step)
-        state, consumed = kernel.run(scheme.initializer, [1, 2, 3], None)
-        expected, _ = scheme.compiled_kernel().run(scheme.initializer, [1, 2, 3], None)
-        assert_same_value(state, expected)
-        assert consumed == 3 and not kernel.compiled
+    def test_operator_error_before_source_error_wins(self):
+        # The operator fails on element 1, before the source would have:
+        # per-push order raises the operator's error, not the source's.
+        bad = OnlineScheme(
+            (0,),
+            OnlineProgram(
+                ("b",), "x",
+                (ite(eq(Var("x"), 2), add("b", "missing"), add("b", "x")),),
+            ),
+            provenance="bad",
+        )
+
+        def two_then_boom():
+            yield 1
+            yield 2
+            raise RuntimeError("source died")
+
+        pipeline = StreamPipeline(
+            {"sum": OnlineOperator(get_benchmark("sum").ground_truth),
+             "bad": OnlineOperator(bad)}
+        )
+        with pytest.raises(EvaluationError):
+            pipeline.push_many(two_then_boom())
+        assert pipeline.operators["sum"].state == (3,)
+        assert pipeline.operators["sum"].count == 2
+        assert pipeline.operators["bad"].count == 1

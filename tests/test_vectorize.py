@@ -7,7 +7,7 @@ unadmitted scheme or out-of-contract batch transparently runs on the exact
 :class:`~repro.ir.compile.StepKernel` with its usual partial-progress
 semantics.  These tests enforce the claim on every ground-truth scheme of
 the suite — jit on and off, chunked and empty batches, keyed partitions,
-bailouts, fusion interaction, and cross-backend checkpoint/restore.
+bailouts, pipeline interaction, and cross-backend checkpoint/restore.
 
 The whole module degrades to exact-path assertions when NumPy is absent
 (admission itself is pure structural analysis and never needs NumPy).
@@ -365,7 +365,12 @@ class TestFusionInteraction:
         for element in elements:
             stepped.push(element)
         assert snapshot == stepped.snapshot()
-        assert mixed._fused_plan[1] is None  # fusion declined, results exact
+        # The pipeline batch runs each operator's own kernel: the columnar
+        # operator kept its licensed path.
+        assert mixed.operators["sum"].backend_in_use == "columnar"
+        for name, op in mixed.operators.items():
+            assert op.state == stepped.operators[name].state
+            assert op.count == stepped.operators[name].count
 
 
 @needs_numpy

@@ -7,7 +7,7 @@ Layers, bottom-up:
 * :mod:`repro.algebra.ratfunc` — rational functions with lightweight
   normalization and cross-multiplication equality;
 * :mod:`repro.algebra.atoms` — interning of opaque (non-polynomial) subterms;
-* :mod:`repro.algebra.linsolve` — exact Gaussian elimination / nullspaces;
+* :mod:`repro.algebra.linsolve` — exact fraction-free elimination / nullspaces;
 * :mod:`repro.algebra.symmetric` — power-sum rewriting of symmetric systems;
 * :mod:`repro.algebra.elimination` — equational quantifier elimination;
 * :mod:`repro.algebra.interpolation` — exact polynomial interpolation.

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from ..ir.analysis.prune import statically_redundant
+from ..ir.compile import expr_evaluator
 from ..ir.evaluator import EvaluationError, evaluate
 from ..ir.nodes import Call, Const, Expr, If, MakeTuple, Proj, Var
 from ..ir.traversal import ast_size, used_builtins
@@ -35,7 +36,7 @@ from .equivalence import (
     random_element,
     random_extras,
     random_list,
-    rfs_environment,
+    rfs_binder,
 )
 from .exceptions import EnumerationCapExceeded, SynthesisTimeout
 from .rfs import RFS
@@ -59,6 +60,8 @@ def _signature(expr: Expr, envs: Sequence[dict[str, Value]]) -> tuple | None:
     values = []
     for env in envs:
         try:
+            # Interpreted: a fresh candidate meets only the bank's few envs,
+            # fewer evaluations than compiling it would pay back.
             value = evaluate(expr, env)
         except (EvaluationError, ArithmeticError, TypeError, ValueError):
             return None
@@ -89,6 +92,8 @@ def _hashable(value: Value) -> bool:
 def build_bank(rfs: RFS, spec: Expr, config: SynthesisConfig, salt: str) -> Bank | None:
     """Random RFS-consistent environments and the spec's target values."""
     rng = make_rng(config, f"enum:{salt}")
+    bind = rfs_binder(rfs)
+    spec_fn = expr_evaluator(spec, (*rfs.extra_params, rfs.list_param))
     envs: list[dict[str, Value]] = []
     targets: list[Value] = []
     attempts = 0
@@ -98,13 +103,13 @@ def build_bank(rfs: RFS, spec: Expr, config: SynthesisConfig, salt: str) -> Bank
         xs = random_list(rng, config.equivalence_max_len, arity=config.element_arity)
         x = random_element(rng, config.element_arity)
         extras = random_extras(rng, rfs.extra_params)
-        bindings = rfs_environment(rfs, xs, extras)
+        bindings = bind(xs, extras)
         if bindings is None:
             continue
         offline_env: dict[str, Value] = dict(extras)
         offline_env[rfs.list_param] = list(xs) + [x]
         try:
-            target = evaluate(spec, offline_env)
+            target = spec_fn(offline_env)
         except EvaluationError:
             continue
         env = dict(bindings)

@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
-from ..ir.compile import IRCompileError, compile_expr, jit_enabled
-from ..ir.evaluator import EvaluationError, evaluate, run_offline
+from ..ir.compile import expr_evaluator
+from ..ir.evaluator import EvaluationError, evaluate  # noqa: F401 (perfbench/layers.py patches this name)
 from ..ir.nodes import Expr, Program
 from ..ir.values import Value, values_close
 from .config import SynthesisConfig
@@ -80,6 +79,27 @@ def random_extras(rng: random.Random, names: Sequence[str]) -> dict[str, Value]:
     }
 
 
+def rfs_binder(rfs: RFS) -> Callable[[Sequence[Value], Mapping[str, Value]], dict | None]:
+    """:func:`rfs_environment` for one RFS, with every specification's
+    evaluator resolved once: the form for loops that bind many samples."""
+    list_param = rfs.list_param
+    params = (*rfs.extra_params, list_param)
+    specs = [(name, expr_evaluator(spec, params)) for name, spec in rfs.entries.items()]
+
+    def bind(xs: Sequence[Value], extras: Mapping[str, Value]) -> dict[str, Value] | None:
+        env: dict[str, Value] = dict(extras)
+        env[list_param] = list(xs)
+        bindings: dict[str, Value] = dict(extras)
+        try:
+            for name, spec_fn in specs:
+                bindings[name] = spec_fn(env)
+        except EvaluationError:
+            return None
+        return bindings
+
+    return bind
+
+
 def rfs_environment(
     rfs: RFS,
     xs: Sequence[Value],
@@ -89,44 +109,7 @@ def rfs_environment(
 
     Returns ``None`` if a specification fails to evaluate (treated as a
     discarded test)."""
-    env: dict[str, Value] = dict(extras)
-    env[rfs.list_param] = list(xs)
-    bindings: dict[str, Value] = dict(extras)
-    try:
-        for name, spec in rfs.entries.items():
-            bindings[name] = evaluate(spec, env)
-    except EvaluationError:
-        return None
-    return bindings
-
-
-@lru_cache(maxsize=512)
-def _compile_cached(expr: Expr, params: tuple[str, ...]):
-    """Memoized positional compilation (IR nodes hash structurally, so the
-    offline spec — identical across the thousands of candidates one
-    enumeration run tests — compiles once, not once per candidate).
-    ``None`` marks uncompilable expressions, caching the failure too."""
-    try:
-        return compile_expr(expr, params, name="oracle")
-    except IRCompileError:
-        return None
-
-
-def _compiled_evaluator(expr: Expr, params: tuple[str, ...], what: str):
-    """Compile ``expr`` to ``fn(env) -> value`` over the fixed name set
-    ``params``, or ``None`` when compilation is unavailable (JIT disabled,
-    holes, free names outside ``params``) — callers then interpret, which is
-    behaviourally identical (:mod:`repro.ir.compile`)."""
-    if not jit_enabled():
-        return None
-    fn = _compile_cached(expr, params)
-    if fn is None:
-        return None
-
-    def call(env):
-        return fn(*[env[p] for p in params])
-
-    return call
+    return rfs_binder(rfs)(xs, extras)
 
 
 def check_expr_equivalence(
@@ -142,17 +125,11 @@ def check_expr_equivalence(
     For random ``xs`` and ``x``: evaluate the offline ``spec`` on
     ``xs ++ [x]`` and the online ``candidate`` under the RFS bindings for
     ``xs``; all pairs must agree.
-
-    Both sides are compiled to native closures *once* before the test
-    battery (instead of re-walking the trees per test); anything the codegen
-    backend declines falls back to the interpreter, test by test, with
-    identical results and exceptions.
     """
     rng = make_rng(config, salt)
-    online_params = tuple(dict.fromkeys((*rfs.extra_params, *rfs.names, elem_param)))
-    offline_params = tuple(dict.fromkeys((*rfs.extra_params, rfs.list_param)))
-    candidate_fn = _compiled_evaluator(candidate, online_params, "oracle-candidate")
-    spec_fn = _compiled_evaluator(spec, offline_params, "oracle-spec")
+    bind = rfs_binder(rfs)
+    candidate_fn = expr_evaluator(candidate, (*rfs.extra_params, *rfs.names, elem_param))
+    spec_fn = expr_evaluator(spec, (*rfs.extra_params, rfs.list_param))
     checked = 0
     attempts = 0
     while checked < config.equivalence_tests and attempts < config.equivalence_tests * 4:
@@ -160,25 +137,19 @@ def check_expr_equivalence(
         xs = random_list(rng, config.equivalence_max_len, arity=config.element_arity)
         x = random_element(rng, config.element_arity)
         extras = random_extras(rng, rfs.extra_params)
-        bindings = rfs_environment(rfs, xs, extras)
+        bindings = bind(xs, extras)
         if bindings is None:
             continue
         offline_env: dict[str, Value] = dict(extras)
         offline_env[rfs.list_param] = list(xs) + [x]
         try:
-            if spec_fn is not None:
-                expected = spec_fn(offline_env)
-            else:
-                expected = evaluate(spec, offline_env)
+            expected = spec_fn(offline_env)
         except EvaluationError:
             continue
         online_env = dict(bindings)
         online_env[elem_param] = x
         try:
-            if candidate_fn is not None:
-                actual = candidate_fn(online_env)
-            else:
-                actual = evaluate(candidate, online_env)
+            actual = candidate_fn(online_env)
         except (EvaluationError, ArithmeticError, TypeError, ValueError):
             return False
         if not values_close(expected, actual):
@@ -196,16 +167,23 @@ def check_scheme_equivalence(
     """Definition 3.3, decided by testing on every prefix of random streams."""
     rng = make_rng(config, salt)
     step = scheme._resolve_step()  # compiled once for the whole battery
+    offline_fn = expr_evaluator(program.body, (*program.extra_params, program.param))
+
+    def offline(prefix: list[Value], extras: dict[str, Value]) -> Value:
+        env = dict(extras)
+        env[program.param] = prefix
+        return offline_fn(env)
+
     for _ in range(config.equivalence_tests):
         xs = random_list(rng, config.equivalence_max_len, arity=config.element_arity)
         extras = random_extras(rng, program.extra_params)
         state = scheme.initializer
         try:
-            if not values_close(state[0], run_offline(program, [], extras)):
+            if not values_close(state[0], offline([], extras)):
                 return False
             for i, element in enumerate(xs):
                 state = step(state, element, extras)
-                expected = run_offline(program, xs[: i + 1], extras)
+                expected = offline(xs[: i + 1], extras)
                 if not values_close(state[0], expected):
                     return False
         except (EvaluationError, ArithmeticError, TypeError, ValueError):
@@ -223,12 +201,13 @@ def check_inductiveness(
     ``xs``, the stepped state satisfies it on ``xs ++ [x]``."""
     rng = make_rng(config, salt)
     step = scheme._resolve_step()  # compiled once for the whole battery
+    bind = rfs_binder(rfs)
     for _ in range(config.equivalence_tests):
         xs = random_list(rng, config.equivalence_max_len, arity=config.element_arity)
         x = random_element(rng, config.element_arity)
         extras = random_extras(rng, rfs.extra_params)
-        before = rfs_environment(rfs, xs, extras)
-        after = rfs_environment(rfs, list(xs) + [x], extras)
+        before = bind(xs, extras)
+        after = bind(list(xs) + [x], extras)
         if before is None or after is None:
             continue
         state = tuple(before[name] for name in rfs.names)

@@ -24,6 +24,8 @@ from .rfs import RFS
 def _evaluate_on_nil(rfs: RFS, extra: Mapping[str, Value]) -> tuple[Value, ...]:
     env: dict[str, Value] = dict(extra)
     env[rfs.list_param] = []
+    # Interpreted: each spec is evaluated on nil at most twice, too few
+    # times for compiling it to pay off.
     return tuple(evaluate(spec, env) for spec in rfs.entries.values())
 
 

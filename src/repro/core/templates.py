@@ -25,8 +25,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from ..algebra.linsolve import nullspace
+from ..ir.compile import expr_evaluator
 from ..ir.evaluator import EvaluationError, evaluate
 from ..ir.nodes import Call, Const, Expr, Var, const
 from ..ir.values import Value, is_number
@@ -38,7 +40,7 @@ from .equivalence import (
     make_rng,
     random_element,
     random_extras,
-    rfs_environment,
+    rfs_binder,
 )
 from .mining import MinedTerm
 from .rfs import RFS
@@ -98,6 +100,8 @@ def _sample_alpha(
 ) -> list[Fraction] | None:
     """One per-length solve of Algorithm 6: the coefficient vector up to scale."""
     rng = make_rng(config, f"template:{salt}:{length}")
+    bind = rfs_binder(rfs)
+    spec_fn = expr_evaluator(spec, (*rfs.extra_params, rfs.list_param))
     basis = template.basis_exprs()
     n_num = len(template.num_terms)
     rows: list[list[Fraction]] = []
@@ -108,7 +112,7 @@ def _sample_alpha(
         xs = [random_element(rng, config.element_arity) for _ in range(length)]
         x = random_element(rng, config.element_arity)
         extras = random_extras(rng, rfs.extra_params)
-        bindings = rfs_environment(rfs, xs, extras)
+        bindings = bind(xs, extras)
         if bindings is None:
             continue
         env = dict(bindings)
@@ -116,7 +120,9 @@ def _sample_alpha(
         offline_env: dict[str, Value] = dict(extras)
         offline_env[rfs.list_param] = list(xs) + [x]
         try:
-            spec_value = _to_fraction(evaluate(spec, offline_env))
+            spec_value = _to_fraction(spec_fn(offline_env))
+            # Interpreted: the basis monomials are a few small products,
+            # cheaper to walk per row than to compile per template.
             term_values = [_to_fraction(evaluate(term, env)) for term in basis]
         except EvaluationError:
             continue
@@ -262,8 +268,6 @@ def _projective_fits(
         coeffs = [v / scale for v in vec[:n_coeffs]]
         nonzero = [c for c in coeffs if c != 0]
         if nonzero:
-            from math import gcd
-
             lcm_den = 1
             for c in nonzero:
                 lcm_den = lcm_den * c.denominator // gcd(lcm_den, c.denominator)

@@ -33,7 +33,7 @@ from ..ir.values import Value, values_close
 from .config import SynthesisConfig
 from .decompose import ELEM_PARAM
 from .encode import EncodingContext, encode_expr, replace_list_exprs
-from .equivalence import check_scheme_equivalence, rfs_environment
+from .equivalence import check_scheme_equivalence, rfs_binder
 from .exceptions import UnsupportedProgram
 from .implicate import TARGET_VAR, build_equations
 from .rfs import RFS
@@ -81,13 +81,14 @@ def check_bounded_exhaustive(
         if rfs.extra_params
         else [()]
     )
+    bind = rfs_binder(rfs)
     for xs in bounded_streams(max_len, grid, arity):
         for x in bounded_streams(1, grid, arity):
             if len(x) != 1:
                 continue
             for extra_values in extra_choices:
                 extras = dict(zip(rfs.extra_params, extra_values))
-                bindings = rfs_environment(rfs, list(xs), extras)
+                bindings = bind(list(xs), extras)
                 if bindings is None:
                     continue
                 offline_env: dict[str, Value] = dict(extras)

@@ -7,7 +7,9 @@ Public surface:
 * :mod:`repro.ir.parser` / :mod:`repro.ir.pretty` — concrete syntax;
 * :mod:`repro.ir.evaluator` — the definitional interpreter;
 * :mod:`repro.ir.compile` — the closure-compilation backend (native Python
-  closures for fixed trees; the interpreter stays the ground truth);
+  closures for fixed trees; the interpreter stays the ground truth), and
+  :func:`expr_evaluator`, the entry point for evaluating one expression
+  many times;
 * :mod:`repro.ir.traversal` — structural utilities (substitution, AST size,
   list-expression discovery).
 """
@@ -36,6 +38,7 @@ from .compile import (
     IRCompileError,
     compile_expr,
     compile_online_step,
+    expr_evaluator,
     jit_enabled,
 )
 from .evaluator import EvaluationError, evaluate, run_offline, step_online
@@ -90,6 +93,7 @@ __all__ = [
     "infer_type",
     "const",
     "evaluate",
+    "expr_evaluator",
     "jit_enabled",
     "fill_holes",
     "free_vars",

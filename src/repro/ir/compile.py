@@ -42,6 +42,11 @@ the interpreter only detects at run time (lambda arity mismatches inside a
 combinator, bad projections, missing extra parameters) raise the same
 exception class from compiled code as from interpreted code.
 
+Synthesis evaluates through :func:`expr_evaluator`: an expression that is
+evaluated many times (an RFS specification per random sample, both sides of
+the equivalence oracle) resolves it once to ``fn(env)``, compiled when the
+backend accepts the tree and interpreted otherwise.
+
 The escape hatch: ``REPRO_JIT=0`` (or ``--no-jit`` on the CLI) disables the
 backend globally; :func:`jit_enabled` is consulted by every integration
 point.
@@ -61,10 +66,12 @@ import itertools
 import os
 import re
 from fractions import Fraction
-from typing import Callable, Sequence
+from functools import lru_cache
+from operator import itemgetter
+from typing import Callable, Mapping, Sequence
 
 from .builtins import get_builtin, is_builtin
-from .evaluator import EvaluationError
+from .evaluator import EvaluationError, evaluate
 from .nodes import (
     Call,
     Const,
@@ -83,6 +90,7 @@ from .nodes import (
     Snoc,
     Var,
 )
+from .values import Value
 
 
 class IRCompileError(Exception):
@@ -952,6 +960,41 @@ def compile_expr(expr: Expr, params: Sequence[str], name: str = "expr") -> Calla
         raise IRCompileError(f"expression too deep to compile: {name}") from None
     lines.append(f"    return {result}")
     return cg.build("\n".join(lines) + "\n", "_compiled", name)
+
+
+@lru_cache(maxsize=512)
+def _compile_cached(expr: Expr, params: tuple[str, ...]) -> Callable | None:
+    """Memoized :func:`compile_expr`; ``None`` caches a declined compile too.
+    IR nodes hash structurally, so a spec tested against thousands of
+    candidates compiles once."""
+    try:
+        return compile_expr(expr, params, name="evaluator")
+    except IRCompileError:
+        return None
+
+
+def expr_evaluator(expr: Expr, params: Sequence[str]) -> Callable[[Mapping[str, Value]], Value]:
+    """The evaluation entry point for an expression evaluated many times:
+    ``fn(env)``, equal to ``evaluate(expr, env)`` for every ``env`` that binds
+    each name in ``params``.
+
+    ``expr`` is compiled to a native closure once (memoized, bounded), so
+    repeated calls skip the tree walk.  Anything the codegen backend declines
+    (holes, free names outside ``params``), and everything under
+    ``REPRO_JIT=0``, falls back to the interpreter, with identical results and
+    exceptions.  Resolve the evaluator once per battery, not per call: the
+    memo lookup hashes the whole tree.
+    """
+    params = tuple(dict.fromkeys(params))
+    fn = _compile_cached(expr, params) if jit_enabled() else None
+    if fn is None:
+        return lambda env: evaluate(expr, env)
+    if not params:
+        return lambda env: fn()
+    fetch = itemgetter(*params)
+    if len(params) == 1:
+        return lambda env: fn(fetch(env))
+    return lambda env: fn(*fetch(env))
 
 
 def _extras_of(program: OnlineProgram) -> tuple[list[str], set[str], list[str]]:

@@ -1,8 +1,11 @@
 """Tests for the testing-based equivalence oracles."""
 
+import dataclasses
 from fractions import Fraction
 
-from repro.core import SynthesisConfig
+import pytest
+
+from repro.core import SynthesisConfig, synthesize
 from repro.core.equivalence import (
     check_expr_equivalence,
     check_inductiveness,
@@ -11,12 +14,15 @@ from repro.core.equivalence import (
     random_element,
     random_list,
     random_rational,
+    rfs_binder,
     rfs_environment,
 )
-from repro.core.rfs import construct_rfs
+from repro.core.rfs import RFS, construct_rfs
 from repro.core.scheme import OnlineScheme
+from repro.ir.compile import _compile_cached
 from repro.ir.dsl import XS, add, div, fold_sum, length, mul, program, sub
-from repro.ir.nodes import OnlineProgram, Var
+from repro.ir.nodes import OnlineProgram, Proj, Var
+from repro.suites import get_benchmark
 
 
 def cfg(**kw):
@@ -62,6 +68,44 @@ class TestRfsEnvironment:
         env = rfs_environment(rfs, [1, 2, 3], {})
         assert env is not None
         assert env[rfs.result_param] == 2  # mean of [1,2,3]
+
+    def test_binder_matches_environment(self):
+        rfs = construct_rfs(mean_prog())
+        bind = rfs_binder(rfs)
+        for xs in ([], [1], [4, Fraction(1, 2), -3]):
+            assert bind(xs, {}) == rfs_environment(rfs, xs, {})
+
+    @pytest.mark.parametrize("jit", ["1", "0"])
+    def test_failing_entry_discards_the_sample(self, jit, monkeypatch):
+        """A spec that raises EvaluationError at run time (a projection of a
+        number) discards the sample, compiled or interpreted."""
+        monkeypatch.setenv("REPRO_JIT", jit)
+        bad = Proj(fold_sum(XS), 0)
+        rfs = RFS(entries={"y1": fold_sum(XS), "y2": bad})
+        assert _compile_cached(bad, ("xs",)) is not None  # the compiled path runs
+        assert rfs_environment(rfs, [1, 2], {}) is None
+        assert rfs_binder(rfs)([1, 2], {}) is None
+
+
+class TestJitDoesNotChangeSynthesis:
+    """Synthesis evaluates through compiled closures by default; the
+    reports must equal those of the interpreter (``REPRO_JIT=0``)."""
+
+    @pytest.mark.parametrize(
+        "name, method", [("variance", "template"), ("harmonic_mean", "enumerative")]
+    )
+    def test_reports_equal(self, name, method, monkeypatch):
+        bench = get_benchmark(name)
+        reports = {}
+        for jit in ("1", "0"):
+            monkeypatch.setenv("REPRO_JIT", jit)
+            config = SynthesisConfig(timeout_s=60, element_arity=bench.element_arity)
+            report = synthesize(bench.program, config, name)
+            reports[jit] = dataclasses.replace(report, elapsed_s=0.0)
+        assert reports["1"].success
+        assert method in reports["1"].method_counts
+        assert reports["1"] == reports["0"]
+        assert reports["1"].scheme.initializer == reports["0"].scheme.initializer
 
 
 class TestExprEquivalence:

@@ -37,6 +37,7 @@ from repro.ir.compile import (
     _fast_sub,
     compile_expr,
     compile_online_step,
+    expr_evaluator,
     jit_enabled,
 )
 from repro.ir.builtins import get_builtin
@@ -323,6 +324,40 @@ def test_oracle_agrees_with_and_without_jit(monkeypatch):
     assert results["1"] == results["0"]
     assert results["1"][0] is True
     assert results["1"][1] is False
+
+
+class TestExprEvaluator:
+    """The one entry point synthesis evaluates through: always a callable,
+    equal to the interpreter, compiled only when the JIT is on."""
+
+    EXPR = Call("add", (Call("mul", (Var("a"), Var("b"))), Call("length", (ListVar("xs"),))))
+    ENV = {"a": Fraction(3, 2), "b": 4, "xs": [1, 2, 3], "unused": 7}
+
+    @pytest.mark.parametrize("jit", ["1", "0"])
+    def test_equals_interpreter(self, jit, monkeypatch):
+        monkeypatch.setenv("REPRO_JIT", jit)
+        fn = expr_evaluator(self.EXPR, ("a", "b", "xs", "a"))
+        assert fn(self.ENV) == evaluate(self.EXPR, self.ENV) == 9
+        assert expr_evaluator(Const(5), ())({}) == 5
+        assert expr_evaluator(Var("a"), ("a",))(self.ENV) == Fraction(3, 2)
+
+    def test_jit_off_never_compiles(self, monkeypatch):
+        import repro.ir.compile as compile_module
+
+        def refuse(*args):
+            raise AssertionError("compiled under REPRO_JIT=0")
+
+        monkeypatch.setenv("REPRO_JIT", "0")
+        monkeypatch.setattr(compile_module, "_compile_cached", refuse)
+        assert expr_evaluator(self.EXPR, ("a", "b", "xs"))(self.ENV) == 9
+
+    def test_declined_compile_falls_back(self):
+        """A hole or a free name outside ``params`` cannot compile; the
+        interpreter then raises exactly as it would have."""
+        for expr in (Call("add", (Hole(0), Const(1))), Var("free")):
+            fn = expr_evaluator(expr, ("a",))
+            with pytest.raises(EvaluationError):
+                fn({"a": 1})
 
 
 # -- the error contract -------------------------------------------------------

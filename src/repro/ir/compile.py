@@ -20,13 +20,15 @@ closure per element.  Three techniques stack up:
   synthesized schemes, whose output tuples share whole update expressions
   (Welford's ``sq'`` appears verbatim in two outputs of the variance
   scheme);
-* **exact arithmetic fast paths** — ``add``/``sub``/``mul``/``div``/``neg``
-  go through hand-specialized helpers that skip the registry wrapper's
-  per-call ``is_number``/``_bit_size``/``normalize_number`` machinery for
-  operand shapes where the outcome is provably identical (small ``int`` and
-  ``Fraction`` operands), falling back to the *same wrapped impl* the
-  interpreter calls for everything else.  Comparisons inline to native
-  operators (their registered impls are exactly those operators).
+* **exact arithmetic fast paths** — ``add``/``sub``/``mul``/``div``/``neg``/
+  ``pow``/``min``/``max`` go through hand-specialized helpers that skip the
+  registry wrapper's per-call ``is_number``/``_bit_size``/
+  ``normalize_number`` machinery for operand shapes where the outcome is
+  provably identical (small ``int`` and ``Fraction`` operands, with
+  integral ``Fraction(k)`` computed as the int ``k``), falling back to the
+  *same wrapped impl* the interpreter calls for everything else.
+  Comparisons inline to native operators (their registered impls are
+  exactly those operators).
 
 Semantics are preserved bit-for-bit over exact rationals; the interpreter
 remains the ground truth and ``tests/test_ir_compile.py`` differential-tests
@@ -270,19 +272,40 @@ def _lam(expected, fn):
 # below the wrapper's 2**20 threshold), and defer to the wrapped impl
 # otherwise.  Soundness, not completeness: every guarded branch returns
 # exactly what the impl would, and everything else *is* the impl.
+#
+# Integral rationals — ``Fraction(k)``, the shape every built-in source
+# yields — are unwrapped to their ``int`` numerator once they pass the small
+# Fraction guard, so ``Fraction(k) + 3`` is one int addition instead of a
+# Fraction construction plus a normalization.  Only the arithmetic sees the
+# unwrapped value: every fallback passes the *original* operands to the
+# impl, because ``_bit_size(Fraction(k))`` is one more than
+# ``_bit_size(k)``, and that bit can decide the float degrade.
+#
+# ``pow`` takes ``a ** b`` for an int exponent in ``0..64`` on an int base of
+# at most 2**16 bits, or on a Fraction whose numerator and denominator have
+# at most 2**15 bits each; both keep ``safe_pow``'s exact result
+# (``bit_size * exp <= 2**22``).  ``min``/``max`` compare int/Fraction pairs
+# by cross-multiplying the slots (denominators are positive) and return the
+# *same object* the native builtin would — ``max(a, b)`` is
+# ``b if b > a else a`` — and leave every other type to the builtin.
 
 _INT_LIMIT = 1 << (1 << 19)  # operands under 2**19 bits each: sum <= 2**20
 _FRAC_LIMIT = 1 << (1 << 18)  # num/den under 2**18 bits each: sum <= 2**20
+_POW_INT_LIMIT = 1 << (1 << 16)  # base of at most 2**16 bits, exponent <= 64
+_POW_FRAC_LIMIT = 1 << (1 << 15)  # num/den of at most 2**15 bits each
 # Negated bounds are precomputed: `-_INT_LIMIT` in an expression would
 # re-negate (i.e. reallocate) a 2**19-bit integer on every single check.
 _INT_LIMIT_NEG = -_INT_LIMIT
 _FRAC_LIMIT_NEG = -_FRAC_LIMIT
+_POW_INT_LIMIT_NEG = -_POW_INT_LIMIT
+_POW_FRAC_LIMIT_NEG = -_POW_FRAC_LIMIT
 
 _ADD_IMPL = get_builtin("add").impl
 _SUB_IMPL = get_builtin("sub").impl
 _MUL_IMPL = get_builtin("mul").impl
 _DIV_IMPL = get_builtin("div").impl
 _NEG_IMPL = get_builtin("neg").impl
+_POW_IMPL = get_builtin("pow").impl
 
 # CPython (and PyPy) store Fraction components in the ``_numerator`` /
 # ``_denominator`` slots; the public ``numerator``/``denominator`` names are
@@ -338,30 +361,36 @@ def _fast_add(a, b):
     ta = type(a)
     tb = type(b)
     if ta is Fraction:
-        if not (_FRAC_LIMIT_NEG < a._numerator < _FRAC_LIMIT and a._denominator < _FRAC_LIMIT):
+        x = a._numerator
+        if not (_FRAC_LIMIT_NEG < x < _FRAC_LIMIT and a._denominator < _FRAC_LIMIT):
             return _ADD_IMPL(a, b)
-        if tb is Fraction:
-            if not (_FRAC_LIMIT_NEG < b._numerator < _FRAC_LIMIT and b._denominator < _FRAC_LIMIT):
-                return _ADD_IMPL(a, b)
-        elif tb is not int or not (_FRAC_LIMIT_NEG < b < _FRAC_LIMIT):
-            return _ADD_IMPL(a, b)
+        if a._denominator != 1:
+            x = a
     elif ta is int:
         if tb is int:
             if _INT_LIMIT_NEG < a < _INT_LIMIT and _INT_LIMIT_NEG < b < _INT_LIMIT:
                 return a + b  # ints are closed under +: already normalized
             return _ADD_IMPL(a, b)
-        if (
-            tb is not Fraction
-            or not (_FRAC_LIMIT_NEG < a < _FRAC_LIMIT)
-            or not (
-                _FRAC_LIMIT_NEG < b._numerator < _FRAC_LIMIT
-                and b._denominator < _FRAC_LIMIT
-            )
-        ):
+        if not (_FRAC_LIMIT_NEG < a < _FRAC_LIMIT):
             return _ADD_IMPL(a, b)
+        x = a
     else:
         return _ADD_IMPL(a, b)
-    r = _F_ADD(a, b)
+    if tb is Fraction:
+        y = b._numerator
+        if not (_FRAC_LIMIT_NEG < y < _FRAC_LIMIT and b._denominator < _FRAC_LIMIT):
+            return _ADD_IMPL(a, b)
+        if b._denominator != 1:
+            y = b
+        elif x.__class__ is int:
+            return x + y
+    elif tb is not int or not (_FRAC_LIMIT_NEG < b < _FRAC_LIMIT):
+        return _ADD_IMPL(a, b)
+    elif x.__class__ is int:
+        return x + b
+    else:
+        y = b
+    r = _F_ADD(x, y)
     return r._numerator if r._denominator == 1 else r
 
 
@@ -369,30 +398,36 @@ def _fast_sub(a, b):
     ta = type(a)
     tb = type(b)
     if ta is Fraction:
-        if not (_FRAC_LIMIT_NEG < a._numerator < _FRAC_LIMIT and a._denominator < _FRAC_LIMIT):
+        x = a._numerator
+        if not (_FRAC_LIMIT_NEG < x < _FRAC_LIMIT and a._denominator < _FRAC_LIMIT):
             return _SUB_IMPL(a, b)
-        if tb is Fraction:
-            if not (_FRAC_LIMIT_NEG < b._numerator < _FRAC_LIMIT and b._denominator < _FRAC_LIMIT):
-                return _SUB_IMPL(a, b)
-        elif tb is not int or not (_FRAC_LIMIT_NEG < b < _FRAC_LIMIT):
-            return _SUB_IMPL(a, b)
+        if a._denominator != 1:
+            x = a
     elif ta is int:
         if tb is int:
             if _INT_LIMIT_NEG < a < _INT_LIMIT and _INT_LIMIT_NEG < b < _INT_LIMIT:
                 return a - b
             return _SUB_IMPL(a, b)
-        if (
-            tb is not Fraction
-            or not (_FRAC_LIMIT_NEG < a < _FRAC_LIMIT)
-            or not (
-                _FRAC_LIMIT_NEG < b._numerator < _FRAC_LIMIT
-                and b._denominator < _FRAC_LIMIT
-            )
-        ):
+        if not (_FRAC_LIMIT_NEG < a < _FRAC_LIMIT):
             return _SUB_IMPL(a, b)
+        x = a
     else:
         return _SUB_IMPL(a, b)
-    r = _F_SUB(a, b)
+    if tb is Fraction:
+        y = b._numerator
+        if not (_FRAC_LIMIT_NEG < y < _FRAC_LIMIT and b._denominator < _FRAC_LIMIT):
+            return _SUB_IMPL(a, b)
+        if b._denominator != 1:
+            y = b
+        elif x.__class__ is int:
+            return x - y
+    elif tb is not int or not (_FRAC_LIMIT_NEG < b < _FRAC_LIMIT):
+        return _SUB_IMPL(a, b)
+    elif x.__class__ is int:
+        return x - b
+    else:
+        y = b
+    r = _F_SUB(x, y)
     return r._numerator if r._denominator == 1 else r
 
 
@@ -400,30 +435,36 @@ def _fast_mul(a, b):
     ta = type(a)
     tb = type(b)
     if ta is Fraction:
-        if not (_FRAC_LIMIT_NEG < a._numerator < _FRAC_LIMIT and a._denominator < _FRAC_LIMIT):
+        x = a._numerator
+        if not (_FRAC_LIMIT_NEG < x < _FRAC_LIMIT and a._denominator < _FRAC_LIMIT):
             return _MUL_IMPL(a, b)
-        if tb is Fraction:
-            if not (_FRAC_LIMIT_NEG < b._numerator < _FRAC_LIMIT and b._denominator < _FRAC_LIMIT):
-                return _MUL_IMPL(a, b)
-        elif tb is not int or not (_FRAC_LIMIT_NEG < b < _FRAC_LIMIT):
-            return _MUL_IMPL(a, b)
+        if a._denominator != 1:
+            x = a
     elif ta is int:
         if tb is int:
             if _INT_LIMIT_NEG < a < _INT_LIMIT and _INT_LIMIT_NEG < b < _INT_LIMIT:
                 return a * b
             return _MUL_IMPL(a, b)
-        if (
-            tb is not Fraction
-            or not (_FRAC_LIMIT_NEG < a < _FRAC_LIMIT)
-            or not (
-                _FRAC_LIMIT_NEG < b._numerator < _FRAC_LIMIT
-                and b._denominator < _FRAC_LIMIT
-            )
-        ):
+        if not (_FRAC_LIMIT_NEG < a < _FRAC_LIMIT):
             return _MUL_IMPL(a, b)
+        x = a
     else:
         return _MUL_IMPL(a, b)
-    r = _F_MUL(a, b)
+    if tb is Fraction:
+        y = b._numerator
+        if not (_FRAC_LIMIT_NEG < y < _FRAC_LIMIT and b._denominator < _FRAC_LIMIT):
+            return _MUL_IMPL(a, b)
+        if b._denominator != 1:
+            y = b
+        elif x.__class__ is int:
+            return x * y
+    elif tb is not int or not (_FRAC_LIMIT_NEG < b < _FRAC_LIMIT):
+        return _MUL_IMPL(a, b)
+    elif x.__class__ is int:
+        return x * b
+    else:
+        y = b
+    r = _F_MUL(x, y)
     return r._numerator if r._denominator == 1 else r
 
 
@@ -452,6 +493,55 @@ def _fast_neg(a):
     return _NEG_IMPL(a)
 
 
+def _fast_pow(a, b):
+    if b.__class__ is int and 0 <= b <= 64:
+        ta = type(a)
+        if ta is int:
+            if _POW_INT_LIMIT_NEG < a < _POW_INT_LIMIT:
+                return a**b
+        elif ta is Fraction:
+            n = a._numerator
+            d = a._denominator
+            if _POW_FRAC_LIMIT_NEG < n < _POW_FRAC_LIMIT and d < _POW_FRAC_LIMIT:
+                if d == 1:
+                    return n**b
+                r = a**b  # a ** 0 is Fraction(1): normalize
+                return r._numerator if r._denominator == 1 else r
+    return _POW_IMPL(a, b)
+
+
+def _fast_max(a, b):
+    ta = type(a)
+    tb = type(b)
+    if ta is int:
+        if tb is int:
+            return b if b > a else a
+        if tb is Fraction:
+            return b if b._numerator > a * b._denominator else a
+    elif ta is Fraction:
+        if tb is Fraction:
+            return b if b._numerator * a._denominator > a._numerator * b._denominator else a
+        if tb is int:
+            return b if b * a._denominator > a._numerator else a
+    return max(a, b)
+
+
+def _fast_min(a, b):
+    ta = type(a)
+    tb = type(b)
+    if ta is int:
+        if tb is int:
+            return b if b < a else a
+        if tb is Fraction:
+            return b if b._numerator < a * b._denominator else a
+    elif ta is Fraction:
+        if tb is Fraction:
+            return b if b._numerator * a._denominator < a._numerator * b._denominator else a
+        if tb is int:
+            return b if b * a._denominator < a._numerator else a
+    return min(a, b)
+
+
 #: Built-ins dispatched to a specialized fast-path helper instead of the
 #: registry impl (drop-in exact replacements, also valid as first-class
 #: callables in Map/Filter/Fold position).
@@ -462,6 +552,9 @@ _FAST_IMPLS = (
         "mul": _fast_mul,
         "div": _fast_div,
         "neg": _fast_neg,
+        "pow": _fast_pow,
+        "min": _fast_min,
+        "max": _fast_max,
     }
     if _HAS_FRACTION_SLOTS
     else {}
@@ -470,11 +563,6 @@ _FAST_IMPLS = (
 #: Comparisons whose registered impl is exactly the native operator; calls
 #: with the right arity inline to that operator.
 _INLINE_CMP = {"lt": "<", "le": "<=", "gt": ">", "ge": ">=", "eq": "==", "ne": "!="}
-
-#: Binary built-ins whose registered impl is exactly the native function of
-#: the same name; calls with the right arity inline to it (the name is made
-#: available in the generated module's restricted __builtins__).
-_INLINE_NATIVE2 = {"min", "max"}
 
 #: Operators usable for the zero-call inline int fast path (the else branch
 #: falls back to the corresponding _fast_* helper, which is exact).
@@ -569,8 +657,6 @@ class _Codegen:
                 "list": list,
                 "bool": bool,
                 "int": int,
-                "min": min,
-                "max": max,
                 "KeyError": KeyError,
                 "TypeError": TypeError,
                 "BaseException": BaseException,
@@ -791,9 +877,6 @@ class _Codegen:
                 op = _INLINE_CMP.get(func)
                 if op is not None:
                     return f"({args[0]} {op} {args[1]})"
-                if func in _INLINE_NATIVE2:
-                    # impl is exactly the native function of the same name
-                    return f"{func}({arglist})"
                 op = _INLINE_INT_OP.get(func)
                 if op is not None and all(map(_is_simple, args)):
                     return self._int_fast_path(func, op, args)

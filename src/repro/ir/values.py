@@ -64,12 +64,29 @@ def _bit_size(v: Number) -> int:
     return 64
 
 
+def _log_exact(v: Number) -> float:
+    """``log(v)`` of a positive exact number, including ones whose float
+    conversion overflows or underflows: ``math.log`` takes big ints whole."""
+    if isinstance(v, Fraction):
+        return math.log(v.numerator) - math.log(v.denominator)
+    return math.log(v)
+
+
+def _saturate_exp(x: float) -> float:
+    """``exp(x)``, saturating to ``inf`` past the float range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def safe_pow(base: Number, exp: Number) -> Number:
     """Exponentiation that stays exact for integer exponents.
 
     Fractional exponents (e.g. ``x ** 0.5``) produce floats; negative bases
     with fractional exponents produce 0 (the paper's "safe" convention applied
-    to partial operations).
+    to partial operations).  Float results past the float range saturate to
+    ``inf`` or ``0.0`` instead of raising.
     """
     if isinstance(exp, Fraction) and exp.denominator == 1:
         exp = int(exp)
@@ -94,13 +111,24 @@ def safe_pow(base: Number, exp: Number) -> Number:
             return normalize_number(Fraction(base) ** exp)
         except (OverflowError, ZeroDivisionError):
             return 0
-    base_f = float(base)
-    exp_f = float(exp)
+    try:
+        exp_f = float(exp)
+    except OverflowError:  # an exact exponent beyond the float range
+        exp_f = math.inf if exp > 0 else -math.inf
+    try:
+        base_f = float(base)
+    except OverflowError:  # an exact base beyond the float range
+        if base < 0:
+            return 0
+        return _saturate_exp(exp_f * _log_exact(base))
     if base_f < 0:
         return 0
     if base_f == 0:
         return 0 if exp_f <= 0 else 0.0
-    return base_f**exp_f
+    try:
+        return base_f**exp_f
+    except OverflowError:
+        return math.inf
 
 
 def safe_sqrt(v: Number) -> Number:
@@ -112,7 +140,10 @@ def safe_sqrt(v: Number) -> Number:
         den_root = math.isqrt(frac.denominator)
         if num_root * num_root == frac.numerator and den_root * den_root == frac.denominator:
             return normalize_number(Fraction(num_root, den_root))
-    return math.sqrt(float(v))
+    try:
+        return math.sqrt(float(v))
+    except OverflowError:  # an exact value beyond the float range
+        return _saturate_exp(_log_exact(v) / 2)
 
 
 def safe_log(v: Number) -> Number:
@@ -120,7 +151,13 @@ def safe_log(v: Number) -> Number:
         return 0
     if v == 1:
         return 0
-    return math.log(float(v))
+    try:
+        f = float(v)
+    except OverflowError:
+        f = 0.0
+    if f == 0.0:  # an exact positive value above or below the float range
+        return _log_exact(v)
+    return math.log(f)
 
 
 def safe_exp(v: Number) -> Number:

@@ -23,6 +23,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import SynthesisConfig
 from repro.core.equivalence import check_expr_equivalence
@@ -32,8 +34,11 @@ from repro.ir.compile import (
     IRCompileError,
     _fast_add,
     _fast_div,
+    _fast_max,
+    _fast_min,
     _fast_mul,
     _fast_neg,
+    _fast_pow,
     _fast_sub,
     compile_expr,
     compile_online_step,
@@ -103,6 +108,17 @@ def adversarial_stream(arity: int, seed: str, n: int = 60):
     ]
 
 
+def integral_fraction_stream(arity: int, seed: str, n: int = 60):
+    """``Fraction(k)`` values with int keys: the shape of every built-in
+    source (``repro.runtime.sources``), which the fast paths unwrap."""
+    rng = random.Random(seed)
+    values = [Fraction(rng.randint(-20, 1000)) for _ in range(n)]
+    values[::7] = [Fraction(0)] * len(values[::7])
+    if arity <= 1:
+        return values
+    return [(value, rng.randint(0, 3)) for value in values]
+
+
 def run_differential(scheme, stream, extra):
     """Step the compiled and interpreted backends side by side."""
     compiled = scheme.compiled_step()
@@ -119,7 +135,6 @@ class TestGroundTruthSchemes:
     def test_every_ground_truth_differential(self):
         for bench in all_benchmarks():
             scheme = bench.ground_truth
-            stream = adversarial_stream(bench.element_arity, bench.name)
             extra = {
                 name: value
                 for name, value in zip(
@@ -127,7 +142,11 @@ class TestGroundTruthSchemes:
                     (2, Fraction(1, 2), 0, -3) * 4,
                 )
             }
-            run_differential(scheme, stream, extra)
+            for stream in (
+                adversarial_stream(bench.element_arity, bench.name),
+                integral_fraction_stream(bench.element_arity, bench.name),
+            ):
+                run_differential(scheme, stream, extra)
 
     def test_safe_division_edge_cases(self):
         # mean's first step divides by the zero-initialized count; harmonic
@@ -489,32 +508,129 @@ _GRID = (
     0.5,
     -2.25,
     float("inf"),
+    # Denominator-1 Fractions around the fast paths' 2**18-bit guard, where
+    # unwrapping to int must not move the registry's 2**20-bit float degrade
+    # (_bit_size(Fraction(n)) is n.bit_length() + 1).
+    Fraction(1 << ((1 << 18) - 2)),
+    Fraction(-(1 << ((1 << 18) - 1))),
+    Fraction(1 << (1 << 18)),
+    Fraction(1 << ((1 << 19) - 1)),
+    # ints that put a 2**18-bit operand exactly at / one bit past the degrade
+    (1 << ((1 << 20) - (1 << 18))) - 1,
+    1 << ((1 << 20) - (1 << 18)),
+    # num and den one bit past the Fraction guard: two of them degrade
+    Fraction((1 << (1 << 18)) + 1, 1 << (1 << 18)),
 )
 
-
-@pytest.mark.parametrize(
-    "fast,name",
-    [
-        (_fast_add, "add"),
-        (_fast_sub, "sub"),
-        (_fast_mul, "mul"),
-        (_fast_div, "div"),
-    ],
+#: pow bases at the fast path's guards: ints of 2**16 and 2**16 + 1 bits,
+#: Fraction numerators/denominators of 2**15 and 2**15 + 1 bits.
+_POW_BASES = (
+    1 << ((1 << 16) - 1),
+    -(1 << ((1 << 16) - 1)),
+    1 << (1 << 16),
+    Fraction(1 << ((1 << 15) - 1)),
+    Fraction(1 << (1 << 15)),
+    Fraction(1 << ((1 << 15) - 1), 3),
+    Fraction(3, 1 << ((1 << 15) - 1)),
+    Fraction(1 << (1 << 15), 3),
+    # 2**16 bits in all: exact at exponent 64; one more bit and it is float
+    Fraction(1 << ((1 << 15) - 1), (1 << ((1 << 15) - 1)) + 1),
+    Fraction(1 << (1 << 15), (1 << ((1 << 15) - 1)) + 1),
 )
-def test_fast_binary_ops_match_registry(fast, name):
+_POW_EXPONENTS = (0, 1, 2, 3, -1, -2, 63, 64, 65, True, Fraction(2), Fraction(1, 2), 0.5)
+
+_FAST_BINARY = [
+    (_fast_add, "add"),
+    (_fast_sub, "sub"),
+    (_fast_mul, "mul"),
+    (_fast_div, "div"),
+    (_fast_pow, "pow"),
+    (_fast_min, "min"),
+    (_fast_max, "max"),
+]
+
+
+def _short(v):
+    """A repr that stays printable for numbers of 2**19 bits."""
+    if isinstance(v, (int, Fraction)) and max(abs(v.numerator), v.denominator) >> 64:
+        bits = f"{v.numerator.bit_length()}/{v.denominator.bit_length()} bits"
+        return f"<{type(v).__name__} of {bits}>"
+    return repr(v)
+
+
+def assert_fast_matches(fast, name, a, b):
+    """``fast(a, b)`` equals the registry impl in value and type, or raises
+    the same class; ``min``/``max`` return the very object it returns."""
     impl = get_builtin(name).impl
-    for a in _GRID:
-        for b in _GRID:
-            try:
-                expected = impl(a, b)
-                raised = None
-            except ORACLE_ERRORS as exc:
-                expected, raised = None, type(exc)
-            if raised is None:
-                assert_same_value(expected, fast(a, b), f"{name}({a!r}, {b!r})")
-            else:
-                with pytest.raises(raised):
-                    fast(a, b)
+    try:
+        expected = impl(a, b)
+        raised = None
+    except ORACLE_ERRORS as exc:
+        expected, raised = None, type(exc)
+    if raised is not None:
+        with pytest.raises(raised):
+            fast(a, b)
+        return
+    got = fast(a, b)
+    if name in ("min", "max"):
+        assert got is expected, f"{name}({_short(a)}, {_short(b)}): not the native object"
+    else:
+        assert_same_value(expected, got, f"{name}({_short(a)}, {_short(b)})")
+
+
+def _pairs(name):
+    if name not in ("div", "pow"):
+        return [(a, b) for a in _GRID for b in _GRID]
+    # The huge operands probe the add/sub/mul degrade guard, which div does
+    # not have (and would spend seconds in gcds on); pow's own guards are
+    # probed by the dedicated bases and exponents.
+    small = [v for v in _GRID if not isinstance(v, (int, Fraction)) or abs(v) < 1 << 64]
+    pairs = [(a, b) for a in small for b in small]
+    if name == "pow":
+        pairs += [(a, b) for a in _POW_BASES + tuple(small) for b in _POW_EXPONENTS]
+    return pairs
+
+
+@pytest.mark.parametrize("fast,name", _FAST_BINARY)
+def test_fast_binary_ops_match_registry(fast, name):
+    for a, b in _pairs(name):
+        assert_fast_matches(fast, name, a, b)
+
+
+@pytest.mark.parametrize("fast,native", [(_fast_min, min), (_fast_max, max)])
+def test_fast_min_max_return_the_native_object(fast, native):
+    for a, b in [
+        (5, Fraction(5)),
+        (Fraction(1, 3), Fraction(1, 3)),
+        (Fraction(2, 6), Fraction(1, 3)),
+        (7, 7),
+        (0, Fraction(0)),
+        (Fraction(-1, 2), -1),
+        (Fraction(-1, 2), Fraction(-2, 3)),
+        (1 << 70, Fraction((1 << 71) - 1, 2)),
+        # equal values held by distinct objects: ties must keep the first
+        (10**30, int(str(10**30))),
+        (Fraction(10**30, 7), Fraction(int(str(10**30)), 7)),
+        (10**30, Fraction(int(str(10**30)))),
+    ]:
+        assert fast(a, b) is native(a, b), (a, b)
+        assert fast(b, a) is native(b, a), (b, a)
+
+
+_MIXED_NUMBER = st.one_of(
+    st.integers(-(10**30), 10**30),
+    st.fractions(max_denominator=10**12),
+    st.builds(Fraction, st.integers(-(10**30), 10**30)),
+    st.floats(allow_nan=False, width=64),
+    st.booleans(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_FAST_BINARY), _MIXED_NUMBER, _MIXED_NUMBER)
+def test_fast_binary_ops_match_registry_property(op, a, b):
+    fast, name = op
+    assert_fast_matches(fast, name, a, b)
 
 
 def test_fast_neg_matches_registry():
@@ -522,7 +638,7 @@ def test_fast_neg_matches_registry():
     for a in _GRID:
         if isinstance(a, bool):
             continue  # -True is 'defined' by Python; impl and fast agree anyway
-        assert_same_value(impl(a), _fast_neg(a), f"neg({a!r})")
+        assert_same_value(impl(a), _fast_neg(a), f"neg({_short(a)})")
 
 
 def test_fast_ops_respect_big_number_degrade():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ir.builtins import all_builtins, get_builtin, is_builtin
+from repro.ir.compile import compile_expr
 from repro.ir.dsl import (
     XS,
     add,
@@ -24,13 +25,14 @@ from repro.ir.dsl import (
     proj,
     tup,
 )
+from repro.ir.evaluator import evaluate
 from repro.ir.infer import (
     TypeError_,
     check_well_typed,
     infer_program_type,
     infer_type,
 )
-from repro.ir.nodes import Const, ListVar, Snoc, Var
+from repro.ir.nodes import Call, Const, ListVar, Snoc, Var
 from repro.ir.types import BOOL, NUM, ListType, TupleType
 from repro.ir.values import (
     safe_div,
@@ -123,6 +125,35 @@ class TestSafeOps:
         assert safe_log(0) == 0
         assert safe_log(1) == 0
         assert safe_exp(0) == 1
+
+    def test_partial_ops_on_exact_values_beyond_float_range(self):
+        huge = Fraction(1 << 40000, 3)
+        assert safe_pow(huge, Fraction(1, 2)) == math.inf
+        assert safe_pow(huge, Fraction(-1, 2)) == 0.0
+        assert safe_pow(-huge, Fraction(1, 2)) == 0
+        assert safe_pow(2, Fraction(1 << 40000, 3)) == math.inf
+        assert safe_pow(10.0**300, 1.5) == math.inf
+        assert safe_sqrt(huge) == math.inf
+        assert safe_log(huge) == pytest.approx(40000 * math.log(2) - math.log(3))
+        assert safe_log(1 / huge) == pytest.approx(math.log(3) - 40000 * math.log(2))
+        # past the float range but with a representable result: not saturated
+        big = Fraction(1 << 1100, 3)
+        root = 2.0**550 / math.sqrt(3)
+        assert safe_pow(big, Fraction(1, 2)) == pytest.approx(root, rel=1e-12)
+        assert safe_sqrt(big) == pytest.approx(root, rel=1e-12)
+
+    @pytest.mark.parametrize("jit", [True, False], ids=["jit", "nojit"])
+    @pytest.mark.parametrize("func", ["pow", "sqrt", "log"])
+    def test_partial_ops_beyond_float_range_do_not_raise(self, func, jit):
+        huge = Fraction(1 << 40000, 3)
+        args = (huge, Fraction(1, 2)) if func == "pow" else (huge,)
+        names = ("x", "y")[: len(args)]
+        expr = Call(func, tuple(Var(name) for name in names))
+        if jit:
+            got = compile_expr(expr, names)(*args)
+        else:
+            got = evaluate(expr, dict(zip(names, args)))
+        assert type(got) is float and got == get_builtin(func).impl(*args)
 
     @settings(max_examples=50, deadline=None)
     @given(

@@ -7,7 +7,9 @@ by a pipeline — must
 equal sequential per-element ``push`` bit-for-bit over exact rationals
 (states, outputs, counts, exception classes, partial progress on failure).
 These tests enforce the claim on every ground-truth scheme of the suite,
-jit on and off, including keyed and checkpoint-resume paths.
+jit on and off, including keyed and checkpoint-resume paths, over mixed
+int/Fraction streams and over the integral ``Fraction(k)`` streams the
+built-in sources yield.
 """
 
 from __future__ import annotations
@@ -69,6 +71,15 @@ def stream_for(bench, n=60):
     return [(value, (i * 3) % 4) for i, value in enumerate(scalars)]
 
 
+def integral_fraction_stream(bench, n=60):
+    """``Fraction(k)`` values with int keys: the shape of every built-in
+    source (``repro.runtime.sources``), which the fast paths unwrap."""
+    scalars = [Fraction((i * 37) % 101 - 20) for i in range(n)]
+    if bench.element_arity <= 1:
+        return scalars
+    return [(value, (i * 3) % 4) for i, value in enumerate(scalars)]
+
+
 def extras_for(scheme):
     return {name: 500 for name in scheme.program.extra_params}
 
@@ -78,16 +89,19 @@ class TestBatchKernelEquivalence:
     def test_push_many_equals_push_on_all_ground_truths(self, jit):
         for bench in ground_truths():
             scheme = bench.ground_truth
-            elements = stream_for(bench)
             extra = extras_for(scheme)
-            batched = OnlineOperator(scheme, extra, jit=jit)
-            stepped = OnlineOperator(scheme, extra, jit=jit)
-            batched.push_many(elements)
-            for element in elements:
-                stepped.push(element)
-            assert_same_value(batched.state, stepped.state, bench.name)
-            assert batched.count == stepped.count == len(elements)
-            assert batched._kernel.compiled is jit
+            for elements in (stream_for(bench), integral_fraction_stream(bench)):
+                batched = OnlineOperator(scheme, extra, jit=jit)
+                stepped = OnlineOperator(scheme, extra, jit=jit)
+                oracle = OnlineOperator(scheme, extra, jit=False)
+                batched.push_many(elements)
+                for element in elements:
+                    stepped.push(element)
+                    oracle.push(element)
+                assert_same_value(batched.state, stepped.state, bench.name)
+                assert_same_value(batched.state, oracle.state, bench.name)
+                assert batched.count == stepped.count == len(elements)
+                assert batched._kernel.compiled is jit
 
     def test_chunked_push_many_equals_one_shot(self):
         for bench in ground_truths()[::5]:
@@ -110,16 +124,18 @@ class TestBatchKernelEquivalence:
             scheme = bench.ground_truth
             kernel = compile_step_batch(scheme.program, name=bench.name)
             step = compile_online_step(scheme.program, name=bench.name)
-            elements = stream_for(bench)
             extra = extras_for(scheme)
-            state = scheme.initializer
-            for element in elements:
-                state = step(state, element, extra)
-            batch_state, consumed = kernel.run(
-                scheme.initializer, elements, extra
-            )
-            assert consumed == len(elements)
-            assert_same_value(batch_state, state, bench.name)
+            for elements in (stream_for(bench), integral_fraction_stream(bench)):
+                state = oracle = scheme.initializer
+                for element in elements:
+                    state = step(state, element, extra)
+                    oracle = scheme.interpreted_step(oracle, element, extra)
+                batch_state, consumed = kernel.run(
+                    scheme.initializer, elements, extra
+                )
+                assert consumed == len(elements)
+                assert_same_value(batch_state, state, bench.name)
+                assert_same_value(batch_state, oracle, bench.name)
             assert kernel.compiled
             assert kernel.source is not None
 

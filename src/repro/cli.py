@@ -179,7 +179,7 @@ from .evaluation import (
     table1,
     table2,
 )
-from .faults import FaultPlan
+from .faults import FaultPlan, split_at
 from .frontend import python_to_ir
 from .ir.parser import parse_program
 from .ir.pretty import pretty_program
@@ -952,12 +952,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return 2
     try:
         with server:
-            pushed = 0
-            for element in stream:
-                server.push(element)
-                pushed += 1
+            for segment, pushed in split_at(stream, (*kills, *plan.kill_offsets())):
+                server.push_many(segment)
                 if args.verify:
-                    seen.append(element)
+                    seen.extend(segment)
                 for sid in (*kills.get(pushed, ()), *plan.kills_at(pushed)):
                     server.kill_shard(sid)
                     print(f"killed shard {sid} after {pushed} elements "

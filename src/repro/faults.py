@@ -40,6 +40,9 @@ Injection surfaces:
 
 * ``kills_at(pushed)`` — consulted by whoever drives the push loop (the
   chaos harness, or ``repro serve --fault``), mirroring ``--kill-shard``;
+  ``repro serve`` pushes whole :func:`split_at` segments that end at
+  ``kill_offsets()``, so kills land after exactly the same elements as a
+  per-element loop's;
 * ``shard_plan(sid)`` — the picklable per-worker slice
   (:class:`ShardFaultPlan`) that rides into the worker process and drives
   stalls and post-write file mutations;
@@ -49,6 +52,7 @@ Injection surfaces:
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -64,6 +68,10 @@ _KINDS = ("kill", "stall", "corrupt-checkpoint", "torn-write", "poison")
 #: that only liveness detection (never the stall ending on its own) can
 #: unblock the run, short enough to bound a trial if detection is broken.
 DEFAULT_STALL_SECS = 30.0
+
+#: Most elements one :func:`split_at` segment holds, so a push loop over a
+#: long or unbounded stream keeps only this many in memory at once.
+SEGMENT_SIZE = 4096
 
 
 class FaultSpecError(ValueError):
@@ -256,6 +264,11 @@ class FaultPlan:
         have entered the server (consulted by the push-loop driver)."""
         return self._kills.get(pushed, [])
 
+    def kill_offsets(self) -> list[int]:
+        """Every ``pushed`` count at which :meth:`kills_at` names a shard,
+        ascending (the stopping points of a segmented push loop)."""
+        return sorted(self._kills)
+
     def shard_plan(self, sid: int) -> ShardFaultPlan | None:
         """The worker-side slice for shard ``sid`` (``None`` when this plan
         never touches that worker — the hooks then cost nothing)."""
@@ -301,3 +314,30 @@ class FaultPlan:
         if self.poison_offsets and on_error != "quarantine":
             return True
         return any(f.kind in ("corrupt-checkpoint", "torn-write") for f in self.faults)
+
+
+def split_at(elements: Iterable, offsets: Iterable[int]) -> Iterator[tuple[list, int]]:
+    """Cut ``elements`` into consecutive lists that end exactly at each
+    positive offset in ``offsets`` and otherwise hold :data:`SEGMENT_SIZE`
+    elements, yielding ``(segment, pushed)``: the segment and the running
+    count of elements yielded through it.
+
+    A push loop hands each segment to ``StreamServer.push_many`` and then
+    fires the kills due at ``pushed`` — the same kills after the same
+    elements as pushing one element at a time.
+    """
+    iterator = iter(elements)
+    stops = iter(sorted({offset for offset in offsets if offset > 0}))
+    stop = next(stops, None)
+    pushed = 0
+    while True:
+        want = SEGMENT_SIZE if stop is None else min(SEGMENT_SIZE, stop - pushed)
+        segment = list(itertools.islice(iterator, want))
+        if not segment:
+            return
+        pushed += len(segment)
+        yield segment, pushed
+        if pushed == stop:
+            stop = next(stops, None)
+        if len(segment) < want:
+            return

@@ -10,31 +10,71 @@ owned, not reshuffle the world.  The classic fix is a hash ring: each shard
 projects ``replicas`` virtual points onto a circle, a key belongs to the
 first point clockwise from its own hash.
 
-Two deliberate choices:
+Three deliberate choices:
 
-* Hashing is :func:`stable_key_hash` — BLAKE2b over a canonical ``repr``.
-  Python's builtin ``hash`` is salted per process (PYTHONHASHSEED), which
-  would silently scatter a restarted server's keys across the wrong
-  shards' checkpoints.
+* Hashing is :func:`stable_key_hash` — BLAKE2b over the ``repr`` of a
+  *canonical* form of the key.  Python's builtin ``hash`` is salted per
+  process (PYTHONHASHSEED), which would silently scatter a restarted
+  server's keys across the wrong shards' checkpoints.  The canonical form
+  makes the hash agree with ``==``: ``3``, ``3.0``, ``Fraction(3)`` and
+  ``(True,)``/``(1,)`` are one key to a worker's partition dict, so they
+  must be one key to the ring too, or their partitions split across shards
+  and the merge keeps only one of them.
 * ``replicas`` virtual points per shard (default 64) keep the key-space
   split within a few percent of even for small shard counts.
+* :meth:`HashRing.shard_for` memoizes key → shard.  A serve stream has few
+  distinct keys and many elements, so after warm-up routing is one dict
+  lookup instead of a BLAKE2b digest and a bisect per element.  The memo
+  is only sound because equal keys hash equal (above); topology changes
+  clear it, and :data:`MEMO_LIMIT` bounds it.
 """
 
 from __future__ import annotations
 
 import bisect
 import hashlib
+import math
+from fractions import Fraction
 from typing import Hashable, Iterable
+
+#: Most keys :meth:`HashRing.shard_for` remembers.  A high-cardinality key
+#: space (user ids, timestamps) would otherwise grow the front process by
+#: one entry per distinct key forever; past the cap the memo starts over,
+#: which costs only re-hashing, never a wrong route.
+MEMO_LIMIT = 1 << 16
+
+
+def canonical_key(key: Hashable) -> Hashable:
+    """The representative of ``key``'s ``==`` class whose ``repr`` is hashed.
+
+    ``bool`` and integral numbers become ``int``, a non-integral ``float``
+    its exact ``Fraction``, and tuples are canonicalized element-wise, so
+    keys that compare equal (and hence share a ``hash`` and a partition)
+    get one canonical form.  ``int`` and ``str`` keys are their own form.
+    """
+    kind = type(key)
+    if kind is int or kind is str:
+        return key
+    if isinstance(key, tuple):
+        return tuple(canonical_key(item) for item in key)
+    if isinstance(key, int):  # bool and other int subclasses
+        return int(key)
+    if isinstance(key, Fraction):
+        return key.numerator if key.denominator == 1 else key
+    if isinstance(key, float) and math.isfinite(key):
+        return int(key) if key.is_integer() else Fraction(key)
+    return key
 
 
 def stable_key_hash(key: Hashable) -> int:
-    """A 64-bit hash of ``key`` that is identical in every process.
+    """A 64-bit hash of ``key`` that is identical in every process and
+    agrees with ``==``: BLAKE2b over ``repr(canonical_key(key))``.
 
-    Keys are runtime values (ints, bools, Fractions, tuples of those), so
-    ``repr`` is canonical and collision-free across the types involved
-    (``repr(1) == '1'`` vs ``repr(Fraction(1)) == 'Fraction(1, 1)'``).
+    Keys are runtime values (ints, bools, Fractions, floats, strs, tuples of
+    those).  Distinct canonical forms have distinct ``repr``s
+    (``repr(1) == '1'`` vs ``repr(Fraction(1, 2)) == 'Fraction(1, 2)'``).
     """
-    digest = hashlib.blake2b(repr(key).encode("utf-8"), digest_size=8)
+    digest = hashlib.blake2b(repr(canonical_key(key)).encode("utf-8"), digest_size=8)
     return int.from_bytes(digest.digest(), "big")
 
 
@@ -62,6 +102,7 @@ class HashRing:
             raise ValueError(f"duplicate shard ids: {ids}")
         self._shards: set[int] = set()
         self._points: list[tuple[int, int]] = []  # sorted (hash, shard)
+        self._memo: dict[Hashable, int] = {}  # key -> shard, for this topology
         for shard in ids:
             self.add_shard(shard)
 
@@ -73,6 +114,7 @@ class HashRing:
         if shard in self._shards:
             raise ValueError(f"shard {shard} already on the ring")
         self._shards.add(shard)
+        self._memo.clear()
         for replica in range(self.replicas):
             bisect.insort(self._points, (_point(shard, replica), shard))
 
@@ -82,11 +124,29 @@ class HashRing:
         if len(self._shards) == 1:
             raise ValueError("cannot remove the last shard")
         self._shards.discard(shard)
+        self._memo.clear()
         self._points = [p for p in self._points if p[1] != shard]
 
     def shard_for(self, key: Hashable) -> int:
         """The shard owning ``key``: first ring point at or clockwise from
-        the key's hash (wrapping past the top of the hash space)."""
+        the key's hash (wrapping past the top of the hash space).
+
+        Memoized per key; equal keys share a memo entry, which is sound
+        because :func:`stable_key_hash` agrees with ``==``."""
+        memo = self._memo
+        try:
+            shard = memo.get(key)  # not memo[key]: a miss would pay for a raise
+        except TypeError:  # unhashable: route it uncached
+            return self._locate(key)
+        if shard is not None:
+            return shard
+        shard = self._locate(key)
+        if len(memo) >= MEMO_LIMIT:
+            memo.clear()
+        memo[key] = shard
+        return shard
+
+    def _locate(self, key: Hashable) -> int:
         h = stable_key_hash(key)
         index = bisect.bisect_left(self._points, (h, -1))
         if index == len(self._points):

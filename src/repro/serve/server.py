@@ -93,7 +93,13 @@ MANIFEST_FORMAT = "repro/serve-manifest"
 #: v2: per-shard checkpoints became digest-verified generation lineages
 #: ({base}.genNNNNNNNN.json) — a v1 directory's single-file layout cannot
 #: be resumed, so the version check below refuses it.
-MANIFEST_VERSION = 2
+#: v3: the hash ring hashes a canonical form of each key, so equal keys of
+#: different types (``3`` / ``Fraction(3)``, ``0`` / ``False``) share a
+#: shard — a v2 directory may hold such a key on another shard than v3
+#: routes it to, so it is refused rather than misrouted.  The check is by
+#: version, not by key: a v2 directory of only ``int``/``str`` keys (which
+#: v3 routes exactly as before) is refused too and needs ``fresh=True``.
+MANIFEST_VERSION = 3
 
 #: How long one wait for acks/deaths may sleep before re-checking (bounds
 #: crash-detection latency while the server is blocked on backpressure).
@@ -325,16 +331,26 @@ class StreamServer:
     def push(self, element: Value) -> None:
         """Route one element to its key's shard; blocks when that shard's
         inbound queue is full (backpressure)."""
-        if self._supervisor is None or self._draining or self._closed:
-            raise ServeError("server is not accepting elements")
-        shard = self._shards[self.ring.shard_for(self._key_fn(element))]
-        shard.pending.append(element)
-        if len(shard.pending) >= self.batch_size:
-            self._flush_shard(shard)
+        self.push_many((element,))
 
     def push_many(self, elements: Iterable[Value]) -> None:
+        """Route each element to its key's shard, handing a shard's pending
+        elements off every ``batch_size`` of them; blocks while the shard
+        being flushed has ``max_inflight`` unacknowledged batches.  Batch
+        boundaries depend only on the element sequence, not on how it is
+        split across calls."""
+        if self._supervisor is None or self._draining or self._closed:
+            raise ServeError("server is not accepting elements")
+        key_fn = self._key_fn
+        shard_for = self.ring.shard_for
+        shards = self._shards
+        batch_size = self.batch_size
         for element in elements:
-            self.push(element)
+            shard = shards[shard_for(key_fn(element))]
+            pending = shard.pending
+            pending.append(element)
+            if len(pending) >= batch_size:
+                self._flush_shard(shard)
 
     def kill_shard(self, sid: int) -> None:
         """SIGKILL a shard's current worker process (fault injection; the
@@ -408,7 +424,7 @@ class StreamServer:
                 f"checkpoint dir {self.checkpoint_dir} was written by a build "
                 f"with manifest version {manifest.get('version')!r} (this one "
                 f"writes {MANIFEST_VERSION}, with a different checkpoint "
-                "layout); use a fresh directory or fresh=True"
+                "layout or key placement); use a fresh directory or fresh=True"
             )
         if manifest.get("shards") != self.shards:
             raise ServeError(
@@ -725,6 +741,12 @@ class StreamServer:
             backend=self.backend,
             bounds=self.bounds,
         )
+        if len(operator.partitions) < len(partitions):
+            raise ServeError(
+                f"{len(partitions)} shard partitions collapsed into "
+                f"{len(operator.partitions)} keys on merge: equal keys were "
+                "routed to different shards (hash-ring mismatch between runs?)"
+            )
         return ServeResult(
             operator=operator,
             checkpoint=merged,

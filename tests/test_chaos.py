@@ -12,10 +12,12 @@ from repro.evaluation import chaos
 from repro.faults import (
     DEFAULT_STALL_SECS,
     POISON,
+    SEGMENT_SIZE,
     FaultPlan,
     FaultSpecError,
     parse_fault,
     poison_element,
+    split_at,
 )
 from repro.ir.dsl import add
 from repro.ir.nodes import OnlineProgram
@@ -80,6 +82,28 @@ class TestFaultSpecs:
         assert sorted(plan.kills_at(10)) == [0, 1]
         assert plan.kills_at(99) == [0]
         assert plan.kills_at(11) == []
+
+    def test_kill_offsets_are_sorted_and_unique(self):
+        plan = FaultPlan(["kill:0:99", "stall:1:5", "kill:1:10", "kill:0:10"])
+        assert plan.kill_offsets() == [10, 99]
+        assert FaultPlan(["stall:0:5"]).kill_offsets() == []
+
+    def test_split_at_ends_segments_at_each_offset(self):
+        elements = list(range(25))
+        got = list(split_at(iter(elements), [20, 7, 7, 0, 40]))
+        assert [pushed for _, pushed in got] == [7, 20, 25]
+        assert [e for segment, _ in got for e in segment] == elements
+
+    def test_split_at_caps_segments_between_offsets(self):
+        size = SEGMENT_SIZE
+        elements = range(2 * size + 3)
+        got = list(split_at(elements, [size + 1]))
+        assert [pushed for _, pushed in got] == [size, size + 1, 2 * size + 1, 2 * size + 3]
+        assert [e for segment, _ in got for e in segment] == list(elements)
+
+    def test_split_at_stream_ending_on_an_offset(self):
+        assert list(split_at([1, 2, 3], [3])) == [([1, 2, 3], 3)]
+        assert list(split_at([], [1])) == []
 
     def test_shard_plan_slices_per_worker(self):
         plan = FaultPlan(["stall:1:80:5", "corrupt-checkpoint:0:2", "torn-write:3"])

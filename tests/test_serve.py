@@ -1,9 +1,15 @@
 """Tests for the ``repro.serve`` subsystem: hash ring, sharded server,
 crash-restore differential, backpressure, resume, CLI, and the bench."""
 
+import hashlib
 import json
+import pickle
+from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.core.scheme import OnlineScheme
@@ -14,10 +20,12 @@ from repro.serve import (
     HashRing,
     ServeError,
     StreamServer,
+    field_extractor,
     reference_states,
     stable_key_hash,
     states_match,
 )
+from repro.serve import hashring
 
 
 def sum_scheme() -> OnlineScheme:
@@ -32,6 +40,43 @@ def rate_scheme() -> OnlineScheme:
 
 def keyed_stream(n, keys=16, seed=3):
     return list(sources.zipf_keys(n, keys=keys, seed=seed))
+
+
+def serve(elements, tmp_path, *, push="many", shards=2, **kwargs):
+    """One fresh serve run of the sum scheme; ``push`` picks the ingestion
+    path: ``"one"`` (per-element push), ``"many"`` (one push_many) or
+    ``"chunks"`` (push_many over uneven slices)."""
+    options = {"checkpoint_every": 50, "batch_size": 8, **kwargs}
+    with StreamServer(
+        sum_scheme(), shards=shards, checkpoint_dir=tmp_path, key_field=1,
+        value_field=0, fresh=True, **options,
+    ) as server:
+        if push == "one":
+            for element in elements:
+                server.push(element)
+        elif push == "chunks":
+            start = 0
+            for size in (1, 7, 0, 30, 3):
+                server.push_many(elements[start:start + size])
+                start += size
+            server.push_many(iter(elements[start:]))
+        else:
+            server.push_many(elements)
+        return server.drain()
+
+
+#: Keys that compare equal across types: ints, bools, integral and
+#: half-integral Fractions and floats, short strings, and tuples of them.
+SCALAR_KEYS = st.one_of(
+    st.integers(-3, 3),
+    st.booleans(),
+    st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3])),
+    st.integers(-6, 6).map(lambda n: n / 2),
+    st.floats(allow_nan=False),
+    st.sampled_from(["a", "b", "1"]),
+)
+KEYS = st.recursive(SCALAR_KEYS, lambda inner: st.lists(inner, max_size=3).map(tuple),
+                    max_leaves=6)
 
 
 class TestHashRing:
@@ -75,6 +120,60 @@ class TestHashRing:
         moved = {k for k, owner in before.items() if ring.shard_for(k) != owner}
         for key in moved:
             assert ring.shard_for(key) == 3
+
+    def test_int_str_and_tuple_hashes_are_blake2b_of_repr(self):
+        # Canonical hashing leaves these keys' placement where it was.
+        for key in (0, -5, 2**70, "user", "", ("user", 17), (1, ("a", 2))):
+            digest = hashlib.blake2b(repr(key).encode("utf-8"), digest_size=8)
+            assert stable_key_hash(key) == int.from_bytes(digest.digest(), "big")
+
+    def test_equal_keys_of_different_types_hash_equal(self):
+        for group in (
+            (3, Fraction(3), 3.0),
+            (0, False, 0.0, -0.0, Fraction(0)),
+            (1, True),
+            (Fraction(1, 2), 0.5),
+            ((0, "a"), (False, "a"), (0.0, "a")),
+            ((1, (Fraction(5, 2), True)), (True, (2.5, 1))),
+        ):
+            assert len({stable_key_hash(key) for key in group}) == 1, group
+        assert stable_key_hash(Fraction(1, 3)) != stable_key_hash(1 / 3)  # not equal
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(KEYS, min_size=1, max_size=25), st.integers(0, 25),
+           st.booleans())
+    def test_memo_matches_a_fresh_ring(self, keys, change_at, grow):
+        # The memo must never change an answer: every routed key agrees
+        # with a brand-new ring over the same shards, across a topology
+        # change and with the memo cap crossed over and over (cap 4).
+        ring = HashRing(3)
+        with mock.patch.object(hashring, "MEMO_LIMIT", 4):
+            for step, key in enumerate(keys * 2):
+                if step == change_at:
+                    ring.add_shard(3) if grow else ring.remove_shard(1)
+                assert ring.shard_for(key) == HashRing(ring.shards).shard_for(key)
+                assert len(ring._memo) <= 4
+        for a in keys:
+            for b in keys:
+                if a == b:
+                    assert ring.shard_for(a) == ring.shard_for(b), (a, b)
+                    assert stable_key_hash(a) == stable_key_hash(b), (a, b)
+
+    def test_memo_is_cleared_on_topology_change(self):
+        ring = HashRing(2)
+        owners = {key: ring.shard_for(key) for key in range(100)}
+        assert len(ring._memo) == 100
+        ring.add_shard(2)
+        assert not ring._memo
+        ring.shard_for(0)
+        ring.remove_shard(2)
+        assert not ring._memo
+        assert {key: ring.shard_for(key) for key in range(100)} == owners
+
+    def test_unhashable_keys_route_uncached(self):
+        ring = HashRing(4)
+        assert ring.shard_for([1, 2]) == ring.shard_for([1, 2])
+        assert not ring._memo
 
     def test_rejects_bad_configs(self):
         with pytest.raises(ValueError):
@@ -181,6 +280,64 @@ class TestServerDifferential:
         assert result.p99_latency_s() >= 0
 
 
+    def test_equal_keys_of_different_types_share_a_shard(self, tmp_path):
+        # Regression: 3 and Fraction(3) (and 0/False inside tuples) used to
+        # hash to different shards; the merge then kept one partition and
+        # silently dropped the other's elements.
+        for elements in (
+            [(1, 3), (2, Fraction(3)), (4, 3)],
+            [(1, (0, "a")), (2, (False, "a")), (5, (0.0, "a"))],
+        ):
+            result = serve(elements, tmp_path)
+            oracle = reference_states(sum_scheme(), elements, key_field=1, value_field=0)
+            assert states_match(result, oracle), result.states
+            assert len(result.states) == 1
+
+    def test_split_partitions_are_refused_on_merge(self, tmp_path):
+        # A ring that splits equal keys across shards must make the merge
+        # fail loudly instead of collapsing the two partitions into one.
+        class SplitRing:
+            memo: dict = {}
+
+            @staticmethod
+            def shard_for(key):
+                return 1 if isinstance(key, Fraction) else 0
+
+        with StreamServer(
+            sum_scheme(), shards=2, checkpoint_dir=tmp_path, key_field=1,
+            value_field=0,
+        ) as server:
+            server.ring = SplitRing()
+            server.push_many([(1, 3), (2, Fraction(3))])
+            with pytest.raises(ServeError, match="collapsed"):
+                server.drain()
+
+    @pytest.mark.parametrize("push", ["one", "chunks"])
+    def test_push_and_push_many_hand_off_identical_batches(self, tmp_path, push):
+        elements = keyed_stream(500)
+        want = serve(elements, tmp_path / "many")
+        got = serve(elements, tmp_path / push, push=push)
+        assert got.shard_counts == want.shard_counts
+        assert len(got.latencies_s) == len(want.latencies_s)
+        assert got.states == want.states and got.count == want.count == 500
+
+    def test_push_after_drain_is_refused(self, tmp_path):
+        with StreamServer(
+            sum_scheme(), shards=1, checkpoint_dir=tmp_path, key_field=1,
+        ) as server:
+            server.drain()
+            with pytest.raises(ServeError, match="not accepting"):
+                server.push((1, 1))
+            with pytest.raises(ServeError, match="not accepting"):
+                server.push_many([])
+
+    def test_field_extractor_is_a_picklable_itemgetter(self):
+        get = pickle.loads(pickle.dumps(field_extractor("1")))
+        assert get(("v", "k")) == "k"
+        assert field_extractor(None) is None
+        assert field_extractor(len) is len
+
+
 class TestServerResume:
     def test_second_server_resumes_checkpoints(self, tmp_path):
         scheme = sum_scheme()
@@ -239,6 +396,18 @@ class TestServerResume:
                 value_field=0, extra={"rate": 1},
             ).start()
 
+    def test_v2_manifest_is_refused(self, tmp_path):
+        # v2 directories hashed keys before canonicalization: equal keys of
+        # different types may sit on another shard than v3 routes them to.
+        (tmp_path / "manifest.json").write_text(json.dumps({
+            "format": "repro/serve-manifest", "version": 2,
+            "scheme": sum_scheme().to_dict(), "shards": 2, "checkpoint_every": 1000,
+        }))
+        with pytest.raises(ServeError, match="manifest version 2"):
+            StreamServer(
+                sum_scheme(), shards=2, checkpoint_dir=tmp_path, key_field=1,
+            ).start()
+
     def test_restart_budget_gives_up(self, tmp_path):
         scheme = sum_scheme()
         with StreamServer(
@@ -294,6 +463,28 @@ class TestServeCli:
         assert code == 0
         assert "killed shard 0" in out
         assert "1 restart(s)" in out
+        assert "verify: OK" in out
+
+    def test_serve_kills_land_after_exact_offsets(self, scheme_file, tmp_path, capsys):
+        # --kill-shard and --fault kills fire after exactly AFTER elements
+        # (in that order at a shared offset); one past the end never fires.
+        code = main([
+            "serve", scheme_file, "--source", "zipf-keys:400:10:5",
+            "--key-field", "1", "--value-field", "0", "--shards", "2",
+            "--checkpoint-dir", str(tmp_path / "ck"), "--checkpoint-every", "50",
+            "--batch-size", "8", "--kill-shard", "1:120", "--kill-shard", "0:300",
+            "--fault", "kill:0:120", "--kill-shard", "1:401", "--verify",
+        ])
+        out = capsys.readouterr().out
+        assert code == 0
+        killed = [line for line in out.splitlines() if line.startswith("killed")]
+        assert killed == [
+            "killed shard 1 after 120 elements (crash-restore will replay)",
+            "killed shard 0 after 120 elements (crash-restore will replay)",
+            "killed shard 0 after 300 elements (crash-restore will replay)",
+        ]
+        assert "consumed 400 elements" in out
+        assert "3 restart(s)" in out
         assert "verify: OK" in out
 
     def test_serve_rejects_bad_kill_spec(self, scheme_file, tmp_path, capsys):

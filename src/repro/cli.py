@@ -97,51 +97,24 @@ The compile/load/deploy lifecycle, plus the evaluation workflows:
 * ``bench`` — run solvers over the suite and print summaries or regenerate
   a paper artifact.  The target is either a domain (``stats`` / ``auction``
   / ``all``, default) or a named artifact (``table1``, ``table2``,
-  ``fig11``, ``fig13``, ``runtime``, ``holes``)::
+  ``fig11``, ``fig13``, ``holes``)::
 
       python -m repro bench --solver opera --domain stats --timeout 10
       python -m repro bench table1 --workers 4 --hole-workers 2
       python -m repro bench table2 --workers 8 --no-cache
-      python -m repro bench runtime --out BENCH_runtime.json
       python -m repro bench holes --hole-workers 4 --out BENCH_holes.json
-      python -m repro bench serve --shards 2 --out BENCH_serve.json
-      python -m repro bench compare OLD.json NEW.json
-      python -m repro bench compare BENCH_runtime.json --baseline latest
 
   ``--workers`` shards (solver, benchmark) tasks across processes;
   ``--hole-workers`` / ``REPRO_HOLE_WORKERS`` additionally spread one
   task's sketch holes across processes (identical reports and cache keys,
   only faster — see :mod:`repro.core.parallel_synthesize`).  ``bench
-  holes`` measures exactly that speedup on multi-hole tasks
-  (:mod:`repro.evaluation.hole_bench`).
-
-  ``bench runtime`` measures per-element throughput of the execution
-  backends — interpreted step, compiled scalar step, whole-batch
-  ``StepKernel`` (see :mod:`repro.ir.compile`), and with ``--backend``
-  the columnar kernel — over ground-truth schemes; regressions are judged
-  by ``bench compare`` against ``bench_history/``, not by fixed speedup
-  gates.  Deployment runs take ``--no-jit`` on ``repro run`` (or
+  holes`` measures exactly that speedup on multi-hole tasks, keeping the
+  per-mode minimum of ``--repeats`` interleaved runs, and
+  ``--assert-speedup X`` exits 1 when the best speedup is below X
+  (:mod:`repro.evaluation.hole_bench`).  End-to-end performance of
+  synthesis, deployment and serving is measured by ``perfbench/`` at the
+  repository root.  Deployment runs take ``--no-jit`` on ``repro run`` (or
   ``REPRO_JIT=0``) to force the interpreter.
-
-  ``bench serve`` load-tests the sharded streaming server end to end —
-  Zipf-keyed traffic through ``repro.serve`` — and reports elements/second
-  plus p99 batch hand-off latency against the single-process baseline,
-  with every repeat differential-checked (:mod:`repro.evaluation.serve_bench`).
-
-  ``bench runtime``, ``bench holes`` and ``bench serve`` record raw
-  per-repeat timings and
-  commit metadata (report format v3) and file every report into an
-  append-only ``bench_history/`` store (``--history-dir`` /
-  ``REPRO_BENCH_HISTORY`` relocate it, ``--no-history`` skips it).  ``bench
-  compare OLD.json NEW.json`` then tests the two reports for statistically
-  significant change — bootstrap confidence intervals plus a Mann-Whitney
-  U per metric (:mod:`repro.evaluation.benchstats`) — and exits 1 only on
-  a significant regression, which is how the CI perf job gates against the
-  baseline committed under ``bench_history/baseline/``.  ``--baseline
-  latest`` compares against the newest history entry of the same kind
-  instead of a named file; metrics that cannot be tested (single-core
-  runs, mismatched scheme sets or workloads, pre-v3 reports) get explicit
-  ``incomparable`` verdicts rather than silent skips.
 
   Runs shard (solver, benchmark) tasks over ``--workers`` processes with
   hard wall-clock kills, and reuse cached per-task results from previous
@@ -178,6 +151,7 @@ from .evaluation import (
     run_suite,
     table1,
     table2,
+    write_report,
 )
 from .faults import FaultPlan, split_at
 from .frontend import python_to_ir
@@ -196,7 +170,7 @@ from .store import SchemeStore, resolve_store
 from .suites import all_benchmarks, benchmarks_for, get_benchmark
 
 #: Artifact names accepted as ``bench`` targets, besides domains.
-ARTIFACTS = ("table1", "table2", "fig11", "fig13", "runtime", "holes", "serve", "compare")
+ARTIFACTS = ("table1", "table2", "fig11", "fig13", "holes")
 DOMAINS = ("stats", "auction", "all")
 
 
@@ -312,146 +286,19 @@ def _bench_fig13(args, config, workers, cache) -> int:
     return 0
 
 
-def _append_history(args, report: dict) -> None:
-    """File a bench report into the append-only history store (best-effort:
-    an unwritable directory downgrades to a warning, never a failed bench)."""
-    if args.no_history:
-        return
-    from .evaluation.history import append_report
-
-    try:
-        dest = append_report(report, args.history_dir)
-    except (OSError, ValueError) as exc:
-        print(f"warning: could not append to bench history: {exc}", file=sys.stderr)
-    else:
-        print(f"bench history: appended {dest}")
-
-
-def _bench_compare(args) -> int:
-    """``repro bench compare OLD.json NEW.json`` — statistically gated perf
-    comparison between two v3 bench reports (see
-    :mod:`repro.evaluation.benchstats`).
-
-    Exit codes: 0 when no metric shows a statistically significant
-    regression (improvements, no-change, and explicitly ``incomparable``
-    metrics all pass), 1 on a significant regression, 2 on unusable
-    inputs.  ``--baseline latest`` resolves the newest bench-history entry
-    of NEW's kind; ``--baseline PATH`` names a report file (e.g. the one
-    committed under ``bench_history/baseline/``).
-    """
-    from .evaluation import benchstats
-    from .evaluation.history import HistoryError, latest, report_kind
-
-    paths = list(args.reports or [])
-    expected = 1 if args.baseline is not None else 2
-    if len(paths) != expected:
-        print(
-            "usage: repro bench compare OLD.json NEW.json  (or: repro bench "
-            "compare NEW.json --baseline latest|PATH)",
-            file=sys.stderr,
-        )
-        return 2
-
-    def _load(path) -> dict:
-        try:
-            payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise benchstats.CompareError(f"cannot read bench report {path}: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise benchstats.CompareError(f"bench report {path} is not a JSON object")
-        return payload
-
-    try:
-        if args.baseline is not None:
-            new_path = paths[0]
-            new = _load(new_path)
-            if args.baseline == "latest":
-                old_path = latest(report_kind(new), args.history_dir)
-                if old_path is None:
-                    raise benchstats.CompareError(
-                        f"no {report_kind(new)} reports in bench history "
-                        f"(looked under {args.history_dir or 'bench_history'})"
-                    )
-            else:
-                old_path = args.baseline
-            old = _load(old_path)
-        else:
-            old_path, new_path = paths
-            old = _load(old_path)
-            new = _load(new_path)
-        comparison = benchstats.compare_reports(
-            old,
-            new,
-            alpha=args.alpha,
-            min_effect=args.min_effect,
-            resamples=args.resamples,
-            seed=args.seed,
-            old_path=str(old_path),
-            new_path=str(new_path),
-        )
-    except (benchstats.CompareError, HistoryError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(benchstats.format_comparison(comparison))
-    if args.compare_out:
-        Path(args.compare_out).write_text(
-            json.dumps(comparison, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-        print(f"wrote {args.compare_out}")
-    return benchstats.comparison_exit_code(comparison)
-
-
-def _bench_runtime(args, timeout: float, workers: int) -> int:
-    """``repro bench runtime`` — per-element throughput of the execution
-    backends (interpreted step, compiled scalar step, whole-batch kernel)
-    over ground-truth schemes (no synthesis unless --synthesis).
-
-    Writes ``BENCH_runtime.json`` with --out; ``bench compare`` judges it.
-    """
-    from .evaluation.runtime_bench import (
-        format_report,
-        run_runtime_benchmark,
-        write_report,
-    )
-
-    schemes = None
-    if args.schemes:
-        schemes = [s for chunk in args.schemes for s in chunk.split(",") if s]
-    try:
-        report = run_runtime_benchmark(
-            schemes,
-            elements=args.elements,
-            repeats=args.repeats,
-            stream_kind=args.stream,
-            synthesis=args.synthesis,
-            synthesis_timeout_s=timeout,
-            workers=workers,
-            backend=args.backend,
-        )
-    except (KeyError, ValueError, AssertionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(format_report(report))
-    if args.out:
-        write_report(report, args.out)
-        print(f"wrote {args.out}")
-    _append_history(args, report)
-    return 0
-
-
 def _bench_holes(args, timeout: float) -> int:
     """``repro bench holes`` — wall-clock of sequential vs hole-parallel
     synthesis on multi-hole tasks (reports must be identical; see
     :mod:`repro.evaluation.hole_bench`).
 
     Writes ``BENCH_holes.json`` with --out; --assert-speedup is the CI gate
-    (skipped with a warning on single-core machines, where a parallel
-    wall-clock win is physically impossible).
+    (skipped with a warning when this process may use fewer than two CPUs,
+    where a parallel wall-clock win is physically impossible).
     """
     from .evaluation.hole_bench import (
         format_holes_report,
         run_hole_benchmark,
-        write_holes_report,
+        usable_cpu_count,
     )
 
     if args.hole_workers is not None and args.hole_workers < 2:
@@ -480,17 +327,17 @@ def _bench_holes(args, timeout: float) -> int:
         return 1
     print(format_holes_report(report))
     if args.out:
-        write_holes_report(report, args.out)
+        write_report(report, args.out)
         print(f"wrote {args.out}")
-    _append_history(args, report)
     if args.assert_speedup is not None:
         best = max(
             (entry["speedup"] for entry in report["benchmarks"].values()),
             default=0.0,
         )
-        if report["cpu_count"] < 2:
+        cpus = usable_cpu_count()
+        if cpus < 2:
             print(
-                f"warning: only {report['cpu_count']} CPU core(s) — a parallel "
+                f"warning: only {cpus} usable CPU(s) — a parallel "
                 f"wall-clock speedup is not measurable here; best was "
                 f"{best:.2f}x, gate skipped",
                 file=sys.stderr,
@@ -507,59 +354,7 @@ def _bench_holes(args, timeout: float) -> int:
     return 0
 
 
-def _bench_serve(args) -> int:
-    """``repro bench serve`` — end-to-end throughput and p99 batch
-    hand-off latency of the sharded streaming server against the
-    single-process ``KeyedOperator`` baseline over Zipf-keyed traffic
-    (:mod:`repro.evaluation.serve_bench`).
-
-    Every repeat is a complete serve cycle whose merged states are
-    differential-checked against the baseline; writes ``BENCH_serve.json``
-    with --out (report format v3, accepted by ``bench compare`` and the
-    history store like any other kind).
-    """
-    from .evaluation.serve_bench import (
-        format_report,
-        run_serve_benchmark,
-        write_report,
-    )
-
-    try:
-        report = run_serve_benchmark(
-            args.serve_scheme,
-            elements=args.elements,
-            repeats=args.repeats,
-            shards=args.shards,
-            keys=args.keys,
-            batch_size=args.serve_batch_size,
-            checkpoint_every=args.checkpoint_every,
-        )
-    except AssertionError as exc:
-        print(f"error: serve/single-process states diverge: {exc}", file=sys.stderr)
-        return 1
-    except (KeyError, ValueError, ServeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(format_report(report))
-    if args.out:
-        write_report(report, args.out)
-        print(f"wrote {args.out}")
-    _append_history(args, report)
-    return 0
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.target == "compare":
-        # Pure report-to-report statistics: none of the synthesis knobs
-        # (timeout/workers/cache) apply, so dispatch before validating them.
-        return _bench_compare(args)
-    if args.reports:
-        print(
-            f"error: unexpected positional arguments {args.reports} "
-            f"(only `bench compare` takes report files)",
-            file=sys.stderr,
-        )
-        return 2
     try:
         timeout = args.timeout if args.timeout is not None else default_timeout()
         workers = args.workers if args.workers is not None else default_workers()
@@ -580,16 +375,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if hole_workers < 1:
         print(f"error: --hole-workers must be >= 1, got {hole_workers}", file=sys.stderr)
         return 2
-    if args.target == "runtime":
-        # The throughput benchmark times both backends itself; the result
-        # cache never applies (ground-truth schemes, uncached synthesis).
-        return _bench_runtime(args, timeout, workers)
     if args.target == "holes":
         return _bench_holes(args, timeout)
-    if args.target == "serve":
-        # End-to-end serving benchmark: compiled ground-truth schemes, own
-        # worker processes — synthesis knobs and result cache do not apply.
-        return _bench_serve(args)
     cache = resolve_cache(enabled=False if args.no_cache else None, directory=args.cache_dir)
     config = SynthesisConfig(timeout_s=timeout, hole_workers=hole_workers)
 
@@ -1041,7 +828,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         return 2
     print(chaos.format_report(report))
     if args.out:
-        chaos.write_report(report, args.out)
+        write_report(report, args.out)
         print(f"chaos report written to {args.out}")
     return 0 if report["ok"] else 1
 
@@ -1239,9 +1026,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         print(line)
 
     if args.out:
-        Path(args.out).write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        write_report(payload, args.out)
         print(f"report written to {args.out}")
     elif args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -1529,14 +1314,7 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="?",
         default=None,
         choices=DOMAINS + ARTIFACTS,
-        help="domain to run, paper artifact to regenerate, or `compare`",
-    )
-    p_bench.add_argument(
-        "reports",
-        nargs="*",
-        default=None,
-        metavar="REPORT.json",
-        help="for `compare`: OLD.json NEW.json, or just NEW.json with --baseline",
+        help="domain to run, paper artifact to regenerate, or `holes`",
     )
     p_bench.add_argument("--solver", default="opera", choices=sorted(SOLVERS))
     p_bench.add_argument("--domain", default="all", choices=list(DOMAINS))
@@ -1572,118 +1350,23 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="result cache location (default: REPRO_CACHE_DIR or ~/.cache/repro)",
     )
-    runtime_group = p_bench.add_argument_group(
-        "runtime target", "options for `repro bench runtime` (throughput of "
-        "compiled vs interpreted scheme steps over ground-truth schemes)"
+    holes_group = p_bench.add_argument_group(
+        "holes target", "options for `repro bench holes` (wall-clock of "
+        "hole-parallel vs sequential synthesis on multi-hole tasks)"
     )
-    runtime_group.add_argument(
-        "--schemes", action="append", metavar="NAME[,NAME...]",
-        help="benchmark names to measure (default: a stats+auction spread)",
-    )
-    runtime_group.add_argument(
-        "--elements", type=int, default=4000,
-        help="stream length per measurement (default: 4000)",
-    )
-    runtime_group.add_argument(
+    holes_group.add_argument(
         "--repeats", type=int, default=3,
-        help="take the best of N runs (default: 3)",
+        help="interleaved runs per mode; each mode keeps its minimum "
+             "(default: 3)",
     )
-    runtime_group.add_argument(
-        "--stream", choices=("int", "fraction"), default="int",
-        help="element distribution: realistic integer events or "
-             "gcd-heavy exact rationals (default: int)",
-    )
-    runtime_group.add_argument(
-        "--backend", choices=("auto", "exact", "columnar"), default="exact",
-        help="also measure the certificate-licensed NumPy columnar kernel: "
-             "'auto' only where the int64 certificate makes it bit-identical, "
-             "'columnar' also opts admitted schemes into the float64 domain "
-             "(adds columnar_eps/columnar_speedup columns; default: exact)",
-    )
-    runtime_group.add_argument(
+    holes_group.add_argument(
         "--out", default=None, metavar="FILE",
-        help="write the report as JSON (e.g. BENCH_runtime.json)",
+        help="write the report as JSON (e.g. BENCH_holes.json)",
     )
-    p_bench.add_argument(
+    holes_group.add_argument(
         "--assert-speedup", type=float, default=None, metavar="X",
-        help="`bench holes` gate: exit 1 if the best hole-parallel speedup "
-             "is below X (warns and skips below 2 cores)",
-    )
-    runtime_group.add_argument(
-        "--synthesis", action="store_true",
-        help="also time an uncached synthesis pass with and without oracle "
-             "compilation (uses --timeout/--workers)",
-    )
-    serve_group = p_bench.add_argument_group(
-        "serve target", "options for `repro bench serve` (end-to-end sharded "
-        "streaming-server throughput and p99 hand-off latency vs the "
-        "single-process baseline; also uses --elements/--repeats/--out)"
-    )
-    serve_group.add_argument(
-        "--shards", type=int, default=2, metavar="N",
-        help="shard worker processes for the served deployment (default: 2)",
-    )
-    serve_group.add_argument(
-        "--keys", type=int, default=50, metavar="K",
-        help="distinct keys in the Zipf-skewed load (default: 50)",
-    )
-    serve_group.add_argument(
-        "--serve-scheme", dest="serve_scheme", default="mean", metavar="NAME",
-        help="suite benchmark whose ground-truth scheme the shards run "
-             "(default: mean)",
-    )
-    serve_group.add_argument(
-        "--serve-batch-size", dest="serve_batch_size", type=int, default=256,
-        metavar="N",
-        help="elements per shard hand-off batch (default: 256)",
-    )
-    serve_group.add_argument(
-        "--checkpoint-every", type=int, default=5000, metavar="K",
-        help="per-shard checkpoint interval in elements (default: 5000)",
-    )
-    history_group = p_bench.add_argument_group(
-        "bench history", "append-only store of runtime/holes reports "
-        "(bench_history/<kind>/<timestamp>-<commit>.json plus index.json)"
-    )
-    history_group.add_argument(
-        "--history-dir", default=None, metavar="DIR",
-        help="history root (default: REPRO_BENCH_HISTORY or ./bench_history)",
-    )
-    history_group.add_argument(
-        "--no-history", action="store_true",
-        help="do not file this run's report into the bench history",
-    )
-    compare_group = p_bench.add_argument_group(
-        "compare target", "options for `repro bench compare` (bootstrap CIs "
-        "+ Mann-Whitney significance verdicts between two bench reports; "
-        "exit 1 only on a statistically significant regression)"
-    )
-    compare_group.add_argument(
-        "--baseline", default=None, metavar="PATH|latest",
-        help="compare NEW.json against this report instead of a positional "
-             "OLD.json; `latest` resolves the newest history entry of the "
-             "same kind",
-    )
-    compare_group.add_argument(
-        "--alpha", type=float, default=0.05, metavar="A",
-        help="significance level for the Mann-Whitney test (default: 0.05)",
-    )
-    compare_group.add_argument(
-        "--min-effect", type=float, default=0.02, metavar="R",
-        help="minimum relative change of medians to call significant "
-             "(default: 0.02 = 2%%; guards against microsecond-level jitter)",
-    )
-    compare_group.add_argument(
-        "--resamples", type=int, default=2000, metavar="N",
-        help="bootstrap resamples per confidence interval (default: 2000)",
-    )
-    compare_group.add_argument(
-        "--seed", type=int, default=6581, metavar="S",
-        help="bootstrap RNG seed (fixed so comparisons are reproducible)",
-    )
-    compare_group.add_argument(
-        "--compare-out", default=None, metavar="FILE",
-        help="also write the full comparison as JSON",
+        help="exit 1 if the best hole-parallel speedup is below X (warns "
+             "and skips with fewer than 2 usable CPUs)",
     )
     p_bench.set_defaults(func=_cmd_bench)
 

@@ -6,70 +6,51 @@ content-addressed result cache (:mod:`repro.evaluation.cache`); see
 ``run_suite(workers=..., cache=...)`` and the ``--workers`` / ``--no-cache``
 flags of ``python -m repro bench``.
 
-Perf tracking is statistics-grade from format v3 on: bench reports embed
-raw per-repeat timings and commit provenance, every bench run is filed in
-an append-only history store (:mod:`repro.evaluation.history`), and
-``repro bench compare`` tests two reports for significant change with
-bootstrap CIs and a Mann-Whitney U (:mod:`repro.evaluation.benchstats`).
+Besides the paper's artifacts, ``bench holes`` measures hole-parallel
+against sequential synthesis (:mod:`repro.evaluation.hole_bench`) and
+``repro chaos`` runs seeded fault trials against ``repro serve``
+(:mod:`repro.evaluation.chaos`).  End-to-end performance is measured by
+``perfbench/`` at the repository root, not here.
 """
 
-from .benchstats import (
-    bootstrap_ci,
-    bootstrap_ratio_ci,
-    compare_reports,
-    comparison_exit_code,
-    format_comparison,
-    mann_whitney_u,
-)
 from .cache import ResultCache, cache_enabled, default_cache_dir, resolve_cache
 from .cdf import ascii_cdf, cdf_series
-from .export import matrix_to_csv, matrix_to_json, suite_to_records, write_artifacts
-from .history import append_report, bench_metadata, latest, resolve_history_dir
+from .export import (
+    bench_metadata,
+    matrix_to_csv,
+    matrix_to_json,
+    suite_to_records,
+    write_artifacts,
+    write_report,
+)
 from .hole_bench import run_hole_benchmark
 from .parallel import Task, default_hole_workers, default_workers, execute_tasks
 from .runner import SuiteResult, default_timeout, run_matrix, run_suite
-from .runtime_bench import (
-    format_report,
-    run_runtime_benchmark,
-    write_report,
-)
-from .serve_bench import run_serve_benchmark
 from .tables import qualitative, table1, table2
 
 __all__ = [
     "ResultCache",
     "SuiteResult",
     "Task",
-    "append_report",
     "ascii_cdf",
     "bench_metadata",
-    "bootstrap_ci",
-    "bootstrap_ratio_ci",
     "cache_enabled",
     "cdf_series",
-    "compare_reports",
-    "comparison_exit_code",
     "default_cache_dir",
     "default_hole_workers",
     "default_timeout",
     "default_workers",
     "execute_tasks",
-    "format_comparison",
-    "format_report",
-    "latest",
-    "mann_whitney_u",
     "matrix_to_csv",
     "matrix_to_json",
     "qualitative",
     "resolve_cache",
-    "resolve_history_dir",
     "run_hole_benchmark",
     "run_matrix",
-    "run_runtime_benchmark",
-    "run_serve_benchmark",
     "run_suite",
     "suite_to_records",
     "table1",
     "table2",
     "write_artifacts",
+    "write_report",
 ]

@@ -36,6 +36,7 @@ from pathlib import Path
 from ..faults import POISON, FaultPlan
 from ..runtime import sources
 from ..serve import ServeError, StreamServer, reference_states
+from .export import bench_metadata
 
 CHAOS_FORMAT = "repro/chaos"
 CHAOS_FORMAT_VERSION = 1
@@ -69,9 +70,12 @@ def normalize_fault_kinds(kinds) -> tuple[str, ...]:
 
 
 def _load_scheme(name: str):
-    from .serve_bench import _load_scheme as load
+    from ..suites import get_benchmark
 
-    return load(name)
+    scheme = get_benchmark(name).ground_truth
+    if scheme is None:
+        raise ValueError(f"benchmark {name!r} has no ground-truth scheme")
+    return scheme
 
 
 def schedule_faults(
@@ -243,8 +247,6 @@ def run_chaos(
     """
     import tempfile
 
-    from .history import bench_metadata
-
     kinds = normalize_fault_kinds(fault_kinds)
     schemes = list(schemes) or list(DEFAULT_SCHEMES)
     base_spec = source or f"zipf-keys:{elements}:{keys}:1"
@@ -313,12 +315,6 @@ def run_chaos(
 
         shutil.rmtree(root, ignore_errors=True)
     return report
-
-
-def write_report(report: dict, path) -> None:
-    from .runtime_bench import write_report as _write
-
-    _write(report, path)
 
 
 def format_report(report: dict) -> str:

@@ -16,15 +16,12 @@ mostly dominated by one heavy hole (Amdahl caps skewness near 1.4x); the
 stress tasks represent the many-balanced-holes regime the feature targets.
 
 Results are written as ``BENCH_holes.json`` (CI uploads it and gates on
-``--assert-speedup``).  The report records ``cpu_count`` because the
-speedup is only physically possible with >= 2 cores; the CLI gate warns
-and passes on single-core machines instead of failing spuriously.
-
-Format v3 (aligned with ``BENCH_runtime.json``) embeds the raw per-repeat
-wall-clocks under each benchmark's ``raw`` key and a ``meta`` provenance
-block (git commit, UTC timestamp, clock note), which is what ``repro bench
-compare`` runs its bootstrap/Mann-Whitney machinery over
-(:mod:`repro.evaluation.benchstats`).
+``--assert-speedup``).  The report records ``cpu_count``, the CPUs this
+process may run on (:func:`usable_cpu_count`), because the speedup is only
+physically possible with >= 2 of them; the CLI gate warns and passes below
+that instead of failing spuriously.  Each benchmark also keeps its raw
+per-repeat wall-clocks under ``raw``, and a ``meta`` block records the git
+commit, a UTC timestamp and the clock used.
 
 Entry points: ``repro bench holes`` on the CLI, or
 :func:`run_hole_benchmark` from Python/pytest.
@@ -32,13 +29,11 @@ Entry points: ``repro bench holes`` on the CLI, or
 
 from __future__ import annotations
 
-import json
 import os
 import platform
 import sys
 import time
 from dataclasses import replace
-from pathlib import Path
 from typing import Sequence
 
 from ..core import SynthesisConfig, synthesize
@@ -58,10 +53,10 @@ from ..ir.dsl import (
 )
 from ..suites import get_benchmark
 from ..suites.registry import Benchmark
+from .export import bench_metadata
 
-#: Envelope identifiers for BENCH_holes.json.  Version jumps 1 -> 3 so the
-#: "raw repeats + meta" report generation is one number across both bench
-#: formats.
+#: Envelope identifiers for BENCH_holes.json.  Version 3 added the raw
+#: per-repeat timings and the ``meta`` block.
 BENCH_FORMAT = "repro/bench-holes"
 BENCH_FORMAT_VERSION = 3
 
@@ -77,6 +72,16 @@ class ReportMismatch(AssertionError):
     ``assert`` would be stripped and the benchmark would publish numbers
     for an unverified contract.
     """
+
+
+def usable_cpu_count() -> int:
+    """The CPUs this process may run on, which under an affinity mask
+    (``taskset``, cgroup cpusets) is fewer than ``os.cpu_count()``."""
+    if hasattr(os, "process_cpu_count"):  # Python 3.13+
+        return os.process_cpu_count() or 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) or 1
+    return os.cpu_count() or 1
 
 
 def _stress_benchmarks() -> dict[str, Benchmark]:
@@ -174,8 +179,6 @@ def run_hole_benchmark(
         raise ValueError(f"hole_workers must be >= 2 to compare, got {hole_workers}")
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
-    from .history import bench_metadata
-
     chosen = list(names) if names else list(DEFAULT_HOLE_TASKS)
     report: dict = {
         "format": BENCH_FORMAT,
@@ -183,7 +186,7 @@ def run_hole_benchmark(
         "meta": bench_metadata(),
         "python": sys.version.split()[0],
         "hole_workers": hole_workers,
-        "cpu_count": os.cpu_count() or 1,
+        "cpu_count": usable_cpu_count(),
         "platform": platform.platform(),
         "timeout_s": timeout_s,
         "repeats": repeats,
@@ -227,7 +230,7 @@ def run_hole_benchmark(
 def format_holes_report(report: dict) -> str:
     lines = [
         f"hole sharding: {report['hole_workers']} workers on "
-        f"{report['cpu_count']} core(s), best of {report['repeats']}",
+        f"{report['cpu_count']} usable CPU(s), best of {report['repeats']}",
         f"{'benchmark':<22} {'holes':>5} {'seq':>8} {'par':>8} {'speedup':>8}",
     ]
     for name, entry in report["benchmarks"].items():
@@ -237,6 +240,3 @@ def format_holes_report(report: dict) -> str:
         )
     return "\n".join(lines)
 
-
-def write_holes_report(report: dict, path) -> None:
-    Path(path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")

@@ -18,8 +18,8 @@ instead of halting — all of it provable on demand with the seeded fault
 injection of :mod:`repro.faults` and the ``repro chaos`` harness
 (:mod:`repro.evaluation.chaos`).
 
-See :mod:`repro.serve.server` for the delivery contract, and
-:mod:`repro.evaluation.serve_bench` for the load generator / benchmark.
+See :mod:`repro.serve.server` for the delivery contract.  The
+``serve-zipf`` workload of ``perfbench/`` measures the server end to end.
 """
 
 from .hashring import HashRing, stable_key_hash

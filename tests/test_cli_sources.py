@@ -101,7 +101,7 @@ class TestCli:
 
 class TestKeyedLoadGenSources:
     """The seeded keyed/infinite load-generator specs that feed `repro
-    serve` and `repro bench serve` (PR 7)."""
+    serve`."""
 
     def test_zipf_keys_shape_and_bounds(self):
         from repro.runtime.sources import zipf_keys

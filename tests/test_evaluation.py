@@ -1,12 +1,19 @@
-"""Tests for the evaluation harness: runner, tables, CDFs."""
+"""Tests for the evaluation harness: runner, tables, CDFs, report export
+and the `bench holes` speedup gate."""
 
 import math
+import os
+import subprocess
+
+import pytest
 
 from repro.baselines import OperaFull
+from repro.cli import main
 from repro.core import SynthesisConfig
 from repro.core.report import SynthesisReport
 from repro.evaluation import (
     ascii_cdf,
+    bench_metadata,
     cdf_series,
     default_timeout,
     qualitative,
@@ -15,6 +22,8 @@ from repro.evaluation import (
     table1,
     table2,
 )
+from repro.evaluation import hole_bench
+from repro.evaluation.export import git_commit
 from repro.evaluation.runner import SuiteResult
 from repro.suites import all_benchmarks, get_benchmark
 
@@ -133,3 +142,86 @@ class TestExport:
         jp, cp = tmp_path / "m.json", tmp_path / "m.csv"
         write_artifacts(self._matrix(), str(jp), str(cp))
         assert jp.exists() and cp.exists()
+
+
+class TestMetadata:
+    def test_bench_metadata_shape(self):
+        meta = bench_metadata()
+        assert set(meta) == {"git_commit", "timestamp", "clock"}
+        assert meta["timestamp"].endswith("Z")
+        assert "monotonic" in meta["clock"]
+
+    def test_git_commit_matches_rev_parse_in_checkout(self):
+        expected = subprocess.run(
+            ["git", "rev-parse", "HEAD"], capture_output=True, text=True
+        )
+        if expected.returncode != 0:
+            pytest.skip("not running inside a git checkout")
+        assert git_commit() == expected.stdout.strip()
+
+    def test_git_commit_unknown_outside_checkout(self, tmp_path):
+        assert git_commit(cwd=str(tmp_path)) == "unknown"
+
+
+class TestBenchHolesGate:
+    """`repro bench holes --assert-speedup` over a canned report: the gate
+    is judged without running any synthesis."""
+
+    @staticmethod
+    def _canned(speedup):
+        # What a 2-CPU host records even when the process is pinned to one.
+        return {
+            "format": "repro/bench-holes",
+            "version": 3,
+            "meta": bench_metadata(),
+            "python": "3",
+            "hole_workers": 2,
+            "cpu_count": 2,
+            "platform": "test",
+            "timeout_s": 60.0,
+            "repeats": 1,
+            "benchmarks": {
+                "stress_moments": {
+                    "holes": 2,
+                    "success": True,
+                    "sequential_s": 1.0,
+                    "parallel_s": round(1.0 / speedup, 4),
+                    "speedup": speedup,
+                    "raw": {"sequential_s": [1.0], "parallel_s": [1.0 / speedup]},
+                }
+            },
+        }
+
+    @pytest.fixture
+    def gate(self, monkeypatch, tmp_path):
+        """Run the gate over a canned report, on a 2-CPU host of which
+        ``usable`` CPUs are open to this process."""
+
+        def run(speedup, usable, bound="1.5"):
+            monkeypatch.setattr(
+                hole_bench, "run_hole_benchmark", lambda *a, **k: self._canned(speedup)
+            )
+            monkeypatch.setattr(os, "cpu_count", lambda: 2)
+            monkeypatch.delattr(os, "process_cpu_count", raising=False)
+            monkeypatch.setattr(
+                os, "sched_getaffinity", lambda pid: set(range(usable)), raising=False
+            )
+            out = tmp_path / "BENCH_holes.json"
+            code = main(["bench", "holes", "--assert-speedup", bound, "--out", str(out)])
+            assert out.exists()
+            return code
+
+        return run
+
+    def test_one_usable_cpu_warns_and_passes(self, gate, capsys):
+        assert gate(speedup=1.0, usable=1) == 0
+        assert "1 usable CPU(s)" in capsys.readouterr().err
+
+    def test_below_gate_fails(self, gate, capsys):
+        assert gate(speedup=1.2, usable=2) == 1
+        assert "below the 1.5x gate" in capsys.readouterr().err
+
+    def test_at_or_above_gate_passes(self, gate, capsys):
+        assert gate(speedup=1.5, usable=2) == 0
+        assert gate(speedup=1.9, usable=2) == 0
+        assert "1.90x >= 1.5x" in capsys.readouterr().out

@@ -1,5 +1,5 @@
 """Tests for the ``repro.serve`` subsystem: hash ring, sharded server,
-crash-restore differential, backpressure, resume, CLI, and the bench."""
+crash-restore differential, backpressure, resume and CLI."""
 
 import hashlib
 import json
@@ -501,55 +501,3 @@ class TestServeCli:
             "--key-field", "1", "--checkpoint-dir", str(tmp_path / "ck"),
         ]) == 2
         assert "--max-elements" in capsys.readouterr().err
-
-
-class TestServeBench:
-    def test_report_shape_and_self_compare(self, tmp_path):
-        from repro.evaluation.benchstats import compare_reports
-        from repro.evaluation.history import append_report, latest, report_kind
-        from repro.evaluation.serve_bench import (
-            format_report,
-            run_serve_benchmark,
-        )
-
-        report = run_serve_benchmark(
-            elements=400, repeats=3, shards=2, keys=10, batch_size=64,
-            checkpoint_every=200,
-        )
-        assert report["format"] == "repro/bench-serve"
-        assert report["version"] == 3
-        assert report["serve"]["states_match"] is True
-        assert len(report["serve"]["raw"]["wall_s"]) == 3
-        assert len(report["serve"]["raw"]["p99_latency_s"]) == 3
-        assert report["serve"]["eps"] > 0
-        assert report["single_process"]["eps"] > 0
-        assert "meta" in report and "git_commit" in report["meta"]
-        assert "serve throughput" in format_report(report)
-
-        # The statistics layer accepts the new kind...
-        assert report_kind(report) == "serve"
-        comparison = compare_reports(report, report)
-        assert comparison["kind"] == "serve"
-        assert comparison["summary"]["regressed"] == 0
-        assert set(comparison["metrics"]) == {
-            "serve/eps", "serve/p99_latency", "single_process/eps",
-        }
-        # ...and so does the history store.
-        dest = append_report(report, tmp_path)
-        assert dest.exists()
-        assert latest("serve", tmp_path) == dest
-
-    def test_workload_mismatch_is_incomparable(self):
-        from repro.evaluation.benchstats import compare_reports
-        from repro.evaluation.serve_bench import run_serve_benchmark
-
-        a = run_serve_benchmark(
-            elements=200, repeats=3, shards=2, keys=10, batch_size=64,
-            checkpoint_every=100,
-        )
-        b = dict(a, shards=4)
-        comparison = compare_reports(a, b)
-        assert all(
-            entry["verdict"] == "incomparable"
-            for entry in comparison["metrics"].values()
-        )

@@ -37,12 +37,12 @@ The compile/load/deploy lifecycle, plus the evaluation workflows:
       python -m repro serve s.json --source zipf-keys:20000:50 --key-field 1 \
           --value-field 0 --shards 4 --checkpoint-dir ckpts --checkpoint-every 1000
       python -m repro serve s.json --source bids:5000 --key-field 1 \
-          --shards 2 --checkpoint-dir ckpts --kill-shard 0:2500 --verify
+          --shards 2 --checkpoint-dir ckpts --fault kill:0:2500 --verify
 
-  ``--kill-shard S:AFTER`` SIGKILLs shard S's worker after AFTER elements
-  (fault injection); ``--fault SPEC`` injects the full grammar of
-  :mod:`repro.faults` (``kill:S:AFTER``, ``stall:S:AFTER[:SECS]``,
-  ``corrupt-checkpoint:S:GEN``, ``torn-write:NTH``, ``poison:OFFSET``);
+  ``--fault SPEC`` injects the fault grammar of :mod:`repro.faults`
+  (``kill:S:AFTER`` SIGKILLs shard S's worker after AFTER elements;
+  ``stall:S:AFTER[:SECS]``, ``corrupt-checkpoint:S:GEN``,
+  ``torn-write:NTH``, ``poison:OFFSET``);
   ``--verify`` replays the stream through a single-process
   ``KeyedOperator`` and fails unless the states match bit for bit (use a
   fresh --checkpoint-dir).  ``--on-error quarantine`` retries a
@@ -113,8 +113,7 @@ The compile/load/deploy lifecycle, plus the evaluation workflows:
   ``--assert-speedup X`` exits 1 when the best speedup is below X
   (:mod:`repro.evaluation.hole_bench`).  End-to-end performance of
   synthesis, deployment and serving is measured by ``perfbench/`` at the
-  repository root.  Deployment runs take ``--no-jit`` on ``repro run`` (or
-  ``REPRO_JIT=0``) to force the interpreter.
+  repository root.
 
   Runs shard (solver, benchmark) tasks over ``--workers`` processes with
   hard wall-clock kills, and reuse cached per-task results from previous
@@ -124,6 +123,11 @@ The compile/load/deploy lifecycle, plus the evaluation workflows:
   and ``REPRO_CACHE_DIR`` provide the defaults.
 
 * ``list`` — enumerate the benchmark suite.
+
+``REPRO_JIT=0`` forces the tree-walking interpreter everywhere; ``--no-jit``
+on ``run``, ``serve`` and ``chaos`` is its command-line spelling (``main``
+sets the variable before dispatching, so checkpoint restores and serve
+workers see it too).
 """
 
 from __future__ import annotations
@@ -131,6 +135,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from pathlib import Path
@@ -447,22 +452,12 @@ def _parse_extra(pairs: list[str] | None) -> dict:
     return extra
 
 
-def _preflight_analyze(
-    scheme: OnlineScheme,
-    scheme_path: str,
-    source_spec: str | None,
-    max_elements: int | None,
-) -> int:
+def _preflight_analyze(scheme: OnlineScheme, scheme_path: str, bounds) -> int:
     """Static-analysis gate run by ``repro run`` / ``repro serve`` before
-    deploying a scheme.  Only an ``error`` verdict (the scheme *will* fault)
-    refuses deployment; warnings print one line and proceed.  Returns the
-    exit code to propagate, or 0 to continue."""
-    from .ir.analysis import UNKNOWN_BOUNDS, bounds_from_spec
-
-    try:
-        bounds = bounds_from_spec(source_spec, max_elements) if source_spec else UNKNOWN_BOUNDS
-    except ValueError:
-        bounds = UNKNOWN_BOUNDS  # unknown source: analyze structure-only
+    deploying a scheme, under the source's :func:`_spec_analysis_bounds`.
+    Only an ``error`` verdict (the scheme *will* fault) refuses deployment;
+    warnings print one line and proceed.  Returns the exit code to
+    propagate, or 0 to continue."""
     # No witness search here: errors come from the well-formedness audit,
     # which needs no stream; preflight must not cost a stream replay.
     report = scheme.analyze(bounds, name=scheme_path, search_witness=False)
@@ -487,8 +482,9 @@ def _preflight_analyze(
 
 
 def _spec_analysis_bounds(source_spec: str | None, max_elements: int | None):
-    """Bounds for columnar admission, from the CLI's source spec (or
-    ``UNKNOWN_BOUNDS`` when the spec names an open-ended source)."""
+    """Bounds for the analysis preflight and columnar admission, from the
+    CLI's source spec (or ``UNKNOWN_BOUNDS`` when the spec names an
+    open-ended source: the analysis is then structure-only)."""
     from .ir.analysis import UNKNOWN_BOUNDS, bounds_from_spec
 
     if source_spec is None:
@@ -516,13 +512,6 @@ def _columnar_notice(scheme: OnlineScheme, backend: str, bounds) -> str | None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    if args.no_jit:
-        # Operators resolve their execution backend through jit_enabled();
-        # the env knob reaches every operator this process creates,
-        # including ones rebuilt from checkpoints.
-        import os
-
-        os.environ["REPRO_JIT"] = "0"
     try:
         scheme = OnlineScheme.load(args.scheme)
     except (OSError, SchemeFormatError) as exc:
@@ -542,8 +531,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         hint = " (or pass --max-elements N)" if "unbounded" in str(exc) else ""
         print(f"error: {exc}{hint}", file=sys.stderr)
         return 2
+    bounds = _spec_analysis_bounds(args.source, args.max_elements)
     if not args.no_analyze:
-        code = _preflight_analyze(scheme, args.scheme, args.source, args.max_elements)
+        code = _preflight_analyze(scheme, args.scheme, bounds)
         if code:
             return code
     if args.max_elements is not None:
@@ -564,9 +554,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return 2
 
     backend = None if args.backend == "exact" else args.backend
-    bounds = None
     if backend is not None:
-        bounds = _spec_analysis_bounds(args.source, args.max_elements)
         notice = _columnar_notice(scheme, args.backend, bounds)
         if notice is not None:
             print(notice, file=sys.stderr)
@@ -590,16 +578,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 for part in getattr(op, "partitions", {}).values():
                     part.extra.update(extra)
         elif keyed:
-            # jit=False forwards to every partition operator (the env knob
-            # above covers checkpoint-restored operators too).
             op = KeyedOperator(
-                scheme, key_fn, value_fn=value_fn, extra=extra,
-                jit=False if args.no_jit else None,
-                backend=backend, bounds=bounds,
+                scheme, key_fn, value_fn=value_fn, extra=extra, backend=backend, bounds=bounds
             )
         else:
-            op = OnlineOperator(scheme, extra, jit=False if args.no_jit else None,
-                                backend=backend, bounds=bounds)
+            op = OnlineOperator(scheme, extra, backend=backend, bounds=bounds)
     except (OSError, CheckpointError) as exc:
         message = str(exc)
         if "key_fn" in message:
@@ -651,31 +634,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_kill_specs(specs: list[str] | None, shards: int) -> dict[int, list[int]]:
-    """``--kill-shard SHARD:AFTER`` fault-injection specs, as a mapping from
-    pushed-element count to the shards to SIGKILL at that point."""
-    kills: dict[int, list[int]] = {}
-    for spec in specs or []:
-        shard_raw, sep, after_raw = spec.partition(":")
-        if not sep:
-            raise ValueError(f"--kill-shard takes SHARD:AFTER, got {spec!r}")
-        try:
-            shard, after = int(shard_raw), int(after_raw)
-        except ValueError:
-            raise ValueError(f"--kill-shard takes SHARD:AFTER, got {spec!r}") from None
-        if not 0 <= shard < shards:
-            raise ValueError(f"--kill-shard shard {shard} out of range for --shards {shards}")
-        if after < 1:
-            raise ValueError(f"--kill-shard AFTER must be >= 1, got {after}")
-        kills.setdefault(after, []).append(shard)
-    return kills
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
-    if args.no_jit:
-        import os
-
-        os.environ["REPRO_JIT"] = "0"
     try:
         scheme = OnlineScheme.load(args.scheme)
     except (OSError, SchemeFormatError) as exc:
@@ -687,14 +646,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     try:
         stream = sources.from_spec(args.source, allow_unbounded=args.max_elements is not None)
         extra = _parse_extra(args.extra)
-        kills = _parse_kill_specs(args.kill_shard, args.shards)
         plan = FaultPlan(args.fault or [])
     except ValueError as exc:
         hint = " (or pass --max-elements N)" if "unbounded" in str(exc) else ""
         print(f"error: {exc}{hint}", file=sys.stderr)
         return 2
+    bounds = _spec_analysis_bounds(args.source, args.max_elements)
     if not args.no_analyze:
-        code = _preflight_analyze(scheme, args.scheme, args.source, args.max_elements)
+        code = _preflight_analyze(scheme, args.scheme, bounds)
         if code:
             return code
     if args.max_elements is not None:
@@ -705,9 +664,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         stream = plan.apply_stream(stream, value_index=args.value_field)
 
     backend = None if args.backend == "exact" else args.backend
-    bounds = None
     if backend is not None:
-        bounds = _spec_analysis_bounds(args.source, args.max_elements)
         notice = _columnar_notice(scheme, args.backend, bounds)
         if notice is not None:
             print(notice, file=sys.stderr)
@@ -729,7 +686,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             liveness_timeout_s=args.liveness_timeout,
             on_error=args.on_error,
             faults=plan if plan else None,
-            jit=False if args.no_jit else None,
             backend=backend,
             bounds=bounds,
             fresh=args.fresh,
@@ -739,11 +695,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return 2
     try:
         with server:
-            for segment, pushed in split_at(stream, (*kills, *plan.kill_offsets())):
+            for segment, pushed in split_at(stream, plan.kill_offsets()):
                 server.push_many(segment)
                 if args.verify:
                     seen.extend(segment)
-                for sid in (*kills.get(pushed, ()), *plan.kills_at(pushed)):
+                for sid in plan.kills_at(pushed):
                     server.kill_shard(sid)
                     print(f"killed shard {sid} after {pushed} elements "
                           "(crash-restore will replay)")
@@ -783,7 +739,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             key_field=args.key_field,
             value_field=args.value_field,
             extra=extra,
-            jit=False if args.no_jit else None,
             backend=backend,
             bounds=bounds,
         )
@@ -821,7 +776,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             on_error=args.on_error,
             workdir=args.workdir,
             liveness_timeout_s=args.liveness_timeout,
-            jit=False if args.no_jit else None,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -1157,11 +1111,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--max-elements", type=int, default=None, metavar="N",
                          help="stop after N elements; also the only way to "
                               "serve an unbounded source spec")
-    p_serve.add_argument("--kill-shard", action="append", metavar="SHARD:AFTER",
-                         help="fault injection: SIGKILL shard SHARD's worker "
-                              "after AFTER elements were pushed (repeatable)")
     p_serve.add_argument("--fault", action="append", metavar="SPEC",
-                         help="fault injection: kill:S:AFTER, "
+                         help="fault injection: kill:S:AFTER (SIGKILL shard "
+                              "S's worker after AFTER elements were pushed), "
                               "stall:S:AFTER[:SECS], corrupt-checkpoint:S:GEN, "
                               "torn-write:NTH, poison:OFFSET (repeatable; "
                               "poison + --verify needs --on-error fail, where "
@@ -1380,13 +1332,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "no_jit", False):
+        # The one interpreter switch, set before any operator, checkpoint
+        # restore or serve worker (which inherits the environment) exists.
+        os.environ["REPRO_JIT"] = "0"
     try:
         return args.func(args)
     except BrokenPipeError:
         # Piping into `head` and friends closes stdout early; exit quietly
         # with the conventional SIGPIPE status instead of a traceback.
-        import os
-
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
 

@@ -119,9 +119,7 @@ class OnlineScheme:
             raise IRCompileError(f"online program of {self.provenance!r} is not batch-compilable")
         return cached  # type: ignore[return-value]
 
-    def compiled_columns(
-        self, bounds=None, *, allow_float: bool = False, jit: bool | None = None
-    ):
+    def compiled_columns(self, bounds=None, *, allow_float: bool = False):
         """The certificate-licensed columnar (NumPy) kernel for this scheme
         under ``bounds``, or ``None`` when the fast path is unavailable.
 
@@ -146,7 +144,7 @@ class OnlineScheme:
             self,
             bounds,
             allow_float=allow_float,
-            exact=self._resolve_kernel(jit),
+            exact=self._resolve_kernel(),
         )
         self._columnar_cache.append((bounds, allow_float, kernel))
         return kernel
@@ -161,33 +159,29 @@ class OnlineScheme:
         self._columnar_cache = []
 
     def _resolve_step(
-        self, jit: bool | None = None
+        self,
     ) -> Callable[[Sequence[Value], Value, Mapping[str, Value] | None], tuple]:
         """The step callable honouring the ``REPRO_JIT`` escape hatch, with
         automatic interpreter fallback for uncompilable programs."""
-        if jit is None:
-            jit = jit_enabled()
-        if jit:
+        if jit_enabled():
             try:
                 return self.compiled_step()
             except IRCompileError:
                 pass
         return self.interpreted_step
 
-    def _resolve_kernel(self, jit: bool | None = None) -> StepKernel:
+    def _resolve_kernel(self) -> StepKernel:
         """The batch execution plan with the same contract as
         :meth:`_resolve_step`: the codegen-backed kernel by default, an
         interpreter-driven (or scalar-closure-driven) loop under
-        ``REPRO_JIT=0`` / ``jit=False`` or when batch codegen declines —
-        always bit-for-bit identical results over exact rationals."""
-        if jit is None:
-            jit = jit_enabled()
-        if jit:
+        ``REPRO_JIT=0`` or when batch codegen declines — always
+        bit-for-bit identical results over exact rationals."""
+        if jit_enabled():
             try:
                 return self.compiled_kernel()
             except IRCompileError:
                 pass
-        return StepKernel.from_step(self._resolve_step(jit), name=self.provenance)
+        return StepKernel.from_step(self._resolve_step(), name=self.provenance)
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()

@@ -144,7 +144,6 @@ def run_trial(
     workdir,
     liveness_timeout_s: float,
     trial_seed: int,
-    jit: bool | None = None,
 ) -> dict:
     """One serve cycle under one fault plan, differentially verified.
 
@@ -173,7 +172,6 @@ def run_trial(
             on_error=on_error,
             faults=plan,
             seed=trial_seed,
-            jit=jit,
             fresh=True,
         )
         with server:
@@ -200,7 +198,7 @@ def run_trial(
         oracle_elements = [e for i, e in enumerate(stream) if i not in plan.poison_offsets]
     else:
         oracle_elements = elements
-    oracle = reference_states(scheme, oracle_elements, key_field=1, value_field=0, jit=jit)
+    oracle = reference_states(scheme, oracle_elements, key_field=1, value_field=0)
     want = {key: part.state for key, part in oracle.partitions.items()}
     ok = result.states == want and result.count == oracle.count
 
@@ -233,7 +231,6 @@ def run_chaos(
     on_error: str = "fail",
     workdir=None,
     liveness_timeout_s: float = 1.5,
-    jit: bool | None = None,
 ) -> dict:
     """Run ``trials`` seeded chaos trials and return the summary report.
 
@@ -280,7 +277,6 @@ def run_chaos(
             workdir=trial_dir,
             liveness_timeout_s=liveness_timeout_s,
             trial_seed=rng.randrange(1_000_000),
-            jit=jit,
         )
         record["trial"] = trial
         record["source"] = spec

@@ -39,8 +39,8 @@ what makes chaos trials reproducible from a seed.
 Injection surfaces:
 
 * ``kills_at(pushed)`` — consulted by whoever drives the push loop (the
-  chaos harness, or ``repro serve --fault``), mirroring ``--kill-shard``;
-  ``repro serve`` pushes whole :func:`split_at` segments that end at
+  chaos harness, or ``repro serve --fault kill:S:AFTER``); ``repro serve``
+  pushes whole :func:`split_at` segments that end at
   ``kill_offsets()``, so kills land after exactly the same elements as a
   per-element loop's;
 * ``shard_plan(sid)`` — the picklable per-worker slice
@@ -252,8 +252,8 @@ class FaultPlan:
         for fault in self.faults:
             if fault.shard is not None and not 0 <= fault.shard < shards:
                 raise FaultSpecError(
-                    f"fault {fault.spec()!r} names shard {fault.shard}, but the "
-                    f"deployment has {shards} shard(s)"
+                    f"fault {fault.spec()!r} names shard {fault.shard}, out of "
+                    f"range for a deployment of {shards} shard(s)"
                 )
         return self
 

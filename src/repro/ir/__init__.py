@@ -39,7 +39,6 @@ from .compile import (
     compile_expr,
     compile_online_step,
     expr_evaluator,
-    jit_enabled,
 )
 from .evaluator import EvaluationError, evaluate, run_offline, step_online
 from .infer import check_well_typed, infer_program_type, infer_type
@@ -94,7 +93,6 @@ __all__ = [
     "const",
     "evaluate",
     "expr_evaluator",
-    "jit_enabled",
     "fill_holes",
     "free_vars",
     "inline_lets",

@@ -49,9 +49,9 @@ evaluated many times (an RFS specification per random sample, both sides of
 the equivalence oracle) resolves it once to ``fn(env)``, compiled when the
 backend accepts the tree and interpreted otherwise.
 
-The escape hatch: ``REPRO_JIT=0`` (or ``--no-jit`` on the CLI) disables the
-backend globally; :func:`jit_enabled` is consulted by every integration
-point.
+The escape hatch, and the only interpreter switch: ``REPRO_JIT=0`` (which
+``--no-jit`` on the CLI sets) disables the backend globally; every
+integration point reads it through :func:`jit_enabled` (operators once).
 
 Beyond the scalar closure, this module also compiles the *batch loop*
 itself: :func:`compile_step_batch` generates the whole ``push_many`` hot
@@ -101,16 +101,14 @@ class IRCompileError(Exception):
     fall back to the interpreter, whose behaviour is the specification."""
 
 
-def jit_enabled(default: bool = True) -> bool:
+def jit_enabled() -> bool:
     """Whether compiled execution is enabled (the ``REPRO_JIT`` env knob).
 
     Any of ``0`` / ``false`` / ``off`` / ``no`` (case-insensitive) disables
     the codegen backend everywhere; unset or anything else enables it.
     """
     raw = os.environ.get("REPRO_JIT")
-    if raw is None:
-        return default
-    return raw.strip().lower() not in ("0", "false", "off", "no")
+    return raw is None or raw.strip().lower() not in ("0", "false", "off", "no")
 
 
 # -- step kernels: whole-batch execution plans --------------------------------

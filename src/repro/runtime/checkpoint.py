@@ -21,7 +21,7 @@ restore of a keyed checkpoint takes them as arguments.
 
 Execution backends are process artifacts, not state: a restored operator
 re-resolves its scalar step *and* its batch :class:`~repro.ir.compile.StepKernel`
-exactly as a fresh one does (honouring ``REPRO_JIT``/``jit=``), so batched
+exactly as a fresh one does (honouring ``REPRO_JIT``), so batched
 ingestion after a resume remains bit-for-bit identical to never having
 stopped.
 """
@@ -110,8 +110,7 @@ def operator_checkpoint(op) -> dict:
     }
 
 
-def restore_operator(data: dict, *, jit: bool | None = None,
-                     backend: str | None = None, bounds=None):
+def restore_operator(data: dict, *, backend: str | None = None, bounds=None):
     from .stream import OnlineOperator
 
     _check_envelope(data, _OPERATOR)
@@ -121,7 +120,7 @@ def restore_operator(data: dict, *, jit: bool | None = None,
         raise CheckpointError(f"invalid scheme in checkpoint: {exc}") from None
     op = OnlineOperator(
         scheme, _decode_extra(data.get("extra")), data.get("name"),
-        jit=jit, backend=backend, bounds=bounds,
+        backend=backend, bounds=bounds,
     )
     op.state = _decode_state(data.get("state"), scheme.arity, "operator")
     op.count = _decode_count(data.get("count"))
@@ -141,14 +140,17 @@ def pipeline_checkpoint(pipeline) -> dict:
     }
 
 
-def restore_pipeline(data: dict):
+def restore_pipeline(data: dict, *, backend: str | None = None, bounds=None):
     from .stream import StreamPipeline
 
     _check_envelope(data, _PIPELINE)
     raw_ops = data.get("operators")
     if not isinstance(raw_ops, dict):
         raise CheckpointError("pipeline checkpoint needs an 'operators' object")
-    return StreamPipeline({str(name): restore_operator(entry) for name, entry in raw_ops.items()})
+    return StreamPipeline({
+        str(name): restore_operator(entry, backend=backend, bounds=bounds)
+        for name, entry in raw_ops.items()
+    })
 
 
 # -- KeyedOperator ----------------------------------------------------------
@@ -178,7 +180,6 @@ def restore_keyed(
     key_fn: Callable[[Value], Hashable],
     *,
     value_fn: Callable[[Value], Value] | None = None,
-    jit: bool | None = None,
     backend: str | None = None,
     bounds=None,
 ):
@@ -195,7 +196,6 @@ def restore_keyed(
         value_fn=value_fn,
         extra=_decode_extra(data.get("extra")),
         name=data.get("name"),
-        jit=jit,
         backend=backend,
         bounds=bounds,
     )
@@ -283,7 +283,6 @@ def load_checkpoint(
     *,
     key_fn: Callable[[Value], Hashable] | None = None,
     value_fn: Callable[[Value], Value] | None = None,
-    jit: bool | None = None,
     backend: str | None = None,
     bounds=None,
 ):
@@ -291,9 +290,10 @@ def load_checkpoint(
 
     Keyed checkpoints need ``key_fn`` (and optionally ``value_fn``) supplied
     again; passing them for other kinds is an error, as is omitting them for
-    a keyed one.  ``jit``/``backend``/``bounds`` are process decisions, not
-    state: a checkpoint written under any backend restores under any other
-    (bit-identically on the certified int64 path).
+    a keyed one.  ``backend``/``bounds`` (like ``REPRO_JIT``) are process
+    decisions, not state: a checkpoint written under any backend restores
+    under any other (bit-identically on the certified int64 path), and every
+    operator of a pipeline restores under the same choice.
     """
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -308,14 +308,13 @@ def load_checkpoint(
                 "restoring a keyed checkpoint requires key_fn= (extractors are "
                 "code, not data)"
             )
-        return restore_keyed(data, key_fn, value_fn=value_fn, jit=jit,
-                             backend=backend, bounds=bounds)
+        return restore_keyed(data, key_fn, value_fn=value_fn, backend=backend, bounds=bounds)
     if key_fn is not None or value_fn is not None:
         raise CheckpointError(f"key_fn/value_fn only apply to keyed checkpoints, not {kind!r}")
     if kind == _OPERATOR:
-        return restore_operator(data, jit=jit, backend=backend, bounds=bounds)
+        return restore_operator(data, backend=backend, bounds=bounds)
     if kind == _PIPELINE:
-        return restore_pipeline(data)
+        return restore_pipeline(data, backend=backend, bounds=bounds)
     raise CheckpointError(f"unknown checkpoint kind {kind!r}")
 
 

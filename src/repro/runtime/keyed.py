@@ -40,7 +40,6 @@ class KeyedOperator:
         value_fn: Callable[[Value], Value] | None = None,
         extra: Mapping[str, Value] | None = None,
         name: str | None = None,
-        jit: bool | None = None,
         backend: str | None = None,
         bounds=None,
     ):
@@ -51,13 +50,10 @@ class KeyedOperator:
         self.name = name or scheme.provenance
         self.partitions: dict[Hashable, OnlineOperator] = {}
         self.count = 0
-        # Execution-backend choice, forwarded to every partition operator —
-        # without this, ``jit=False`` on a keyed deployment was silently
-        # ignored (partitions resolved the backend from the env knob only).
-        # ``backend``/``bounds`` select the columnar fast path the same way
+        # Columnar backend choice, forwarded to every partition operator
         # (admission happens once: the scheme caches the columnar kernel,
-        # partitions share it).
-        self._jit = jit
+        # partitions share it).  Partitions resolve the compiled-vs-
+        # interpreted plan from ``REPRO_JIT`` when they are created.
         self._backend = backend
         self._bounds = bounds
 
@@ -69,7 +65,6 @@ class KeyedOperator:
                 self.scheme,
                 self.extra,
                 f"{self.name}[{key!r}]",
-                jit=self._jit,
                 backend=self._backend,
                 bounds=self._bounds,
             )
@@ -210,15 +205,14 @@ class KeyedOperator:
         key_fn: Callable[[Value], Hashable],
         *,
         value_fn: Callable[[Value], Value] | None = None,
-        jit: bool | None = None,
         backend: str | None = None,
         bounds=None,
     ) -> "KeyedOperator":
         """Rebuild from :meth:`checkpoint` output.  Key/value extractors are
-        code, not data — the caller supplies them again (as are the ``jit``
-        and ``backend`` choices, process decisions rather than state: a
-        checkpoint written under one backend restores under any other)."""
+        code, not data — the caller supplies them again (as is the
+        ``backend``/``bounds`` choice; that and ``REPRO_JIT`` are process
+        decisions rather than state: a checkpoint written under one backend
+        restores under any other)."""
         from .checkpoint import restore_keyed
 
-        return restore_keyed(data, key_fn, value_fn=value_fn, jit=jit,
-                             backend=backend, bounds=bounds)
+        return restore_keyed(data, key_fn, value_fn=value_fn, backend=backend, bounds=bounds)

@@ -16,13 +16,14 @@ Operators are deliberately tiny: one scheme step per element, O(1) state.
 Batched ingestion (``push_many``, the windows, ``repro run --batch-size``)
 runs on :class:`~repro.ir.compile.StepKernel` execution plans: each
 scheme's whole chunk loop is compiled to one native closure, with the
-interpreter-driven loop as the transparent ``REPRO_JIT=0`` / ``--no-jit``
-fallback.  Kernels are semantically invisible — batch results equal
-per-element ``push``, bit-for-bit.
+interpreter-driven loop as the transparent fallback under ``REPRO_JIT=0``,
+the one interpreter switch.  Kernels are semantically invisible — batch
+results equal per-element ``push``, bit-for-bit.
 """
 
 from __future__ import annotations
 
+import copy
 import itertools
 from collections import deque
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -46,7 +47,6 @@ class OnlineOperator:
         extra: Mapping[str, Value] | None = None,
         name: str | None = None,
         *,
-        jit: bool | None = None,
         backend: str | None = None,
         bounds=None,
     ):
@@ -60,26 +60,21 @@ class OnlineOperator:
         # The execution backends are resolved once per operator: the
         # compiled native closure (per-element push) and the batch kernel
         # (push_many) by default, interpreter-driven equivalents under
-        # REPRO_JIT=0 or jit=False (or when the program is uncompilable).
+        # REPRO_JIT=0 (or when the program is uncompilable).
         # See :mod:`repro.ir.compile`.  Under backend="auto"/"columnar" the
         # batch kernel is upgraded to the certificate-licensed NumPy
         # columnar plan when admission grants it ("auto" takes only the
         # bit-identical int64 path; "columnar" also opts into float64);
         # otherwise the exact kernel stays — silently, by design: the
         # backend choice never changes what an operator computes.
-        self._jit = jit
-        self._backend = backend
-        self._bounds = bounds
         # The scalar step is kept alongside the batch kernel on purpose:
         # routing a per-element push through a 1-element kernel batch
         # measured 2.06x slower on count and q_highest_bid.
-        self._step = scheme._resolve_step(jit)
-        self._kernel = scheme._resolve_kernel(jit)
+        self._step = scheme._resolve_step()
+        self._kernel = scheme._resolve_kernel()
         self._columnar_float = False
         if backend in ("auto", "columnar"):
-            columnar = scheme.compiled_columns(
-                bounds, allow_float=backend == "columnar", jit=jit
-            )
+            columnar = scheme.compiled_columns(bounds, allow_float=backend == "columnar")
             if columnar is not None:
                 self._kernel = columnar
                 self._columnar_float = columnar.domain == "float64"
@@ -118,7 +113,7 @@ class OnlineOperator:
         """
         # The whole chunk runs inside one StepKernel call — the compiled
         # batch loop (state in locals, no per-element closure re-entry), or
-        # the interpreter-driven loop under --no-jit.  If an element
+        # the interpreter-driven loop under REPRO_JIT=0.  If an element
         # raises, the kernel's partial-progress record keeps exactly the
         # state and count a per-element loop would have kept.
         try:
@@ -138,18 +133,11 @@ class OnlineOperator:
         self.count = 0
 
     def fork(self) -> "OnlineOperator":
-        """An independent copy sharing the scheme (and execution backend
-        choice) but not the state."""
-        clone = OnlineOperator(
-            self.scheme,
-            self.extra,
-            self.name,
-            jit=self._jit,
-            backend=self._backend,
-            bounds=self._bounds,
-        )
-        clone.state = self.state
-        clone.count = self.count
+        """An independent copy from the current state, running the parent's
+        resolved execution plan whatever ``REPRO_JIT`` says by now; pushes
+        (and ``extra`` edits) to either never reach the other."""
+        clone = copy.copy(self)
+        clone.extra = dict(self.extra)
         return clone
 
     def checkpoint(self) -> dict:
@@ -262,10 +250,10 @@ class StreamPipeline:
         return pipeline_checkpoint(self)
 
     @classmethod
-    def restore(cls, data: dict) -> "StreamPipeline":
+    def restore(cls, data: dict, *, backend: str | None = None, bounds=None) -> "StreamPipeline":
         from .checkpoint import restore_pipeline
 
-        return restore_pipeline(data)
+        return restore_pipeline(data, backend=backend, bounds=bounds)
 
 
 def tumbling(

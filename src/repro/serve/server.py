@@ -228,7 +228,6 @@ class StreamServer:
         faults: FaultPlan | None = None,
         seed: int | None = None,
         ring_replicas: int = 64,
-        jit: bool | None = None,
         backend: str | None = None,
         bounds=None,
         fresh: bool = False,
@@ -266,7 +265,6 @@ class StreamServer:
         self.keep_generations = keep_generations
         self.on_error = on_error
         self.faults = faults.validate(shards) if faults is not None else None
-        self.jit = jit
         self.backend = backend
         self.bounds = bounds
         self.fresh = fresh
@@ -478,7 +476,6 @@ class StreamServer:
             checkpoint_base=str(self._checkpoint_base(shard.sid)),
             checkpoint_every=self.checkpoint_every,
             keep_generations=self.keep_generations,
-            jit=self.jit,
             backend=self.backend,
             bounds=self.bounds,
             resume=resume,
@@ -737,7 +734,6 @@ class StreamServer:
             merged,
             field_extractor(self.key_field),
             value_fn=field_extractor(self.value_field),
-            jit=self.jit,
             backend=self.backend,
             bounds=self.bounds,
         )
@@ -769,7 +765,6 @@ def reference_states(
     key_field,
     value_field=None,
     extra: Mapping[str, Value] | None = None,
-    jit: bool | None = None,
     backend: str | None = None,
     bounds=None,
 ) -> KeyedOperator:
@@ -780,7 +775,6 @@ def reference_states(
         field_extractor(key_field),
         value_fn=field_extractor(value_field),
         extra=extra,
-        jit=jit,
         backend=backend,
         bounds=bounds,
     )

@@ -78,7 +78,8 @@ class WorkerConfig:
 
     The server builds one per spawn; ``incarnation`` counts restarts (0 for
     the first life), which fault plans use to avoid re-triggering one-shot
-    faults like stalls in the restored replacement.
+    faults like stalls in the restored replacement.  ``REPRO_JIT`` is not
+    a field: forked and spawned workers inherit the server's environment.
     """
 
     shard_id: int
@@ -89,7 +90,6 @@ class WorkerConfig:
     checkpoint_every: int
     extra: dict = field(default_factory=dict)
     keep_generations: int = 3
-    jit: bool | None = None
     backend: str | None = None  #: None/"exact" | "auto" | "columnar"
     bounds: object = None  #: AnalysisBounds licensing columnar admission
     resume: bool = False
@@ -113,7 +113,7 @@ def _restore_lineage(config: WorkerConfig, key_fn, value_fn):
     if latest is None:
         return None
     generation, consumed, payload = latest
-    op = restore_keyed(payload, key_fn, value_fn=value_fn, jit=config.jit,
+    op = restore_keyed(payload, key_fn, value_fn=value_fn,
                        backend=config.backend, bounds=config.bounds)
     if op.scheme != config.scheme:
         raise CheckpointError(
@@ -217,7 +217,6 @@ def shard_worker(config: WorkerConfig, cmd_conn, ack_conn):
             value_fn=value_fn,
             extra=config.extra,
             name=f"shard-{config.shard_id}",
-            jit=config.jit,
             backend=config.backend,
             bounds=config.bounds,
         )

@@ -441,6 +441,24 @@ class TestChaosHarness:
         assert report["format"] == chaos.CHAOS_FORMAT and report["ok"]
         assert "chaos: OK" in capsys.readouterr().out
 
+    def test_cli_chaos_no_jit_compiles_nothing(self, monkeypatch, capsys):
+        # Suite schemes may hold compiled plans from earlier tests, so the
+        # plan accessors themselves refuse; forked workers inherit that.
+        monkeypatch.setenv("REPRO_JIT", "1")  # restored after --no-jit sets it
+
+        def refuse(self):
+            raise AssertionError("compiled a step or kernel under REPRO_JIT=0")
+
+        monkeypatch.setattr(OnlineScheme, "compiled_step", refuse)
+        monkeypatch.setattr(OnlineScheme, "compiled_kernel", refuse)
+        assert main([
+            "chaos", "--trials", "1", "--seed", "8", "--shards", "2",
+            "--elements", "300", "--checkpoint-every", "64",
+            "--batch-size", "16", "--faults", "kill",
+            "--liveness-timeout", "1.0", "--no-jit",
+        ]) == 0
+        assert "chaos: OK" in capsys.readouterr().out
+
     def test_cli_chaos_usage_errors(self, capsys):
         assert main(["chaos", "--faults", "bogus"]) == 2
         assert main(["chaos", "--trials", "0"]) == 2

@@ -75,11 +75,9 @@ class TestRfsEnvironment:
         for xs in ([], [1], [4, Fraction(1, 2), -3]):
             assert bind(xs, {}) == rfs_environment(rfs, xs, {})
 
-    @pytest.mark.parametrize("jit", ["1", "0"])
-    def test_failing_entry_discards_the_sample(self, jit, monkeypatch):
+    def test_failing_entry_discards_the_sample(self, jit_mode):
         """A spec that raises EvaluationError at run time (a projection of a
         number) discards the sample, compiled or interpreted."""
-        monkeypatch.setenv("REPRO_JIT", jit)
         bad = Proj(fold_sum(XS), 0)
         rfs = RFS(entries={"y1": fold_sum(XS), "y2": bad})
         assert _compile_cached(bad, ("xs",)) is not None  # the compiled path runs

@@ -89,12 +89,13 @@ class TestOperator:
         assert op.count == 0
 
     def test_fork_is_independent(self):
-        op = OnlineOperator(sum_scheme())
+        op = OnlineOperator(sum_scheme(), {"k": 1})
         op.push(10)
         clone = op.fork()
         clone.push(5)
-        assert op.value == 10
-        assert clone.value == 15
+        clone.extra["k"] = 2
+        assert op.value == 10 and op.count == 1 and op.extra == {"k": 1}
+        assert clone.value == 15 and clone.count == 2
 
 
 class TestPipeline:

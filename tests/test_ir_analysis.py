@@ -321,13 +321,11 @@ class TestDeadStateElimination:
         _, removed = scheme.eliminate_dead_state(element_arity=None)
         assert removed == ()
 
-    @pytest.mark.parametrize("jit", ["1", "0"])
-    def test_bit_identical_jit_on_and_off(self, monkeypatch, jit):
-        monkeypatch.setenv("REPRO_JIT", jit)
+    def test_bit_identical_jit_on_and_off(self, jit_mode):
         scheme = _mean_with_junk()
         rewritten, removed = scheme.eliminate_dead_state(element_arity=1)
         assert removed
-        stream = adversarial_stream(1, f"dse:{jit}")
+        stream = adversarial_stream(1, f"dse:{int(jit_mode)}")
         assert_same_value(
             scheme.run_to_list(stream), rewritten.run_to_list(stream), "dse"
         )

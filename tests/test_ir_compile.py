@@ -208,22 +208,32 @@ class TestRoundTripAndPickle:
 
 
 class TestRuntimeOperators:
-    def test_operator_jit_flag_is_bit_for_bit(self):
+    def test_operator_jit_flag_is_bit_for_bit(self, monkeypatch):
         scheme = get_benchmark("variance").ground_truth
         stream = adversarial_stream(1, "op")
+        monkeypatch.setenv("REPRO_JIT", "1")
         fast = OnlineOperator(scheme)
-        slow = OnlineOperator(scheme, jit=False)
+        monkeypatch.setenv("REPRO_JIT", "0")
+        slow = OnlineOperator(scheme)
+        assert fast._step is scheme.compiled_step()
         assert slow._step == scheme.interpreted_step
         for x in stream:
             assert_same_value(fast.push(x), slow.push(x), "push")
         assert_same_value(fast.state, slow.state, "state")
         assert fast.count == slow.count
 
-    def test_fork_preserves_jit_choice(self):
+    def test_fork_preserves_jit_choice(self, monkeypatch):
+        # A fork runs its parent's resolved plan, whatever REPRO_JIT says now.
         scheme = get_benchmark("variance").ground_truth
-        clone = OnlineOperator(scheme, jit=False).fork()
-        assert clone._step == scheme.interpreted_step
-        assert OnlineOperator(scheme).fork()._step is scheme.compiled_step()
+        monkeypatch.setenv("REPRO_JIT", "0")
+        interpreted = OnlineOperator(scheme)
+        monkeypatch.setenv("REPRO_JIT", "1")
+        compiled = OnlineOperator(scheme)
+        assert interpreted.fork()._step == scheme.interpreted_step
+        assert not interpreted.fork()._kernel.compiled
+        monkeypatch.setenv("REPRO_JIT", "0")
+        assert compiled.fork()._step is scheme.compiled_step()
+        assert compiled.fork()._kernel.compiled
 
     def test_push_many_commits_partial_progress_on_error(self):
         scheme = get_benchmark("sum").ground_truth
@@ -352,9 +362,7 @@ class TestExprEvaluator:
     EXPR = Call("add", (Call("mul", (Var("a"), Var("b"))), Call("length", (ListVar("xs"),))))
     ENV = {"a": Fraction(3, 2), "b": 4, "xs": [1, 2, 3], "unused": 7}
 
-    @pytest.mark.parametrize("jit", ["1", "0"])
-    def test_equals_interpreter(self, jit, monkeypatch):
-        monkeypatch.setenv("REPRO_JIT", jit)
+    def test_equals_interpreter(self, jit_mode):
         fn = expr_evaluator(self.EXPR, ("a", "b", "xs", "a"))
         assert fn(self.ENV) == evaluate(self.EXPR, self.ENV) == 9
         assert expr_evaluator(Const(5), ())({}) == 5

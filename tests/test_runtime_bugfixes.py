@@ -1,7 +1,7 @@
 """Regression tests for the runtime/CLI bugfix batch that rode along with
 the hole-sharding PR: pipeline batched ingestion, sliding-window operator
-reuse, unbounded source specs, exact-rational spec values, and keyed
-``jit=`` forwarding."""
+reuse, unbounded source specs, exact-rational spec values, and
+``REPRO_JIT=0`` reaching keyed partitions."""
 
 from fractions import Fraction
 
@@ -157,17 +157,20 @@ class TestCliMaxElements:
 
 
 class TestKeyedJit:
-    def _keyed(self, **kwargs):
-        scheme = _scheme("mean")
-        return scheme, KeyedOperator(
-            scheme, key_fn=lambda e: e[1], value_fn=lambda e: e[0], **kwargs
-        )
+    """Partitions resolve their plan from ``REPRO_JIT`` when they are
+    created, fresh or restored from a checkpoint."""
 
-    def test_jit_false_reaches_partitions(self):
-        scheme, keyed = self._keyed(jit=False)
+    def _keyed(self):
+        scheme = _scheme("mean")
+        return scheme, KeyedOperator(scheme, key_fn=lambda e: e[1], value_fn=lambda e: e[0])
+
+    def test_jit_false_reaches_partitions(self, monkeypatch):
+        monkeypatch.setenv("REPRO_JIT", "0")
+        scheme, keyed = self._keyed()
         keyed.push((Fraction(10), "a"))
         partition = keyed.partitions["a"]
         assert partition._step == scheme.interpreted_step
+        assert not partition._kernel.compiled
 
     def test_default_still_compiles(self, monkeypatch):
         monkeypatch.delenv("REPRO_JIT", raising=False)
@@ -176,21 +179,24 @@ class TestKeyedJit:
         partition = keyed.partitions["a"]
         assert partition._step != scheme.interpreted_step
 
-    def test_jit_false_survives_checkpoint_restore(self):
-        scheme, keyed = self._keyed(jit=False)
-        keyed.push((Fraction(10), "a"))
+    def test_jit_false_survives_checkpoint_restore(self, monkeypatch):
+        monkeypatch.setenv("REPRO_JIT", "1")
+        _, keyed = self._keyed()
+        keyed.push((Fraction(10), "a"))  # checkpointed by a compiled run
+        monkeypatch.setenv("REPRO_JIT", "0")
         restored = restore_keyed(
-            keyed.checkpoint(),
-            key_fn=lambda e: e[1],
-            value_fn=lambda e: e[0],
-            jit=False,
+            keyed.checkpoint(), key_fn=lambda e: e[1], value_fn=lambda e: e[0]
         )
         assert restored.partitions["a"]._step == restored.scheme.interpreted_step
+        assert not restored.partitions["a"]._kernel.compiled
         restored.push((Fraction(4), "b"))  # new partitions inherit the choice
         assert restored.partitions["b"]._step == restored.scheme.interpreted_step
 
-    def test_results_identical_both_backends(self):
-        _, compiled = self._keyed()
-        _, interpreted = self._keyed(jit=False)
+    def test_results_identical_both_backends(self, monkeypatch):
+        # Partitions are created on first touch, so each run pushes under
+        # its own setting.
         events = [(Fraction(i), i % 3) for i in range(30)]
-        assert compiled.push_many(events) == interpreted.push_many(events)
+        monkeypatch.setenv("REPRO_JIT", "1")
+        compiled = self._keyed()[1].push_many(events)
+        monkeypatch.setenv("REPRO_JIT", "0")
+        assert self._keyed()[1].push_many(events) == compiled

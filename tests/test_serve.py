@@ -38,6 +38,26 @@ def rate_scheme() -> OnlineScheme:
     )
 
 
+def refuse_compiling(monkeypatch):
+    """Make building a compiled step or batch kernel fail loudly (an
+    ``IRCompileError`` would fall back to the interpreter silently)."""
+    import repro.core.scheme as scheme_module
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("compiled a step or kernel under REPRO_JIT=0")
+
+    monkeypatch.setattr(scheme_module, "compile_online_step", refuse)
+    monkeypatch.setattr(scheme_module, "compile_step_batch", refuse)
+
+
+def result_lines(out):
+    """CLI output minus the lines that vary run to run (timing, paths)."""
+    return [
+        line for line in out.splitlines()
+        if not line.startswith(("throughput", "checkpoints:"))
+    ]
+
+
 def keyed_stream(n, keys=16, seed=3):
     return list(sources.zipf_keys(n, keys=keys, seed=seed))
 
@@ -457,7 +477,7 @@ class TestServeCli:
             "serve", scheme_file, "--source", "zipf-keys:400:10:5",
             "--key-field", "1", "--value-field", "0", "--shards", "2",
             "--checkpoint-dir", str(tmp_path / "ck"), "--checkpoint-every", "50",
-            "--batch-size", "8", "--kill-shard", "0:200", "--verify",
+            "--batch-size", "8", "--fault", "kill:0:200", "--verify",
         ])
         out = capsys.readouterr().out
         assert code == 0
@@ -466,14 +486,14 @@ class TestServeCli:
         assert "verify: OK" in out
 
     def test_serve_kills_land_after_exact_offsets(self, scheme_file, tmp_path, capsys):
-        # --kill-shard and --fault kills fire after exactly AFTER elements
-        # (in that order at a shared offset); one past the end never fires.
+        # --fault kills fire after exactly AFTER elements (in spec order at
+        # a shared offset); one past the end never fires.
         code = main([
             "serve", scheme_file, "--source", "zipf-keys:400:10:5",
             "--key-field", "1", "--value-field", "0", "--shards", "2",
             "--checkpoint-dir", str(tmp_path / "ck"), "--checkpoint-every", "50",
-            "--batch-size", "8", "--kill-shard", "1:120", "--kill-shard", "0:300",
-            "--fault", "kill:0:120", "--kill-shard", "1:401", "--verify",
+            "--batch-size", "8", "--fault", "kill:1:120", "--fault", "kill:0:300",
+            "--fault", "kill:0:120", "--fault", "kill:1:401", "--verify",
         ])
         out = capsys.readouterr().out
         assert code == 0
@@ -491,9 +511,47 @@ class TestServeCli:
         assert main([
             "serve", scheme_file, "--source", "zipf-keys:10",
             "--key-field", "1", "--checkpoint-dir", str(tmp_path / "ck"),
-            "--kill-shard", "9:5",
+            "--fault", "kill:9:5",
         ]) == 2
         assert "out of range" in capsys.readouterr().err
+
+    def test_serve_no_jit_compiles_nothing(self, scheme_file, tmp_path, monkeypatch, capsys):
+        # --no-jit sets REPRO_JIT=0 for the whole process; monkeypatch puts
+        # the variable back afterwards.  Forked workers inherit the patch.
+        monkeypatch.setenv("REPRO_JIT", "1")
+        args = [
+            "serve", scheme_file, "--source", "zipf-keys:300:10:5",
+            "--key-field", "1", "--value-field", "0", "--shards", "2",
+            "--checkpoint-every", "50", "--batch-size", "16", "--verify",
+        ]
+        assert main([*args, "--checkpoint-dir", str(tmp_path / "a")]) == 0
+        compiled = capsys.readouterr().out
+        refuse_compiling(monkeypatch)
+        assert main([*args, "--checkpoint-dir", str(tmp_path / "b"), "--no-jit"]) == 0
+        interpreted = capsys.readouterr().out
+        assert "verify: OK" in interpreted
+        assert result_lines(interpreted) == result_lines(compiled)
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["zipf-keys:300:10:5", "--key-field", "1", "--value-field", "0",
+             "--batch-size", "16"],
+            ["counter:300"],
+        ],
+        ids=["keyed-batches", "push"],
+    )
+    def test_run_no_jit_compiles_nothing(self, scheme_file, flags, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_JIT", "1")
+        args = ["run", scheme_file, "--source", *flags]
+        assert main(args) == 0
+        compiled = capsys.readouterr().out
+        refuse_compiling(monkeypatch)
+        with pytest.raises(AssertionError, match="compiled"):
+            main(args)  # the patch does catch a compiling run
+        capsys.readouterr()
+        assert main([*args, "--no-jit"]) == 0
+        assert capsys.readouterr().out == compiled
 
     def test_serve_rejects_unbounded_source(self, scheme_file, tmp_path, capsys):
         assert main([

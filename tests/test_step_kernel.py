@@ -85,23 +85,22 @@ def extras_for(scheme):
 
 
 class TestBatchKernelEquivalence:
-    @pytest.mark.parametrize("jit", [True, False], ids=["jit", "nojit"])
-    def test_push_many_equals_push_on_all_ground_truths(self, jit):
+    def test_push_many_equals_push_on_all_ground_truths(self, jit_mode):
         for bench in ground_truths():
             scheme = bench.ground_truth
             extra = extras_for(scheme)
             for elements in (stream_for(bench), integral_fraction_stream(bench)):
-                batched = OnlineOperator(scheme, extra, jit=jit)
-                stepped = OnlineOperator(scheme, extra, jit=jit)
-                oracle = OnlineOperator(scheme, extra, jit=False)
+                batched = OnlineOperator(scheme, extra)
+                stepped = OnlineOperator(scheme, extra)
+                oracle = scheme.initializer
                 batched.push_many(elements)
                 for element in elements:
                     stepped.push(element)
-                    oracle.push(element)
+                    oracle = scheme.interpreted_step(oracle, element, extra)
                 assert_same_value(batched.state, stepped.state, bench.name)
-                assert_same_value(batched.state, oracle.state, bench.name)
+                assert_same_value(batched.state, oracle, bench.name)
                 assert batched.count == stepped.count == len(elements)
-                assert batched._kernel.compiled is jit
+                assert batched._kernel.compiled is jit_mode
 
     def test_chunked_push_many_equals_one_shot(self):
         for bench in ground_truths()[::5]:
@@ -170,8 +169,7 @@ class TestBatchKernelEquivalence:
             op.push_many(two_then_boom())
         assert op.state == (3,) and op.count == 2
 
-    @pytest.mark.parametrize("jit", [True, False], ids=["jit", "nojit"])
-    def test_partial_progress_on_mid_batch_error(self, jit):
+    def test_partial_progress_on_mid_batch_error(self, jit_mode):
         # The If branch referencing an unbound extra only evaluates when
         # x == 3 — the kernel must fail exactly there, with the state and
         # count of the elements before it, like per-element push does.
@@ -180,11 +178,11 @@ class TestBatchKernelEquivalence:
         )
         scheme = OnlineScheme((0,), program, provenance="partial-test")
         elements = [1, 2, 3, 4]
-        stepped = OnlineOperator(scheme, jit=jit)
+        stepped = OnlineOperator(scheme)
         with pytest.raises(EvaluationError):
             for element in elements:
                 stepped.push(element)
-        batched = OnlineOperator(scheme, jit=jit)
+        batched = OnlineOperator(scheme)
         with pytest.raises(EvaluationError):
             batched.push_many(elements)
         assert batched.state == stepped.state == (3,)
@@ -278,11 +276,10 @@ class TestKeyedBatch:
     def _events(self, n=48):
         return [(Fraction(1 + (i * 7) % 11, 1 + i % 2), i % 5) for i in range(n)]
 
-    @pytest.mark.parametrize("jit", [True, False], ids=["jit", "nojit"])
-    def test_grouped_push_many_equals_push(self, jit):
+    def test_grouped_push_many_equals_push(self, jit_mode):
         scheme = get_benchmark("q_avg_price").ground_truth
         make = lambda: KeyedOperator(  # noqa: E731
-            scheme, key_fn=lambda e: e[1], value_fn=lambda e: e[0], jit=jit
+            scheme, key_fn=lambda e: e[1], value_fn=lambda e: e[0]
         )
         events = self._events()
         batched, stepped = make(), make()
@@ -318,8 +315,7 @@ class TestKeyedBatch:
         assert keyed.snapshot() == reference.snapshot()
         assert keyed.count == boom_at
 
-    @pytest.mark.parametrize("jit", [True, False], ids=["jit", "nojit"])
-    def test_step_failure_has_per_push_parity(self, jit):
+    def test_step_failure_has_per_push_parity(self, jit_mode):
         # Batch [a:1, b:2, a:boom, b:4]: the step raises on key a's second
         # payload (global element index 2).  Per-push parity: b's later
         # element 4 must NOT be consumed even though b's group drains
@@ -334,12 +330,12 @@ class TestKeyedBatch:
         )
         events = [("a", 1), ("b", 2), ("a", 99), ("b", 4), ("c", 5)]
         batched = KeyedOperator(
-            scheme, key_fn=lambda e: e[0], value_fn=lambda e: e[1], jit=jit
+            scheme, key_fn=lambda e: e[0], value_fn=lambda e: e[1]
         )
         with pytest.raises(EvaluationError):
             batched.push_many(events)
         stepped = KeyedOperator(
-            scheme, key_fn=lambda e: e[0], value_fn=lambda e: e[1], jit=jit
+            scheme, key_fn=lambda e: e[0], value_fn=lambda e: e[1]
         )
         with pytest.raises(EvaluationError):
             for event in events:
@@ -348,17 +344,17 @@ class TestKeyedBatch:
         assert batched.count == stepped.count == 2
         assert list(batched.partitions) == ["a", "b"]  # no 'c' partition
 
-    @pytest.mark.parametrize("jit", [True, False], ids=["jit", "nojit"])
-    def test_checkpoint_resume_with_batches(self, tmp_path, jit):
+    def test_checkpoint_resume_with_batches(self, tmp_path, jit_mode):
         scheme = get_benchmark("q_avg_price").ground_truth
         events = self._events()
         key_fn = lambda e: e[1]  # noqa: E731
         value_fn = lambda e: e[0]  # noqa: E731
-        keyed = KeyedOperator(scheme, key_fn=key_fn, value_fn=value_fn, jit=jit)
+        keyed = KeyedOperator(scheme, key_fn=key_fn, value_fn=value_fn)
         keyed.push_many(events[:20])
         path = tmp_path / "keyed.ck.json"
         save_checkpoint(keyed, path)
         resumed = load_checkpoint(path, key_fn=key_fn, value_fn=value_fn)
+        assert all(p._kernel.compiled is jit_mode for p in resumed.partitions.values())
         resumed.push_many(events[20:])
         uninterrupted = KeyedOperator(scheme, key_fn=key_fn, value_fn=value_fn)
         for event in events:
@@ -392,22 +388,18 @@ class TestPipelineBatch:
             for name in ("mean", "max", "variance", "count")
         }
 
-    def _pipeline(self, jit=None):
+    def _pipeline(self):
         return StreamPipeline(
-            {
-                name: OnlineOperator(scheme, jit=jit)
-                for name, scheme in self._schemes().items()
-            }
+            {name: OnlineOperator(scheme) for name, scheme in self._schemes().items()}
         )
 
     def _elements(self, n=50):
         return [Fraction(i % 11 - 4, 1 + i % 3) for i in range(n)]
 
-    @pytest.mark.parametrize("jit", [True, False], ids=["jit", "nojit"])
-    def test_batch_equals_per_element_push(self, jit):
+    def test_batch_equals_per_element_push(self, jit_mode):
         elements = self._elements()
-        batched = self._pipeline(jit)
-        stepped = self._pipeline(jit)
+        batched = self._pipeline()
+        stepped = self._pipeline()
         snapshot = batched.push_many(elements)
         for element in elements:
             last = stepped.push(element)
@@ -428,16 +420,18 @@ class TestPipelineBatch:
         )
         assert pipeline.push_many([1, 2, 3]) == {"a": 60, "b": Fraction(15, 2)}
 
-    def test_mixed_jit_operators_equal_per_element_push(self):
+    def test_mixed_jit_operators_equal_per_element_push(self, monkeypatch):
+        # Operators resolve their plan at construction, so one pipeline can
+        # hold a compiled and an interpreted operator side by side.
         elements = self._elements()
+        monkeypatch.setenv("REPRO_JIT", "1")
+        mean = OnlineOperator(get_benchmark("mean").ground_truth)
+        monkeypatch.setenv("REPRO_JIT", "0")
         mixed = StreamPipeline(
-            {
-                "mean": OnlineOperator(get_benchmark("mean").ground_truth),
-                "max": OnlineOperator(
-                    get_benchmark("max").ground_truth, jit=False
-                ),
-            }
+            {"mean": mean, "max": OnlineOperator(get_benchmark("max").ground_truth)}
         )
+        monkeypatch.setenv("REPRO_JIT", "1")
+        assert mean._kernel.compiled and not mixed.operators["max"]._kernel.compiled
         stepped = StreamPipeline(
             {
                 "mean": OnlineOperator(get_benchmark("mean").ground_truth),
@@ -476,8 +470,7 @@ class TestPipelineBatch:
         assert snapshot["sum"] == ref_sum.value
         assert pipeline.operators["sum"].count == len(elements)
 
-    @pytest.mark.parametrize("jit", [True, False], ids=["jit", "nojit"])
-    def test_partial_progress_on_error(self, jit):
+    def test_partial_progress_on_error(self, jit_mode):
         # Second program raises at x == 3 (element index 2).  Per-push
         # parity: the first operator — evaluated earlier within that
         # element — applied it too (count 3), the raiser stopped before it
@@ -494,7 +487,7 @@ class TestPipelineBatch:
             provenance="bad",
         )
         pipeline = StreamPipeline(
-            {"ok": OnlineOperator(ok, jit=jit), "bad": OnlineOperator(bad, jit=jit)}
+            {"ok": OnlineOperator(ok), "bad": OnlineOperator(bad)}
         )
         with pytest.raises(EvaluationError):
             pipeline.push_many([1, 2, 3, 4])
@@ -516,8 +509,7 @@ class TestPipelineBatch:
         assert snapshot == {"a": reference.value, "b": reference.value}
         assert op.count == reference.count
 
-    @pytest.mark.parametrize("jit", [True, False], ids=["jit", "nojit"])
-    def test_error_semantics_identical_across_backends(self, jit):
+    def test_error_semantics_identical_across_backends(self, jit_mode):
         # Per-push failure parity: whatever backend runs, a mid-batch error
         # leaves every operator exactly where sequential push would — so a
         # checkpoint taken after catching the error is bit-for-bit
@@ -526,7 +518,7 @@ class TestPipelineBatch:
             return StreamPipeline(
                 {
                     "var": OnlineOperator(
-                        get_benchmark("variance").ground_truth, jit=jit
+                        get_benchmark("variance").ground_truth
                     ),
                     "bad": OnlineOperator(
                         OnlineScheme(
@@ -538,7 +530,6 @@ class TestPipelineBatch:
                             ),
                             provenance="bad",
                         ),
-                        jit=jit,
                     ),
                 }
             )
@@ -554,7 +545,7 @@ class TestPipelineBatch:
             assert_same_value(
                 pipeline.operators[name].state,
                 reference.operators[name].state,
-                f"{name} jit={jit}",
+                f"{name} jit={jit_mode}",
             )
             assert (
                 pipeline.operators[name].count
@@ -564,8 +555,7 @@ class TestPipelineBatch:
         assert reference.operators["var"].count == 3
         assert reference.operators["bad"].count == 2
 
-    @pytest.mark.parametrize("jit", [True, False], ids=["jit", "nojit"])
-    def test_failing_source_applies_its_prefix(self, jit):
+    def test_failing_source_applies_its_prefix(self, jit_mode):
         # A source raising between elements: the elements it yielded before
         # the error are applied to every operator, as a per-element loop
         # over the same source would, and the source's error propagates.
@@ -577,7 +567,7 @@ class TestPipelineBatch:
         def build():
             return StreamPipeline(
                 {
-                    name: OnlineOperator(get_benchmark(name).ground_truth, jit=jit)
+                    name: OnlineOperator(get_benchmark(name).ground_truth)
                     for name in ("sum", "count")
                 }
             )

@@ -21,7 +21,7 @@ from fractions import Fraction
 import pytest
 
 from repro.core.scheme import OnlineScheme
-from repro.ir.analysis import AnalysisBounds, FieldBounds
+from repro.ir.analysis import AnalysisBounds, FieldBounds, bounds_from_spec
 from repro.ir.dsl import add, eq, ite
 from repro.ir.nodes import OnlineProgram, Var
 from repro.ir.values import values_close
@@ -147,8 +147,7 @@ class TestAdmission:
 class TestDifferentialGroundTruths:
     """Columnar vs exact over every ground-truth scheme of the suite."""
 
-    @pytest.mark.parametrize("jit", [True, False], ids=["jit", "nojit"])
-    def test_columnar_differential_all_ground_truths(self, jit):
+    def test_columnar_differential_all_ground_truths(self, jit_mode):
         int64_seen = float64_seen = declined = 0
         for bench in ground_truths():
             scheme = bench.ground_truth
@@ -157,10 +156,8 @@ class TestDifferentialGroundTruths:
             bounds = bounds_for(
                 elements, bench.element_arity, scheme.program.extra_params
             )
-            exact = OnlineOperator(scheme, extra, jit=jit)
-            columnar = OnlineOperator(
-                scheme, extra, jit=jit, backend="columnar", bounds=bounds
-            )
+            exact = OnlineOperator(scheme, extra)
+            columnar = OnlineOperator(scheme, extra, backend="columnar", bounds=bounds)
             exact.push_many(elements)
             columnar.push_many(elements)
             assert columnar.count == exact.count == len(elements)
@@ -432,6 +429,22 @@ class TestCrossBackendCheckpoint:
         if second == "columnar":
             for part in resumed.partitions.values():
                 assert part.backend_in_use == "columnar"
+
+    def test_pipeline_restore_forwards_backend_and_bounds(self, tmp_path):
+        # A pipeline's operators restore under the backend and bounds the
+        # caller passes, exactly as a lone operator's checkpoint does.
+        scheme = get_benchmark("sum").ground_truth
+        bounds = bounds_from_spec("counter:100")
+        pipeline = StreamPipeline({"sum": OnlineOperator(scheme, backend="auto", bounds=bounds)})
+        pipeline.push_many(list(range(40)))
+        path = tmp_path / "pipeline.ck.json"
+        save_checkpoint(pipeline, path)
+        for resumed in (
+            load_checkpoint(path, backend="auto", bounds=bounds),
+            StreamPipeline.restore(pipeline.checkpoint(), backend="auto", bounds=bounds),
+        ):
+            assert resumed.operators["sum"].backend_in_use == "columnar"
+            assert resumed.push_many(list(range(40, 100))) == {"sum": sum(range(100))}
 
 
 @needs_numpy

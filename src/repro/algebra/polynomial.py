@@ -47,10 +47,6 @@ def mono_degree(m: Monomial) -> int:
     return sum(exp for _, exp in m)
 
 
-def mono_degree_in(m: Monomial, variables: frozenset[str]) -> int:
-    return sum(exp for var, exp in m if var in variables)
-
-
 def mono_divides(a: Monomial, b: Monomial) -> bool:
     """Does monomial ``a`` divide ``b``?"""
     exps = dict(b)

@@ -139,6 +139,7 @@ import os
 import re
 import sys
 from pathlib import Path
+from typing import Callable
 
 from . import api
 from .baselines import SOLVERS, OperaFull, OperaNoDecomp, OperaNoSymbolic
@@ -160,6 +161,7 @@ from .evaluation import (
 )
 from .faults import FaultPlan, split_at
 from .frontend import python_to_ir
+from .ir.nodes import Program
 from .ir.parser import parse_program
 from .ir.pretty import pretty_program
 from .runtime import (
@@ -179,21 +181,38 @@ ARTIFACTS = ("table1", "table2", "fig11", "fig13", "holes")
 DOMAINS = ("stats", "auction", "all")
 
 
+def _read_program(path: str, frontend: Callable[[str], Program]) -> Program | None:
+    """Read and parse ``path``; on failure print ``error: ...`` and return
+    ``None`` (the caller exits 2)."""
+    try:
+        source = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
+        return None
+    try:
+        return frontend(source)
+    except Exception as exc:
+        print(f"error: cannot parse {path}: {exc}", file=sys.stderr)
+        return None
+
+
 def _cmd_synthesize(args: argparse.Namespace) -> int:
     if args.benchmark:
-        bench = get_benchmark(args.benchmark)
+        try:
+            bench = get_benchmark(args.benchmark)
+        except KeyError as exc:
+            print(f"error: {exc.args[0]}", file=sys.stderr)
+            return 2
         program, name = bench.program, bench.name
         element_arity = bench.element_arity
-    elif args.python:
-        with open(args.python) as handle:
-            program = python_to_ir(handle.read())
-        name, element_arity = args.python, 1
-    elif args.sexpr:
-        with open(args.sexpr) as handle:
-            program = parse_program(handle.read())
-        name, element_arity = args.sexpr, 1
+    elif args.python or args.sexpr:
+        name = args.python or args.sexpr
+        program = _read_program(name, python_to_ir if args.python else parse_program)
+        if program is None:
+            return 2
+        element_arity = 1
     else:
-        print("one of --benchmark/--python/--sexpr is required", file=sys.stderr)
+        print("error: one of --benchmark/--python/--sexpr is required", file=sys.stderr)
         return 2
 
     print(f"offline program:\n  {pretty_program(program)}\n")
@@ -221,15 +240,21 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bench_domain(args, config, workers, cache) -> int:
+def _bench_domain(args, config, workers, cache, tasks: list[str]) -> int:
     solver_cls = SOLVERS.get(args.solver)
     if solver_cls is None:
         print(f"unknown solver {args.solver!r}; choices: {sorted(SOLVERS)}", file=sys.stderr)
         return 2
     domain = args.target or args.domain
     benches = all_benchmarks() if domain == "all" else benchmarks_for(domain)
-    if args.task:
-        benches = [b for b in benches if b.name in set(args.task)]
+    if tasks:
+        names = {b.name for b in benches}
+        unknown = [t for t in tasks if t not in names]
+        if unknown:
+            print(f"error: unknown task(s) in domain {domain}: {', '.join(unknown)}",
+                  file=sys.stderr)
+            return 2
+        benches = [b for b in benches if b.name in tasks]
     result = run_suite(solver_cls(), benches, config, verbose=True, workers=workers, cache=cache)
     print()
     print(
@@ -291,7 +316,7 @@ def _bench_fig13(args, config, workers, cache) -> int:
     return 0
 
 
-def _bench_holes(args, timeout: float) -> int:
+def _bench_holes(args, timeout: float, tasks: list[str]) -> int:
     """``repro bench holes`` — wall-clock of sequential vs hole-parallel
     synthesis on multi-hole tasks (reports must be identical; see
     :mod:`repro.evaluation.hole_bench`).
@@ -312,12 +337,9 @@ def _bench_holes(args, timeout: float) -> int:
         print("error: bench holes needs --hole-workers >= 2 (it compares "
               "against the sequential run)", file=sys.stderr)
         return 2
-    names = None
-    if args.task:
-        names = [t for chunk in args.task for t in chunk.split(",") if t]
     try:
         report = run_hole_benchmark(
-            names,
+            tasks or None,
             # No explicit flag: ignore the REPRO_HOLE_WORKERS suite default
             # (it may be 1) and compare against two workers.
             hole_workers=args.hole_workers if args.hole_workers else 2,
@@ -380,8 +402,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if hole_workers < 1:
         print(f"error: --hole-workers must be >= 1, got {hole_workers}", file=sys.stderr)
         return 2
+    tasks = [t for chunk in args.task or () for t in chunk.split(",") if t]
+    if tasks and args.target in ARTIFACTS and args.target != "holes":
+        print(f"error: --task does not apply to bench {args.target}", file=sys.stderr)
+        return 2
     if args.target == "holes":
-        return _bench_holes(args, timeout)
+        return _bench_holes(args, timeout, tasks)
     cache = resolve_cache(enabled=False if args.no_cache else None, directory=args.cache_dir)
     config = SynthesisConfig(timeout_s=timeout, hole_workers=hole_workers)
 
@@ -392,7 +418,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     elif args.target == "fig13":
         code = _bench_fig13(args, config, workers, cache)
     else:
-        code = _bench_domain(args, config, workers, cache)
+        code = _bench_domain(args, config, workers, cache, tasks)
     if cache is not None and code == 0:
         print(cache.stats_line())
     return code
@@ -400,20 +426,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 def _cmd_compile(args: argparse.Namespace) -> int:
     path = Path(args.file)
-    try:
-        source = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        print(f"error: cannot read {args.file}: {exc}", file=sys.stderr)
-        return 2
     # Extension decides the frontend; content sniffing would misread a Python
     # file that opens with a parenthesized expression.
-    try:
-        if path.suffix == ".py":
-            program = python_to_ir(source)
-        else:
-            program = parse_program(source)
-    except Exception as exc:
-        print(f"error: cannot parse {args.file}: {exc}", file=sys.stderr)
+    program = _read_program(args.file, python_to_ir if path.suffix == ".py" else parse_program)
+    if program is None:
         return 2
     name = args.name or path.stem
     config = SynthesisConfig(timeout_s=args.timeout, element_arity=args.arity)
@@ -1270,7 +1286,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bench.add_argument("--solver", default="opera", choices=sorted(SOLVERS))
     p_bench.add_argument("--domain", default="all", choices=list(DOMAINS))
-    p_bench.add_argument("--task", action="append", help="restrict to named tasks")
+    p_bench.add_argument(
+        "--task", action="append",
+        help="restrict a domain run or `holes` to named tasks (repeatable or comma-separated)",
+    )
     p_bench.add_argument(
         "--timeout",
         type=float,

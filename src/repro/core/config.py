@@ -59,26 +59,11 @@ class SynthesisConfig:
     use_symbolic: bool = True
 
     #: Worker processes for *intra-task* parallelism: independent sketch
-    #: holes (and enumeration shards, see ``enum_shards``) are dispatched
-    #: over a process pool (:mod:`repro.core.parallel_synthesize`).  Purely
-    #: an execution knob — it decides which process solves each sub-task,
-    #: never what is synthesized, so it is excluded from the fingerprint.
+    #: holes are dispatched over a process pool, one job per hole
+    #: (:mod:`repro.core.parallel_synthesize`).  Purely an execution knob —
+    #: it decides which process solves each hole, never what is
+    #: synthesized, so it is excluded from the fingerprint.
     hole_workers: int = 1
-
-    #: Deterministic enumeration shards per hole (1 = the plain bottom-up
-    #: search).  K > 1 splits the enumerator's constant/seed pool round-robin
-    #: across K portfolio shards, each with its own observational-equivalence
-    #: bank, tried in shard order with an unsharded completeness fallback;
-    #: the first (lowest-index) accepting shard wins.  This restructures the
-    #: search — it can change which of several equivalent solutions is found
-    #: — so unlike ``hole_workers`` it is *included* in the fingerprint.
-    enum_shards: int = 1
-
-    #: Deterministic per-shard work cap: a portfolio shard that *generates*
-    #: this many candidates without an accepted one gives up (identically on
-    #: any machine), leaving the search to later shards and the unsharded
-    #: fallback.  Only consulted when ``enum_shards > 1``.
-    enum_shard_generated_cap: int = 20_000
 
     #: Skip statically-redundant candidates (guaranteed-faulting or
     #: provably duplicating an already-banked signature — see
@@ -114,10 +99,9 @@ class SynthesisConfig:
         it only decides which *process* solves each sketch hole, and the
         invariant (enforced by tests) is that parallel and sequential
         synthesis produce identical reports modulo ``elapsed_s``, so cached
-        results are shared across worker counts.  ``enum_shards`` *is*
-        included: sharding restructures the enumerative search and may
-        settle on a different (equivalent) solution.  ``_deadline`` is
-        process-local transient state and is excluded.
+        results are shared across worker counts.  ``enum_static_prune`` is
+        excluded because pruning cannot change what the enumerator finds.
+        ``_deadline`` is process-local transient state and is excluded.
         """
         payload = {
             f.name: getattr(self, f.name)

@@ -19,7 +19,7 @@ Correctness of an accepted candidate is established by the testing oracle
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from ..ir.analysis.prune import statically_redundant
@@ -145,18 +145,14 @@ def enumerate_expression(
     seeds: Iterable[Expr] = (),
     salt: str = "",
     stats: EnumStats | None = None,
-    terminal_tail: Sequence[Expr] | None = None,
-    generated_cap: int | None = None,
 ) -> Expr | None:
     """Size-bounded bottom-up search for an online expression matching the
     specification modulo the RFS.
 
-    ``terminal_tail`` overrides the constant/seed portion of the terminal
-    pool (the variables always stay) — the hook enumeration sharding uses to
-    give each shard its own deterministic slice of the pool.
-    ``generated_cap`` bounds the number of candidates *generated* — a
-    deterministic work cap (machine-independent, unlike the wall clock) that
-    lets a portfolio shard give up cheaply and identically everywhere.
+    The terminal pool is the RFS variables, the stream element and the
+    extra parameters, then the small constants 0, 1, 2 and the mined
+    ``seeds``.  Raises :class:`EnumerationCapExceeded` once more than
+    ``config.enumeration_max_kept`` distinct behaviours are kept.
     """
     stats = stats if stats is not None else EnumStats()
     bank = build_bank(rfs, spec, config, salt)
@@ -166,9 +162,7 @@ def enumerate_expression(
     terminals: list[Expr] = [Var(name) for name in rfs.names]
     terminals.append(Var(ELEM_PARAM))
     terminals.extend(Var(name) for name in rfs.extra_params)
-    if terminal_tail is None:
-        terminal_tail = _terminal_tail(seeds)
-    for extra in terminal_tail:
+    for extra in (Const(0), Const(1), Const(2), *seeds):
         if extra not in terminals:
             terminals.append(extra)
 
@@ -200,8 +194,6 @@ def enumerate_expression(
         stats.generated += 1
         if stats.generated % 2048 == 0 and config.expired():
             raise SynthesisTimeout("enumeration budget exhausted")
-        if generated_cap is not None and stats.generated > generated_cap:
-            raise EnumerationCapExceeded("enumeration work cap exhausted")
         if stats.kept > config.enumeration_max_kept:
             raise EnumerationCapExceeded("enumeration memory budget exhausted")
         if config.enum_static_prune and statically_redundant(expr):
@@ -297,70 +289,6 @@ def enumerate_expression(
                             return found
             if config.expired():
                 raise SynthesisTimeout("enumeration budget exhausted")
-    return None
-
-
-def _terminal_tail(seeds: Iterable[Expr]) -> list[Expr]:
-    """The non-variable terminal pool: small constants plus mined seeds."""
-    tail: list[Expr] = [Const(0), Const(1), Const(2)]
-    for seed in seeds:
-        if seed not in tail:
-            tail.append(seed)
-    return tail
-
-
-def shard_terminal_tail(seeds: Iterable[Expr], shard: int, shards: int) -> list[Expr]:
-    """Deterministic round-robin slice of the constant/seed pool for one
-    enumeration shard (variables are shared by every shard)."""
-    return _terminal_tail(seeds)[shard::shards]
-
-
-def enumerate_sharded(
-    rfs: RFS,
-    spec: Expr,
-    config: SynthesisConfig,
-    seeds: Iterable[Expr] = (),
-    salt: str = "",
-    only_shard: int | None = None,
-    stats: EnumStats | None = None,
-) -> Expr | None:
-    """Portfolio enumeration over ``config.enum_shards`` deterministic shards.
-
-    Shard ``s < K`` enumerates with the ``s``-th round-robin slice of the
-    constant/seed pool, its own observational-equivalence bank (the bank
-    salt includes the shard index), and a deterministic work cap so a
-    fruitless shard gives up cheaply — and *identically* on any machine or
-    process.  Shard ``K`` is the plain unsharded search — the completeness
-    fallback, byte-identical to ``enum_shards == 1``.  Shards are tried in
-    index order and the first accepting shard wins, so the result is
-    reproducible and independent of *how* the shards execute:
-    :mod:`repro.core.parallel_synthesize` runs them as concurrent
-    sub-processes and applies the same lowest-shard-index-wins rule.
-
-    ``only_shard`` restricts the call to a single shard index (``K`` for the
-    fallback) — the picklable unit the parallel dispatcher runs per worker.
-    """
-    seeds = list(seeds)
-    shards = config.enum_shards
-    order = range(shards + 1) if only_shard is None else (only_shard,)
-    for shard in order:
-        if shard >= shards:  # the unsharded completeness fallback
-            found = enumerate_expression(rfs, spec, config, seeds=seeds, salt=salt, stats=stats)
-        else:
-            try:
-                found = enumerate_expression(
-                    rfs,
-                    spec,
-                    config,
-                    salt=f"{salt}@shard{shard}/{shards}",
-                    stats=stats,
-                    terminal_tail=shard_terminal_tail(seeds, shard, shards),
-                    generated_cap=config.enum_shard_generated_cap,
-                )
-            except EnumerationCapExceeded:
-                found = None  # this shard gave up; the next one still runs
-        if found is not None:
-            return found
     return None
 
 

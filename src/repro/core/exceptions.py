@@ -12,12 +12,11 @@ class SynthesisTimeout(SynthesisError):
 
 
 class EnumerationCapExceeded(SynthesisTimeout):
-    """A *deterministic* enumeration work cap was hit (candidates kept or
-    generated).  Unlike its wall-clock parent this is a pure function of the
-    search, not of the machine — enumeration shards rely on that to give up
-    identically in any process (:func:`repro.core.enumerative
-    .enumerate_sharded` treats it as "this shard found nothing" and moves
-    on, while a wall-clock timeout still aborts the whole task)."""
+    """The enumerator kept more than ``enumeration_max_kept`` distinct
+    behaviours.  Unlike its wall-clock parent this memory cap is a pure
+    function of the search, not of the machine, so a task that ends in it
+    fails with the same ``failure_reason`` in any process and at any
+    ``hole_workers`` count."""
 
 
 class HoleSynthesisFailure(SynthesisError):

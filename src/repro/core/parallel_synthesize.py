@@ -1,4 +1,4 @@
-"""Intra-task parallel synthesis: hole sharding over a process pool.
+"""Intra-task parallel synthesis: one process-pool job per sketch hole.
 
 ``--workers N`` parallelizes *across* (solver, benchmark) cells; before this
 module, a single hard task with many sketch holes still ran its entire
@@ -16,13 +16,10 @@ knob: parallel and sequential synthesis produce identical
 racy in either mode).  Hole outcomes are recorded in sorted hole order
 regardless of completion order; a failing hole raises exactly the exception
 the sequential loop would raise, after the same prefix of hole outcomes has
-been recorded; and when ``config.enum_shards > 1`` splits one hole into a
-shard portfolio, the winner is the *lowest-index* accepting shard — the
-same candidate the sequential shard loop of
-:func:`~repro.core.enumerative.enumerate_sharded` settles on — with
-later-index stragglers cancelled, never consulted.  The config fingerprint
-therefore *excludes* ``hole_workers`` (cache entries are shared across
-worker counts) and *includes* ``enum_shards``.
+been recorded.  Each hole is one job running the full sequential
+``SynthesizeExpr``, so that job's outcome *is* the hole's decision.  The
+config fingerprint therefore *excludes* ``hole_workers``: cache entries are
+shared across worker counts.
 
 **Budget accounting.** Every sub-task inherits the task's *remaining*
 budget at dispatch, and the supervisor additionally caps every kill
@@ -69,15 +66,14 @@ def _hole_job(
     spec: Expr,
     config: SynthesisConfig,
     salt: str,
-    enum_shard: int | None,
 ) -> tuple:
-    """Child-process body: solve one hole (optionally restricted to one
-    enumeration shard); exceptions become tagged outcomes, not crashes."""
+    """Child-process body: solve one hole; exceptions become tagged
+    outcomes, not crashes."""
     from .synthesize import synthesize_expr
 
     config.start_clock()
     try:
-        expr, method = synthesize_expr(rfs, spec, config, salt=salt, enum_shard=enum_shard)
+        expr, method = synthesize_expr(rfs, spec, config, salt=salt)
         return (_OK, expr, method)
     except HoleSynthesisFailure:
         return (_NONE, None, None)
@@ -88,26 +84,13 @@ def _hole_job(
         return (_TIMEOUT, str(exc), type(exc).__name__)
 
 
-def _scan(outcomes: dict, order: tuple) -> tuple | None:
-    """Resolve a hole from its per-shard outcomes, replicating the
-    sequential shard loop: walk shards in index order; the first ``ok`` or
-    ``timeout`` decides, ``none`` keeps scanning, a gap means undecided."""
-    for shard in order:
-        outcome = outcomes.get(shard)
-        if outcome is None:
-            return None
-        if outcome[0] in (_OK, _TIMEOUT, _ERROR):
-            return outcome
-    return (_NONE, None, None)
-
-
 def solve_sketch_parallel(
     rfs: RFS,
     sketch: Sketch,
     config: SynthesisConfig,
     report: SynthesisReport,
 ) -> OnlineProgram | None:
-    """Algorithm 3 with holes sharded over ``config.hole_workers`` processes.
+    """Algorithm 3 with holes spread over ``config.hole_workers`` processes.
 
     Returns ``None`` when the pool is unavailable or useless (single
     sub-task, daemonic process) — the caller then runs the sequential loop.
@@ -116,12 +99,7 @@ def solve_sketch_parallel(
     wall-clock, and assuming a non-binding budget).
     """
     holes = sorted(sketch.specs.items())
-    shards = config.enum_shards
-    # Shard indices per hole: one full-pipeline job when unsharded, else one
-    # job per enumeration shard plus the unsharded fallback (index K).
-    shard_order: tuple = (None,) if shards <= 1 else tuple(range(shards + 1))
-    total_jobs = len(holes) * len(shard_order)
-    if total_jobs < 2 or mp.current_process().daemon:
+    if len(holes) < 2 or mp.current_process().daemon:
         return None
 
     remaining = config.remaining()
@@ -129,18 +107,11 @@ def solve_sketch_parallel(
         raise SynthesisTimeout(f"budget exhausted at hole {holes[0][0]}")
     job_config = replace(config, timeout_s=remaining, hole_workers=1)
     jobs = [
-        Job(
-            key=(hole_id, shard),
-            fn=_hole_job,
-            args=(rfs, spec, job_config, str(hole_id), shard),
-            timeout_s=remaining,
-        )
+        Job(hole_id, _hole_job, (rfs, spec, job_config, str(hole_id)), remaining)
         for hole_id, spec in holes
-        for shard in shard_order
     ]
 
     supervisor = ProcessSupervisor(min(config.hole_workers, len(jobs)))
-    outcomes: dict[int, dict] = {hole_id: {} for hole_id, _ in holes}
     resolved: dict[int, tuple] = {}
     fills: dict[int, Expr] = {}
     cursor = 0  # holes[:cursor] are recorded in the report, in sorted order
@@ -172,9 +143,7 @@ def solve_sketch_parallel(
     results = supervisor.run(jobs, deadline=time.monotonic() + remaining)
     try:
         for result in results:
-            hole_id, shard = result.job.key
-            if hole_id in resolved:
-                continue  # a straggler the cancel raced with
+            hole_id = result.job.key
             if result.kind == "ok":
                 outcome = result.value
             elif result.kind == "timeout":
@@ -187,20 +156,10 @@ def solve_sketch_parallel(
             else:  # "error" / "crashed"
                 detail = result.message or f"exit code {result.exitcode}"
                 outcome = (_ERROR, detail, None)
-            outcomes[hole_id][shard] = outcome
-            decision = _scan(outcomes[hole_id], shard_order)
-            if decision is not None:
-                resolved[hole_id] = decision
-                supervisor.cancel(lambda key, h=hole_id: key[0] == h)
-                settle()  # raises on a decisive failure
-            if len(resolved) == len(holes):
-                break
+            resolved[hole_id] = outcome
+            settle()  # raises on a decisive failure
     finally:
         results.close()  # kills any straggling workers promptly
-
-    settle()
-    if cursor < len(holes):  # all workers gone, holes still open
-        raise SynthesisError(f"hole workers exited without deciding hole {holes[cursor][0]}")
 
     outputs = tuple(simplify_expr(fill_holes(out, fills)) for out in sketch.program.outputs)
     return OnlineProgram(

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..ir.nodes import Program
 from ..ir.traversal import ast_size
 from .scheme import OnlineScheme
 
@@ -39,10 +38,6 @@ class SynthesisReport:
         if self.scheme is None:
             return None
         return sum(ast_size(out) for out in self.scheme.program.outputs)
-
-    @staticmethod
-    def offline_size(program: Program) -> int:
-        return ast_size(program.body)
 
     def summary_line(self) -> str:
         status = "ok" if self.success else f"FAIL ({self.failure_reason})"

@@ -80,14 +80,6 @@ def encode_endpoint(v: Endpoint) -> str:
     return str(Fraction(v))
 
 
-def decode_endpoint(text: str) -> Endpoint:
-    if text == "-inf":
-        return -INF
-    if text == "inf":
-        return INF
-    return Fraction(text)
-
-
 def field_bounds_to_dict(fb: FieldBounds) -> dict:
     return {"lo": encode_endpoint(fb.lo), "hi": encode_endpoint(fb.hi), "integral": fb.integral}
 

@@ -167,14 +167,3 @@ def audit_program(
     if has_higher_order:
         findings.append(_finding("info", "higher-order lambdas present (inlined per call)"))
     return findings
-
-
-def audit_summary(findings: list[dict]) -> str:
-    """Human line for logs: worst level + counts."""
-    errors = sum(1 for f in findings if f["level"] == "error")
-    warns = sum(1 for f in findings if f["level"] == "warn")
-    if errors:
-        return f"{errors} error(s), {warns} warning(s)"
-    if warns:
-        return f"{warns} warning(s)"
-    return "ok"

@@ -147,11 +147,3 @@ register(Builtin("or", 2, lambda a, b: bool(a) or bool(b), BOOL, "predicate", co
 register(Builtin("not", 1, lambda a: not bool(a), BOOL, "predicate"))
 
 register(Builtin("length", 1, lambda lst: len(lst), NUM, "list"))
-
-
-def poly_builtin_names() -> tuple[str, ...]:
-    return tuple(b.name for b in _REGISTRY.values() if b.kind == "poly")
-
-
-def uninterp_builtin_names() -> tuple[str, ...]:
-    return tuple(b.name for b in _REGISTRY.values() if b.kind == "uninterp")

@@ -38,9 +38,6 @@ class Expr:
     __slots__ = ()
 
     # These helpers keep call sites readable without isinstance noise.
-    def is_const(self) -> bool:
-        return isinstance(self, Const)
-
     def is_combinator(self) -> bool:
         return isinstance(self, (Map, Filter, Fold))
 

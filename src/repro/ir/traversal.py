@@ -28,15 +28,6 @@ from .nodes import (
     Var,
 )
 
-_FRESH_COUNTER = [0]
-
-
-def fresh_name(prefix: str = "t") -> str:
-    """A globally fresh variable name (used when inlining lets under binders)."""
-    _FRESH_COUNTER[0] += 1
-    return f"_{prefix}{_FRESH_COUNTER[0]}"
-
-
 def rebuild(expr: Expr, new_children: tuple[Expr, ...]) -> Expr:
     """Reconstruct ``expr`` with ``new_children`` (same order as ``children``)."""
     if isinstance(expr, (Const, Var, ListVar, Hole)):
@@ -105,15 +96,6 @@ def free_vars(expr: Expr) -> frozenset[str]:
     for child in expr.children():
         result |= free_vars(child)
     return result
-
-
-def list_vars(expr: Expr) -> frozenset[str]:
-    """Names of all ``ListVar`` occurrences in ``expr``."""
-    names = set()
-    for sub in iter_subexprs(expr):
-        if isinstance(sub, ListVar):
-            names.add(sub.name)
-    return frozenset(names)
 
 
 def contains_list_var(expr: Expr, name: str = "xs") -> bool:

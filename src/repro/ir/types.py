@@ -34,9 +34,6 @@ class Type:
     def is_tuple(self) -> bool:
         return isinstance(self, TupleType)
 
-    def is_function(self) -> bool:
-        return isinstance(self, FunType)
-
     def is_scalar(self) -> bool:
         """Scalar types may appear in online programs (Figure 7)."""
         return isinstance(self, (NumType, BoolType)) or (

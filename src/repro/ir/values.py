@@ -32,12 +32,6 @@ def normalize_number(v: Number) -> Number:
     return v
 
 
-def as_fraction(v: Number) -> Fraction:
-    if isinstance(v, float):
-        return Fraction(v).limit_denominator(10**12)
-    return Fraction(v)
-
-
 def safe_div(a: Number, b: Number) -> Number:
     """Division with the paper's convention: ``a / 0 == 0``.
 

@@ -292,7 +292,7 @@ class StreamServer:
             raise ServeError("server already started")
         self.checkpoint_dir.mkdir(parents=True, exist_ok=True)
         resume = self._prepare_manifest()
-        self._supervisor = ServiceSupervisor(daemon=True)
+        self._supervisor = ServiceSupervisor()
         for sid in range(self.shards):
             shard = _Shard(sid)
             self._shards[sid] = shard

@@ -3,13 +3,13 @@
 One spawn/reap core, three tenants: the *bench-level* parallelism of
 :mod:`repro.evaluation.parallel` (one process per (solver, benchmark) cell),
 the *hole-level* parallelism of :mod:`repro.core.parallel_synthesize`
-(one process per sketch-hole sub-task), and the *shard workers* of
+(one process per sketch hole), and the *shard workers* of
 :mod:`repro.serve` (long-lived, restartable — see
 :class:`ServiceSupervisor`).  All need exactly the same core — spawn
-children, reap results from pipes, and SIGKILL anything that outlives its
-deadline — so that core lives here, free of any domain knowledge.
+children and reap results from pipes — so that core lives here, free of
+any domain knowledge.
 
-Contract:
+Contract of :class:`ProcessSupervisor`:
 
 * a :class:`Job` is a picklable ``fn(*args)`` call with a per-job budget;
 * :meth:`ProcessSupervisor.run` is a generator yielding one
@@ -19,9 +19,9 @@ Contract:
   started (the kill is a SIGKILL, not a poll), and an optional absolute
   ``deadline`` additionally caps every job — the knob that lets a caller
   bound a whole *family* of jobs by one outer budget;
-* :meth:`ProcessSupervisor.cancel` withdraws jobs between yields (pending
-  jobs are dropped, active ones killed) — the mechanism behind
-  first-accepted-candidate-wins search portfolios.
+* closing the generator early (``close()``, or leaving a ``for`` loop over
+  it by an exception) kills every active worker and drops pending jobs —
+  how a caller that has already seen a decisive result stops the rest.
 
 The supervisor sleeps until ``min(next deadline, next pipe event)`` — it
 does **not** poll on a fixed tick, so a pool of workers that are all
@@ -133,31 +133,10 @@ class ProcessSupervisor:
         self._pending: list[Job] = []
         self._active: dict = {}  # sentinel -> (proc, conn, job, started, deadline)
 
-    # -- cancellation ------------------------------------------------------
-
-    def cancel(self, predicate: Callable[[Any], bool]) -> int:
-        """Withdraw every job whose ``key`` satisfies ``predicate``.
-
-        Pending jobs are dropped, active ones killed; withdrawn jobs yield
-        no result.  Only meaningful between ``run()`` yields (the supervisor
-        is single-threaded).  Returns the number of jobs withdrawn.
-        """
-        keep = [job for job in self._pending if not predicate(job.key)]
-        withdrawn = len(self._pending) - len(keep)
-        self._pending = keep
-        doomed = [
-            sentinel for sentinel, (_, _, job, _, _) in self._active.items() if predicate(job.key)
-        ]
-        for sentinel in doomed:
-            proc, conn, _, _, _ = self._active.pop(sentinel)
-            self._kill(proc, conn)
-            withdrawn += 1
-        return withdrawn
-
     # -- the supervision loop ----------------------------------------------
 
     def run(self, jobs: list[Job], deadline: float | None = None) -> Iterator[JobResult]:
-        """Execute ``jobs``; yield a :class:`JobResult` per surviving job in
+        """Execute ``jobs``; yield a :class:`JobResult` per job in
         completion order.
 
         ``deadline`` (a ``time.monotonic()`` instant) additionally caps
@@ -170,9 +149,6 @@ class ProcessSupervisor:
         try:
             while self._pending or self._active:
                 self._spawn_up_to_capacity(deadline)
-                if not self._active:
-                    continue  # everything just got cancelled
-
                 now = time.monotonic()
                 next_deadline = min(e[4] for e in self._active.values())
                 # Sleep until something completes or the nearest deadline —
@@ -183,12 +159,7 @@ class ProcessSupervisor:
                 )
 
                 for sentinel in ready:
-                    # The consumer may cancel() between yields, removing
-                    # sentinels this ready-list still mentions.
-                    entry = self._active.pop(sentinel, None)
-                    if entry is None:
-                        continue
-                    proc, conn, job, started, _ = entry
+                    proc, conn, job, started, _ = self._active.pop(sentinel)
                     yield self._reap(proc, conn, job, started)
 
                 now = time.monotonic()
@@ -284,10 +255,7 @@ class _Service:
     """Book-keeping for one long-lived service: the current incarnation's
     process/pipe, the spawn recipe for restarts, and the terminal result."""
 
-    __slots__ = (
-        "key", "fn", "args", "proc", "conn", "started", "first_started",
-        "deadline", "restarts", "result", "cancelled",
-    )
+    __slots__ = ("key", "fn", "args", "proc", "conn", "started", "restarts", "result")
 
     def __init__(self, key, fn, args):
         self.key = key
@@ -296,76 +264,65 @@ class _Service:
         self.proc = None
         self.conn = None
         self.started = 0.0
-        self.first_started = 0.0
-        self.deadline: float | None = None
         self.restarts = 0
         self.result: JobResult | None = None
-        self.cancelled = False
 
 
 class ServiceSupervisor:
-    """Long-lived *restartable* services on the same spawn/reap/deadline
-    core as :class:`ProcessSupervisor`.
+    """Long-lived *restartable* services on the same spawn/reap core as
+    :class:`ProcessSupervisor`.
 
     Where :meth:`ProcessSupervisor.run` drives a finite batch of jobs to
     completion, a service is a worker that is *supposed* to keep running —
     a shard of a streaming server, say — until its payload returns (its
     result ships over the same ``_child_entry`` pipe protocol) or it dies.
-    The supervisor's contract:
+    A service has no wall-clock budget: the caller decides when one is
+    hung (:meth:`kill`) or no longer wanted (:meth:`shutdown`).  The
+    supervisor's contract:
 
     * :meth:`start` spawns a service under ``key``; :meth:`restart` kills
       (if needed) and respawns it with fresh ``args`` — the crash-restore
       hook: the caller rebuilds channels and checkpoint arguments, the
       supervisor reuses the spawn machinery and counts incarnations
       (:meth:`restarts`).
-    * A service's optional wall-clock budget (``timeout_s``) is an
-      *absolute* deadline anchored at the **first** start: restarting does
-      not buy a crashing service more time, exactly like the outer
-      ``deadline`` of batch runs.
-    * :meth:`poll` waits until a service finishes — payload arrives, the
-      process dies, or a deadline expires — and returns the keys that just
-      reached a terminal :meth:`result` (``ok`` / ``error`` / ``crashed``
-      / ``timeout``, the :class:`JobResult` vocabulary, plus ``cancelled``
-      for :meth:`cancel`).  It waits on result pipes *and* process
-      sentinels: a service shipping a large final payload blocks in
+    * :meth:`poll` waits until a service finishes — payload arrives or the
+      process dies — and returns the keys that just reached a terminal
+      :meth:`result` (``ok`` / ``error`` / ``crashed``, the
+      :class:`JobResult` vocabulary).  It waits on result pipes *and*
+      process sentinels: a service shipping a large final payload blocks in
       ``send`` until the supervisor reads it, so the pipe must be able to
       wake the poll.
-    * :meth:`cancel` kills a service and marks it ``cancelled``; cancelled
-      (and otherwise finished) services refuse :meth:`restart` — restore
-      logic cannot accidentally resurrect something the caller shut down.
+    * :meth:`shutdown` kills every running service and marks it
+      ``cancelled``; cancelled (and successfully finished) services refuse
+      :meth:`restart` — restore logic cannot accidentally resurrect
+      something the caller shut down.
 
     Children are daemonic forks armed with a parent-death SIGKILL (see
     :func:`_arm_parent_death_signal`), so a dying supervisor cannot leak
     shard workers.
     """
 
-    def __init__(self, kill_grace_s: float = KILL_GRACE_S, daemon: bool = True):
-        self.kill_grace_s = kill_grace_s
-        self.daemon = daemon
+    def __init__(self) -> None:
         self._ctx = _mp_context()
         self._services: dict = {}
 
     # -- lifecycle ---------------------------------------------------------
 
-    def start(self, key, fn: Callable, args: tuple = (), timeout_s: float | None = None) -> None:
-        """Spawn a service under ``key``; ``timeout_s`` (optional) caps its
-        total wall-clock across *all* incarnations."""
+    def start(self, key, fn: Callable, args: tuple = ()) -> None:
+        """Spawn a service under ``key``."""
         svc = self._services.get(key)
         if svc is not None and svc.result is None:
             raise ValueError(f"service {key!r} is already running")
         svc = _Service(key, fn, args)
         self._services[key] = svc
         self._spawn(svc)
-        svc.first_started = svc.started
-        if timeout_s is not None:
-            svc.deadline = svc.first_started + timeout_s + self.kill_grace_s
 
     def restart(self, key, args: tuple | None = None) -> int:
         """Kill (if alive) and respawn ``key`` — with fresh ``args`` when
         given, the stored recipe otherwise.  Returns the incarnation count.
         Finished or cancelled services refuse to restart."""
         svc = self._require(key)
-        if svc.cancelled:
+        if svc.result is not None and svc.result.kind == "cancelled":
             raise ValueError(f"service {key!r} was cancelled")
         if svc.result is not None and svc.result.kind == "ok":
             raise ValueError(f"service {key!r} already finished")
@@ -388,19 +345,6 @@ class ServiceSupervisor:
         if svc.result is None and svc.proc is not None and svc.proc.is_alive():
             svc.proc.kill()
 
-    def cancel(self, key) -> None:
-        """Kill ``key`` and mark it terminally ``cancelled`` (idempotent on
-        finished services: their result is kept)."""
-        svc = self._require(key)
-        if svc.result is None:
-            if svc.proc is not None:
-                _kill_quietly(svc.proc, svc.conn)
-            svc.result = JobResult(
-                Job(svc.key, svc.fn, svc.args, 0.0), "cancelled",
-                elapsed_s=time.monotonic() - svc.started,
-            )
-        svc.cancelled = True
-
     def shutdown(self) -> None:
         """Kill every still-running service (results of finished ones stay
         readable)."""
@@ -411,7 +355,6 @@ class ServiceSupervisor:
                     Job(svc.key, svc.fn, svc.args, 0.0), "cancelled",
                     elapsed_s=time.monotonic() - svc.started,
                 )
-                svc.cancelled = True
 
     def __enter__(self) -> "ServiceSupervisor":
         return self
@@ -439,11 +382,11 @@ class ServiceSupervisor:
         return self._require(key).result
 
     def poll(self, timeout: float | None = 0.0) -> list:
-        """Reap services that finished (payload, death, or deadline); block
-        up to ``timeout`` seconds for one to do so (``None``: until the
-        next event or deadline).  Returns the keys newly holding a
-        :meth:`result`, in no particular order."""
-        finished = self._reap_ready(timeout=0.0)
+        """Reap services that finished (payload or death); block up to
+        ``timeout`` seconds for one to do so (``None``: until the next
+        event).  Returns the keys newly holding a :meth:`result`, in no
+        particular order."""
+        finished = self._reap_ready()
         if finished or timeout == 0.0:
             return finished
         deadline = None if timeout is None else time.monotonic() + timeout
@@ -451,23 +394,15 @@ class ServiceSupervisor:
             running = [s for s in self._services.values() if s.result is None]
             if not running:
                 return []
-            wait_until = deadline
-            for svc in running:
-                if svc.deadline is not None:
-                    wait_until = (
-                        svc.deadline if wait_until is None else min(wait_until, svc.deadline)
-                    )
             waitables = []
             for svc in running:
                 waitables.append(svc.proc.sentinel)
                 waitables.append(svc.conn)
             mp.connection.wait(
                 waitables,
-                timeout=None
-                if wait_until is None
-                else max(0.0, wait_until - time.monotonic()),
+                timeout=None if deadline is None else max(0.0, deadline - time.monotonic()),
             )
-            finished = self._reap_ready(timeout=0.0)
+            finished = self._reap_ready()
             if finished:
                 return finished
             if deadline is not None and time.monotonic() >= deadline:
@@ -486,7 +421,7 @@ class ServiceSupervisor:
         proc = self._ctx.Process(
             target=_child_entry,
             args=(child_conn, svc.fn, svc.args),
-            daemon=self.daemon,
+            daemon=True,
         )
         svc.started = time.monotonic()
         proc.start()
@@ -494,8 +429,8 @@ class ServiceSupervisor:
         svc.proc = proc
         svc.conn = parent_conn
 
-    def _reap_ready(self, timeout: float) -> list:
-        """One sweep: collect payloads/corpses, enforce deadlines."""
+    def _reap_ready(self) -> list:
+        """One non-blocking sweep: collect payloads and corpses."""
         finished = []
         now = time.monotonic()
         for key, svc in self._services.items():
@@ -504,7 +439,7 @@ class ServiceSupervisor:
             job = Job(svc.key, svc.fn, svc.args, 0.0)
             elapsed = now - svc.started
             try:
-                has_payload = svc.conn.poll(timeout)
+                has_payload = svc.conn.poll()
             except (EOFError, OSError):
                 has_payload = False
             if has_payload:
@@ -539,19 +474,6 @@ class ServiceSupervisor:
                         job, "crashed", elapsed_s=elapsed,
                         exitcode=svc.proc.exitcode,
                     )
-                svc.conn.close()
-                finished.append(key)
-                continue
-            if svc.deadline is not None and now >= svc.deadline:
-                svc.proc.kill()
-                svc.proc.join()
-                try:
-                    if svc.conn.poll():
-                        svc.result = ProcessSupervisor._from_payload(svc.conn.recv(), job, elapsed)
-                    else:
-                        svc.result = JobResult(job, "timeout", elapsed_s=elapsed)
-                except (EOFError, OSError):
-                    svc.result = JobResult(job, "timeout", elapsed_s=elapsed)
                 svc.conn.close()
                 finished.append(key)
         return finished

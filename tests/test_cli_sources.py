@@ -98,6 +98,33 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["bench", "--solver", "z3"])
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--benchmark", "no-such-task"], "error: unknown benchmark 'no-such-task'"),
+        (["--python", "{tmp}/missing.py"], "error: cannot read {tmp}/missing.py"),
+        (["--sexpr", "{tmp}/bad.sexp"], "error: cannot parse {tmp}/bad.sexp"),
+    ])
+    def test_synthesize_bad_input_is_an_error(self, argv, message, tmp_path, capsys):
+        (tmp_path / "bad.sexp").write_text("(lambda (xs")
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        assert main(["synthesize", *argv]) == 2
+        assert message.format(tmp=tmp_path) in capsys.readouterr().err
+
+    def test_bench_task_splits_on_commas(self, capsys):
+        code = main(["bench", "--domain", "stats", "--task", "sum,max",
+                     "--timeout", "20", "--no-cache"])
+        assert code == 0
+        assert "opera: 2/2 solved" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--domain", "stats", "--task", "sum,no-such-task"],
+         "error: unknown task(s) in domain stats: no-such-task"),
+        *[([artifact, "--task", "sum"], f"error: --task does not apply to bench {artifact}")
+          for artifact in ("table1", "table2", "fig11", "fig13")],
+    ])
+    def test_bench_bad_task_is_an_error(self, argv, message, capsys):
+        assert main(["bench", *argv, "--no-cache"]) == 2
+        assert message in capsys.readouterr().err
+
 
 class TestKeyedLoadGenSources:
     """The seeded keyed/infinite load-generator specs that feed `repro

@@ -1,6 +1,7 @@
-"""Tests for intra-task parallel synthesis (hole sharding), enumeration
-sharding, and the shared :class:`repro.supervisor.ProcessSupervisor`."""
+"""Tests for intra-task parallel synthesis (one process-pool job per sketch
+hole) and the shared :class:`repro.supervisor.ProcessSupervisor`."""
 
+import multiprocessing as mp
 import os
 import time
 from fractions import Fraction
@@ -8,10 +9,8 @@ from fractions import Fraction
 import pytest
 
 from repro.core import SynthesisConfig, synthesize
-from repro.core.enumerative import _terminal_tail, shard_terminal_tail
 from repro.evaluation import ResultCache, default_hole_workers
 from repro.evaluation.hole_bench import hole_bench_targets
-from repro.ir.nodes import Const
 from repro.suites import get_benchmark
 from repro.supervisor import Job, ProcessSupervisor
 
@@ -66,24 +65,6 @@ class TestHoleShardingDeterminism:
         assert len(reports[1].holes) >= 4
         assert _comparable(reports[1]) == _comparable(reports[2])
 
-    def test_enum_shards_identical_across_hole_workers(self):
-        """With a shard portfolio per hole, the lowest-accepting-shard rule
-        makes the result independent of how the shards execute."""
-        expected = None
-        for hw in (1, 2, 4):
-            report = _synthesize("harmonic_mean", enum_shards=2, hole_workers=hw)
-            assert report.success
-            if expected is None:
-                expected = _comparable(report)
-            else:
-                assert _comparable(report) == expected
-
-    def test_enum_shards_reproducible(self):
-        first = _synthesize("harmonic_mean", enum_shards=3, use_symbolic=False)
-        second = _synthesize("harmonic_mean", enum_shards=3, use_symbolic=False)
-        assert first.success
-        assert _comparable(first) == _comparable(second)
-
     def test_deterministic_failures_identical_across_hole_workers(self):
         """Deterministic failures (enumeration work caps, not wall-clock)
         must replay with the exact class name in failure_reason."""
@@ -117,14 +98,6 @@ class TestCacheKeyStability:
         base = SynthesisConfig()
         assert base.fingerprint() == SynthesisConfig(hole_workers=8).fingerprint()
 
-    def test_fingerprint_includes_enum_shards(self):
-        base = SynthesisConfig()
-        assert base.fingerprint() != SynthesisConfig(enum_shards=2).fingerprint()
-        assert (
-            base.fingerprint()
-            != SynthesisConfig(enum_shard_generated_cap=5).fingerprint()
-        )
-
     def test_cache_key_unchanged_by_hole_workers(self):
         bench = get_benchmark("variance")
         sequential = ResultCache.task_key(
@@ -143,22 +116,6 @@ class TestCacheKeyStability:
             default_hole_workers()
         monkeypatch.delenv("REPRO_HOLE_WORKERS")
         assert default_hole_workers() == 1
-
-
-class TestShardPartition:
-    def test_round_robin_covers_pool_without_overlap(self):
-        seeds = [Const(7), Const(11), Const(13)]
-        full = _terminal_tail(seeds)
-        shards = [shard_terminal_tail(seeds, s, 3) for s in range(3)]
-        rebuilt = [expr for shard in shards for expr in shard]
-        assert sorted(map(repr, rebuilt)) == sorted(map(repr, full))
-        for i in range(3):
-            for j in range(i + 1, 3):
-                assert not set(map(repr, shards[i])) & set(map(repr, shards[j]))
-
-    def test_partition_is_deterministic(self):
-        seeds = [Const(5)]
-        assert shard_terminal_tail(seeds, 0, 2) == shard_terminal_tail(seeds, 0, 2)
 
 
 # -- the shared supervisor ---------------------------------------------------
@@ -221,23 +178,25 @@ class TestProcessSupervisor:
         assert result.kind == "timeout"
         assert time.monotonic() - start < 5.0
 
-    def test_cancel_withdraws_pending_and_active(self):
-        sup = ProcessSupervisor(workers=2, kill_grace_s=0.1)
+    def test_close_kills_active_and_drops_pending(self):
+        """Closing ``run()`` after the first result is how hole-parallel
+        synthesis stops the other holes once one fails decisively."""
+        sup = ProcessSupervisor(workers=2)
         jobs = [
-            Job(("a", 0), _payload_return, (1,), 60.0),
-            Job(("a", 1), _payload_sleep, (30.0,), 60.0),  # active at cancel
-            Job(("a", 2), _payload_sleep, (30.0,), 60.0),  # pending at cancel
-            Job(("b", 0), _payload_return, (42,), 60.0),
+            Job("first", _payload_return, (1,), 60.0),
+            Job("active", _payload_sleep, (30.0,), 60.0),  # running at close
+            Job("pending", _payload_sleep, (30.0,), 60.0),  # queued at close
         ]
-        results = []
         start = time.monotonic()
-        for result in sup.run(jobs):
-            results.append(result)
-            if result.job.key == ("a", 0):
-                # Kill the running sibling, drop the queued one.
-                assert sup.cancel(lambda key: key[0] == "a") == 2
+        results = sup.run(jobs)
+        first = next(results)
+        results.close()
+        assert (first.job.key, first.kind) == ("first", "ok")
+        deadline = time.monotonic() + 5.0
+        while mp.active_children() and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert mp.active_children() == []
         assert time.monotonic() - start < 10.0
-        assert sorted(r.job.key for r in results) == [("a", 0), ("b", 0)]
 
     def test_wait_is_deadline_driven_not_polling(self, monkeypatch):
         """The supervisor must sleep until min(deadline, event) — the old

@@ -109,39 +109,6 @@ class TestRestart:
 
 
 class TestCancel:
-    def test_cancel_kills_and_marks_cancelled(self):
-        with ServiceSupervisor() as sup:
-            sup.start("svc", _sleep_forever)
-            pid = sup.pid("svc")
-            sup.cancel("svc")
-            assert sup.result("svc").kind == "cancelled"
-            assert not sup.alive("svc")
-            deadline = time.monotonic() + 10
-            while time.monotonic() < deadline:
-                try:
-                    os.kill(pid, 0)
-                except ProcessLookupError:
-                    break
-                time.sleep(0.05)
-            else:
-                raise AssertionError("cancelled worker still running")
-
-    def test_cancelled_service_refuses_restart(self):
-        # Restore logic must not resurrect something the caller shut down.
-        with ServiceSupervisor() as sup:
-            sup.start("svc", _sleep_forever)
-            sup.cancel("svc")
-            with pytest.raises(ValueError, match="cancelled"):
-                sup.restart("svc")
-
-    def test_cancel_after_finish_keeps_result(self):
-        with ServiceSupervisor() as sup:
-            sup.start("done", _echo, ("kept",))
-            assert _wait_for(sup, "done").kind == "ok"
-            sup.cancel("done")
-            assert sup.result("done").kind == "ok"
-            assert sup.result("done").value == "kept"
-
     def test_shutdown_cancels_everything_running(self):
         sup = ServiceSupervisor()
         sup.start("a", _sleep_forever)
@@ -149,33 +116,8 @@ class TestCancel:
         assert _wait_for(sup, "b").kind == "ok"
         sup.shutdown()
         assert sup.result("a").kind == "cancelled"
+        assert not sup.alive("a")
         assert sup.result("b").kind == "ok"  # finished results survive
-
-
-class TestDeadline:
-    def test_deadline_kills_runaway_service(self):
-        with ServiceSupervisor(kill_grace_s=0.2) as sup:
-            sup.start("svc", _sleep_forever, timeout_s=0.5)
-            result = _wait_for(sup, "svc", timeout=30.0)
-        assert result.kind == "timeout"
-
-    def test_deadline_is_absolute_across_restarts(self):
-        # The wall-clock budget anchors at the FIRST start: a crashing
-        # service cannot buy itself more time by being restarted.
-        with ServiceSupervisor(kill_grace_s=0.2) as sup:
-            sup.start("svc", _sleep_forever, timeout_s=1.2)
-            started = time.monotonic()
-            time.sleep(0.3)
-            sup.restart("svc")
-            result = _wait_for(sup, "svc", timeout=30.0)
-            elapsed = time.monotonic() - started
-        assert result.kind == "timeout"
-        # Killed near the original deadline (1.2s + grace), NOT restart+1.2s.
-        assert elapsed < 3.0
-
-    def test_within_deadline_completes(self):
-        with ServiceSupervisor() as sup:
-            sup.start("svc", _sleep_then_return, (0.1, "done"), timeout_s=30.0)
-            result = _wait_for(sup, "svc")
-        assert result.kind == "ok"
-        assert result.value == "done"
+        # Restore logic must not resurrect something the caller shut down.
+        with pytest.raises(ValueError, match="cancelled"):
+            sup.restart("a")

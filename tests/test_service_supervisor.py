@@ -118,6 +118,12 @@ class TestCancel:
         assert sup.result("a").kind == "cancelled"
         assert not sup.alive("a")
         assert sup.result("b").kind == "ok"  # finished results survive
+
+    def test_cancelled_service_refuses_restart(self):
         # Restore logic must not resurrect something the caller shut down.
+        sup = ServiceSupervisor()
+        sup.start("svc", _sleep_forever)
+        sup.shutdown()
+        assert sup.result("svc").kind == "cancelled"
         with pytest.raises(ValueError, match="cancelled"):
-            sup.restart("a")
+            sup.restart("svc")

@@ -133,6 +133,7 @@ workers see it too).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -497,18 +498,28 @@ def _preflight_analyze(scheme: OnlineScheme, scheme_path: str, bounds) -> int:
     return 0
 
 
-def _spec_analysis_bounds(source_spec: str | None, max_elements: int | None):
-    """Bounds for the analysis preflight and columnar admission, from the
-    CLI's source spec (or ``UNKNOWN_BOUNDS`` when the spec names an
-    open-ended source: the analysis is then structure-only)."""
+def _spec_analysis_bounds(args: argparse.Namespace):
+    """Bounds for the analysis preflight and columnar admission of ``repro
+    run`` / ``repro serve``, from the source spec (or ``UNKNOWN_BOUNDS``
+    when the spec names an open-ended source: the analysis is then
+    structure-only).  A keyed run with ``--value-field J`` pushes only
+    field J into the scheme, so the bounds are projected onto that field."""
     from .ir.analysis import UNKNOWN_BOUNDS, bounds_from_spec
 
-    if source_spec is None:
+    if args.source is None:
         return UNKNOWN_BOUNDS
     try:
-        return bounds_from_spec(source_spec, max_elements)
+        bounds = bounds_from_spec(args.source, args.max_elements)
     except ValueError:
         return UNKNOWN_BOUNDS
+    field = args.value_field
+    if args.key_field is None or field is None or bounds.element is None:
+        return bounds
+    try:
+        element = (bounds.element[field],)
+    except IndexError:
+        element = None  # the field does not exist: shape unknown
+    return dataclasses.replace(bounds, element=element)
 
 
 def _columnar_notice(scheme: OnlineScheme, backend: str, bounds) -> str | None:
@@ -547,7 +558,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         hint = " (or pass --max-elements N)" if "unbounded" in str(exc) else ""
         print(f"error: {exc}{hint}", file=sys.stderr)
         return 2
-    bounds = _spec_analysis_bounds(args.source, args.max_elements)
+    bounds = _spec_analysis_bounds(args)
     if not args.no_analyze:
         code = _preflight_analyze(scheme, args.scheme, bounds)
         if code:
@@ -667,7 +678,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         hint = " (or pass --max-elements N)" if "unbounded" in str(exc) else ""
         print(f"error: {exc}{hint}", file=sys.stderr)
         return 2
-    bounds = _spec_analysis_bounds(args.source, args.max_elements)
+    bounds = _spec_analysis_bounds(args)
     if not args.no_analyze:
         code = _preflight_analyze(scheme, args.scheme, bounds)
         if code:
@@ -1064,9 +1075,10 @@ def build_parser() -> argparse.ArgumentParser:
                        default="exact",
                        help="batch execution backend: exact rationals "
                             "(default), auto (NumPy columnar kernels when "
-                            "the int64 certificate licenses them — "
-                            "bit-identical), or columnar (also opt into the "
-                            "float64 domain; IEEE-754 rounding only)")
+                            "the int64 certificate licenses them *and* the "
+                            "batch is long enough to win — bit-identical), "
+                            "or columnar (also opt into the float64 domain; "
+                            "IEEE-754 rounding only)")
     p_run.add_argument("--checkpoint", default=None, metavar="FILE",
                        help="write an operator checkpoint after the run")
     p_run.add_argument("--resume", default=None, metavar="FILE",
@@ -1149,9 +1161,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--backend", choices=("auto", "exact", "columnar"),
                          default="exact",
                          help="worker batch backend: exact rationals "
-                              "(default), auto (certificate-licensed int64 "
-                              "columnar — bit-identical), or columnar "
-                              "(float64 opt-in)")
+                              "(default), auto (int64 columnar when the "
+                              "certificate licenses it *and* the batch is "
+                              "long enough to win — bit-identical), or "
+                              "columnar (float64 opt-in)")
     p_serve.add_argument("--no-analyze", action="store_true",
                          help="skip the static-analysis preflight (which "
                               "refuses schemes the analyzer proves will fault)")

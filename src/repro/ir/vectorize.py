@@ -25,7 +25,10 @@ Schemes whose update is not scan-decomposable, and any batch whose data
 falls outside the certified bounds, transparently keep / delegate to the
 exact :class:`~repro.ir.compile.StepKernel` — the columnar backend is
 *never* allowed to change the answer of an ``int64``-certified or
-unadmitted scheme.
+unadmitted scheme.  A certificate says a batch is safe, not that it is
+faster, so an ``int64`` kernel also hands short batches (and ``Fraction``
+batches of single-scan plans) straight to the exact kernel: see
+``_MIN_SCAN_BATCH``.
 
 NumPy itself is optional (``pip install repro[fast]``): the import is lazy,
 ``REPRO_NO_NUMPY=1`` force-disables it (for testing the degraded path), and
@@ -37,6 +40,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from operator import attrgetter
 from typing import Any, Callable, Mapping, Sequence
 
 from .compile import IRCompileError, StepKernel
@@ -632,17 +637,67 @@ def _col_eval(np, expr: Expr, env: dict[str, Any], domain: str):
 _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
 
+# ``Fraction`` keeps its parts in slots; the exact kernels read them the
+# same way (:mod:`repro.ir.compile`).
+_NUMERATOR = attrgetter("_numerator")
+_DENOMINATOR = attrgetter("_denominator")
 
-def _element_columns(np, chunk: list, arity: int, domain: str):
+
+def _payload_type(element, arity: int) -> type:
+    """Type of one payload, or of its first field on tuple streams."""
+    if arity > 1 and isinstance(element, (tuple, list)) and element:
+        return type(element[0])
+    return type(element)
+
+
+def _integral_fraction_columns(np, chunk: list, arity: int):
+    """Element columns of an all-``Fraction`` int64 batch: the numerators,
+    read straight into int64 with no object array and no per-element
+    conversion call.  ``None`` when some payload is not a ``Fraction`` (the
+    generic path then decides); a non-integral value or a numerator beyond
+    int64 bails the whole batch."""
+    if arity > 1:
+        try:
+            if set(map(len, chunk)) != {arity}:
+                raise _Bailout("element shape does not match the scheme's arity")
+        except TypeError:
+            return None
+        values = list(chain.from_iterable(chunk))
+    else:
+        values = chunk
+    if set(map(type, values)) != {Fraction}:
+        return None
+    if set(map(_DENOMINATOR, values)) != {1}:
+        raise _Bailout("an element is a non-integral rational")
+    try:
+        arr = np.fromiter(map(_NUMERATOR, values), dtype=np.int64, count=len(values))
+    except OverflowError:
+        raise _Bailout("an element exceeds int64") from None
+    if arity <= 1:
+        return arr
+    arr = arr.reshape(len(chunk), arity)
+    return tuple(arr[:, i] for i in range(arity))
+
+
+def _element_columns(np, chunk: list, arity: int, domain: str, *, fractions: bool = False,
+                     objects: bool = True):
     """Element columns for the batch: one array (scalars) or a tuple of
     per-field arrays.  Any conversion surprise — floats or bignums in an
     int64-certified stream, ragged tuples, non-numeric payloads — bails the
-    batch out to the exact kernel instead of guessing."""
+    batch out to the exact kernel instead of guessing.  ``fractions`` says
+    the first payload is a ``Fraction`` (try the numerator path first);
+    ``objects=False`` bails instead of converting object payloads."""
+    if fractions and domain == "int64":
+        columns = _integral_fraction_columns(np, chunk, arity)
+        if columns is not None:
+            return columns
     try:
         arr = np.asarray(chunk)
     except (ValueError, TypeError, OverflowError):
         raise _Bailout("elements do not form a rectangular numeric array") from None
     if arr.dtype.kind == "O":
+        if not objects:
+            raise _Bailout("non-int payloads could reach the result unnormalized")
         # Exact-runtime streams carry Fraction payloads; one scalar
         # conversion pass (cheap: no gcd arithmetic) recovers the fast
         # path, and any genuinely non-numeric payload bails here instead.
@@ -728,7 +783,110 @@ def _check_bounds(np, columns, arity: int, bounds) -> None:
             raise _Bailout("batch exceeds the declared source bounds")
 
 
+# -- result types -------------------------------------------------------------
+
+#: Builtins whose exact result is a fresh number (normalized: ``int`` when
+#: integral) or a ``bool``, never one of the operand objects.
+_FRESH_OPS = frozenset(
+    {
+        "add", "sub", "mul", "div", "neg", "abs", "sign", "floor", "ceil",
+        "lt", "le", "gt", "ge", "eq", "ne", "and", "or", "not",
+    }
+)
+
+
+def _element_path(expr: Expr, elem_param: str, arity: int) -> tuple[int, ...] | None:
+    """``()`` for the element itself, ``(i,)`` for its field ``i`` of a
+    tuple stream, else ``None``."""
+    if isinstance(expr, Var) and expr.name == elem_param:
+        return ()
+    if (arity > 1 and isinstance(expr, Proj) and isinstance(expr.tup, Var)
+            and expr.tup.name == elem_param):
+        return (expr.index,)
+    return None
+
+
+def _result_origin(name: str, update: Expr, elem_param: str, arity: int) -> tuple | None:
+    """Which object the exact kernel's final value of one int64 component
+    is, which fixes its Python type (``int`` vs an integral ``Fraction``):
+
+    - ``("fresh",)``: a fresh normalized number (the columnar value as is);
+    - ``("start",)``: the state object the batch started from;
+    - ``("last", path)``: the last element (or its field);
+    - ``("select", path, op, self_first)``: ``op(self, x)`` or
+      ``op(x, self)`` with ``op`` max/min — the start object or the element
+      that won last under the exact kernel's tie rule.
+
+    ``None`` when the object cannot be told statically; such a scheme runs
+    columnar only on batches that carry no ``Fraction`` at all.
+    """
+    body = update
+    while isinstance(body, Let):
+        body = body.body
+    if isinstance(body, Call) and body.func in _FRESH_OPS:
+        return ("fresh",)
+    if isinstance(update, Var) and update.name == name:
+        return ("start",)
+    path = _element_path(update, elem_param, arity)
+    if path is not None:
+        return ("last", path)
+    if isinstance(update, Call) and update.func in ("max", "min") and len(update.args) == 2:
+        for self_first, (own, term) in ((True, update.args), (False, update.args[::-1])):
+            path = _element_path(term, elem_param, arity)
+            if isinstance(own, Var) and own.name == name and path is not None:
+                return ("select", path, update.func, self_first)
+    return None
+
+
+def _pick(element, path: tuple[int, ...]):
+    return element[path[0]] if path else element
+
+
+def _selected(np, origin: tuple, column, start, start_value: int, chunk: list):
+    """The object a max/min ``select`` component ends on.  The exact
+    ``max(a, b)`` returns ``b`` only when ``b > a`` (``min``: ``b < a``), so
+    ``op(self, x)`` keeps the *first* best element and only when it beats
+    the start strictly; ``op(x, self)`` takes the *last* one, ties with the
+    start included."""
+    _, path, op, self_first = origin
+    best = column.max() if op == "max" else column.min()
+    beats = best > start_value if op == "max" else best < start_value
+    if self_first:
+        if not beats:
+            return start
+        k = int(np.argmax(column == best))
+    else:
+        if not (beats or best == start_value):
+            return start
+        k = len(column) - 1 - int(np.argmax(column[::-1] == best))
+    return _pick(chunk[k], path)
+
+
 # -- the kernel ---------------------------------------------------------------
+
+# Per-batch cost gate, int64 domain only.  A certificate says a columnar
+# batch is *safe*, not that it is *faster*: below these lengths, and for
+# ``Fraction`` payloads on a single-scan plan (count, max, min), the exact
+# kernel wins or ties, so such batches go straight to it.  The table is the
+# ungated columnar body against the exact kernel: one unkeyed operator,
+# ``push_many`` at a fixed batch length, values 1..1000, best of 11
+# interleaved runs, 2 vCPUs, CPython 3.11.7, NumPy 2.4.6.  A cell is exact
+# time over columnar time per element (>1: columnar wins); cells near 1
+# move by up to 0.4 between runs (int range at 128 read 0.73-1.43).
+#
+#   payload   scheme   1     8     64    128   256   512   4096
+#   int       count    0.02  0.07  0.34  0.62  0.88  1.17  2.45
+#   Fraction  count    0.02  0.04  0.27  0.41  0.43  0.51  0.68
+#   int       max      0.03  0.10  0.52  0.89  1.36  1.90  3.09
+#   Fraction  max      0.04  0.12  0.50  0.69  0.86  0.99  1.40
+#   int       range    0.03  0.09  0.65  0.73  1.93  3.41  6.34
+#   Fraction  range    0.03  0.16  1.00  1.65  2.66  2.97  4.48
+#
+# Single scans cross over between 256 and 512 on ints and not reliably on
+# Fractions; range (three components) crosses between 64 and 256, at 128
+# in most runs.
+_MIN_SCAN_BATCH = 512  #: single-component plans
+_MIN_MULTI_BATCH = 128  #: plans with two or more components
 
 
 class ColumnarKernel(StepKernel):
@@ -740,7 +898,8 @@ class ColumnarKernel(StepKernel):
     out-of-contract batch (data outside the certified bounds, non-numeric
     payloads, unconvertible state) delegates *the whole batch* to the
     wrapped exact kernel — including its exact partial-progress semantics
-    when an element genuinely faults.
+    when an element genuinely faults.  An int64 kernel hands batches the
+    cost gate keeps exact to that same kernel, before any conversion.
     """
 
     __slots__ = ("domain", "exact", "plan", "bounds")
@@ -793,10 +952,23 @@ def compile_columns(
     state_params = program.state_params
     index_of = {pname: i for i, pname in enumerate(state_params)}
     guard = domain == "int64"
+    # The cost gate (see _MIN_SCAN_BATCH).  The float64 domain is exempt:
+    # scalar pushes run through it as 1-element batches, so that a
+    # trajectory never mixes IEEE-754 and exact arithmetic.
+    single_scan = len(components) == 1
+    origins = tuple(
+        _result_origin(pname, update, elem_param, elem_arity) if guard else ("fresh",)
+        for pname, update in zip(state_params, program.outputs)
+    )
+    typed = None not in origins
 
-    def _batch(state, chunk, extra):
+    def _batch(state, chunk, extra, fractions):
         n = len(chunk)
-        columns = _element_columns(np, chunk, elem_arity, domain)
+        if not typed and (fractions or any(type(v) is Fraction for v in state)):
+            raise _Bailout("a Fraction could reach the result unnormalized")
+        columns = _element_columns(
+            np, chunk, elem_arity, domain, fractions=fractions, objects=typed
+        )
         if guard:
             _check_bounds(np, columns, elem_arity, bounds)
         base_env: dict[str, Any] = {elem_param: columns}
@@ -845,14 +1017,35 @@ def compile_columns(
                 else:  # cumand
                     traj = np.logical_and.accumulate(_truthy(np, term)) & bool(start)
             trajectories[comp.name] = traj
-        return tuple(_scalar_out(np, trajectories[pname][-1]) for pname in state_params)
+        # The final state, typed as the exact kernel types it (an untyped
+        # origin only gets here on Fraction-free data: a fresh value then).
+        final = []
+        for ci, (pname, origin) in enumerate(zip(state_params, origins)):
+            kind = "fresh" if origin is None else origin[0]
+            if kind == "fresh":
+                final.append(_scalar_out(np, trajectories[pname][-1]))
+            elif kind == "start":
+                final.append(state[ci])
+            elif kind == "last":
+                final.append(_pick(chunk[-1], origin[1]))
+            else:
+                column = columns[origin[1][0]] if origin[1] else columns
+                final.append(_selected(np, origin, column, state[ci], starts[ci], chunk))
+        return tuple(final)
 
     def _run(state, elements, extra=None):
         chunk = elements if isinstance(elements, (list, tuple)) else list(elements)
-        if not chunk:
+        n = len(chunk)
+        # Gated batches take the same exact kernel as bailouts do.
+        if guard and n < (_MIN_SCAN_BATCH if single_scan else _MIN_MULTI_BATCH):
+            return exact.run(state, chunk, extra)
+        if not n:
             return tuple(state), 0
+        fractions = _payload_type(chunk[0], elem_arity) is Fraction
+        if guard and fractions and single_scan:
+            return exact.run(state, chunk, extra)
         try:
-            new_state = _batch(state, chunk, extra)
+            new_state = _batch(state, chunk, extra, fractions)
         except _Bailout:
             return exact.run(state, chunk, extra)
         return new_state, len(chunk)

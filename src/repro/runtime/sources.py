@@ -218,6 +218,13 @@ def from_spec(spec: str, allow_unbounded: bool = False) -> Iterator[Value]:
     args = [_spec_value(tok) for tok in rest.split(":")] if rest else []
     if name == "constant" and args:
         args[0] = Fraction(args[0])  # the repeated element must stay exact
+    # Checked here: the generators are lazy, so a bad seed would otherwise
+    # surface as a TypeError from random.Random at the first element.
+    seed_at = _SEED_ARG.get(name)
+    if seed_at is not None and len(args) > seed_at and not isinstance(args[seed_at], int):
+        raise ValueError(
+            f"source {name!r}: the seed must be an integer, got {rest.split(':')[seed_at]!r}"
+        )
     if not allow_unbounded:
         bound = _BOUND_ARG.get(name)
         if bound is not None and len(args) <= bound:

@@ -86,8 +86,11 @@ class OnlineOperator:
 
     @property
     def backend_in_use(self) -> str:
-        """``"columnar"`` when batches run on the NumPy columnar kernel,
-        else ``"exact"`` — what actually got admitted, not what was asked."""
+        """``"columnar"`` when the NumPy columnar kernel was admitted, else
+        ``"exact"`` — what actually got admitted, not what was asked.  An
+        admitted int64 kernel still runs short batches, and ``Fraction``
+        batches of single-scan schemes, on the exact kernel (the per-batch
+        cost gate in :mod:`repro.ir.vectorize`)."""
         return "columnar" if getattr(self._kernel, "columnar", False) else "exact"
 
     def push(self, element: Value) -> Value:

@@ -218,3 +218,63 @@ class TestKeyedLoadGenSources:
         assert excinfo.value.code == 0
         out = capsys.readouterr().out
         assert "zipf-keys" in out and "source specs" in out
+
+
+class TestSpecValidation:
+    @pytest.mark.parametrize("spec", [
+        "zipf-keys:100:10:1.5", "bids:10:3/2", "gaussian:5:0.5", "pairs:5:2:1:2:7/3",
+    ])
+    def test_non_integer_seed_is_a_value_error(self, spec):
+        from repro.runtime.sources import from_spec
+
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            from_spec(spec)
+
+    def test_run_with_non_integer_seed_exits_2(self, tmp_path, capsys):
+        from repro.suites import get_benchmark
+
+        path = tmp_path / "max.scheme.json"
+        get_benchmark("max").ground_truth.save(path)
+        assert main(["run", str(path), "--source", "zipf-keys:100:10:1.5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "seed must be an integer" in err
+
+
+class TestKeyedRunBounds:
+    """``--value-field J`` pushes only field J into the scheme, so the run
+    certifies against that field's bounds, not the whole record's."""
+
+    SOURCE = "zipf-keys:2000:20:3:1.2:1:1000"
+
+    def test_bounds_are_projected_onto_the_value_field(self):
+        from repro.cli import _spec_analysis_bounds
+        from repro.ir.analysis import bounds_from_spec
+
+        whole = bounds_from_spec(self.SOURCE)
+        args = build_parser().parse_args(
+            ["run", "s.json", "--source", self.SOURCE, "--key-field", "1", "--value-field", "0"])
+        assert _spec_analysis_bounds(args).element == whole.element[:1]
+        args.value_field = 5
+        assert _spec_analysis_bounds(args).element is None
+        args.value_field = None
+        assert _spec_analysis_bounds(args).element == whole.element
+
+    def test_keyed_auto_run_is_admitted_and_matches_exact(self, tmp_path, capsys):
+        from repro.ir.vectorize import numpy_or_none
+        from repro.suites import get_benchmark
+
+        if numpy_or_none() is None:
+            pytest.skip("NumPy not available")
+
+        path = tmp_path / "max.scheme.json"
+        get_benchmark("max").ground_truth.save(path)
+        outputs = {}
+        for backend in ("auto", "exact"):
+            assert main(["run", str(path), "--source", self.SOURCE, "--key-field", "1",
+                         "--value-field", "0", "--batch-size", "4096",
+                         "--backend", backend]) == 0
+            captured = capsys.readouterr()
+            outputs[backend] = captured.out
+            assert "backend:" not in captured.err
+        assert outputs["auto"] == outputs["exact"]
+        assert "over 20 keys" in outputs["auto"]

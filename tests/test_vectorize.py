@@ -25,6 +25,7 @@ from repro.ir.analysis import AnalysisBounds, FieldBounds, bounds_from_spec
 from repro.ir.dsl import add, eq, ite
 from repro.ir.nodes import OnlineProgram, Var
 from repro.ir.values import values_close
+from repro.ir import vectorize
 from repro.ir.vectorize import admit_columnar, numpy_or_none
 from repro.runtime import KeyedOperator, OnlineOperator, StreamPipeline
 from repro.runtime.checkpoint import load_checkpoint, save_checkpoint
@@ -33,6 +34,30 @@ from repro.suites import all_benchmarks, get_benchmark
 HAVE_NUMPY = numpy_or_none() is not None
 
 needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="NumPy not installed")
+
+
+@pytest.fixture
+def ungated(monkeypatch):
+    """Lift the int64 cost gate's length thresholds, so that the short
+    batches of the differential tests still run the columnar body."""
+    monkeypatch.setattr(vectorize, "_MIN_SCAN_BATCH", 1)
+    monkeypatch.setattr(vectorize, "_MIN_MULTI_BATCH", 1)
+
+
+def count_exact_calls(monkeypatch, operator) -> list:
+    """Record every batch a columnar operator hands to its exact kernel
+    (gated and bailed-out batches alike).  That kernel is the scheme's
+    shared one: run exact reference operators before installing this."""
+    exact = operator._kernel.exact
+    run = exact.run
+    calls: list = []
+
+    def recording(state, elements, extra=None):
+        calls.append(list(elements))
+        return run(state, elements, extra)
+
+    monkeypatch.setattr(exact, "run", recording)
+    return calls
 
 
 def assert_same_value(a, b, where=""):
@@ -144,6 +169,7 @@ class TestAdmission:
 
 
 @needs_numpy
+@pytest.mark.usefixtures("ungated")
 class TestDifferentialGroundTruths:
     """Columnar vs exact over every ground-truth scheme of the suite."""
 
@@ -269,6 +295,7 @@ class TestDifferentialGroundTruths:
 
 
 @needs_numpy
+@pytest.mark.usefixtures("ungated")
 class TestBailouts:
     """Out-of-contract batches delegate wholesale to the exact kernel."""
 
@@ -309,17 +336,20 @@ class TestBailouts:
         assert_same_value(columnar.state, exact.state)
         assert columnar.count == exact.count
 
-    def test_rational_payloads_are_converted_not_bailed(self):
+    def test_rational_payloads_are_converted_not_bailed(self, monkeypatch):
         # Fraction elements with denominator 1 (what CLI sources yield) must
-        # still run columnar — the element conversion pass handles them.
-        scheme = get_benchmark("sum").ground_truth
-        elements = [Fraction(i, 1) for i in range(20)]
+        # still run columnar on a multi-component plan (a single scan over
+        # Fractions is gated to exact) — the numerator path converts them.
+        scheme = get_benchmark("range").ground_truth
+        elements = [Fraction((i * 7) % 20, 1) for i in range(20)]
         bounds = bounds_for(elements, 1)
         exact = OnlineOperator(scheme)
         columnar = OnlineOperator(scheme, backend="columnar", bounds=bounds)
         exact.push_many(elements)
+        calls = count_exact_calls(monkeypatch, columnar)
         columnar.push_many(elements)
         assert columnar.backend_in_use == "columnar"
+        assert calls == []
         assert_same_value(columnar.state, exact.state)
 
     def test_no_numpy_degrades_to_exact(self, monkeypatch):
@@ -371,6 +401,7 @@ class TestFusionInteraction:
 
 
 @needs_numpy
+@pytest.mark.usefixtures("ungated")
 class TestCrossBackendCheckpoint:
     """Checkpoints are backend-agnostic: the backend is a process decision,
     the state is exact data — restore under any backend, bit-identical."""
@@ -476,6 +507,7 @@ class TestKernelCache:
 
 
 @needs_numpy
+@pytest.mark.usefixtures("ungated")
 class TestMaskedAccumulation:
     def test_conditional_additive_update_matches_exact(self):
         # s' = if x == 3 then s else s + x — the additive decomposition
@@ -526,3 +558,180 @@ class TestMaskedAccumulation:
         columnar.push_many(elements)
         # Negative payloads must not participate: the max is 5, not -7.
         assert columnar.state[0] == exact.state[0] == 5
+
+
+def _gate_threshold(scheme):
+    plan = vectorize.plan_columns(scheme.program, scheme.initializer)
+    if len(plan.components) == 1:
+        return vectorize._MIN_SCAN_BATCH
+    return vectorize._MIN_MULTI_BATCH
+
+
+@needs_numpy
+class TestCostGate:
+    """``auto`` keeps short batches, and Fraction batches on a single scan,
+    on the exact kernel; what reaches the columnar body is unchanged."""
+
+    BOUNDS = AnalysisBounds(
+        element=(FieldBounds(lo=1, hi=1000, integral=True),), max_elements=10**6, source="test"
+    )
+
+    @pytest.mark.parametrize("name", ["count", "max", "range"])
+    @pytest.mark.parametrize("payload", [int, Fraction], ids=["int", "Fraction"])
+    def test_threshold_edges_are_bit_identical(self, monkeypatch, name, payload):
+        scheme = get_benchmark(name).ground_truth
+        threshold = _gate_threshold(scheme)
+        single_scan = threshold == vectorize._MIN_SCAN_BATCH
+        for n in (threshold - 1, threshold, threshold + 1):
+            elements = [payload((i * 37) % 1000 + 1) for i in range(n)]
+            exact = OnlineOperator(scheme)
+            exact.push_many(elements)
+            exact.push_many(elements[::-1])
+            auto = OnlineOperator(scheme, backend="auto", bounds=self.BOUNDS)
+            assert auto.backend_in_use == "columnar"
+            calls = count_exact_calls(monkeypatch, auto)
+            auto.push_many(elements)
+            auto.push_many(elements[::-1])
+            monkeypatch.undo()
+            assert_same_value(auto.state, exact.state, f"{name} n={n}")
+            assert auto.count == exact.count == 2 * n
+            gated = n < threshold or (payload is Fraction and single_scan)
+            assert len(calls) == (2 if gated else 0), (name, payload, n)
+
+    @pytest.mark.parametrize("odd", [
+        Fraction(1, 2),          # non-integral rational
+        Fraction(2**70),         # numerator beyond int64
+        2.5,                     # a float among ints
+    ], ids=["non-integral", "beyond-int64", "float"])
+    def test_out_of_contract_payload_sends_whole_batch_to_exact(self, monkeypatch, odd):
+        scheme = get_benchmark("range").ground_truth
+        n = 2 * vectorize._MIN_MULTI_BATCH
+        payload = int if isinstance(odd, float) else Fraction
+        elements = [payload(i % 1000 + 1) for i in range(n)]
+        elements[-3] = odd
+        exact = OnlineOperator(scheme)
+        exact.push_many(elements)
+        auto = OnlineOperator(scheme, backend="auto", bounds=self.BOUNDS)
+        calls = count_exact_calls(monkeypatch, auto)
+        auto.push_many(elements)
+        assert calls == [elements]
+        assert_same_value(auto.state, exact.state)
+        assert auto.count == exact.count == n
+
+    def test_faulting_payload_keeps_partial_progress(self, monkeypatch):
+        scheme = get_benchmark("range").ground_truth
+        n = 2 * vectorize._MIN_MULTI_BATCH
+        elements = [Fraction(i % 1000 + 1) for i in range(n)]
+        elements[-3] = "boom"
+        exact = OnlineOperator(scheme)
+        with pytest.raises(Exception) as exact_exc:
+            exact.push_many(elements)
+        auto = OnlineOperator(scheme, backend="auto", bounds=self.BOUNDS)
+        calls = count_exact_calls(monkeypatch, auto)
+        with pytest.raises(Exception) as auto_exc:
+            auto.push_many(elements)
+        assert calls == [elements]
+        assert type(auto_exc.value) is type(exact_exc.value)
+        assert_same_value(auto.state, exact.state)
+        assert auto.count == exact.count == n - 3
+
+    def test_keyed_fragments_below_threshold_never_run_columnar(self, monkeypatch):
+        scheme = get_benchmark("range").ground_truth
+        threshold = _gate_threshold(scheme)
+        keys = 8
+        events = [(Fraction((i * 13) % 1000 + 1), i % keys) for i in range(keys * (threshold - 1))]
+        key_fn = lambda e: e[1]  # noqa: E731
+        value_fn = lambda e: e[0]  # noqa: E731
+        exact = KeyedOperator(scheme, key_fn=key_fn, value_fn=value_fn)
+        exact.push_many(events)
+
+        def never(*args, **kwargs):
+            raise AssertionError("a gated fragment entered the columnar body")
+
+        monkeypatch.setattr(vectorize, "_element_columns", never)
+        auto = KeyedOperator(
+            scheme, key_fn=key_fn, value_fn=value_fn, backend="auto", bounds=self.BOUNDS
+        )
+        auto.push_many(events)
+        assert len(auto.partitions) == keys
+        for key, part in auto.partitions.items():
+            assert part.backend_in_use == "columnar", key
+            assert_same_value(part.state, exact.partitions[key].state, f"key {key}")
+
+    @pytest.mark.parametrize("self_first", [True, False], ids=["max(m,x)", "max(x,m)"])
+    def test_result_objects_follow_the_exact_tie_rule(self, self_first):
+        # The max component ends on the start object or on an element
+        # object, by the exact kernel's tie rule: max(a, b) is b only when
+        # b > a.  The best value comes first in one type and last in the
+        # other, and the start (an int) ties it when top == 500, so each
+        # choice shows in the result's type.  The invariant component keeps
+        # its Fraction start object.
+        from repro.ir.dsl import maximum
+
+        m, x = Var("m"), Var("x")
+        update = maximum(m, x) if self_first else maximum(x, m)
+        program = OnlineProgram(("m", "n", "k"), "x", (update, add("n", 1), Var("k")))
+        scheme = OnlineScheme((500, 0, Fraction(7)), program, provenance="max-ties")
+        n = 2 * vectorize._MIN_MULTI_BATCH
+        for top in (499, 500, 501):
+            for early, late in ((Fraction, int), (int, Fraction)):
+                elements = [
+                    (early if i < n // 2 else late)(top - (i * 7) % 50) for i in range(n)
+                ]
+                assert elements.count(top) >= 2
+                exact = OnlineOperator(scheme)
+                exact.push_many(elements)
+                auto = OnlineOperator(scheme, backend="auto", bounds=self.BOUNDS)
+                assert auto.backend_in_use == "columnar"
+                auto.push_many(elements)
+                assert_same_value(auto.state, exact.state, f"top={top} late={late}")
+
+
+    @pytest.mark.parametrize("start, payload", [
+        (Fraction(500), lambda i: i + 1),
+        (Fraction(500), lambda i: Fraction(i + 1)),
+        (0, lambda i: (Fraction if i % 2 else int)(i + 1)),
+    ], ids=["Fraction-start", "Fraction-payloads", "int-first-mixed"])
+    def test_untyped_result_with_fractions_runs_exact(self, monkeypatch, start, payload):
+        # A masked max may end on its start object or on an element, which
+        # the plan cannot tell statically: with a Fraction start state or
+        # any Fraction payload, the batch must run exact to keep the type.
+        from repro.ir.dsl import gt, maximum
+
+        m, x = Var("m"), Var("x")
+        masked = ite(gt(x, 0), maximum(m, x), m)
+        program = OnlineProgram(("m", "n"), "x", (masked, add("n", 1)))
+        scheme = OnlineScheme((start, 0), program, provenance="masked-max-n")
+        n = 2 * vectorize._MIN_MULTI_BATCH
+        elements = [payload(i) for i in range(n)]
+        exact = OnlineOperator(scheme)
+        exact.push_many(elements)
+        auto = OnlineOperator(scheme, backend="auto", bounds=self.BOUNDS)
+        assert auto.backend_in_use == "columnar"
+        calls = count_exact_calls(monkeypatch, auto)
+        auto.push_many(elements)
+        assert calls == [elements]
+        assert_same_value(auto.state, exact.state)
+
+
+@needs_numpy
+class TestFloat64Exemption:
+    """The cost gate is int64-only: a float64 operator's short batches and
+    scalar pushes stay on the float64 kernel, so one trajectory never mixes
+    IEEE-754 and exact arithmetic."""
+
+    def test_short_batches_and_push_run_float64(self):
+        scheme = get_benchmark("variance").ground_truth
+        elements = [3, 1, 4]
+        bounds = bounds_for(elements, 1)
+        op = OnlineOperator(scheme, backend="columnar", bounds=bounds)
+        assert op._kernel.domain == "float64"
+        op.push_many(elements)
+        assert all(type(v) is float for v in op.state), op.state
+        pushed = OnlineOperator(scheme, backend="columnar", bounds=bounds)
+        pushed.push(elements[0])
+        assert all(type(v) is float for v in pushed.state), pushed.state
+        exact = OnlineOperator(scheme)
+        exact.push_many(elements)
+        assert not all(type(v) is float for v in exact.state)
+        assert_close_state(op.state, exact.state)

@@ -44,15 +44,16 @@ The compile/load/deploy lifecycle, plus the evaluation workflows:
   ``stall:S:AFTER[:SECS]``, ``corrupt-checkpoint:S:GEN``,
   ``torn-write:NTH``, ``poison:OFFSET``);
   ``--verify`` replays the stream through a single-process
-  ``KeyedOperator`` and fails unless the states match bit for bit (use a
-  fresh --checkpoint-dir).  ``--on-error quarantine`` retries a
-  deterministically failing element once and dead-letters it to
-  ``deadletter-NN.jsonl`` instead of halting (default ``fail`` preserves
-  the bit-identity contract).  A checkpoint directory from a previous
-  deployment of the same scheme and shard count is resumed; checkpoints
-  are digest-verified generation lineages, so corrupt files are
-  quarantined as ``*.corrupt`` and restore falls back to the newest
-  intact generation.
+  ``KeyedOperator`` on the exact kernels and fails unless the states match
+  bit for bit (use a fresh --checkpoint-dir); it refuses ``--backend
+  columnar`` on a scheme admitted in float64, which is never bit-identical.
+  ``--on-error quarantine`` retries a deterministically failing element
+  once and dead-letters it to ``deadletter-NN.jsonl`` instead of halting
+  (default ``fail`` preserves the bit-identity contract).  A checkpoint
+  directory from a previous deployment of the same scheme and shard count
+  is resumed; checkpoints are digest-verified generation lineages, so
+  corrupt files are quarantined as ``*.corrupt`` and restore falls back to
+  the newest intact generation.
 
 * ``chaos`` — N seeded fault-injection trials against the serve runtime,
   every surviving trial differentially verified against the
@@ -522,14 +523,21 @@ def _spec_analysis_bounds(args: argparse.Namespace):
     return dataclasses.replace(bounds, element=element)
 
 
-def _columnar_notice(scheme: OnlineScheme, backend: str, bounds) -> str | None:
-    """One-line explanation when --backend auto/columnar stays on the exact
-    path (``None`` when the columnar kernel was actually taken)."""
+def _columnar_admission(scheme: OnlineScheme, bounds):
+    """The columnar admission verdict under ``bounds``, or ``None`` when
+    NumPy is unavailable (every columnar request then runs exact)."""
     from .ir.vectorize import admit_columnar, numpy_or_none
 
     if numpy_or_none() is None:
+        return None
+    return admit_columnar(scheme.program, scheme.initializer, bounds)
+
+
+def _columnar_notice(admission, backend: str) -> str | None:
+    """One-line explanation when --backend auto/columnar stays on the exact
+    path (``None`` when the columnar kernel was actually taken)."""
+    if admission is None:
         return "backend: columnar unavailable (NumPy not installed); running exact"
-    admission = admit_columnar(scheme.program, scheme.initializer, bounds)
     if admission.verdict == "float-optin-only" and backend == "auto":
         return ("backend: auto keeps the exact kernels (columnar would need "
                 f"the float64 opt-in: {admission.reason})")
@@ -582,7 +590,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     backend = None if args.backend == "exact" else args.backend
     if backend is not None:
-        notice = _columnar_notice(scheme, args.backend, bounds)
+        notice = _columnar_notice(_columnar_admission(scheme, bounds), backend)
         if notice is not None:
             print(notice, file=sys.stderr)
     try:
@@ -692,7 +700,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     backend = None if args.backend == "exact" else args.backend
     if backend is not None:
-        notice = _columnar_notice(scheme, args.backend, bounds)
+        admission = _columnar_admission(scheme, bounds)
+        float64 = admission is not None and admission.domain == "float64"
+        if args.verify and backend == "columnar" and float64:
+            # The oracle folds exact rationals; float64 results also depend
+            # on batch boundaries, so the comparison could only fail.
+            print(
+                "error: --verify compares against the exact single-process fold, "
+                "and the float64 columnar opt-in is not bit-identical to it "
+                f"({admission.reason}); use --backend auto or exact",
+                file=sys.stderr,
+            )
+            return 2
+        notice = _columnar_notice(admission, backend)
         if notice is not None:
             print(notice, file=sys.stderr)
 
@@ -766,8 +786,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             key_field=args.key_field,
             value_field=args.value_field,
             extra=extra,
-            backend=backend,
-            bounds=bounds,
         )
         if not states_match(result, oracle):
             print(
@@ -1148,8 +1166,10 @@ def build_parser() -> argparse.ArgumentParser:
                               "the server correctly refuses)")
     p_serve.add_argument("--verify", action="store_true",
                          help="also fold the stream through a single-process "
-                              "KeyedOperator and fail unless the final states "
-                              "are bit-identical (use a fresh --checkpoint-dir)")
+                              "KeyedOperator on the exact kernels and fail "
+                              "unless the final states are bit-identical (use "
+                              "a fresh --checkpoint-dir); refused when "
+                              "--backend columnar admits the float64 domain")
     p_serve.add_argument("--fresh", action="store_true",
                          help="wipe any existing checkpoints in --checkpoint-dir "
                               "instead of resuming them")

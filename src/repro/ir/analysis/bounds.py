@@ -112,11 +112,18 @@ def _arg(args: list[str], index: int, default: Fraction) -> Fraction:
     return default
 
 
-def _count_of(args: list[str], index: int) -> int | None:
-    """The element-count argument, if the spec states one."""
-    if index < len(args):
-        return int(_spec_arg(args[index]))
-    return None
+def _capped(count: int | None, cap: int | None) -> int | None:
+    """``count`` tightened (never loosened) by an explicit ``cap``."""
+    if cap is None:
+        return count
+    return cap if count is None else min(count, cap)
+
+
+def _count_of(args: list[str], index: int, cap: int | None) -> int | None:
+    """The element count: the spec's own argument, if it states one, capped
+    by ``--max-elements`` before any field range is derived from it."""
+    count = int(_spec_arg(args[index])) if index < len(args) else None
+    return _capped(count, cap)
 
 
 def bounds_from_spec(spec: str, max_elements: int | None = None) -> AnalysisBounds:
@@ -125,7 +132,8 @@ def bounds_from_spec(spec: str, max_elements: int | None = None) -> AnalysisBoun
     Unknown sources raise ``ValueError`` (mirroring
     :func:`repro.runtime.sources.from_spec`); every known source's field
     ranges follow its generator's documented contract.  An explicit
-    ``max_elements`` tightens (never loosens) the spec's own count.
+    ``max_elements`` tightens (never loosens) the spec's own count, and is
+    applied first: ``counter`` and ``random_walk`` ranges grow with it.
     """
     name, args = _args_of(spec)
     count: int | None
@@ -134,20 +142,20 @@ def bounds_from_spec(spec: str, max_elements: int | None = None) -> AnalysisBoun
             raise ValueError("list: spec needs comma-separated values")
         values = [Fraction(tok) for tok in args[0].split(",")]
         fields = (FieldBounds(min(values), max(values), all(v.denominator == 1 for v in values)),)
-        count = len(values)
+        count = _capped(len(values), max_elements)
     elif name == "constant":
         if not args:
             raise ValueError("constant: spec needs a value")
         v = _spec_arg(args[0])
         fields = (FieldBounds(v, v, v.denominator == 1),)
-        count = _count_of(args, 1)
+        count = _count_of(args, 1, max_elements)
     elif name == "counter":
-        count = _count_of(args, 0)
+        count = _count_of(args, 0, max_elements)
         start = _arg(args, 1, Fraction(0))
         hi: Endpoint = start + count - 1 if count else (start if count == 0 else INF)
         fields = (FieldBounds(start, max(start, hi), start.denominator == 1),)
     elif name == "sawtooth":
-        count = _count_of(args, 0)
+        count = _count_of(args, 0, max_elements)
         period = _arg(args, 1, Fraction(17))
         noise = _arg(args, 2, Fraction(0))
         fields = (
@@ -158,15 +166,15 @@ def bounds_from_spec(spec: str, max_elements: int | None = None) -> AnalysisBoun
             ),
         )
     elif name == "random_walk":
-        count = _count_of(args, 0)
+        count = _count_of(args, 0, max_elements)
         step = _arg(args, 1, Fraction(3))
         reach = (count or 0) * step if count is not None else INF
         fields = (FieldBounds(-reach, reach, step.denominator == 1),)
     elif name == "gaussian":
-        count = _count_of(args, 0)
+        count = _count_of(args, 0, max_elements)
         fields = (FieldBounds(Fraction(-10), Fraction(10), True),)
     elif name == "bids":
-        count = _count_of(args, 0)
+        count = _count_of(args, 0, max_elements)
         low = _arg(args, 2, Fraction(50))
         high = _arg(args, 3, Fraction(500))
         categories = _arg(args, 4, Fraction(5))
@@ -175,7 +183,7 @@ def bounds_from_spec(spec: str, max_elements: int | None = None) -> AnalysisBoun
             FieldBounds(Fraction(1), categories, True),
         )
     elif name == "zipf-keys":
-        count = _count_of(args, 0)
+        count = _count_of(args, 0, max_elements)
         keys = _arg(args, 1, Fraction(50))
         low = _arg(args, 4, Fraction(1))
         high = _arg(args, 5, Fraction(1000))
@@ -184,7 +192,7 @@ def bounds_from_spec(spec: str, max_elements: int | None = None) -> AnalysisBoun
             FieldBounds(Fraction(1), keys, True),
         )
     elif name == "pairs":
-        count = _count_of(args, 0)
+        count = _count_of(args, 0, max_elements)
         slope = _arg(args, 1, Fraction(2))
         intercept = _arg(args, 2, Fraction(1))
         noise = _arg(args, 3, Fraction(2))
@@ -200,8 +208,6 @@ def bounds_from_spec(spec: str, max_elements: int | None = None) -> AnalysisBoun
         )
     else:
         raise ValueError(f"cannot derive bounds for unknown source {name!r}")
-    if max_elements is not None:
-        count = max_elements if count is None else min(count, max_elements)
     return AnalysisBounds(element=fields, max_elements=count, source=spec)
 
 

@@ -765,18 +765,15 @@ def reference_states(
     key_field,
     value_field=None,
     extra: Mapping[str, Value] | None = None,
-    backend: str | None = None,
-    bounds=None,
 ) -> KeyedOperator:
     """The single-process oracle a serve run must match bit-for-bit: one
-    ``KeyedOperator`` folding the same element sequence in one process."""
+    ``KeyedOperator`` folding the same element sequence in one process, on
+    the exact kernels whatever backend the workers run."""
     op = KeyedOperator(
         scheme,
         field_extractor(key_field),
         value_fn=field_extractor(value_field),
         extra=extra,
-        backend=backend,
-        bounds=bounds,
     )
     op.push_many(list(elements))
     return op

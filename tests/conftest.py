@@ -1,4 +1,6 @@
-"""Shared fixtures."""
+"""Shared fixtures.  The helpers every differential test imports live in
+``differential.py``: ``benchmarks/conftest.py`` shares the module name
+``conftest``, so a name imported from here could resolve to that file."""
 
 from __future__ import annotations
 
@@ -12,3 +14,13 @@ def jit_mode(request, monkeypatch) -> bool:
     value is whether compiled execution is on."""
     monkeypatch.setenv("REPRO_JIT", request.param)
     return request.param == "1"
+
+
+@pytest.fixture
+def ungated(monkeypatch):
+    """Lift the int64 cost gate's length thresholds, so that short batches
+    still run the columnar body."""
+    from repro.ir import vectorize
+
+    monkeypatch.setattr(vectorize, "_MIN_SCAN_BATCH", 1)
+    monkeypatch.setattr(vectorize, "_MIN_MULTI_BATCH", 1)

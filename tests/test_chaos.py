@@ -5,6 +5,7 @@ restart budget, poison quarantine), and the ``repro chaos`` harness."""
 import json
 
 import pytest
+from differential import keyed_stream, sum_scheme
 
 from repro.cli import main
 from repro.core.scheme import OnlineScheme
@@ -19,8 +20,6 @@ from repro.faults import (
     poison_element,
     split_at,
 )
-from repro.ir.dsl import add
-from repro.ir.nodes import OnlineProgram
 from repro.runtime import sources
 from repro.runtime.checkpoint import (
     CheckpointError,
@@ -30,14 +29,6 @@ from repro.runtime.checkpoint import (
     verify_generation,
 )
 from repro.serve import ServeError, StreamServer, reference_states, states_match
-
-
-def sum_scheme() -> OnlineScheme:
-    return OnlineScheme((0,), OnlineProgram(("s",), "x", (add("s", "x"),)))
-
-
-def keyed_stream(n, keys=16, seed=3):
-    return list(sources.zipf_keys(n, keys=keys, seed=seed))
 
 
 class TestFaultSpecs:

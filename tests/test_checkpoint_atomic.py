@@ -5,16 +5,10 @@ import json
 import os
 
 import pytest
+from differential import sum_scheme
 
-from repro.core.scheme import OnlineScheme
-from repro.ir.dsl import add
-from repro.ir.nodes import OnlineProgram
 from repro.runtime import OnlineOperator, load_checkpoint, save_checkpoint
 from repro.runtime.checkpoint import atomic_write_text
-
-
-def sum_scheme() -> OnlineScheme:
-    return OnlineScheme((0,), OnlineProgram(("s",), "x", (add("s", "x"),)))
 
 
 class TestAtomicWriteText:

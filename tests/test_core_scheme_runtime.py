@@ -3,9 +3,10 @@
 from fractions import Fraction
 
 import pytest
+from differential import mean_scheme, sum_scheme
 
 from repro.core.scheme import OnlineScheme
-from repro.ir.dsl import add, div, mul
+from repro.ir.dsl import add, mul
 from repro.ir.nodes import OnlineProgram, Var
 from repro.runtime import (
     OnlineOperator,
@@ -15,22 +16,6 @@ from repro.runtime import (
     sliding,
     tumbling,
 )
-
-
-def mean_scheme() -> OnlineScheme:
-    """Example 3.2: P'((y, z), x) = ((y*z + x)/(z + 1), z + 1)."""
-    return OnlineScheme(
-        (0, 0),
-        OnlineProgram(
-            ("y", "z"),
-            "x",
-            (div(add(mul("y", "z"), "x"), add("z", 1)), add("z", 1)),
-        ),
-    )
-
-
-def sum_scheme() -> OnlineScheme:
-    return OnlineScheme((0,), OnlineProgram(("s",), "x", (add("s", "x"),)))
 
 
 class TestSchemeSemantics:

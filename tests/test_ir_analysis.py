@@ -30,12 +30,8 @@ from fractions import Fraction
 
 import pytest
 
-from test_ir_compile import (
-    ORACLE_ERRORS,
-    adversarial_stream,
-    assert_same_value,
-    random_candidate,
-)
+from differential import adversarial_stream, assert_same_value
+from test_ir_compile import ORACLE_ERRORS, random_candidate
 
 from repro.cli import main as cli_main
 from repro.core import SynthesisConfig
@@ -161,6 +157,16 @@ class TestBounds:
         assert b.max_elements == 10
         b = bounds_from_spec("bids:10", max_elements=1000)
         assert b.max_elements == 10
+
+    def test_max_elements_caps_count_dependent_ranges(self):
+        # The cap applies before the range is derived from the count: an
+        # unbounded counter under --max-elements 100 yields 0..99.
+        c = bounds_from_spec("counter", max_elements=100)
+        assert (c.element[0].lo, c.element[0].hi, c.max_elements) == (0, 99, 100)
+        c = bounds_from_spec("counter:1000:5", max_elements=10)
+        assert (c.element[0].lo, c.element[0].hi) == (5, 14)
+        w = bounds_from_spec("random_walk", max_elements=4)
+        assert (w.element[0].lo, w.element[0].hi) == (-12, 12)
 
     def test_unknown_source_raises(self):
         with pytest.raises(ValueError):

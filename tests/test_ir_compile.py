@@ -3,11 +3,10 @@
 The compiled execution paths of :mod:`repro.ir.compile` claim bit-for-bit
 equivalence with :mod:`repro.ir.evaluator` over exact rationals — same
 values, same Python types (``int`` vs ``Fraction`` vs ``bool``), same
-exception classes on ill-formed input.  These tests enforce the claim on:
+exception classes on ill-formed input.  ``test_conformance.py`` holds every
+ground-truth scheme to that claim on every execution path; these tests
+enforce it on:
 
-* every ground-truth scheme of the suite, over adversarial streams (zeros
-  for safe-division, denominator-1 fractions for normalization, negatives,
-  int/Fraction mixes);
 * serialize -> load round-tripped schemes and keyed/checkpoint-resume runs;
 * hundreds of randomly enumerated candidate expressions per seed (the
   population the equivalence oracle compiles);
@@ -23,6 +22,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from differential import adversarial_stream, assert_same_value
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -62,61 +62,11 @@ from repro.ir.nodes import (
 )
 from repro.runtime import KeyedOperator, OnlineOperator
 from repro.runtime.checkpoint import restore_keyed
-from repro.suites import all_benchmarks, get_benchmark
+from repro.suites import get_benchmark
 
 #: Exception classes the oracle treats as a failing candidate; "raises
 #: equivalently" means both backends raise the same class from this set.
 ORACLE_ERRORS = (EvaluationError, ArithmeticError, TypeError, ValueError)
-
-
-def assert_same_value(a, b, where=""):
-    """Bit-for-bit: equal values of identical Python types, recursively."""
-    assert type(a) is type(b), f"{where}: {type(a).__name__} != {type(b).__name__} ({a!r} vs {b!r})"
-    if isinstance(a, (tuple, list)):
-        assert len(a) == len(b), f"{where}: {a!r} vs {b!r}"
-        for i, (x, y) in enumerate(zip(a, b)):
-            assert_same_value(x, y, f"{where}[{i}]")
-    elif isinstance(a, float) and a != a:  # nan: both backends produced one
-        assert b != b, f"{where}: nan vs {b!r}"
-    else:
-        assert a == b, f"{where}: {a!r} != {b!r}"
-
-
-def adversarial_stream(arity: int, seed: str, n: int = 60):
-    """Zeros, negatives, denominator-1 fractions, int/Fraction mixes —
-    the values where safe division and normalization actually matter."""
-    rng = random.Random(seed)
-    pool = [
-        0,
-        1,
-        -1,
-        2,
-        -3,
-        7,
-        Fraction(0),
-        Fraction(1, 3),
-        Fraction(-2, 5),
-        Fraction(6, 3),  # normalizes to int through arithmetic
-        Fraction(22, 7),
-        Fraction(-9, 4),
-    ]
-    if arity <= 1:
-        return [rng.choice(pool) for _ in range(n)]
-    return [
-        (rng.choice(pool), rng.choice((0, 1, 2, Fraction(1), Fraction(3))))
-        for _ in range(n)
-    ]
-
-
-def integral_fraction_stream(arity: int, seed: str, n: int = 60):
-    """``Fraction(k)`` values with int keys: the shape of every built-in
-    source (``repro.runtime.sources``), which the fast paths unwrap."""
-    rng = random.Random(seed)
-    values = [Fraction(rng.randint(-20, 1000)) for _ in range(n)]
-    values[::7] = [Fraction(0)] * len(values[::7])
-    if arity <= 1:
-        return values
-    return [(value, rng.randint(0, 3)) for value in values]
 
 
 def run_differential(scheme, stream, extra):
@@ -132,33 +82,6 @@ def run_differential(scheme, stream, extra):
 
 
 class TestGroundTruthSchemes:
-    def test_every_ground_truth_differential(self):
-        for bench in all_benchmarks():
-            scheme = bench.ground_truth
-            extra = {
-                name: value
-                for name, value in zip(
-                    scheme.program.extra_params,
-                    (2, Fraction(1, 2), 0, -3) * 4,
-                )
-            }
-            for stream in (
-                adversarial_stream(bench.element_arity, bench.name),
-                integral_fraction_stream(bench.element_arity, bench.name),
-            ):
-                run_differential(scheme, stream, extra)
-
-    def test_safe_division_edge_cases(self):
-        # mean's first step divides by the zero-initialized count; harmonic
-        # mean divides by sums that pass through zero on 1, -1 inputs.
-        for name in ("mean", "harmonic_mean", "cv", "q_hit_rate"):
-            bench = get_benchmark(name)
-            stream = [0, 0, 1, -1, Fraction(1, 2), Fraction(-1, 2), 0][: 7]
-            if bench.element_arity == 2:
-                stream = [(v, 1) for v in stream]
-            extra = {p: 0 for p in bench.ground_truth.program.extra_params}
-            run_differential(bench.ground_truth, stream, extra)
-
     def test_scheme_step_uses_compiled_by_default(self):
         scheme = get_benchmark("variance").ground_truth
         if jit_enabled():

@@ -4,9 +4,10 @@ empty-batch semantics of operators and pipelines."""
 from fractions import Fraction
 
 import pytest
+from differential import mean_scheme, rate_scheme, sum_scheme
 
 from repro.core.scheme import OnlineScheme
-from repro.ir.dsl import add, div, mul
+from repro.ir.dsl import add
 from repro.ir.nodes import OnlineProgram
 from repro.ir import run_offline
 from repro.runtime import (
@@ -19,28 +20,6 @@ from repro.runtime import (
     sources,
 )
 from repro.suites import get_benchmark
-
-
-def sum_scheme() -> OnlineScheme:
-    return OnlineScheme((0,), OnlineProgram(("s",), "x", (add("s", "x"),)))
-
-
-def mean_scheme() -> OnlineScheme:
-    return OnlineScheme(
-        (0, 0),
-        OnlineProgram(
-            ("y", "z"),
-            "x",
-            (div(add(mul("y", "z"), "x"), add("z", 1)), add("z", 1)),
-        ),
-    )
-
-
-def rate_scheme() -> OnlineScheme:
-    """sum of x * rate, with rate as an extra pass-through parameter."""
-    return OnlineScheme(
-        (0,), OnlineProgram(("s",), "x", (add("s", mul("x", "rate")),), ("rate",))
-    )
 
 
 class TestDefinedEmptyBatches:

@@ -5,6 +5,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from differential import mean_scheme
 
 from repro.core import SynthesisConfig
 from repro.core.scheme import OnlineScheme
@@ -14,23 +15,12 @@ from repro.core.serialize import (
     encode_value,
     loads_scheme,
 )
-from repro.ir.dsl import add, div, mul
+from repro.ir.dsl import add, mul
 from repro.ir.nodes import OnlineProgram
 from repro.ir.parser import ParseError, parse_online_program
 from repro.ir.pretty import online_program_to_sexpr
 from repro.store import SchemeStore, scheme_key
 from repro.suites import all_benchmarks, get_benchmark
-
-
-def mean_scheme() -> OnlineScheme:
-    return OnlineScheme(
-        (0, 0),
-        OnlineProgram(
-            ("y", "z"),
-            "x",
-            (div(add(mul("y", "z"), "x"), add("z", 1)), add("z", 1)),
-        ),
-    )
 
 
 class TestValueCodec:

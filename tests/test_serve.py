@@ -8,14 +8,12 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
+from differential import keyed_stream, rate_scheme, sum_scheme
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main
-from repro.core.scheme import OnlineScheme
-from repro.ir.dsl import add, mul
-from repro.ir.nodes import OnlineProgram
-from repro.runtime import sources
+from repro.ir.vectorize import numpy_or_none
 from repro.serve import (
     HashRing,
     ServeError,
@@ -26,16 +24,7 @@ from repro.serve import (
     states_match,
 )
 from repro.serve import hashring
-
-
-def sum_scheme() -> OnlineScheme:
-    return OnlineScheme((0,), OnlineProgram(("s",), "x", (add("s", "x"),)))
-
-
-def rate_scheme() -> OnlineScheme:
-    return OnlineScheme(
-        (0,), OnlineProgram(("s",), "x", (add("s", mul("x", "rate")),), ("rate",))
-    )
+from repro.suites import get_benchmark
 
 
 def refuse_compiling(monkeypatch):
@@ -56,10 +45,6 @@ def result_lines(out):
         line for line in out.splitlines()
         if not line.startswith(("throughput", "checkpoints:"))
     ]
-
-
-def keyed_stream(n, keys=16, seed=3):
-    return list(sources.zipf_keys(n, keys=keys, seed=seed))
 
 
 def serve(elements, tmp_path, *, push="many", shards=2, **kwargs):
@@ -471,6 +456,38 @@ class TestServeCli:
         assert code == 0
         assert "verify: OK" in out
         assert "consumed 300 elements" in out
+
+    @pytest.mark.skipif(numpy_or_none() is None, reason="NumPy not installed")
+    def test_verify_refuses_the_float64_optin(self, tmp_path, capsys):
+        # The oracle folds exact rationals, and float64 results depend on
+        # batch boundaries: the comparison could only fail, so serve refuses
+        # before it starts a worker or writes a checkpoint.
+        path = tmp_path / "variance.scheme.json"
+        get_benchmark("variance").ground_truth.save(path)
+        checkpoints = tmp_path / "ck"
+        code = main([
+            "serve", str(path), "--source", "zipf-keys:300:10:5",
+            "--key-field", "1", "--value-field", "0", "--shards", "2",
+            "--checkpoint-dir", str(checkpoints), "--backend", "columnar", "--verify",
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: --verify")
+        assert "float64" in captured.err
+        assert not checkpoints.exists()
+
+    def test_auto_verify_matches_the_exact_oracle(self, tmp_path, capsys):
+        path = tmp_path / "range.scheme.json"
+        get_benchmark("range").ground_truth.save(path)
+        code = main([
+            "serve", str(path), "--source", "zipf-keys:3000:4:5:1.2:1:1000",
+            "--key-field", "1", "--value-field", "0", "--shards", "2",
+            "--checkpoint-dir", str(tmp_path / "ck"), "--batch-size", "1024",
+            "--backend", "auto", "--verify",
+        ])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "verify: OK" in out
 
     def test_serve_kill_shard_recovers(self, scheme_file, tmp_path, capsys):
         code = main([

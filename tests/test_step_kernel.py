@@ -6,10 +6,10 @@ loop or the interpreter-driven fallback, alone or drained per operator
 by a pipeline — must
 equal sequential per-element ``push`` bit-for-bit over exact rationals
 (states, outputs, counts, exception classes, partial progress on failure).
-These tests enforce the claim on every ground-truth scheme of the suite,
-jit on and off, including keyed and checkpoint-resume paths, over mixed
-int/Fraction streams and over the integral ``Fraction(k)`` streams the
-built-in sources yield.
+``test_conformance.py`` checks every ground-truth scheme's ``push_many``
+against the interpreter; these tests pin the kernel contract itself:
+empty and generator batches, mid-batch errors, declined shapes, caches,
+keyed grouping and pipelines.
 """
 
 from __future__ import annotations
@@ -18,12 +18,12 @@ import pickle
 from fractions import Fraction
 
 import pytest
+from differential import adversarial_stream, assert_same_value, extras_for, interpreted
 
 from repro.core.scheme import OnlineScheme
 from repro.ir.compile import (
     IRCompileError,
     StepKernel,
-    compile_online_step,
     compile_step_batch,
     kernel_partial,
 )
@@ -32,112 +32,25 @@ from repro.ir.evaluator import EvaluationError
 from repro.ir.nodes import OnlineProgram, Var
 from repro.runtime import KeyedOperator, OnlineOperator, StreamPipeline
 from repro.runtime.checkpoint import load_checkpoint, save_checkpoint
-from repro.suites import all_benchmarks, get_benchmark
+from repro.suites import get_benchmark
 
 
-def assert_same_value(a, b, where=""):
-    """Bit-for-bit: equal values of identical Python types, recursively."""
-    assert type(a) is type(b), (
-        f"{where}: {type(a).__name__} != {type(b).__name__} ({a!r} vs {b!r})"
+def fails_at(value) -> OnlineScheme:
+    """A running sum whose step raises (an unbound extra) on ``value``."""
+    program = OnlineProgram(
+        ("s",), "x", (ite(eq(Var("x"), value), add("s", "missing"), add("s", "x")),)
     )
-    if isinstance(a, (tuple, list)):
-        assert len(a) == len(b), f"{where}: {a!r} vs {b!r}"
-        for i, (x, y) in enumerate(zip(a, b)):
-            assert_same_value(x, y, f"{where}[{i}]")
-    elif isinstance(a, float) and a != a:
-        assert b != b, f"{where}: nan vs {b!r}"
-    else:
-        assert a == b, f"{where}: {a!r} != {b!r}"
+    return OnlineScheme((0,), program, provenance=f"fails-at-{value}")
 
 
-def ground_truths():
-    return [b for b in all_benchmarks() if b.ground_truth is not None]
-
-
-def stream_for(bench, n=60):
-    """Zeros, negatives, denominator-1 fractions, int/Fraction mixes."""
-    scalars = []
-    for i in range(n):
-        if i % 4 == 0:
-            scalars.append(i % 5 - 2)
-        elif i % 4 == 1:
-            scalars.append(Fraction(i % 7 - 3, 1 + i % 3))
-        elif i % 4 == 2:
-            scalars.append(Fraction(i % 9, 1))
-        else:
-            scalars.append(0)
-    if bench.element_arity <= 1:
-        return scalars
-    return [(value, (i * 3) % 4) for i, value in enumerate(scalars)]
-
-
-def integral_fraction_stream(bench, n=60):
-    """``Fraction(k)`` values with int keys: the shape of every built-in
-    source (``repro.runtime.sources``), which the fast paths unwrap."""
-    scalars = [Fraction((i * 37) % 101 - 20) for i in range(n)]
-    if bench.element_arity <= 1:
-        return scalars
-    return [(value, (i * 3) % 4) for i, value in enumerate(scalars)]
-
-
-def extras_for(scheme):
-    return {name: 500 for name in scheme.program.extra_params}
+def two_then_boom():
+    """A source that yields 1 and 2, then dies."""
+    yield 1
+    yield 2
+    raise RuntimeError("source died")
 
 
 class TestBatchKernelEquivalence:
-    def test_push_many_equals_push_on_all_ground_truths(self, jit_mode):
-        for bench in ground_truths():
-            scheme = bench.ground_truth
-            extra = extras_for(scheme)
-            for elements in (stream_for(bench), integral_fraction_stream(bench)):
-                batched = OnlineOperator(scheme, extra)
-                stepped = OnlineOperator(scheme, extra)
-                oracle = scheme.initializer
-                batched.push_many(elements)
-                for element in elements:
-                    stepped.push(element)
-                    oracle = scheme.interpreted_step(oracle, element, extra)
-                assert_same_value(batched.state, stepped.state, bench.name)
-                assert_same_value(batched.state, oracle, bench.name)
-                assert batched.count == stepped.count == len(elements)
-                assert batched._kernel.compiled is jit_mode
-
-    def test_chunked_push_many_equals_one_shot(self):
-        for bench in ground_truths()[::5]:
-            scheme = bench.ground_truth
-            elements = stream_for(bench)
-            extra = extras_for(scheme)
-            whole = OnlineOperator(scheme, extra)
-            chunked = OnlineOperator(scheme, extra)
-            whole.push_many(elements)
-            i = 0
-            for size in (0, 1, 3, 7, 11, len(elements)):
-                chunked.push_many(elements[i : i + size])
-                i += size
-            chunked.push_many(elements[i:])
-            assert_same_value(whole.state, chunked.state, bench.name)
-            assert whole.count == chunked.count
-
-    def test_kernel_against_scalar_step_directly(self):
-        for bench in ground_truths():
-            scheme = bench.ground_truth
-            kernel = compile_step_batch(scheme.program, name=bench.name)
-            step = compile_online_step(scheme.program, name=bench.name)
-            extra = extras_for(scheme)
-            for elements in (stream_for(bench), integral_fraction_stream(bench)):
-                state = oracle = scheme.initializer
-                for element in elements:
-                    state = step(state, element, extra)
-                    oracle = scheme.interpreted_step(oracle, element, extra)
-                batch_state, consumed = kernel.run(
-                    scheme.initializer, elements, extra
-                )
-                assert consumed == len(elements)
-                assert_same_value(batch_state, state, bench.name)
-                assert_same_value(batch_state, oracle, bench.name)
-            assert kernel.compiled
-            assert kernel.source is not None
-
     def test_empty_batch_is_identity(self):
         scheme = get_benchmark("variance").ground_truth
         op = OnlineOperator(scheme)
@@ -149,21 +62,14 @@ class TestBatchKernelEquivalence:
 
     def test_generator_input(self):
         scheme = get_benchmark("mean").ground_truth
-        from_list = OnlineOperator(scheme)
         from_gen = OnlineOperator(scheme)
         elements = [Fraction(i, 3) for i in range(20)]
-        from_list.push_many(elements)
         from_gen.push_many(iter(elements))
-        assert_same_value(from_gen.state, from_list.state)
+        assert_same_value(from_gen.state, interpreted(scheme, elements))
 
     def test_source_iterator_error_keeps_counts_exact(self):
         # The elements iterable itself raising between elements must record
         # only fully-applied elements.
-        def two_then_boom():
-            yield 1
-            yield 2
-            raise RuntimeError("source died")
-
         op = OnlineOperator(get_benchmark("sum").ground_truth)
         with pytest.raises(RuntimeError):
             op.push_many(two_then_boom())
@@ -173,10 +79,7 @@ class TestBatchKernelEquivalence:
         # The If branch referencing an unbound extra only evaluates when
         # x == 3 — the kernel must fail exactly there, with the state and
         # count of the elements before it, like per-element push does.
-        program = OnlineProgram(
-            ("s",), "x", (ite(eq(Var("x"), 3), add("s", "missing"), add("s", "x")),)
-        )
-        scheme = OnlineScheme((0,), program, provenance="partial-test")
+        scheme = fails_at(3)
         elements = [1, 2, 3, 4]
         stepped = OnlineOperator(scheme)
         with pytest.raises(EvaluationError):
@@ -237,11 +140,9 @@ class TestBatchKernelEquivalence:
         clone = pickle.loads(pickle.dumps(scheme))
         assert clone._compiled_kernel is None and clone._compiled_step is None
         elements = [Fraction(i, 2) for i in range(9)]
-        a = OnlineOperator(scheme)
-        b = OnlineOperator(clone)
-        a.push_many(elements)
-        b.push_many(elements)
-        assert_same_value(a.state, b.state)
+        op = OnlineOperator(clone)
+        op.push_many(elements)
+        assert_same_value(op.state, interpreted(scheme, elements))
 
     def test_invalidate_compiled_clears_kernel(self):
         scheme = get_benchmark("mean").ground_truth
@@ -253,7 +154,7 @@ class TestBatchKernelEquivalence:
         for name in ("mean", "variance", "q_category_volume"):
             bench = get_benchmark(name)
             scheme = bench.ground_truth
-            elements = stream_for(bench, n=25)
+            elements = adversarial_stream(bench.element_arity, name, n=25)
             extra = extras_for(scheme)
             assert_same_value(
                 scheme.final(elements, extra),
@@ -320,14 +221,7 @@ class TestKeyedBatch:
         # payload (global element index 2).  Per-push parity: b's later
         # element 4 must NOT be consumed even though b's group drains
         # independently, and count must stay a resumable stream offset.
-        scheme = OnlineScheme(
-            (0,),
-            OnlineProgram(
-                ("s",), "x",
-                (ite(eq(Var("x"), 99), add("s", "missing"), add("s", "x")),),
-            ),
-            provenance="boom-at-99",
-        )
+        scheme = fails_at(99)
         events = [("a", 1), ("b", 2), ("a", 99), ("b", 4), ("c", 5)]
         batched = KeyedOperator(
             scheme, key_fn=lambda e: e[0], value_fn=lambda e: e[1]
@@ -356,11 +250,9 @@ class TestKeyedBatch:
         resumed = load_checkpoint(path, key_fn=key_fn, value_fn=value_fn)
         assert all(p._kernel.compiled is jit_mode for p in resumed.partitions.values())
         resumed.push_many(events[20:])
-        uninterrupted = KeyedOperator(scheme, key_fn=key_fn, value_fn=value_fn)
-        for event in events:
-            uninterrupted.push(event)
-        assert resumed.snapshot() == uninterrupted.snapshot()
-        assert resumed.count == uninterrupted.count
+        for key, part in resumed.partitions.items():
+            assert_same_value(part.state, interpreted(scheme, [v for v, k in events if k == key]))
+        assert resumed.count == len(events) and len(resumed) == len({k for _, k in events})
 
     def test_operator_checkpoint_resume_with_batches(self, tmp_path):
         scheme = get_benchmark("variance").ground_truth
@@ -371,11 +263,8 @@ class TestKeyedBatch:
         save_checkpoint(op, path)
         resumed = load_checkpoint(path)
         resumed.push_many(elements[13:])
-        uninterrupted = OnlineOperator(scheme)
-        for element in elements:
-            uninterrupted.push(element)
-        assert_same_value(resumed.state, uninterrupted.state)
-        assert resumed.count == uninterrupted.count
+        assert_same_value(resumed.state, interpreted(scheme, elements))
+        assert resumed.count == len(elements)
 
 
 class TestPipelineBatch:
@@ -448,9 +337,8 @@ class TestPipelineBatch:
         pipeline = StreamPipeline(
             {"mean": OnlineOperator(get_benchmark("mean").ground_truth)}
         )
-        reference = OnlineOperator(get_benchmark("mean").ground_truth)
-        reference.push_many(elements)
-        assert pipeline.push_many(elements) == {"mean": reference.value}
+        mean = interpreted(get_benchmark("mean").ground_truth, elements)[0]
+        assert pipeline.push_many(elements) == {"mean": mean}
 
     def test_operator_swap_sees_only_later_batches(self):
         elements = self._elements(20)
@@ -460,14 +348,10 @@ class TestPipelineBatch:
             get_benchmark("sum").ground_truth
         )
         snapshot = pipeline.push_many(elements)
-        ref_mean = OnlineOperator(get_benchmark("mean").ground_truth)
-        for element in elements + elements:  # the mean op saw both batches
-            ref_mean.push(element)
-        ref_sum = OnlineOperator(get_benchmark("sum").ground_truth)
-        for element in elements:  # the swapped-in op saw only the second
-            ref_sum.push(element)
-        assert snapshot["mean"] == ref_mean.value
-        assert snapshot["sum"] == ref_sum.value
+        # The mean op saw both batches, the swapped-in op only the second.
+        mean = interpreted(get_benchmark("mean").ground_truth, elements + elements)
+        assert snapshot["mean"] == mean[0]
+        assert snapshot["sum"] == interpreted(get_benchmark("sum").ground_truth, elements)[0]
         assert pipeline.operators["sum"].count == len(elements)
 
     def test_partial_progress_on_error(self, jit_mode):
@@ -478,16 +362,8 @@ class TestPipelineBatch:
         ok = OnlineScheme(
             (0,), OnlineProgram(("a",), "x", (add("a", "x"),)), provenance="ok"
         )
-        bad = OnlineScheme(
-            (0,),
-            OnlineProgram(
-                ("b",), "x",
-                (ite(eq(Var("x"), 3), add("b", "missing"), add("b", "x")),),
-            ),
-            provenance="bad",
-        )
         pipeline = StreamPipeline(
-            {"ok": OnlineOperator(ok), "bad": OnlineOperator(bad)}
+            {"ok": OnlineOperator(ok), "bad": OnlineOperator(fails_at(3))}
         )
         with pytest.raises(EvaluationError):
             pipeline.push_many([1, 2, 3, 4])
@@ -520,17 +396,7 @@ class TestPipelineBatch:
                     "var": OnlineOperator(
                         get_benchmark("variance").ground_truth
                     ),
-                    "bad": OnlineOperator(
-                        OnlineScheme(
-                            (0,),
-                            OnlineProgram(
-                                ("b",), "x",
-                                (ite(eq(Var("x"), 3), add("b", "missing"),
-                                     add("b", "x")),),
-                            ),
-                            provenance="bad",
-                        ),
-                    ),
+                    "bad": OnlineOperator(fails_at(3)),
                 }
             )
 
@@ -559,11 +425,6 @@ class TestPipelineBatch:
         # A source raising between elements: the elements it yielded before
         # the error are applied to every operator, as a per-element loop
         # over the same source would, and the source's error propagates.
-        def two_then_boom():
-            yield 1
-            yield 2
-            raise RuntimeError("source died")
-
         def build():
             return StreamPipeline(
                 {
@@ -587,23 +448,9 @@ class TestPipelineBatch:
     def test_operator_error_before_source_error_wins(self):
         # The operator fails on element 1, before the source would have:
         # per-push order raises the operator's error, not the source's.
-        bad = OnlineScheme(
-            (0,),
-            OnlineProgram(
-                ("b",), "x",
-                (ite(eq(Var("x"), 2), add("b", "missing"), add("b", "x")),),
-            ),
-            provenance="bad",
-        )
-
-        def two_then_boom():
-            yield 1
-            yield 2
-            raise RuntimeError("source died")
-
         pipeline = StreamPipeline(
             {"sum": OnlineOperator(get_benchmark("sum").ground_truth),
-             "bad": OnlineOperator(bad)}
+             "bad": OnlineOperator(fails_at(2))}
         )
         with pytest.raises(EvaluationError):
             pipeline.push_many(two_then_boom())

@@ -1,13 +1,14 @@
-"""Differential tests for the certificate-licensed columnar backend.
+"""Tests for the certificate-licensed columnar backend.
 
 The columnar kernel (:mod:`repro.ir.vectorize`) claims a strict contract:
 ``int64``-certified schemes are bit-for-bit identical to the exact
 rationals, float64 opt-ins diverge by IEEE-754 rounding only, and every
 unadmitted scheme or out-of-contract batch transparently runs on the exact
 :class:`~repro.ir.compile.StepKernel` with its usual partial-progress
-semantics.  These tests enforce the claim on every ground-truth scheme of
-the suite — jit on and off, chunked and empty batches, keyed partitions,
-bailouts, pipeline interaction, and cross-backend checkpoint/restore.
+semantics.  ``test_conformance.py`` holds every ground-truth scheme to that
+contract under ``auto`` (gated and ungated) and ``columnar``; these tests
+pin admission verdicts, bailouts, the cost gate, the float64 exemption,
+pipeline interaction, caches and cross-backend checkpoint/restore.
 
 The whole module degrades to exact-path assertions when NumPy is absent
 (admission itself is pure structural analysis and never needs NumPy).
@@ -19,35 +20,33 @@ import pickle
 from fractions import Fraction
 
 import pytest
+from differential import (
+    assert_close_state,
+    assert_same_value,
+    extras_for,
+    interpreted,
+    small_int_stream,
+)
 
 from repro.core.scheme import OnlineScheme
 from repro.ir.analysis import AnalysisBounds, FieldBounds, bounds_from_spec
 from repro.ir.dsl import add, eq, ite
 from repro.ir.nodes import OnlineProgram, Var
-from repro.ir.values import values_close
 from repro.ir import vectorize
 from repro.ir.vectorize import admit_columnar, numpy_or_none
 from repro.runtime import KeyedOperator, OnlineOperator, StreamPipeline
 from repro.runtime.checkpoint import load_checkpoint, save_checkpoint
-from repro.suites import all_benchmarks, get_benchmark
+from repro.suites import get_benchmark
 
 HAVE_NUMPY = numpy_or_none() is not None
 
 needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="NumPy not installed")
 
 
-@pytest.fixture
-def ungated(monkeypatch):
-    """Lift the int64 cost gate's length thresholds, so that the short
-    batches of the differential tests still run the columnar body."""
-    monkeypatch.setattr(vectorize, "_MIN_SCAN_BATCH", 1)
-    monkeypatch.setattr(vectorize, "_MIN_MULTI_BATCH", 1)
-
-
 def count_exact_calls(monkeypatch, operator) -> list:
     """Record every batch a columnar operator hands to its exact kernel
     (gated and bailed-out batches alike).  That kernel is the scheme's
-    shared one: run exact reference operators before installing this."""
+    shared one, so exact operators built meanwhile are recorded too."""
     exact = operator._kernel.exact
     run = exact.run
     calls: list = []
@@ -60,64 +59,18 @@ def count_exact_calls(monkeypatch, operator) -> list:
     return calls
 
 
-def assert_same_value(a, b, where=""):
-    """Bit-for-bit: equal values of identical Python types, recursively."""
-    assert type(a) is type(b), (
-        f"{where}: {type(a).__name__} != {type(b).__name__} ({a!r} vs {b!r})"
-    )
-    if isinstance(a, (tuple, list)):
-        assert len(a) == len(b), f"{where}: {a!r} vs {b!r}"
-        for i, (x, y) in enumerate(zip(a, b)):
-            assert_same_value(x, y, f"{where}[{i}]")
-    elif isinstance(a, float) and a != a:
-        assert b != b, f"{where}: nan vs {b!r}"
-    else:
-        assert a == b, f"{where}: {a!r} != {b!r}"
-
-
-def assert_close_state(columnar_state, exact_state, where=""):
-    """Float64 contract: every component within IEEE rounding of the exact
-    rational result (exact values coerced through float for comparison)."""
-    assert len(columnar_state) == len(exact_state), where
-    for i, (got, want) in enumerate(zip(columnar_state, exact_state)):
-        want_f = float(want) if isinstance(want, Fraction) else want
-        assert values_close(got, want_f), (
-            f"{where}[{i}]: {got!r} not close to {want!r}"
-        )
-
-
-def ground_truths():
-    return [b for b in all_benchmarks() if b.ground_truth is not None]
-
-
-def int_stream(bench, n=60):
-    """Small integers (bounded, int64-certifiable for the simple schemes)."""
-    scalars = [(i * 7) % 11 - 3 for i in range(n)]
-    if bench.element_arity <= 1:
-        return scalars
-    return [(value, (i * 3) % 4 + 1) for i, value in enumerate(scalars)]
-
-
-def bounds_for(elements, arity, extra_params=()):
-    """Tight concrete bounds for exactly the data a test will push — the
-    same shape the bench harness feeds admission."""
+def bounds_for(elements, arity: int, extra=None) -> AnalysisBounds:
+    """Tight bounds for exactly the numbers a test pushes, the way a source
+    spec declares them."""
     rows = [(v,) for v in elements] if arity <= 1 else list(elements)
     fields = []
-    for i in range(max(arity, 1)):
-        col = [row[i] for row in rows]
-        integral = all(
-            isinstance(v, int) or (isinstance(v, Fraction) and v.denominator == 1)
-            for v in col
-        )
-        fields.append(FieldBounds(lo=min(col), hi=max(col), integral=integral))
-    extras = {name: FieldBounds(lo=500, hi=500, integral=True) for name in extra_params}
+    for column in zip(*rows):
+        integral = all(Fraction(v).denominator == 1 for v in column)
+        fields.append(FieldBounds(lo=min(column), hi=max(column), integral=integral))
+    extras = {name: FieldBounds(lo=v, hi=v, integral=True) for name, v in (extra or {}).items()}
     return AnalysisBounds(
         element=tuple(fields), max_elements=len(rows), extras=extras, source="test"
     )
-
-
-def extras_for(scheme):
-    return {name: 500 for name in scheme.program.extra_params}
 
 
 class TestAdmission:
@@ -126,8 +79,8 @@ class TestAdmission:
     def _admit(self, name, elements=None):
         bench = get_benchmark(name)
         scheme = bench.ground_truth
-        elements = elements if elements is not None else int_stream(bench)
-        bounds = bounds_for(elements, bench.element_arity, scheme.program.extra_params)
+        elements = elements if elements is not None else small_int_stream(bench.element_arity)
+        bounds = bounds_for(elements, bench.element_arity, extras_for(scheme))
         return admit_columnar(scheme.program, scheme.initializer, bounds)
 
     def test_int64_certified_schemes(self):
@@ -171,87 +124,14 @@ class TestAdmission:
 @needs_numpy
 @pytest.mark.usefixtures("ungated")
 class TestDifferentialGroundTruths:
-    """Columnar vs exact over every ground-truth scheme of the suite."""
-
-    def test_columnar_differential_all_ground_truths(self, jit_mode):
-        int64_seen = float64_seen = declined = 0
-        for bench in ground_truths():
-            scheme = bench.ground_truth
-            elements = int_stream(bench)
-            extra = extras_for(scheme)
-            bounds = bounds_for(
-                elements, bench.element_arity, scheme.program.extra_params
-            )
-            exact = OnlineOperator(scheme, extra)
-            columnar = OnlineOperator(scheme, extra, backend="columnar", bounds=bounds)
-            exact.push_many(elements)
-            columnar.push_many(elements)
-            assert columnar.count == exact.count == len(elements)
-            if columnar.backend_in_use == "exact":
-                declined += 1
-                assert_same_value(columnar.state, exact.state, bench.name)
-                continue
-            domain = columnar._kernel.domain
-            if domain == "int64":
-                int64_seen += 1
-                assert_same_value(columnar.state, exact.state, bench.name)
-            else:
-                float64_seen += 1
-                assert_close_state(columnar.state, exact.state, bench.name)
-        # The suite exercises all three admission outcomes.
-        assert int64_seen >= 10 and float64_seen >= 10 and declined >= 1
-
-    def test_auto_backend_never_changes_results(self):
-        # "auto" only takes the bit-identical int64 path; float-optin
-        # schemes must stay exact without the explicit "columnar" opt-in.
-        for name in ("sum", "variance", "mean"):
-            bench = get_benchmark(name)
-            scheme = bench.ground_truth
-            elements = int_stream(bench)
-            bounds = bounds_for(elements, bench.element_arity)
-            exact = OnlineOperator(scheme)
-            auto = OnlineOperator(scheme, backend="auto", bounds=bounds)
-            exact.push_many(elements)
-            auto.push_many(elements)
-            assert_same_value(auto.state, exact.state, name)
-        assert OnlineOperator(
-            get_benchmark("variance").ground_truth, backend="auto",
-            bounds=bounds_for(int_stream(get_benchmark("variance")), 1),
-        ).backend_in_use == "exact"
-
-    def test_chunked_and_empty_batches(self):
-        for name in ("sum", "max", "variance", "skewness"):
-            bench = get_benchmark(name)
-            scheme = bench.ground_truth
-            elements = int_stream(bench)
-            bounds = bounds_for(elements, bench.element_arity)
-            make = lambda: OnlineOperator(  # noqa: E731
-                scheme, backend="columnar", bounds=bounds
-            )
-            whole, chunked = make(), make()
-            whole.push_many(elements)
-            i = 0
-            for size in (0, 1, 3, 7, 11):
-                chunked.push_many(elements[i : i + size])
-                i += size
-            chunked.push_many(elements[i:])
-            if whole._kernel.domain == "int64":
-                # int64 is exact arithmetic: chunking cannot matter at all.
-                assert_same_value(whole.state, chunked.state, name)
-            else:
-                # float64 resumes a chunk as start + cumsum(chunk), which
-                # rounds differently from one uninterrupted scan — the
-                # divergence stays within the documented IEEE error model.
-                for got, want in zip(chunked.state, whole.state):
-                    assert values_close(got, want), (name, got, want)
-            assert whole.count == chunked.count == len(elements)
+    """Float64 scalar pushes, keyed partitions and forks under columnar."""
 
     def test_scalar_push_matches_push_many_in_float64(self):
         # Float64 operators route scalar push through the same kernel so a
         # trajectory never mixes exact and IEEE arithmetic.
         bench = get_benchmark("variance")
         scheme = bench.ground_truth
-        elements = int_stream(bench, n=40)
+        elements = small_int_stream(bench.element_arity, 40)
         bounds = bounds_for(elements, 1)
         batched = OnlineOperator(scheme, backend="columnar", bounds=bounds)
         stepped = OnlineOperator(scheme, backend="columnar", bounds=bounds)
@@ -267,24 +147,20 @@ class TestDifferentialGroundTruths:
         events = [((i * 7) % 11 + 1, i % 5) for i in range(48)]
         values = [e[0] for e in events]
         bounds = bounds_for(values, 1)
-        key_fn = lambda e: e[1]  # noqa: E731
-        value_fn = lambda e: e[0]  # noqa: E731
-        exact = KeyedOperator(scheme, key_fn=key_fn, value_fn=value_fn)
         columnar = KeyedOperator(
-            scheme, key_fn=key_fn, value_fn=value_fn,
+            scheme, key_fn=lambda e: e[1], value_fn=lambda e: e[0],
             backend="columnar", bounds=bounds,
         )
-        for event in events:
-            exact.push(event)
         columnar.push_many(events)
-        assert columnar.snapshot() == exact.snapshot()
+        assert list(columnar.partitions) == list(dict.fromkeys(e[1] for e in events))
         for key, part in columnar.partitions.items():
             assert part.backend_in_use == "columnar", key
-            assert_same_value(part.state, exact.partitions[key].state, f"key {key}")
+            payloads = [value for value, k in events if k == key]
+            assert_same_value(part.state, interpreted(scheme, payloads), f"key {key}")
 
     def test_fork_keeps_backend(self):
         bench = get_benchmark("sum")
-        elements = int_stream(bench)
+        elements = small_int_stream(bench.element_arity)
         op = OnlineOperator(
             bench.ground_truth, backend="columnar", bounds=bounds_for(elements, 1)
         )
@@ -303,38 +179,24 @@ class TestBailouts:
         scheme = get_benchmark("sum").ground_truth
         small = list(range(10))
         bounds = bounds_for(small, 1)
-        exact = OnlineOperator(scheme)
         columnar = OnlineOperator(scheme, backend="columnar", bounds=bounds)
         assert columnar.backend_in_use == "columnar"
         wild = small + [10**30]  # outside the certified interval
-        exact.push_many(wild)
         columnar.push_many(wild)
-        assert_same_value(columnar.state, exact.state)
+        assert_same_value(columnar.state, interpreted(scheme, wild))
         # Later in-bounds batches still agree (the huge state itself now
         # forces the exact path — silently, with identical results).
-        exact.push_many(small)
         columnar.push_many(small)
-        assert_same_value(columnar.state, exact.state)
+        assert_same_value(columnar.state, interpreted(scheme, wild + small))
 
     def test_non_numeric_payload_has_exact_error_parity(self):
+        # The interpreter raises TypeError on "boom", after two elements.
         scheme = get_benchmark("sum").ground_truth
-        elements = [1, 2, "boom", 4]
-        bounds = bounds_for([1, 2, 4], 1)
-        exact = OnlineOperator(scheme)
-        columnar = OnlineOperator(scheme, backend="columnar", bounds=bounds)
-        exact_exc = columnar_exc = None
-        try:
-            exact.push_many(elements)
-        except Exception as exc:  # noqa: BLE001 - parity check
-            exact_exc = exc
-        try:
-            columnar.push_many(elements)
-        except Exception as exc:  # noqa: BLE001 - parity check
-            columnar_exc = exc
-        assert exact_exc is not None and columnar_exc is not None
-        assert type(columnar_exc) is type(exact_exc)
-        assert_same_value(columnar.state, exact.state)
-        assert columnar.count == exact.count
+        columnar = OnlineOperator(scheme, backend="columnar", bounds=bounds_for([1, 2, 4], 1))
+        with pytest.raises(TypeError):
+            columnar.push_many([1, 2, "boom", 4])
+        assert_same_value(columnar.state, interpreted(scheme, [1, 2]))
+        assert columnar.count == 2
 
     def test_rational_payloads_are_converted_not_bailed(self, monkeypatch):
         # Fraction elements with denominator 1 (what CLI sources yield) must
@@ -343,20 +205,18 @@ class TestBailouts:
         scheme = get_benchmark("range").ground_truth
         elements = [Fraction((i * 7) % 20, 1) for i in range(20)]
         bounds = bounds_for(elements, 1)
-        exact = OnlineOperator(scheme)
         columnar = OnlineOperator(scheme, backend="columnar", bounds=bounds)
-        exact.push_many(elements)
         calls = count_exact_calls(monkeypatch, columnar)
         columnar.push_many(elements)
         assert columnar.backend_in_use == "columnar"
         assert calls == []
-        assert_same_value(columnar.state, exact.state)
+        assert_same_value(columnar.state, interpreted(scheme, elements))
 
     def test_no_numpy_degrades_to_exact(self, monkeypatch):
         monkeypatch.setenv("REPRO_NO_NUMPY", "1")
         bench = get_benchmark("sum")
         scheme = bench.ground_truth
-        elements = int_stream(bench)
+        elements = small_int_stream(bench.element_arity)
         bounds = bounds_for(elements, 1)
         assert scheme.compiled_columns(bounds, allow_float=True) is None
         op = OnlineOperator(scheme, backend="columnar", bounds=bounds)
@@ -414,7 +274,7 @@ class TestCrossBackendCheckpoint:
     def test_operator_roundtrip(self, tmp_path, first, second):
         bench = get_benchmark("sum")
         scheme = bench.ground_truth
-        elements = int_stream(bench)
+        elements = small_int_stream(bench.element_arity)
         bounds = bounds_for(elements, 1)
         op = OnlineOperator(scheme, backend=first, bounds=bounds)
         op.push_many(elements[:25])
@@ -425,11 +285,8 @@ class TestCrossBackendCheckpoint:
             "columnar" if second == "columnar" else "exact"
         )
         resumed.push_many(elements[25:])
-        reference = OnlineOperator(scheme)
-        for element in elements:
-            reference.push(element)
-        assert_same_value(resumed.state, reference.state)
-        assert resumed.count == reference.count
+        assert_same_value(resumed.state, interpreted(scheme, elements))
+        assert resumed.count == len(elements)
 
     @pytest.mark.parametrize(
         "first,second",
@@ -483,7 +340,7 @@ class TestKernelCache:
     def test_compiled_columns_is_cached_per_request(self):
         bench = get_benchmark("sum")
         scheme = bench.ground_truth
-        bounds = bounds_for(int_stream(bench), 1)
+        bounds = bounds_for(small_int_stream(bench.element_arity), 1)
         k1 = scheme.compiled_columns(bounds)
         k2 = scheme.compiled_columns(bounds)
         assert k1 is not None and k1 is k2
@@ -494,7 +351,7 @@ class TestKernelCache:
     def test_pickle_and_invalidate_drop_columnar_cache(self):
         bench = get_benchmark("sum")
         scheme = bench.ground_truth
-        bounds = bounds_for(int_stream(bench), 1)
+        bounds = bounds_for(small_int_stream(bench.element_arity), 1)
         assert scheme.compiled_columns(bounds) is not None
         clone = pickle.loads(pickle.dumps(scheme))
         assert clone._columnar_cache == []
@@ -524,13 +381,11 @@ class TestMaskedAccumulation:
         bounds = bounds_for(elements, 1)
         admission = admit_columnar(program, scheme.initializer, bounds)
         assert admission.admitted, admission.reason
-        exact = OnlineOperator(scheme)
         columnar = OnlineOperator(scheme, backend="columnar", bounds=bounds)
         assert columnar.backend_in_use == "columnar"
-        exact.push_many(elements)
         columnar.push_many(elements)
         # The x == 3 payloads (indices 2 and 4) must not accumulate.
-        assert columnar.state[0] == exact.state[0] == 12
+        assert columnar.state[0] == interpreted(scheme, elements)[0] == 12
 
     def test_masked_max_accumulation_matches_exact(self):
         # m' = if x > 0 then max(m, x) else m — a genuinely masked cummax
@@ -549,15 +404,11 @@ class TestMaskedAccumulation:
         assert component.kind == "cummax" and component.mask is not None
         elements = [-7, 3, -9, 5, 2, -11, 4]
         bounds = bounds_for(elements, 1)
-        exact = OnlineOperator(scheme)
-        columnar = OnlineOperator(
-            scheme, backend="columnar", bounds=bounds
-        )
+        columnar = OnlineOperator(scheme, backend="columnar", bounds=bounds)
         assert columnar.backend_in_use == "columnar"
-        exact.push_many(elements)
         columnar.push_many(elements)
         # Negative payloads must not participate: the max is 5, not -7.
-        assert columnar.state[0] == exact.state[0] == 5
+        assert columnar.state[0] == interpreted(scheme, elements)[0] == 5
 
 
 def _gate_threshold(scheme):
@@ -584,17 +435,15 @@ class TestCostGate:
         single_scan = threshold == vectorize._MIN_SCAN_BATCH
         for n in (threshold - 1, threshold, threshold + 1):
             elements = [payload((i * 37) % 1000 + 1) for i in range(n)]
-            exact = OnlineOperator(scheme)
-            exact.push_many(elements)
-            exact.push_many(elements[::-1])
             auto = OnlineOperator(scheme, backend="auto", bounds=self.BOUNDS)
             assert auto.backend_in_use == "columnar"
             calls = count_exact_calls(monkeypatch, auto)
             auto.push_many(elements)
             auto.push_many(elements[::-1])
             monkeypatch.undo()
-            assert_same_value(auto.state, exact.state, f"{name} n={n}")
-            assert auto.count == exact.count == 2 * n
+            want = interpreted(scheme, elements + elements[::-1])
+            assert_same_value(auto.state, want, f"{name} n={n}")
+            assert auto.count == 2 * n
             gated = n < threshold or (payload is Fraction and single_scan)
             assert len(calls) == (2 if gated else 0), (name, payload, n)
 
@@ -609,14 +458,12 @@ class TestCostGate:
         payload = int if isinstance(odd, float) else Fraction
         elements = [payload(i % 1000 + 1) for i in range(n)]
         elements[-3] = odd
-        exact = OnlineOperator(scheme)
-        exact.push_many(elements)
         auto = OnlineOperator(scheme, backend="auto", bounds=self.BOUNDS)
         calls = count_exact_calls(monkeypatch, auto)
         auto.push_many(elements)
         assert calls == [elements]
-        assert_same_value(auto.state, exact.state)
-        assert auto.count == exact.count == n
+        assert_same_value(auto.state, interpreted(scheme, elements))
+        assert auto.count == n
 
     def test_faulting_payload_keeps_partial_progress(self, monkeypatch):
         scheme = get_benchmark("range").ground_truth
@@ -642,8 +489,6 @@ class TestCostGate:
         events = [(Fraction((i * 13) % 1000 + 1), i % keys) for i in range(keys * (threshold - 1))]
         key_fn = lambda e: e[1]  # noqa: E731
         value_fn = lambda e: e[0]  # noqa: E731
-        exact = KeyedOperator(scheme, key_fn=key_fn, value_fn=value_fn)
-        exact.push_many(events)
 
         def never(*args, **kwargs):
             raise AssertionError("a gated fragment entered the columnar body")
@@ -656,7 +501,8 @@ class TestCostGate:
         assert len(auto.partitions) == keys
         for key, part in auto.partitions.items():
             assert part.backend_in_use == "columnar", key
-            assert_same_value(part.state, exact.partitions[key].state, f"key {key}")
+            payloads = [value for value, k in events if k == key]
+            assert_same_value(part.state, interpreted(scheme, payloads), f"key {key}")
 
     @pytest.mark.parametrize("self_first", [True, False], ids=["max(m,x)", "max(x,m)"])
     def test_result_objects_follow_the_exact_tie_rule(self, self_first):
@@ -679,12 +525,11 @@ class TestCostGate:
                     (early if i < n // 2 else late)(top - (i * 7) % 50) for i in range(n)
                 ]
                 assert elements.count(top) >= 2
-                exact = OnlineOperator(scheme)
-                exact.push_many(elements)
                 auto = OnlineOperator(scheme, backend="auto", bounds=self.BOUNDS)
                 assert auto.backend_in_use == "columnar"
                 auto.push_many(elements)
-                assert_same_value(auto.state, exact.state, f"top={top} late={late}")
+                want = interpreted(scheme, elements)
+                assert_same_value(auto.state, want, f"top={top} late={late}")
 
 
     @pytest.mark.parametrize("start, payload", [
@@ -704,14 +549,12 @@ class TestCostGate:
         scheme = OnlineScheme((start, 0), program, provenance="masked-max-n")
         n = 2 * vectorize._MIN_MULTI_BATCH
         elements = [payload(i) for i in range(n)]
-        exact = OnlineOperator(scheme)
-        exact.push_many(elements)
         auto = OnlineOperator(scheme, backend="auto", bounds=self.BOUNDS)
         assert auto.backend_in_use == "columnar"
         calls = count_exact_calls(monkeypatch, auto)
         auto.push_many(elements)
         assert calls == [elements]
-        assert_same_value(auto.state, exact.state)
+        assert_same_value(auto.state, interpreted(scheme, elements))
 
 
 @needs_numpy
@@ -731,7 +574,6 @@ class TestFloat64Exemption:
         pushed = OnlineOperator(scheme, backend="columnar", bounds=bounds)
         pushed.push(elements[0])
         assert all(type(v) is float for v in pushed.state), pushed.state
-        exact = OnlineOperator(scheme)
-        exact.push_many(elements)
-        assert not all(type(v) is float for v in exact.state)
-        assert_close_state(op.state, exact.state)
+        exact = interpreted(scheme, elements)
+        assert not all(type(v) is float for v in exact)
+        assert_close_state(op.state, exact)

@@ -1,6 +1,6 @@
 """Windowing helpers (:func:`tumbling`, :func:`sliding`) under the batch
 kernels: differential jit-on/off, degenerate window shapes, and equality
-with a per-push reference implementation.
+with interpreter folds over the same windows.
 """
 
 from __future__ import annotations
@@ -8,51 +8,27 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from differential import adversarial_stream, assert_same_value, interpreted
 
-from repro.runtime import OnlineOperator
 from repro.runtime.stream import sliding, tumbling
-from repro.suites import all_benchmarks, get_benchmark
+from repro.suites import get_benchmark
 
 
-def assert_same_value(a, b, where=""):
-    assert type(a) is type(b), (
-        f"{where}: {type(a).__name__} != {type(b).__name__} ({a!r} vs {b!r})"
-    )
-    assert a == b, f"{where}: {a!r} != {b!r}"
-
-
-def elements(n=23):
-    out = []
-    for i in range(n):
-        out.append(Fraction(i % 7 - 3, 1 + i % 4) if i % 2 else i % 5 - 2)
-    return out
+#: Zeros, negatives and non-integral fractions, 23 long (windows of 4 leave
+#: a partial tail).
+SOURCE = adversarial_stream(1, "window", 23)
 
 
 def reference_tumbling(scheme, source, size, extra=None):
-    """The pre-kernel implementation: one push per element, reset per
-    window — the specification the chunked version must match."""
-    op = OnlineOperator(scheme, extra)
-    filled = 0
-    for element in source:
-        op.push(element)
-        filled += 1
-        if filled == size:
-            yield op.value
-            op.reset()
-            filled = 0
-    if filled:
-        yield op.value
+    """One interpreter fold per window; the last window may be short."""
+    windows = range(0, len(source), size)
+    return [interpreted(scheme, source[i : i + size], extra)[0] for i in windows]
 
 
 def reference_sliding(scheme, source, size, extra=None):
-    buffer: list = []
-    for element in source:
-        buffer.append(element)
-        window = buffer[-size:]
-        op = OnlineOperator(scheme, extra)
-        for item in window:
-            op.push(item)
-        yield op.value
+    """One interpreter fold per element, over the trailing ``size``."""
+    ends = range(1, len(source) + 1)
+    return [interpreted(scheme, source[max(0, end - size) : end], extra)[0] for end in ends]
 
 
 SCHEMES = ("mean", "variance", "max", "count", "sum")
@@ -63,14 +39,14 @@ class TestTumbling:
     @pytest.mark.parametrize("size", [1, 2, 4, 23, 100])
     def test_matches_per_push_reference(self, name, size):
         scheme = get_benchmark(name).ground_truth
-        got = list(tumbling(scheme, elements(), size))
-        want = list(reference_tumbling(scheme, elements(), size))
+        got = list(tumbling(scheme, SOURCE, size))
+        want = list(reference_tumbling(scheme, SOURCE, size))
         assert len(got) == len(want)
         for i, (a, b) in enumerate(zip(got, want)):
             assert_same_value(a, b, f"{name} size={size} window {i}")
 
     def test_jit_on_off_identical(self, monkeypatch):
-        source = elements()
+        source = SOURCE
         with_jit = {
             name: list(tumbling(get_benchmark(name).ground_truth, source, 5))
             for name in SCHEMES
@@ -89,9 +65,9 @@ class TestTumbling:
 
     def test_size_one_windows(self):
         scheme = get_benchmark("variance").ground_truth
-        got = list(tumbling(scheme, elements(5), 1))
+        got = list(tumbling(scheme, SOURCE[:5], 1))
         assert len(got) == 5
-        for value, element in zip(got, elements(5)):
+        for value, element in zip(got, SOURCE[:5]):
             assert_same_value(value, scheme.final([element]))
 
     def test_partial_tail_window(self):
@@ -115,14 +91,14 @@ class TestSliding:
     @pytest.mark.parametrize("size", [1, 3, 8, 23, 100])
     def test_matches_per_push_reference(self, name, size):
         scheme = get_benchmark(name).ground_truth
-        got = list(sliding(scheme, elements(), size))
-        want = list(reference_sliding(scheme, elements(), size))
-        assert len(got) == len(want) == len(elements())
+        got = list(sliding(scheme, SOURCE, size))
+        want = list(reference_sliding(scheme, SOURCE, size))
+        assert len(got) == len(want) == len(SOURCE)
         for i, (a, b) in enumerate(zip(got, want)):
             assert_same_value(a, b, f"{name} size={size} at {i}")
 
     def test_jit_on_off_identical(self, monkeypatch):
-        source = elements()
+        source = SOURCE
         with_jit = {
             name: list(sliding(get_benchmark(name).ground_truth, source, 4))
             for name in SCHEMES
@@ -139,8 +115,8 @@ class TestSliding:
 
     def test_size_one_is_elementwise(self):
         scheme = get_benchmark("mean").ground_truth
-        got = list(sliding(scheme, elements(6), 1))
-        for value, element in zip(got, elements(6)):
+        got = list(sliding(scheme, SOURCE[:6], 1))
+        for value, element in zip(got, SOURCE[:6]):
             assert_same_value(value, scheme.final([element]))
 
     @pytest.mark.parametrize("size", [0, -3])
@@ -168,16 +144,3 @@ class TestWindowsOnPairSchemes:
         assert list(sliding(scheme, source, 3, extra)) == list(
             reference_sliding(scheme, source, 3, extra)
         )
-
-
-def test_all_ground_truth_schemes_window_cleanly():
-    """Smoke: every ground-truth scheme survives a tumbling pass through
-    the batch kernel with per-push-equal results."""
-    for bench in all_benchmarks():
-        scheme = bench.ground_truth
-        if scheme is None or bench.element_arity > 1:
-            continue
-        extra = {name: 500 for name in scheme.program.extra_params}
-        got = list(tumbling(scheme, elements(11), 4, extra))
-        want = list(reference_tumbling(scheme, elements(11), 4, extra))
-        assert got == want, bench.name

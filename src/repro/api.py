@@ -126,8 +126,8 @@ class CompiledScheme:
 
         ``backend="auto"`` upgrades batch ingestion to the certificate-
         licensed NumPy columnar kernel when admission grants the
-        bit-identical int64 path under ``bounds``; ``"columnar"`` also opts
-        into the float64 domain.  Unadmitted schemes keep the exact kernel.
+        bit-identical int64 path under ``bounds``.  Unadmitted schemes keep
+        the exact kernel.
         """
         return OnlineOperator(
             self.scheme, extra, name or self.name, backend=backend, bounds=bounds

@@ -45,8 +45,8 @@ The compile/load/deploy lifecycle, plus the evaluation workflows:
   ``torn-write:NTH``, ``poison:OFFSET``);
   ``--verify`` replays the stream through a single-process
   ``KeyedOperator`` on the exact kernels and fails unless the states match
-  bit for bit (use a fresh --checkpoint-dir); it refuses ``--backend
-  columnar`` on a scheme admitted in float64, which is never bit-identical.
+  bit for bit (use a fresh --checkpoint-dir); ``--backend auto`` is
+  bit-identical to it, since it runs only int64-certified kernels.
   ``--on-error quarantine`` retries a deterministically failing element
   once and dead-letters it to ``deadletter-NN.jsonl`` instead of halting
   (default ``fail`` preserves the bit-identity contract).  A checkpoint
@@ -174,6 +174,7 @@ from .runtime import (
     save_checkpoint,
     sources,
 )
+from .runtime.stream import BACKENDS
 from .serve import ServeError, StreamServer, reference_states, states_match
 from .store import SchemeStore, resolve_store
 from .suites import all_benchmarks, benchmarks_for, get_benchmark
@@ -523,27 +524,17 @@ def _spec_analysis_bounds(args: argparse.Namespace):
     return dataclasses.replace(bounds, element=element)
 
 
-def _columnar_admission(scheme: OnlineScheme, bounds):
-    """The columnar admission verdict under ``bounds``, or ``None`` when
-    NumPy is unavailable (every columnar request then runs exact)."""
+def _columnar_notice(scheme: OnlineScheme, bounds) -> str | None:
+    """One-line explanation when --backend auto stays on the exact path
+    under ``bounds`` (``None`` when the columnar kernel is taken)."""
     from .ir.vectorize import admit_columnar, numpy_or_none
 
     if numpy_or_none() is None:
-        return None
-    return admit_columnar(scheme.program, scheme.initializer, bounds)
-
-
-def _columnar_notice(admission, backend: str) -> str | None:
-    """One-line explanation when --backend auto/columnar stays on the exact
-    path (``None`` when the columnar kernel was actually taken)."""
-    if admission is None:
         return "backend: columnar unavailable (NumPy not installed); running exact"
-    if admission.verdict == "float-optin-only" and backend == "auto":
-        return ("backend: auto keeps the exact kernels (columnar would need "
-                f"the float64 opt-in: {admission.reason})")
-    if not admission.admitted:
-        return f"backend: columnar declined ({admission.reason}); running exact"
-    return None
+    admission = admit_columnar(scheme.program, scheme.initializer, bounds)
+    if admission.admitted:
+        return None
+    return f"backend: columnar declined ({admission.reason}); running exact"
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -590,7 +581,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     backend = None if args.backend == "exact" else args.backend
     if backend is not None:
-        notice = _columnar_notice(_columnar_admission(scheme, bounds), backend)
+        notice = _columnar_notice(scheme, bounds)
         if notice is not None:
             print(notice, file=sys.stderr)
     try:
@@ -700,19 +691,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     backend = None if args.backend == "exact" else args.backend
     if backend is not None:
-        admission = _columnar_admission(scheme, bounds)
-        float64 = admission is not None and admission.domain == "float64"
-        if args.verify and backend == "columnar" and float64:
-            # The oracle folds exact rationals; float64 results also depend
-            # on batch boundaries, so the comparison could only fail.
-            print(
-                "error: --verify compares against the exact single-process fold, "
-                "and the float64 columnar opt-in is not bit-identical to it "
-                f"({admission.reason}); use --backend auto or exact",
-                file=sys.stderr,
-            )
-            return 2
-        notice = _columnar_notice(admission, backend)
+        notice = _columnar_notice(scheme, bounds)
         if notice is not None:
             print(notice, file=sys.stderr)
 
@@ -911,11 +890,7 @@ def _backend_report_line(scheme: OnlineScheme, name: str, bounds) -> tuple[str, 
     from .ir.vectorize import admit_columnar
 
     admission = admit_columnar(scheme.program, scheme.initializer, bounds)
-    fragment = {
-        "columnar": admission.verdict,
-        "domain": admission.domain,
-        "reason": admission.reason,
-    }
+    fragment = {"columnar": admission.verdict, "reason": admission.reason}
     if admission.verdict == "certified-int64":
         detail = "int64 columnar licensed, bit-identical under --backend auto"
     else:
@@ -1089,14 +1064,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run on the tree-walking interpreter instead of "
                             "the compiled scheme step (same results; "
                             "equivalent to REPRO_JIT=0)")
-    p_run.add_argument("--backend", choices=("auto", "exact", "columnar"),
-                       default="exact",
+    p_run.add_argument("--backend", choices=BACKENDS, default="exact",
                        help="batch execution backend: exact rationals "
-                            "(default), auto (NumPy columnar kernels when "
+                            "(default) or auto (NumPy columnar kernels when "
                             "the int64 certificate licenses them *and* the "
-                            "batch is long enough to win — bit-identical), "
-                            "or columnar (also opt into the float64 domain; "
-                            "IEEE-754 rounding only)")
+                            "batch is long enough to win — bit-identical)")
     p_run.add_argument("--checkpoint", default=None, metavar="FILE",
                        help="write an operator checkpoint after the run")
     p_run.add_argument("--resume", default=None, metavar="FILE",
@@ -1168,8 +1140,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="also fold the stream through a single-process "
                               "KeyedOperator on the exact kernels and fail "
                               "unless the final states are bit-identical (use "
-                              "a fresh --checkpoint-dir); refused when "
-                              "--backend columnar admits the float64 domain")
+                              "a fresh --checkpoint-dir)")
     p_serve.add_argument("--fresh", action="store_true",
                          help="wipe any existing checkpoints in --checkpoint-dir "
                               "instead of resuming them")
@@ -1178,13 +1149,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--no-jit", action="store_true",
                          help="interpreted scheme steps in every worker "
                               "(same results; equivalent to REPRO_JIT=0)")
-    p_serve.add_argument("--backend", choices=("auto", "exact", "columnar"),
-                         default="exact",
+    p_serve.add_argument("--backend", choices=BACKENDS, default="exact",
                          help="worker batch backend: exact rationals "
-                              "(default), auto (int64 columnar when the "
+                              "(default) or auto (int64 columnar when the "
                               "certificate licenses it *and* the batch is "
-                              "long enough to win — bit-identical), or "
-                              "columnar (float64 opt-in)")
+                              "long enough to win — bit-identical)")
     p_serve.add_argument("--no-analyze", action="store_true",
                          help="skip the static-analysis preflight (which "
                               "refuses schemes the analyzer proves will fault)")
@@ -1225,9 +1194,8 @@ def build_parser() -> argparse.ArgumentParser:
                                 "(faster; reachable sites degrade to unknown)")
     p_analyze.add_argument("--backend-report", action="store_true",
                            help="also print the columnar-backend admission "
-                                "verdict per scheme (certified-int64 / "
-                                "float-optin-only / uncertified + the first "
-                                "blocking reason)")
+                                "verdict per scheme (certified-int64, or "
+                                "uncertified + the first blocking reason)")
     p_analyze.add_argument("--verbose", action="store_true", help="also print info-level findings")
     p_analyze.set_defaults(func=_cmd_analyze)
 

@@ -51,7 +51,7 @@ class OnlineScheme:
     #: dropped on pickling.
     _compiled_kernel: object = field(default=None, init=False, repr=False, compare=False)
     #: Lazily-built columnar kernels, one entry per distinct
-    #: ``(bounds, allow_float)`` request (see :meth:`compiled_columns`);
+    #: ``(bounds, jit_enabled())`` request (see :meth:`compiled_columns`);
     #: same lifecycle as the other caches.
     _columnar_cache: list = field(default_factory=list, init=False, repr=False, compare=False)
 
@@ -119,17 +119,19 @@ class OnlineScheme:
             raise IRCompileError(f"online program of {self.provenance!r} is not batch-compilable")
         return cached  # type: ignore[return-value]
 
-    def compiled_columns(self, bounds=None, *, allow_float: bool = False):
+    def compiled_columns(self, bounds=None):
         """The certificate-licensed columnar (NumPy) kernel for this scheme
         under ``bounds``, or ``None`` when the fast path is unavailable.
 
         ``None`` means: NumPy is not installed, the scheme is not
         scan-decomposable, or admission (see
         :func:`repro.ir.vectorize.admit_columnar`) did not yield the
-        ``int64`` certificate and ``allow_float`` is False.  Callers fall
-        back to :meth:`_resolve_kernel` — the columnar path never changes
-        what a scheme computes, only how fast the admitted ones run.
-        Results are cached per ``(bounds, allow_float)`` request.
+        ``int64`` certificate.  Callers fall back to
+        :meth:`_resolve_kernel` — the columnar path never changes what a
+        scheme computes, only how fast the admitted ones run.  Results are
+        cached per ``(bounds, jit_enabled())`` request, so the exact kernel
+        a columnar one falls back to honours ``REPRO_JIT`` like
+        :meth:`_resolve_kernel` does.
         """
         from ..ir.vectorize import columnar_kernel_for, numpy_or_none
 
@@ -137,16 +139,12 @@ class OnlineScheme:
             # Checked before the cache so REPRO_NO_NUMPY keeps working after
             # a kernel was compiled (the degraded-path tests flip it live).
             return None
-        for cached_bounds, cached_allow, kernel in self._columnar_cache:
-            if cached_bounds == bounds and cached_allow == allow_float:
+        jit = jit_enabled()
+        for cached_bounds, cached_jit, kernel in self._columnar_cache:
+            if cached_bounds == bounds and cached_jit == jit:
                 return kernel
-        kernel = columnar_kernel_for(
-            self,
-            bounds,
-            allow_float=allow_float,
-            exact=self._resolve_kernel(),
-        )
-        self._columnar_cache.append((bounds, allow_float, kernel))
+        kernel = columnar_kernel_for(self, bounds)
+        self._columnar_cache.append((bounds, jit, kernel))
         return kernel
 
     def invalidate_compiled(self) -> None:

@@ -5,30 +5,26 @@ per-element Python dispatch and, on rational-state schemes, per-op gcd
 normalization — which is why batch codegen is ~1x on gcd-bound schemes like
 ``variance``.  This module changes the numeric *domain* instead of the loop
 shape: an :class:`~repro.ir.nodes.OnlineProgram` step is compiled to
-whole-batch column operations over ``int64``/``float64`` NumPy arrays, with
-the inherently sequential state recurrences decomposed into per-batch scans
+whole-batch column operations over ``int64`` NumPy arrays, with the
+inherently sequential state recurrences decomposed into per-batch scans
 (``cumsum`` / ``maximum.accumulate`` / ...) and everything else evaluated
 element-wise over the scanned prefix trajectories.
 
-Admission is gated by the PR 9 interval certificates
-(:func:`repro.ir.analysis.int64_certified`): a scheme runs in the ``int64``
-domain only when the analysis proves every state component *and* every
+``int64`` is the only domain, and admission is gated by the interval
+certificates (:func:`repro.ir.analysis.int64_certified`): a scheme runs
+columnar only when the analysis proves every state component *and* every
 reachable intermediate stays an exact int64 under the declared source
 bounds — then the columnar result is bit-for-bit identical to the exact
-rationals and no per-element overflow guard is needed.  Schemes the
-certificate cannot license may opt in to the ``float64`` domain explicitly
-(``--backend columnar``); divergence from the exact result is then IEEE-754
-rounding only (documented error model: per-op relative error <= 2^-52,
-accumulated linearly in the batch length — no truncation, no wraparound,
-``safe_div``/``safe_sqrt``/``safe_log`` conventions preserved exactly).
-Schemes whose update is not scan-decomposable, and any batch whose data
-falls outside the certified bounds, transparently keep / delegate to the
-exact :class:`~repro.ir.compile.StepKernel` — the columnar backend is
-*never* allowed to change the answer of an ``int64``-certified or
-unadmitted scheme.  A certificate says a batch is safe, not that it is
-faster, so an ``int64`` kernel also hands short batches (and ``Fraction``
-batches of single-scan plans) straight to the exact kernel: see
-``_MIN_SCAN_BATCH``.
+rationals and no per-element overflow guard is needed.  Builtins whose
+results are non-integral in general (``sqrt``/``exp``/``log``, fractional
+or negative ``pow`` exponents) are refused at planning.  Schemes whose
+update is not scan-decomposable, schemes without the certificate, and any
+batch whose data falls outside the certified bounds, transparently keep /
+delegate to the exact :class:`~repro.ir.compile.StepKernel` — the columnar
+backend is *never* allowed to change an answer.  A certificate says a
+batch is safe, not that it is faster, so a kernel also hands short batches
+(and ``Fraction`` batches of single-scan plans) straight to the exact
+kernel: see ``_MIN_SCAN_BATCH``.
 
 NumPy itself is optional (``pip install repro[fast]``): the import is lazy,
 ``REPRO_NO_NUMPY=1`` force-disables it (for testing the degraded path), and
@@ -42,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from operator import attrgetter
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Sequence
 
 from .compile import IRCompileError, StepKernel
 from .nodes import Call, Const, Expr, If, Let, MakeTuple, OnlineProgram, Proj, Var
@@ -111,20 +107,18 @@ def _require_numpy():
 
 # -- structural planning ------------------------------------------------------
 
-#: Builtins the column evaluator implements in *some* domain.
+#: Builtins the column evaluator implements.
 _SUPPORTED_OPS = frozenset(
     {
         "add", "sub", "mul", "div", "neg", "abs", "min", "max", "pow",
-        "sqrt", "exp", "log", "sign", "floor", "ceil",
+        "sign", "floor", "ceil",
         "lt", "le", "gt", "ge", "eq", "ne", "and", "or", "not",
     }
 )
 
-#: Builtins whose results are non-integral in general: admissible only in
-#: the float64 domain (an int64 certificate with these present is refused
-#: structurally rather than trusted — ``sqrt`` of a certified perfect
-#: square is theoretically exact, but the column evaluator computes it in
-#: floats).
+#: Builtins whose results are non-integral in general: refused at planning
+#: rather than trusted to a certificate (``sqrt`` of a certified perfect
+#: square is exact in theory, but int64 columns have no exact ``sqrt``).
 _FLOAT_ONLY_OPS = frozenset({"sqrt", "exp", "log"})
 
 #: Associative-idempotent self-accumulation ops: the component's update is
@@ -166,7 +160,7 @@ class _Component:
 
 @dataclass(frozen=True)
 class ColumnPlan:
-    """A whole-batch columnar execution plan (domain-independent).
+    """A whole-batch columnar execution plan.
 
     ``order`` lists components in a dependency order in which every
     component's referenced trajectories are computed before it; existence
@@ -176,7 +170,6 @@ class ColumnPlan:
     program: OnlineProgram
     components: tuple[_Component, ...]  #: in ``state_params`` order
     order: tuple[int, ...]  #: evaluation order (indices into components)
-    float_only: bool  #: uses float-only builtins (sqrt/exp/log/frac pow)
     elem_arity: int  #: element fields (1 = scalar stream)
 
 
@@ -214,30 +207,28 @@ def _free_state_refs(expr: Expr, state_names: frozenset[str]) -> set[str]:
     return refs
 
 
-def _validate_ops(expr: Expr) -> bool:
-    """Check every builtin is column-supported; returns True if any
-    float-only op (or fractional constant ``pow`` exponent) appears."""
-    float_only = False
+def _validate_ops(expr: Expr) -> None:
+    """Check every builtin has an exact int64 column implementation."""
 
     def walk(e: Expr) -> None:
-        nonlocal float_only
         if isinstance(e, Call):
             name = e.func if isinstance(e.func, str) else None
+            if name in _FLOAT_ONLY_OPS:
+                raise ColumnarError(f"uses float-only builtins ({name!r} is not exact in int64)")
             if name not in _SUPPORTED_OPS:
                 raise ColumnarError(f"builtin {name!r} has no column implementation")
-            if name in _FLOAT_ONLY_OPS:
-                float_only = True
             if name == "pow":
                 exp = e.args[1]
                 if not isinstance(exp, Const):
                     raise ColumnarError("pow with a non-constant exponent")
                 ev = exp.value
-                if isinstance(ev, Fraction) and ev.denominator != 1:
-                    float_only = True
-                elif isinstance(ev, float) and not float(ev).is_integer():
-                    float_only = True
-                elif not isinstance(ev, (int, Fraction, float)):
+                if not isinstance(ev, (int, Fraction, float)):
                     raise ColumnarError("pow with a non-numeric exponent")
+                if ev < 0 or ev % 1:  # nan and inf too
+                    raise ColumnarError(
+                        "uses float-only builtins (pow with a fractional or negative "
+                        "exponent is not exact in int64)"
+                    )
             for arg in e.args:
                 walk(arg)
         elif isinstance(e, If):
@@ -253,7 +244,6 @@ def _validate_ops(expr: Expr) -> bool:
             raise ColumnarError(f"{type(e).__name__} nodes are not columnarizable")
 
     walk(expr)
-    return float_only
 
 
 def _contains(expr: Expr, name: str) -> bool:
@@ -287,8 +277,7 @@ def _decompose_additive(expr: Expr, name: str) -> Expr | None:
     ``If(c, s + x, s)`` -> ``If(c, x, 0)``), and ``Let`` over a
     name-independent binding.  Returns the increment expression, or
     ``None`` when no unit-coefficient decomposition exists.  Over exact
-    int64 values the rewrite is exact (associativity of integer addition);
-    the float64 domain only re-associates rounding.
+    int64 values the rewrite is exact (associativity of integer addition).
     """
     if isinstance(expr, Var) and expr.name == name:
         return Const(0)
@@ -378,20 +367,19 @@ def plan_columns(program: OnlineProgram, initializer: Sequence[Value]) -> Column
     """Decompose the step into per-component column strategies.
 
     Raises :class:`ColumnarError` (with the first blocking reason) when any
-    component's update cannot run as column operations — unsupported
-    builtins, tuple-valued state, self-referential non-scan recurrences, or
-    cyclic cross-component dependences.
+    component's update cannot run as exact int64 column operations —
+    unsupported or float-only builtins, tuple-valued state, self-referential
+    non-scan recurrences, or cyclic cross-component dependences.
     """
     state_names = frozenset(program.state_params)
     for name, value in zip(program.state_params, initializer):
         if isinstance(value, (tuple, list)):
             raise ColumnarError(f"state component {name!r} is tuple-valued")
-    float_only = False
     components = []
     for name, update in zip(program.state_params, program.outputs):
         if isinstance(update, MakeTuple):
             raise ColumnarError(f"state component {name!r} is tuple-valued")
-        float_only |= _validate_ops(update)
+        _validate_ops(update)
         components.append(_classify(name, update, state_names))
 
     # Dependency order: a component can be evaluated once every component
@@ -416,9 +404,7 @@ def plan_columns(program: OnlineProgram, initializer: Sequence[Value]) -> Column
                 f"state components {stuck}: mutually recursive updates are "
                 f"not scan-decomposable"
             )
-    return ColumnPlan(
-        program, tuple(components), tuple(order), float_only, _infer_elem_arity(program)
-    )
+    return ColumnPlan(program, tuple(components), tuple(order), _infer_elem_arity(program))
 
 
 # -- admission ----------------------------------------------------------------
@@ -429,18 +415,16 @@ class ColumnarAdmission:
     """Why (or why not) a scheme may run columnar, for reports and CLI.
 
     ``verdict`` is ``certified-int64`` (bit-identical fast path licensed by
-    the interval certificate), ``float-optin-only`` (structurally columnar
-    but only in the float64 domain — explicit opt-in), or ``uncertified``
-    (stays on the exact path; ``reason`` holds the first blocking reason).
+    the interval certificate) or ``uncertified`` (stays on the exact path;
+    ``reason`` holds the first blocking reason).
     """
 
     verdict: str
-    domain: str | None  #: "int64" | "float64" | None
     reason: str = ""
 
     @property
     def admitted(self) -> bool:
-        return self.domain is not None
+        return self.verdict == "certified-int64"
 
 
 def _int64_blocking_reason(program: OnlineProgram, analysis) -> str:
@@ -479,29 +463,15 @@ def admit_columnar(
     ``--backend-report`` line is available even on exact-only installs.
     """
     try:
-        plan = plan_columns(program, initializer)
+        plan_columns(program, initializer)
     except ColumnarError as exc:
-        return ColumnarAdmission("uncertified", None, str(exc))
+        return ColumnarAdmission("uncertified", str(exc))
     from .analysis import UNKNOWN_BOUNDS, analyze_intervals
 
     analysis = analyze_intervals(program, tuple(initializer), bounds or UNKNOWN_BOUNDS)
-    if analysis.int64_safe() and not plan.float_only:
-        return ColumnarAdmission("certified-int64", "int64")
-    if any(c.kind == "cumprod" for c in plan.components):
-        # Product trajectories overflow float64 catastrophically (inf, not
-        # rounding); without the int64 certificate there is no domain whose
-        # error model covers them.
-        return ColumnarAdmission(
-            "uncertified",
-            None,
-            "product accumulation needs the int64 certificate "
-            "(float64 overflow is unbounded divergence)",
-        )
-    if plan.float_only:
-        reason = "uses float-only builtins (sqrt/exp/log or fractional pow)"
-    else:
-        reason = _int64_blocking_reason(program, analysis)
-    return ColumnarAdmission("float-optin-only", "float64", reason)
+    if analysis.int64_safe():
+        return ColumnarAdmission("certified-int64")
+    return ColumnarAdmission("uncertified", _int64_blocking_reason(program, analysis))
 
 
 # -- column evaluation --------------------------------------------------------
@@ -514,40 +484,14 @@ def _truthy(np, v):
     return v != 0
 
 
-def _col_div(np, a, b, domain: str):
-    """``safe_div``: a/0 == 0.  In the int64 domain the certificate proves
-    every reachable quotient is integral, so floor division *is* exact
-    division there; the float64 domain divides in floats."""
+def _col_div(np, a, b):
+    """``safe_div``: a/0 == 0.  The certificate proves every reachable
+    quotient is integral, so floor division *is* exact division."""
     zero = np.logical_not(_truthy(np, b))
-    safe_b = np.where(zero, 1, b)
-    if domain == "int64":
-        quot = np.floor_divide(a, safe_b)
-    else:
-        quot = np.asarray(a, dtype=np.float64) / safe_b
-    return np.where(zero, 0, quot)
+    return np.where(zero, 0, np.floor_divide(a, np.where(zero, 1, b)))
 
 
-def _col_pow(np, base, exp_const):
-    """``safe_pow`` with a constant exponent (the only shape admitted)."""
-    exp = exp_const
-    if isinstance(exp, Fraction) and exp.denominator == 1:
-        exp = int(exp)
-    if isinstance(exp, float) and exp.is_integer():
-        exp = int(exp)
-    if isinstance(exp, int):
-        if exp >= 0:
-            return base**exp
-        base_f = np.asarray(base, dtype=np.float64)
-        zero = base_f == 0.0
-        return np.where(zero, 0.0, np.where(zero, 1.0, base_f) ** exp)
-    # Fractional exponent: floats; negative base -> 0, 0**e -> 0.
-    exp_f = float(exp)
-    base_f = np.asarray(base, dtype=np.float64)
-    bad = base_f <= 0.0
-    return np.where(bad, 0.0, np.where(bad, 1.0, base_f) ** exp_f)
-
-
-def _col_eval(np, expr: Expr, env: dict[str, Any], domain: str):
+def _col_eval(np, expr: Expr, env: dict[str, Any]):
     """Evaluate one IR expression over column (or scalar) operands."""
     if isinstance(expr, Const):
         v = expr.value
@@ -560,25 +504,22 @@ def _col_eval(np, expr: Expr, env: dict[str, Any], domain: str):
         return env[expr.name]
     if isinstance(expr, Let):
         inner = dict(env)
-        inner[expr.name] = _col_eval(np, expr.value, env, domain)
-        return _col_eval(np, expr.body, inner, domain)
+        inner[expr.name] = _col_eval(np, expr.value, env)
+        return _col_eval(np, expr.body, inner)
     if isinstance(expr, If):
-        cond = _truthy(np, _col_eval(np, expr.cond, env, domain))
-        return np.where(
-            cond,
-            _col_eval(np, expr.then, env, domain),
-            _col_eval(np, expr.orelse, env, domain),
-        )
+        cond = _truthy(np, _col_eval(np, expr.cond, env))
+        return np.where(cond, _col_eval(np, expr.then, env), _col_eval(np, expr.orelse, env))
     if isinstance(expr, Proj):
-        tup = _col_eval(np, expr.tup, env, domain)
+        tup = _col_eval(np, expr.tup, env)
         return tup[expr.index]
     if isinstance(expr, MakeTuple):
-        return tuple(_col_eval(np, item, env, domain) for item in expr.items)
+        return tuple(_col_eval(np, item, env) for item in expr.items)
     if isinstance(expr, Call) and isinstance(expr.func, str):
         name = expr.func
         if name == "pow":
-            return _col_pow(np, _col_eval(np, expr.args[0], env, domain), expr.args[1].value)
-        args = [_col_eval(np, a, env, domain) for a in expr.args]
+            # Planning admits only non-negative integral constant exponents.
+            return _col_eval(np, expr.args[0], env) ** int(expr.args[1].value)
+        args = [_col_eval(np, a, env) for a in expr.args]
         if name == "add":
             return args[0] + args[1]
         if name == "sub":
@@ -586,7 +527,7 @@ def _col_eval(np, expr: Expr, env: dict[str, Any], domain: str):
         if name == "mul":
             return args[0] * args[1]
         if name == "div":
-            return _col_div(np, args[0], args[1], domain)
+            return _col_div(np, args[0], args[1])
         if name == "neg":
             return -args[0]
         if name == "abs":
@@ -595,22 +536,10 @@ def _col_eval(np, expr: Expr, env: dict[str, Any], domain: str):
             return np.minimum(args[0], args[1])
         if name == "max":
             return np.maximum(args[0], args[1])
-        if name == "sqrt":
-            v = np.asarray(args[0], dtype=np.float64)
-            return np.where(v < 0.0, 0.0, np.sqrt(np.maximum(v, 0.0)))
-        if name == "exp":
-            with np.errstate(over="ignore"):
-                return np.exp(np.asarray(args[0], dtype=np.float64))
-        if name == "log":
-            v = np.asarray(args[0], dtype=np.float64)
-            return np.where(v <= 0.0, 0.0, np.log(np.where(v <= 0.0, 1.0, v)))
         if name == "sign":
             return np.sign(args[0])
-        if name == "floor":
-            # int64 domain: the operand is certified integral -> identity.
-            return args[0] if domain == "int64" else np.floor(args[0])
-        if name == "ceil":
-            return args[0] if domain == "int64" else np.ceil(args[0])
+        if name in ("floor", "ceil"):
+            return args[0]  # the operand is certified integral
         if name == "lt":
             return args[0] < args[1]
         if name == "le":
@@ -679,7 +608,7 @@ def _integral_fraction_columns(np, chunk: list, arity: int):
     return tuple(arr[:, i] for i in range(arity))
 
 
-def _element_columns(np, chunk: list, arity: int, domain: str, *, fractions: bool = False,
+def _element_columns(np, chunk: list, arity: int, *, fractions: bool = False,
                      objects: bool = True):
     """Element columns for the batch: one array (scalars) or a tuple of
     per-field arrays.  Any conversion surprise — floats or bignums in an
@@ -687,7 +616,7 @@ def _element_columns(np, chunk: list, arity: int, domain: str, *, fractions: boo
     batch out to the exact kernel instead of guessing.  ``fractions`` says
     the first payload is a ``Fraction`` (try the numerator path first);
     ``objects=False`` bails instead of converting object payloads."""
-    if fractions and domain == "int64":
+    if fractions:
         columns = _integral_fraction_columns(np, chunk, arity)
         if columns is not None:
             return columns
@@ -703,11 +632,9 @@ def _element_columns(np, chunk: list, arity: int, domain: str, *, fractions: boo
         # path, and any genuinely non-numeric payload bails here instead.
         try:
             if arity <= 1:
-                arr = np.asarray([_scalar_in(v, domain, "element") for v in chunk])
+                arr = np.asarray([_scalar_in(v, "element") for v in chunk])
             else:
-                arr = np.asarray(
-                    [[_scalar_in(f, domain, "element field") for f in v] for v in chunk]
-                )
+                arr = np.asarray([[_scalar_in(f, "element field") for f in v] for v in chunk])
         except (ValueError, TypeError, OverflowError):
             raise _Bailout("elements do not form a rectangular numeric array") from None
         if arr.dtype.kind == "O":
@@ -715,41 +642,27 @@ def _element_columns(np, chunk: list, arity: int, domain: str, *, fractions: boo
     expected_dims = 1 if arity <= 1 else 2
     if arr.ndim != expected_dims or (arity > 1 and arr.shape[1] != arity):
         raise _Bailout("element shape does not match the scheme's arity")
-    if domain == "int64":
-        if arr.dtype.kind not in "iub" or arr.dtype.itemsize > 8:
-            raise _Bailout("elements are not int64-representable")
-        arr = arr.astype(np.int64, copy=False)
-    else:
-        if arr.dtype.kind not in "iubf":
-            raise _Bailout("elements are not numeric")
-        arr = arr.astype(np.float64, copy=False)
+    if arr.dtype.kind not in "iub" or arr.dtype.itemsize > 8:
+        raise _Bailout("elements are not int64-representable")
+    arr = arr.astype(np.int64, copy=False)
     if arity <= 1:
         return arr
     return tuple(arr[:, i] for i in range(arity))
 
 
-def _scalar_in(value: Value, domain: str, what: str):
-    """One state value / extra parameter into the columnar domain."""
+def _scalar_in(value: Value, what: str):
+    """One state value / extra parameter into an int64 column operand."""
     if isinstance(value, bool):
         return value
     if isinstance(value, Fraction):
-        if domain == "float64":
-            return float(value)
-        if value.denominator == 1:
-            value = int(value)
-        else:
+        if value.denominator != 1:
             raise _Bailout(f"{what} is a non-integral rational")
+        value = int(value)
     if isinstance(value, int):
-        if domain == "int64":
-            if not _INT64_MIN <= value <= _INT64_MAX:
-                raise _Bailout(f"{what} exceeds int64")
-            return value
-        return float(value)
-    if isinstance(value, float):
-        if domain == "int64":
-            raise _Bailout(f"{what} is a float in the int64 domain")
+        if not _INT64_MIN <= value <= _INT64_MAX:
+            raise _Bailout(f"{what} exceeds int64")
         return value
-    raise _Bailout(f"{what} is not a columnar value")
+    raise _Bailout(f"{what} is not an int64 value")
 
 
 def _scalar_out(np, value) -> Value:
@@ -758,8 +671,6 @@ def _scalar_out(np, value) -> Value:
         return bool(value)
     if isinstance(value, np.integer):
         return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
     return value
 
 
@@ -864,7 +775,7 @@ def _selected(np, origin: tuple, column, start, start_value: int, chunk: list):
 
 # -- the kernel ---------------------------------------------------------------
 
-# Per-batch cost gate, int64 domain only.  A certificate says a columnar
+# Per-batch cost gate.  A certificate says a columnar
 # batch is *safe*, not that it is *faster*: below these lengths, and for
 # ``Fraction`` payloads on a single-scan plan (count, max, min), the exact
 # kernel wins or ties, so such batches go straight to it.  The table is the
@@ -898,52 +809,42 @@ class ColumnarKernel(StepKernel):
     out-of-contract batch (data outside the certified bounds, non-numeric
     payloads, unconvertible state) delegates *the whole batch* to the
     wrapped exact kernel — including its exact partial-progress semantics
-    when an element genuinely faults.  An int64 kernel hands batches the
-    cost gate keeps exact to that same kernel, before any conversion.
+    when an element genuinely faults.  Batches the cost gate keeps exact go
+    to that same kernel, before any conversion.
     """
 
-    __slots__ = ("domain", "exact", "plan", "bounds")
+    __slots__ = ("exact", "plan", "bounds")
 
     #: Marker ``OnlineOperator.backend_in_use`` and tests key on (plain
     #: StepKernels return False via ``getattr(k, "columnar", False)``).
     columnar = True
 
-    def __init__(self, run: Callable, *, domain: str, exact: StepKernel, plan: ColumnPlan,
-                 bounds, name: str):
+    def __init__(self, run: Callable, *, exact: StepKernel, plan: ColumnPlan, bounds, name: str):
         super().__init__(run, compiled=True, name=name)
-        self.domain = domain
         self.exact = exact
         self.plan = plan
         self.bounds = bounds
 
     def __repr__(self) -> str:
-        return f"<ColumnarKernel {self.name} ({self.domain})>"
+        return f"<ColumnarKernel {self.name}>"
 
 
 def compile_columns(
     program: OnlineProgram,
     initializer: Sequence[Value],
     *,
-    domain: str,
     exact: StepKernel,
     bounds=None,
     name: str = "columnar",
 ) -> ColumnarKernel:
-    """Build the columnar kernel for an admitted scheme.
-
-    ``domain`` is ``"int64"`` (certificate-licensed, bit-identical) or
-    ``"float64"`` (explicit opt-in); ``exact`` is the kernel delegated to
-    on bailouts.  Raises :class:`ColumnarUnavailable` without NumPy and
-    :class:`ColumnarError` when the program is not scan-decomposable.
+    """Build the columnar kernel for a scheme admitted under ``bounds``
+    (certificate-licensed, bit-identical); ``exact`` is the kernel
+    delegated to on bailouts and gated batches.  Raises
+    :class:`ColumnarUnavailable` without NumPy and :class:`ColumnarError`
+    when the program is not scan-decomposable.
     """
     np = _require_numpy()
-    if domain not in ("int64", "float64"):
-        raise ColumnarError(f"unknown columnar domain {domain!r}")
     plan = plan_columns(program, initializer)
-    if plan.float_only and domain == "int64":
-        raise ColumnarError("program uses float-only builtins; int64 domain refused")
-    if domain == "float64" and any(c.kind == "cumprod" for c in plan.components):
-        raise ColumnarError("product accumulation is int64-only (float64 overflow)")
     components = plan.components
     order = plan.order
     elem_arity = plan.elem_arity
@@ -951,13 +852,9 @@ def compile_columns(
     extra_params = program.extra_params
     state_params = program.state_params
     index_of = {pname: i for i, pname in enumerate(state_params)}
-    guard = domain == "int64"
-    # The cost gate (see _MIN_SCAN_BATCH).  The float64 domain is exempt:
-    # scalar pushes run through it as 1-element batches, so that a
-    # trajectory never mixes IEEE-754 and exact arithmetic.
-    single_scan = len(components) == 1
+    single_scan = len(components) == 1  # the cost gate: see _MIN_SCAN_BATCH
     origins = tuple(
-        _result_origin(pname, update, elem_param, elem_arity) if guard else ("fresh",)
+        _result_origin(pname, update, elem_param, elem_arity)
         for pname, update in zip(state_params, program.outputs)
     )
     typed = None not in origins
@@ -966,17 +863,14 @@ def compile_columns(
         n = len(chunk)
         if not typed and (fractions or any(type(v) is Fraction for v in state)):
             raise _Bailout("a Fraction could reach the result unnormalized")
-        columns = _element_columns(
-            np, chunk, elem_arity, domain, fractions=fractions, objects=typed
-        )
-        if guard:
-            _check_bounds(np, columns, elem_arity, bounds)
+        columns = _element_columns(np, chunk, elem_arity, fractions=fractions, objects=typed)
+        _check_bounds(np, columns, elem_arity, bounds)
         base_env: dict[str, Any] = {elem_param: columns}
         for pname in extra_params:
             if extra is None or pname not in extra:
                 raise _Bailout(f"extra parameter {pname!r} missing")
-            base_env[pname] = _scalar_in(extra[pname], domain, f"extra {pname!r}")
-        starts = [_scalar_in(v, domain, f"state component {i}") for i, v in enumerate(state)]
+            base_env[pname] = _scalar_in(extra[pname], f"extra {pname!r}")
+        starts = [_scalar_in(v, f"state component {i}") for i, v in enumerate(state)]
 
         trajectories: dict[str, Any] = {}
 
@@ -996,14 +890,14 @@ def compile_columns(
             if comp.kind == "invariant":
                 traj = np.full(n, start)
             elif comp.kind == "elementwise":
-                traj = _broadcast(np, _col_eval(np, comp.expr, env, domain), n)
+                traj = _broadcast(np, _col_eval(np, comp.expr, env), n)
             else:
-                term = _broadcast(np, _col_eval(np, comp.expr, env, domain), n)
+                term = _broadcast(np, _col_eval(np, comp.expr, env), n)
                 if comp.mask is not None:
-                    cond = _truthy(np, _broadcast(np, _col_eval(np, comp.mask, env, domain), n))
+                    cond = _truthy(np, _broadcast(np, _col_eval(np, comp.mask, env), n))
                     if not comp.mask_sense:
                         cond = ~cond
-                    term = np.where(cond, term, _neutral(np, comp.kind, term.dtype))
+                    term = np.where(cond, term, _neutral(comp.kind, term.dtype))
                 if comp.kind == "cumsum":
                     traj = start + np.cumsum(term)
                 elif comp.kind == "cumprod":
@@ -1037,12 +931,12 @@ def compile_columns(
         chunk = elements if isinstance(elements, (list, tuple)) else list(elements)
         n = len(chunk)
         # Gated batches take the same exact kernel as bailouts do.
-        if guard and n < (_MIN_SCAN_BATCH if single_scan else _MIN_MULTI_BATCH):
+        if n < (_MIN_SCAN_BATCH if single_scan else _MIN_MULTI_BATCH):
             return exact.run(state, chunk, extra)
         if not n:
             return tuple(state), 0
         fractions = _payload_type(chunk[0], elem_arity) is Fraction
-        if guard and fractions and single_scan:
+        if fractions and single_scan:
             return exact.run(state, chunk, extra)
         try:
             new_state = _batch(state, chunk, extra, fractions)
@@ -1050,9 +944,7 @@ def compile_columns(
             return exact.run(state, chunk, extra)
         return new_state, len(chunk)
 
-    return ColumnarKernel(
-        _run, domain=domain, exact=exact, plan=plan, bounds=bounds, name=name
-    )
+    return ColumnarKernel(_run, exact=exact, plan=plan, bounds=bounds, name=name)
 
 
 def _infer_elem_arity(program: OnlineProgram) -> int:
@@ -1097,52 +989,35 @@ def _broadcast(np, value, n: int):
     return arr
 
 
-def _neutral(np, kind: str, dtype):
+def _neutral(kind: str, dtype):
     """The scan's neutral element: masked-out positions accumulate this.
 
     ``cumsum`` masks are folded into the term by the additive
     decomposition, so only the associative kinds reach here.
     """
-    if kind == "cumsum":
-        return dtype.type(0)
     if kind == "cumprod":
         return dtype.type(1)
     if kind == "cummax":
-        return np.iinfo(np.int64).min if dtype.kind == "i" else -np.inf
+        return _INT64_MIN
     if kind == "cummin":
-        return np.iinfo(np.int64).max if dtype.kind == "i" else np.inf
-    if kind == "cumor":
-        return False
-    return True  # cumand
+        return _INT64_MAX
+    return kind == "cumand"  # cumor: False
 
 
-def columnar_kernel_for(
-    scheme,
-    bounds=None,
-    *,
-    allow_float: bool = False,
-    exact: StepKernel | None = None,
-) -> ColumnarKernel | None:
-    """The admitted columnar kernel for ``scheme`` under ``bounds``, or
-    ``None`` (NumPy absent, not admitted, or int64-only policy and no
-    certificate).  The helper behind
+def columnar_kernel_for(scheme, bounds=None) -> ColumnarKernel | None:
+    """The admitted columnar kernel for ``scheme`` under ``bounds``, falling
+    back to the scheme's resolved exact kernel, or ``None`` (NumPy absent,
+    or no int64 certificate).  The helper behind
     :meth:`repro.core.scheme.OnlineScheme.compiled_columns`.
     """
     if numpy_or_none() is None:
         return None
-    admission = admit_columnar(scheme.program, scheme.initializer, bounds)
-    if not admission.admitted:
+    if not admit_columnar(scheme.program, scheme.initializer, bounds).admitted:
         return None
-    if admission.domain == "float64" and not allow_float:
-        return None
-    try:
-        return compile_columns(
-            scheme.program,
-            scheme.initializer,
-            domain=admission.domain,
-            exact=exact if exact is not None else scheme._resolve_kernel(),
-            bounds=bounds,
-            name=f"{scheme.provenance}-columnar",
-        )
-    except ColumnarError:
-        return None
+    return compile_columns(
+        scheme.program,
+        scheme.initializer,
+        exact=scheme._resolve_kernel(),
+        bounds=bounds,
+        name=f"{scheme.provenance}-columnar",
+    )

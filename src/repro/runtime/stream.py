@@ -32,6 +32,10 @@ from ..core.scheme import OnlineScheme
 from ..ir.compile import kernel_partial
 from ..ir.values import Value
 
+#: The batch backends an operator (and ``repro run``/``serve --backend``)
+#: accepts; ``None`` means ``"exact"``.
+BACKENDS = ("exact", "auto")
+
 
 class OnlineOperator:
     """A running instance of an online scheme.
@@ -50,7 +54,7 @@ class OnlineOperator:
         backend: str | None = None,
         bounds=None,
     ):
-        if backend not in (None, "exact", "auto", "columnar"):
+        if backend is not None and backend not in BACKENDS:
             raise ValueError(f"unknown backend {backend!r}")
         self.scheme = scheme
         self.extra = dict(extra or {})
@@ -61,23 +65,18 @@ class OnlineOperator:
         # compiled native closure (per-element push) and the batch kernel
         # (push_many) by default, interpreter-driven equivalents under
         # REPRO_JIT=0 (or when the program is uncompilable).
-        # See :mod:`repro.ir.compile`.  Under backend="auto"/"columnar" the
-        # batch kernel is upgraded to the certificate-licensed NumPy
-        # columnar plan when admission grants it ("auto" takes only the
-        # bit-identical int64 path; "columnar" also opts into float64);
-        # otherwise the exact kernel stays — silently, by design: the
-        # backend choice never changes what an operator computes.
+        # See :mod:`repro.ir.compile`.  Under backend="auto" the batch
+        # kernel is upgraded to the certificate-licensed, bit-identical
+        # int64 NumPy columnar plan when admission grants it; otherwise the
+        # exact kernel stays — silently, by design: the backend choice
+        # never changes what an operator computes.
         # The scalar step is kept alongside the batch kernel on purpose:
         # routing a per-element push through a 1-element kernel batch
         # measured 2.06x slower on count and q_highest_bid.
         self._step = scheme._resolve_step()
         self._kernel = scheme._resolve_kernel()
-        self._columnar_float = False
-        if backend in ("auto", "columnar"):
-            columnar = scheme.compiled_columns(bounds, allow_float=backend == "columnar")
-            if columnar is not None:
-                self._kernel = columnar
-                self._columnar_float = columnar.domain == "float64"
+        if backend == "auto":
+            self._kernel = scheme.compiled_columns(bounds) or self._kernel
 
     @property
     def value(self) -> Value:
@@ -95,14 +94,7 @@ class OnlineOperator:
 
     def push(self, element: Value) -> Value:
         """Consume one element; returns the updated result."""
-        if self._columnar_float:
-            # A float64 columnar operator keeps ONE numeric model: scalar
-            # pushes run as single-element batches through the same kernel,
-            # so interleaving push and push_many never mixes exact-rational
-            # and IEEE-754 arithmetic in one trajectory.
-            state, _ = self._kernel.run(self.state, (element,), self.extra)
-        else:
-            state = self._step(self.state, element, self.extra)
+        state = self._step(self.state, element, self.extra)
         self.state = state
         self.count += 1
         return state[0]

@@ -83,6 +83,7 @@ from ..runtime.checkpoint import (
     restore_keyed,
 )
 from ..runtime.keyed import KeyedOperator
+from ..runtime.stream import BACKENDS
 from ..supervisor import ServiceSupervisor, _mp_context
 from ..ir.values import Value
 from .hashring import HashRing
@@ -232,7 +233,7 @@ class StreamServer:
         bounds=None,
         fresh: bool = False,
     ):
-        if backend not in (None, "exact", "auto", "columnar"):
+        if backend is not None and backend not in BACKENDS:
             raise ValueError(f"unknown backend {backend!r}")
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")

@@ -90,7 +90,7 @@ class WorkerConfig:
     checkpoint_every: int
     extra: dict = field(default_factory=dict)
     keep_generations: int = 3
-    backend: str | None = None  #: None/"exact" | "auto" | "columnar"
+    backend: str | None = None  #: None or one of repro.runtime.stream.BACKENDS
     bounds: object = None  #: AnalysisBounds licensing columnar admission
     resume: bool = False
     heartbeat_every_s: float = 1.0

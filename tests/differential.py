@@ -10,7 +10,6 @@ from fractions import Fraction
 from repro.core.scheme import OnlineScheme
 from repro.ir.dsl import add, div, mul
 from repro.ir.nodes import OnlineProgram
-from repro.ir.values import values_close
 from repro.runtime import sources
 
 
@@ -34,14 +33,6 @@ def interpreted(scheme, elements, extra=None) -> tuple:
     for element in elements:
         state = scheme.interpreted_step(state, element, extra)
     return state
-
-
-def assert_close_state(got_state, exact_state, where=""):
-    """The float64 columnar model: every component within ``values_close``
-    of the exact rational result."""
-    assert len(got_state) == len(exact_state), where
-    for i, (got, want) in enumerate(zip(got_state, exact_state)):
-        assert values_close(got, want), f"{where}[{i}]: {got!r} not close to {want!r}"
 
 
 def sum_scheme() -> OnlineScheme:

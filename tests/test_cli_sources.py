@@ -98,6 +98,13 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["bench", "--solver", "z3"])
 
+    @pytest.mark.parametrize("command", ["run", "serve"])
+    def test_backend_columnar_is_an_invalid_choice(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "s.json", "--source", "counter:10", "--backend", "columnar"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'columnar'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv, message", [
         (["--benchmark", "no-such-task"], "error: unknown benchmark 'no-such-task'"),
         (["--python", "{tmp}/missing.py"], "error: cannot read {tmp}/missing.py"),

@@ -4,9 +4,8 @@ The tree-walking interpreter is the single semantic oracle.  Each case
 folds one stream through one execution path and compares the result with
 a fold of :meth:`OnlineScheme.interpreted_step` over the same elements
 (``push`` compares every intermediate state), never with another backend.
-The comparison is bit-for-bit (values and Python types), except on the
-float64 ``columnar`` opt-in, which must stay within ``values_close``.
-When the interpreter raises, the path must raise the same exception class
+The comparison is bit-for-bit (values and Python types).  When the
+interpreter raises, the path must raise the same exception class
 having consumed the same elements, with the state it had before the
 failing one: exact or loud.
 
@@ -22,13 +21,11 @@ from __future__ import annotations
 import json
 import random
 from collections import namedtuple
-from functools import partial
 from types import SimpleNamespace
 
 import pytest
 from differential import (
     adversarial_stream,
-    assert_close_state,
     assert_same_value,
     extras_for,
     integral_stream,
@@ -182,16 +179,13 @@ def run_push_many(case) -> Outcome:
     return drain(op, batches(case.elements, case.chunks))
 
 
-def _columnar(case, backend) -> Outcome:
+def run_auto(case) -> Outcome:
     bounds = declared_bounds(case.arity, case.extra)
-    op = OnlineOperator(case.scheme, case.extra, backend=backend, bounds=bounds)
-    case.float64 = getattr(op._kernel, "domain", None) == "float64"
-    assert not (case.float64 and backend == "auto"), "auto admitted the float64 domain"
+    op = OnlineOperator(case.scheme, case.extra, backend="auto", bounds=bounds)
+    # The exact kernel, a columnar kernel's fallback included, honours REPRO_JIT.
+    exact = op._kernel.exact if op.backend_in_use == "columnar" else op._kernel
+    assert exact.compiled is case.jit
     return drain(op, batches(case.elements, case.chunks))
-
-
-run_auto = partial(_columnar, backend="auto")
-run_columnar = partial(_columnar, backend="columnar")
 
 
 def run_auto_ungated(case) -> Outcome:
@@ -239,16 +233,16 @@ Backend = namedtuple("Backend", "run fold columnar nojit skips")
 #: columnar (needs NumPy), whether it has a ``nojit`` case, and the families
 #: it skips.  Cases that could only repeat another are left out: ``nojit``
 #: runs only where ``REPRO_JIT`` selects the code under test, the scalar
-#: step and the batch kernel.  Keyed, checkpoint and tumbling run on that
-#: same kernel, and a scheme caches its columnar kernel, with its exact
-#: fallback, across jit modes.  ``chunked`` is skipped where batch
-#: boundaries are ignored, ``empty`` where no scheme code runs on it.
+#: step, the batch kernel and the exact kernel a columnar one falls back to
+#: (a scheme caches one columnar kernel per jit mode).  Keyed, checkpoint
+#: and tumbling run on the plain batch kernel.  ``chunked`` is skipped
+#: where batch boundaries are ignored, ``empty`` where no scheme code runs
+#: on it.
 BACKENDS = {
     "push": Backend(run_push, trajectory_fold, False, True, {"chunked", "empty"}),
     "push_many": Backend(run_push_many, interpreted_fold, False, True, set()),
-    "auto": Backend(run_auto, interpreted_fold, True, False, {"empty"}),
-    "auto-ungated": Backend(run_auto_ungated, interpreted_fold, True, False, {"empty"}),
-    "columnar": Backend(run_columnar, interpreted_fold, True, False, {"empty"}),
+    "auto": Backend(run_auto, interpreted_fold, True, True, {"empty"}),
+    "auto-ungated": Backend(run_auto_ungated, interpreted_fold, True, True, {"empty"}),
     "keyed": Backend(run_keyed, keyed_fold, False, False, set()),
     "checkpoint": Backend(run_checkpoint, interpreted_fold, False, False, set()),
     "tumbling": Backend(run_tumbling, window_fold, False, False, {"chunked", "empty"}),
@@ -286,7 +280,7 @@ def test_matches_interpreter(jit_mode, backend, name, family, request, shared):
         elements = [(element, i % KEYS) for i, element in enumerate(elements)]
     case = SimpleNamespace(
         scheme=scheme, arity=arity, extra=extra, elements=elements, chunks=chunks,
-        jit=jit_mode, request=request, tmp_dir=shared.tmp_dir, float64=False,
+        jit=jit_mode, request=request, tmp_dir=shared.tmp_dir,
     )
     got = run(case)
     base = trajectory_fold if fold is interpreted_fold else fold
@@ -298,20 +292,16 @@ def test_matches_interpreter(jit_mode, backend, name, family, request, shared):
     where = f"{backend} {name} {family}"
     assert got.raised is want.raised, f"{where}: raised {got.raised} vs {want.raised}"
     assert got.consumed in (None, want.consumed), f"{where}: consumed {got.consumed}"
-    if case.float64:
-        assert_close_state(got.observed, want.observed, where)
-    else:
-        assert_same_value(got.observed, want.observed, where)
+    assert_same_value(got.observed, want.observed, where)
 
 
 @pytest.mark.skipif(numpy_or_none() is None, reason="NumPy not installed")
 def test_columnar_axis_reaches_every_admission_outcome():
     """The columnar backends are not vacuous: under the declared bounds the
-    corpus has int64-certified, float64 opt-in and declined schemes."""
-    domains = []
-    for scheme, arity in SCHEMES.values():
-        bounds = declared_bounds(arity, extras_for(scheme))
-        kernel = scheme.compiled_columns(bounds, allow_float=True)
-        domains.append(getattr(kernel, "domain", None))
-    assert domains.count("int64") >= 10 and domains.count("float64") >= 10
-    assert None in domains
+    corpus has int64-certified schemes and declined ones."""
+    kernels = [
+        scheme.compiled_columns(declared_bounds(arity, extras_for(scheme)))
+        for scheme, arity in SCHEMES.values()
+    ]
+    assert sum(kernel is not None for kernel in kernels) >= 10
+    assert None in kernels

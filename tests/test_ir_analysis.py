@@ -579,6 +579,20 @@ class TestCLI:
         assert report["format"] == "repro/analysis"
         capsys.readouterr()
 
+    @pytest.mark.parametrize("name, verdict", [
+        ("max", "certified-int64"), ("variance", "uncertified"),
+    ])
+    def test_backend_report_has_two_verdicts(self, tmp_path, capsys, name, verdict):
+        out = tmp_path / "report.json"
+        path = self._scheme_file(tmp_path, name)
+        assert cli_main(["analyze", path, "--source", "counter:100", "--backend-report",
+                         "--out", str(out)]) == 0
+        fragment = json.loads(out.read_text())["backend"]
+        assert sorted(fragment) == ["columnar", "reason"]
+        assert fragment["columnar"] == verdict
+        assert bool(fragment["reason"]) is (verdict == "uncertified")
+        assert f"backend {name}.scheme: {verdict}" in capsys.readouterr().out
+
     def test_run_preflight_refuses_error_verdict(self, tmp_path, capsys):
         broken = OnlineScheme(
             (0,), OnlineProgram(("s",), "x", (Call("add", (Var("s"),)),))

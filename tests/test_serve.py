@@ -457,25 +457,6 @@ class TestServeCli:
         assert "verify: OK" in out
         assert "consumed 300 elements" in out
 
-    @pytest.mark.skipif(numpy_or_none() is None, reason="NumPy not installed")
-    def test_verify_refuses_the_float64_optin(self, tmp_path, capsys):
-        # The oracle folds exact rationals, and float64 results depend on
-        # batch boundaries: the comparison could only fail, so serve refuses
-        # before it starts a worker or writes a checkpoint.
-        path = tmp_path / "variance.scheme.json"
-        get_benchmark("variance").ground_truth.save(path)
-        checkpoints = tmp_path / "ck"
-        code = main([
-            "serve", str(path), "--source", "zipf-keys:300:10:5",
-            "--key-field", "1", "--value-field", "0", "--shards", "2",
-            "--checkpoint-dir", str(checkpoints), "--backend", "columnar", "--verify",
-        ])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.err.startswith("error: --verify")
-        assert "float64" in captured.err
-        assert not checkpoints.exists()
-
     def test_auto_verify_matches_the_exact_oracle(self, tmp_path, capsys):
         path = tmp_path / "range.scheme.json"
         get_benchmark("range").ground_truth.save(path)

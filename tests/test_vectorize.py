@@ -2,13 +2,12 @@
 
 The columnar kernel (:mod:`repro.ir.vectorize`) claims a strict contract:
 ``int64``-certified schemes are bit-for-bit identical to the exact
-rationals, float64 opt-ins diverge by IEEE-754 rounding only, and every
-unadmitted scheme or out-of-contract batch transparently runs on the exact
-:class:`~repro.ir.compile.StepKernel` with its usual partial-progress
-semantics.  ``test_conformance.py`` holds every ground-truth scheme to that
-contract under ``auto`` (gated and ungated) and ``columnar``; these tests
-pin admission verdicts, bailouts, the cost gate, the float64 exemption,
-pipeline interaction, caches and cross-backend checkpoint/restore.
+rationals, and every unadmitted scheme or out-of-contract batch
+transparently runs on the exact :class:`~repro.ir.compile.StepKernel` with
+its usual partial-progress semantics.  ``test_conformance.py`` holds every
+ground-truth scheme to that contract under ``auto`` (gated and ungated);
+these tests pin admission verdicts, bailouts, the cost gate, pipeline
+interaction, caches and cross-backend checkpoint/restore.
 
 The whole module degrades to exact-path assertions when NumPy is absent
 (admission itself is pure structural analysis and never needs NumPy).
@@ -21,7 +20,6 @@ from fractions import Fraction
 
 import pytest
 from differential import (
-    assert_close_state,
     assert_same_value,
     extras_for,
     interpreted,
@@ -30,6 +28,7 @@ from differential import (
 
 from repro.core.scheme import OnlineScheme
 from repro.ir.analysis import AnalysisBounds, FieldBounds, bounds_from_spec
+from repro.ir.compile import StepKernel
 from repro.ir.dsl import add, eq, ite
 from repro.ir.nodes import OnlineProgram, Var
 from repro.ir import vectorize
@@ -87,27 +86,28 @@ class TestAdmission:
         for name in ("sum", "count", "last", "min", "max", "range", "q_bid_volume"):
             admission = self._admit(name)
             assert admission.verdict == "certified-int64", (name, admission.reason)
-            assert admission.domain == "int64" and admission.admitted
+            assert admission.admitted
 
-    def test_float_optin_schemes(self):
+    def test_non_integral_schemes_stay_uncertified(self):
+        # Rational state (variance, q_avg_price) or float-only builtins
+        # (skewness, rms): no int64 certificate, so the exact path.
         for name in ("variance", "skewness", "rms", "q_avg_price"):
             admission = self._admit(name)
-            assert admission.verdict == "float-optin-only", (name, admission.reason)
-            assert admission.domain == "float64" and admission.reason
+            assert admission.verdict == "uncertified", (name, admission.reason)
+            assert not admission.admitted and admission.reason, name
 
     def test_product_refused_without_certificate(self):
-        # 60 factors of magnitude up to 7 blow through int64; float64 would
-        # overflow to inf (divergence, not rounding), so no domain admits it.
+        # 60 factors of magnitude up to 7 blow through int64.
         admission = self._admit("product")
         assert admission.verdict == "uncertified"
         assert not admission.admitted
-        assert "product accumulation" in admission.reason
+        assert admission.reason.startswith("state component 'p'"), admission.reason
 
     def test_structural_decliners(self):
         for name in ("mean", "q_top2"):
             admission = self._admit(name)
             assert admission.verdict == "uncertified", name
-            assert admission.domain is None and admission.reason
+            assert not admission.admitted and admission.reason
 
     def test_admission_without_numpy(self, monkeypatch):
         monkeypatch.setenv("REPRO_NO_NUMPY", "1")
@@ -115,32 +115,22 @@ class TestAdmission:
         admission = self._admit("sum")
         assert admission.verdict == "certified-int64"
 
-    def test_unknown_backend_rejected(self):
+    def test_unknown_backend_rejected(self, tmp_path):
+        from repro.serve import StreamServer
+
         scheme = get_benchmark("sum").ground_truth
-        with pytest.raises(ValueError):
-            OnlineOperator(scheme, backend="vectorized")
+        for backend in ("vectorized", "columnar"):
+            with pytest.raises(ValueError):
+                OnlineOperator(scheme, backend=backend)
+            with pytest.raises(ValueError, match="unknown backend"):
+                StreamServer(scheme, shards=1, checkpoint_dir=tmp_path, key_field=0,
+                             backend=backend)
 
 
 @needs_numpy
 @pytest.mark.usefixtures("ungated")
 class TestDifferentialGroundTruths:
-    """Float64 scalar pushes, keyed partitions and forks under columnar."""
-
-    def test_scalar_push_matches_push_many_in_float64(self):
-        # Float64 operators route scalar push through the same kernel so a
-        # trajectory never mixes exact and IEEE arithmetic.
-        bench = get_benchmark("variance")
-        scheme = bench.ground_truth
-        elements = small_int_stream(bench.element_arity, 40)
-        bounds = bounds_for(elements, 1)
-        batched = OnlineOperator(scheme, backend="columnar", bounds=bounds)
-        stepped = OnlineOperator(scheme, backend="columnar", bounds=bounds)
-        assert batched.backend_in_use == "columnar"
-        batched.push_many(elements)
-        for element in elements:
-            stepped.push(element)
-        assert_same_value(batched.state, stepped.state)
-        assert batched.count == stepped.count
+    """Keyed partitions and forks on the columnar kernel."""
 
     def test_keyed_columnar_differential(self):
         scheme = get_benchmark("q_bid_volume").ground_truth
@@ -149,7 +139,7 @@ class TestDifferentialGroundTruths:
         bounds = bounds_for(values, 1)
         columnar = KeyedOperator(
             scheme, key_fn=lambda e: e[1], value_fn=lambda e: e[0],
-            backend="columnar", bounds=bounds,
+            backend="auto", bounds=bounds,
         )
         columnar.push_many(events)
         assert list(columnar.partitions) == list(dict.fromkeys(e[1] for e in events))
@@ -161,9 +151,7 @@ class TestDifferentialGroundTruths:
     def test_fork_keeps_backend(self):
         bench = get_benchmark("sum")
         elements = small_int_stream(bench.element_arity)
-        op = OnlineOperator(
-            bench.ground_truth, backend="columnar", bounds=bounds_for(elements, 1)
-        )
+        op = OnlineOperator(bench.ground_truth, backend="auto", bounds=bounds_for(elements, 1))
         op.push_many(elements[:10])
         clone = op.fork()
         assert clone.backend_in_use == "columnar"
@@ -179,7 +167,7 @@ class TestBailouts:
         scheme = get_benchmark("sum").ground_truth
         small = list(range(10))
         bounds = bounds_for(small, 1)
-        columnar = OnlineOperator(scheme, backend="columnar", bounds=bounds)
+        columnar = OnlineOperator(scheme, backend="auto", bounds=bounds)
         assert columnar.backend_in_use == "columnar"
         wild = small + [10**30]  # outside the certified interval
         columnar.push_many(wild)
@@ -192,7 +180,7 @@ class TestBailouts:
     def test_non_numeric_payload_has_exact_error_parity(self):
         # The interpreter raises TypeError on "boom", after two elements.
         scheme = get_benchmark("sum").ground_truth
-        columnar = OnlineOperator(scheme, backend="columnar", bounds=bounds_for([1, 2, 4], 1))
+        columnar = OnlineOperator(scheme, backend="auto", bounds=bounds_for([1, 2, 4], 1))
         with pytest.raises(TypeError):
             columnar.push_many([1, 2, "boom", 4])
         assert_same_value(columnar.state, interpreted(scheme, [1, 2]))
@@ -205,7 +193,7 @@ class TestBailouts:
         scheme = get_benchmark("range").ground_truth
         elements = [Fraction((i * 7) % 20, 1) for i in range(20)]
         bounds = bounds_for(elements, 1)
-        columnar = OnlineOperator(scheme, backend="columnar", bounds=bounds)
+        columnar = OnlineOperator(scheme, backend="auto", bounds=bounds)
         calls = count_exact_calls(monkeypatch, columnar)
         columnar.push_many(elements)
         assert columnar.backend_in_use == "columnar"
@@ -218,8 +206,8 @@ class TestBailouts:
         scheme = bench.ground_truth
         elements = small_int_stream(bench.element_arity)
         bounds = bounds_for(elements, 1)
-        assert scheme.compiled_columns(bounds, allow_float=True) is None
-        op = OnlineOperator(scheme, backend="columnar", bounds=bounds)
+        assert scheme.compiled_columns(bounds) is None
+        op = OnlineOperator(scheme, backend="auto", bounds=bounds)
         assert op.backend_in_use == "exact"
         reference = OnlineOperator(scheme)
         op.push_many(elements)
@@ -235,8 +223,7 @@ class TestFusionInteraction:
         mixed = StreamPipeline(
             {
                 "sum": OnlineOperator(
-                    get_benchmark("sum").ground_truth,
-                    backend="columnar", bounds=bounds,
+                    get_benchmark("sum").ground_truth, backend="auto", bounds=bounds
                 ),
                 "count": OnlineOperator(get_benchmark("count").ground_truth),
             }
@@ -268,7 +255,7 @@ class TestCrossBackendCheckpoint:
 
     @pytest.mark.parametrize(
         "first,second",
-        [("columnar", None), (None, "columnar")],
+        [("auto", None), (None, "auto")],
         ids=["columnar-to-exact", "exact-to-columnar"],
     )
     def test_operator_roundtrip(self, tmp_path, first, second):
@@ -281,16 +268,14 @@ class TestCrossBackendCheckpoint:
         path = tmp_path / "op.ck.json"
         save_checkpoint(op, path)
         resumed = load_checkpoint(path, backend=second, bounds=bounds)
-        assert resumed.backend_in_use == (
-            "columnar" if second == "columnar" else "exact"
-        )
+        assert resumed.backend_in_use == ("columnar" if second == "auto" else "exact")
         resumed.push_many(elements[25:])
         assert_same_value(resumed.state, interpreted(scheme, elements))
         assert resumed.count == len(elements)
 
     @pytest.mark.parametrize(
         "first,second",
-        [("columnar", None), (None, "columnar")],
+        [("auto", None), (None, "auto")],
         ids=["columnar-to-exact", "exact-to-columnar"],
     )
     def test_keyed_roundtrip(self, tmp_path, first, second):
@@ -314,7 +299,7 @@ class TestCrossBackendCheckpoint:
             reference.push(event)
         assert resumed.snapshot() == reference.snapshot()
         assert resumed.count == reference.count
-        if second == "columnar":
+        if second == "auto":
             for part in resumed.partitions.values():
                 assert part.backend_in_use == "columnar"
 
@@ -337,16 +322,24 @@ class TestCrossBackendCheckpoint:
 
 @needs_numpy
 class TestKernelCache:
-    def test_compiled_columns_is_cached_per_request(self):
+    def test_compiled_columns_is_cached_per_request(self, monkeypatch):
         bench = get_benchmark("sum")
         scheme = bench.ground_truth
         bounds = bounds_for(small_int_stream(bench.element_arity), 1)
+        monkeypatch.setenv("REPRO_JIT", "1")
         k1 = scheme.compiled_columns(bounds)
         k2 = scheme.compiled_columns(bounds)
         assert k1 is not None and k1 is k2
-        # A different admission request is a different kernel slot.
-        other = scheme.compiled_columns(bounds, allow_float=True)
-        assert other is not None
+        assert k1.exact.compiled
+        # Another jit mode is another slot: its exact fallback follows
+        # REPRO_JIT, as a plain operator's kernel does.
+        monkeypatch.setenv("REPRO_JIT", "0")
+        interpreted_kernel = scheme.compiled_columns(bounds)
+        assert interpreted_kernel is not k1
+        assert not interpreted_kernel.exact.compiled
+        assert not OnlineOperator(scheme)._kernel.compiled
+        monkeypatch.setenv("REPRO_JIT", "1")
+        assert scheme.compiled_columns(bounds) is k1
 
     def test_pickle_and_invalidate_drop_columnar_cache(self):
         bench = get_benchmark("sum")
@@ -360,7 +353,7 @@ class TestKernelCache:
 
     def test_uncertified_scheme_compiles_to_none(self):
         scheme = get_benchmark("mean").ground_truth
-        assert scheme.compiled_columns(None, allow_float=True) is None
+        assert scheme.compiled_columns(None) is None
 
 
 @needs_numpy
@@ -378,14 +371,21 @@ class TestMaskedAccumulation:
         plan = plan_columns(program, scheme.initializer)
         assert plan.components[0].kind == "cumsum"
         elements = [1, 2, 3, 4, 3, 5]
-        bounds = bounds_for(elements, 1)
-        admission = admit_columnar(program, scheme.initializer, bounds)
-        assert admission.admitted, admission.reason
-        columnar = OnlineOperator(scheme, backend="columnar", bounds=bounds)
-        assert columnar.backend_in_use == "columnar"
-        columnar.push_many(elements)
+
+        def bailed(*args):
+            raise AssertionError("the batch left the columnar body")
+
+        # The interval analysis does not certify this If-join, so the
+        # column body is built directly rather than through admission.
+        kernel = vectorize.compile_columns(
+            program, scheme.initializer, exact=StepKernel(bailed, compiled=False),
+            bounds=bounds_for(elements, 1),
+        )
+        state, consumed = kernel.run(scheme.initializer, elements)
         # The x == 3 payloads (indices 2 and 4) must not accumulate.
-        assert columnar.state[0] == interpreted(scheme, elements)[0] == 12
+        assert consumed == len(elements)
+        assert_same_value(state, interpreted(scheme, elements))
+        assert state == (12,)
 
     def test_masked_max_accumulation_matches_exact(self):
         # m' = if x > 0 then max(m, x) else m — a genuinely masked cummax
@@ -404,7 +404,7 @@ class TestMaskedAccumulation:
         assert component.kind == "cummax" and component.mask is not None
         elements = [-7, 3, -9, 5, 2, -11, 4]
         bounds = bounds_for(elements, 1)
-        columnar = OnlineOperator(scheme, backend="columnar", bounds=bounds)
+        columnar = OnlineOperator(scheme, backend="auto", bounds=bounds)
         assert columnar.backend_in_use == "columnar"
         columnar.push_many(elements)
         # Negative payloads must not participate: the max is 5, not -7.
@@ -555,25 +555,3 @@ class TestCostGate:
         auto.push_many(elements)
         assert calls == [elements]
         assert_same_value(auto.state, interpreted(scheme, elements))
-
-
-@needs_numpy
-class TestFloat64Exemption:
-    """The cost gate is int64-only: a float64 operator's short batches and
-    scalar pushes stay on the float64 kernel, so one trajectory never mixes
-    IEEE-754 and exact arithmetic."""
-
-    def test_short_batches_and_push_run_float64(self):
-        scheme = get_benchmark("variance").ground_truth
-        elements = [3, 1, 4]
-        bounds = bounds_for(elements, 1)
-        op = OnlineOperator(scheme, backend="columnar", bounds=bounds)
-        assert op._kernel.domain == "float64"
-        op.push_many(elements)
-        assert all(type(v) is float for v in op.state), op.state
-        pushed = OnlineOperator(scheme, backend="columnar", bounds=bounds)
-        pushed.push(elements[0])
-        assert all(type(v) is float for v in pushed.state), pushed.state
-        exact = interpreted(scheme, elements)
-        assert not all(type(v) is float for v in exact)
-        assert_close_state(op.state, exact)

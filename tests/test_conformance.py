@@ -36,7 +36,8 @@ from test_ir_compile import random_candidate
 from repro.core.scheme import OnlineScheme
 from repro.ir.analysis import AnalysisBounds, FieldBounds
 from repro.ir.nodes import OnlineProgram
-from repro.ir.vectorize import numpy_or_none
+from repro.ir.compile import kernel_partial
+from repro.ir.vectorize import admit_columnar, numpy_or_none
 from repro.runtime import KeyedOperator, OnlineOperator
 from repro.runtime.checkpoint import load_checkpoint
 from repro.runtime.stream import tumbling
@@ -193,6 +194,28 @@ def run_auto_ungated(case) -> Outcome:
     return run_auto(case)
 
 
+def run_columnar(case) -> Outcome:
+    """The kernel ``auto`` resolves to, driven bare through the StepKernel
+    contract with no operator around it: the int64 kernel where admission
+    certifies the scheme, else the exact kernel, and a decline says why."""
+    bounds = declared_bounds(case.arity, case.extra)
+    admission = admit_columnar(case.scheme.program, case.scheme.initializer, bounds)
+    kernel = case.scheme.compiled_columns(bounds)
+    assert (kernel is not None) is admission.admitted, admission
+    if kernel is None:
+        assert admission.verdict == "uncertified" and admission.reason
+        kernel = case.scheme._resolve_kernel()
+    state, consumed = case.scheme.initializer, 0
+    for batch in batches(case.elements, case.chunks):
+        try:
+            state, n = kernel.run(state, batch, case.extra)
+        except Exception as exc:  # noqa: BLE001
+            state, n = kernel_partial(exc, state)
+            return Outcome(state, consumed + n, type(exc))
+        consumed += n
+    return Outcome(state, consumed)
+
+
 def run_keyed(case) -> Outcome:
     op = KeyedOperator(case.scheme, lambda e: e[1], value_fn=lambda e: e[0], extra=case.extra)
     observe = lambda op: [(k, p.state, p.count) for k, p in op.partitions.items()]  # noqa: E731
@@ -234,15 +257,17 @@ Backend = namedtuple("Backend", "run fold columnar nojit skips")
 #: it skips.  Cases that could only repeat another are left out: ``nojit``
 #: runs only where ``REPRO_JIT`` selects the code under test, the scalar
 #: step, the batch kernel and the exact kernel a columnar one falls back to
-#: (a scheme caches one columnar kernel per jit mode).  Keyed, checkpoint
-#: and tumbling run on the plain batch kernel.  ``chunked`` is skipped
-#: where batch boundaries are ignored, ``empty`` where no scheme code runs
-#: on it.
+#: (a scheme caches one columnar kernel per jit mode).  ``columnar``
+#: drives the kernel that ``auto`` resolves to, so it has no ``nojit``
+#: case.  Keyed, checkpoint and tumbling run on the plain batch kernel.
+#: ``chunked`` is skipped where batch boundaries are ignored, ``empty``
+#: where no scheme code runs on it.
 BACKENDS = {
     "push": Backend(run_push, trajectory_fold, False, True, {"chunked", "empty"}),
     "push_many": Backend(run_push_many, interpreted_fold, False, True, set()),
     "auto": Backend(run_auto, interpreted_fold, True, True, {"empty"}),
     "auto-ungated": Backend(run_auto_ungated, interpreted_fold, True, True, {"empty"}),
+    "columnar": Backend(run_columnar, interpreted_fold, True, False, {"empty"}),
     "keyed": Backend(run_keyed, keyed_fold, False, False, set()),
     "checkpoint": Backend(run_checkpoint, interpreted_fold, False, False, set()),
     "tumbling": Backend(run_tumbling, window_fold, False, False, {"chunked", "empty"}),

@@ -88,7 +88,7 @@ class TestAdmission:
             assert admission.verdict == "certified-int64", (name, admission.reason)
             assert admission.admitted
 
-    def test_non_integral_schemes_stay_uncertified(self):
+    def test_float_optin_schemes(self):
         # Rational state (variance, q_avg_price) or float-only builtins
         # (skewness, rms): no int64 certificate, so the exact path.
         for name in ("variance", "skewness", "rms", "q_avg_price"):

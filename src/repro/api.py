@@ -45,7 +45,7 @@ from .ir.nodes import Program
 from .ir.parser import parse_program
 from .ir.values import Value
 from .runtime.keyed import KeyedOperator
-from .runtime.stream import OnlineOperator, StreamPipeline
+from .runtime.stream import BACKENDS, OnlineOperator, StreamPipeline
 from .store import SchemeStore, resolve_store, scheme_key
 
 #: Sentinel distinguishing "use the default store" from "no store".
@@ -142,11 +142,12 @@ class CompiledScheme:
         backend: str | None = None,
         bounds=None,
     ) -> KeyedOperator:
-        """A per-key partitioned operator (group-by deployments)."""
-        return KeyedOperator(
-            self.scheme, key_fn, value_fn=value_fn, extra=extra, name=self.name,
-            backend=backend, bounds=bounds,
-        )
+        """A per-key partitioned operator (group-by deployments).  Keyed
+        operators run exact only: ``backend`` is validated, then ignored like
+        ``bounds``; both stay so callers can pass :meth:`operator`'s options."""
+        if backend is not None and backend not in BACKENDS:
+            raise ValueError(f"unknown backend {backend!r}")
+        return KeyedOperator(self.scheme, key_fn, value_fn=value_fn, extra=extra, name=self.name)
 
     def run(
         self, stream: Iterable[Value], extra: Mapping[str, Value] | None = None

@@ -21,15 +21,16 @@ The compile/load/deploy lifecycle, plus the evaluation workflows:
 
   ``--batch-size N`` ingests in chunks through the compiled batch kernel
   (one generated loop per chunk) instead of per-element push — identical
-  results, higher throughput.
+  results, higher throughput.  ``--backend auto`` applies to unkeyed runs;
+  keyed runs fold exact only, so ``--key-field`` with it exits 2.
 
   Unbounded source specs (``constant:V``, bare ``counter``, ``bids``,
   ``zipf-keys``) are rejected unless bounded with ``--max-elements`` — they
   would otherwise hang.  ``repro run --help`` prints the full spec grammar.
 
 * ``serve`` — deploy a compiled scheme as a long-running sharded service:
-  N worker processes own consistent-hashed slices of the key space, drain
-  batched hand-offs through the compiled step kernels, checkpoint to disk
+  N worker processes own consistent-hashed slices of the key space, fold
+  batched hand-offs through the compiled keyed loop, checkpoint to disk
   every K elements, and are restored from their checkpoints (with replay)
   when they crash — final aggregates stay bit-identical to a
   single-process run (:mod:`repro.serve`)::
@@ -43,10 +44,9 @@ The compile/load/deploy lifecycle, plus the evaluation workflows:
   (``kill:S:AFTER`` SIGKILLs shard S's worker after AFTER elements;
   ``stall:S:AFTER[:SECS]``, ``corrupt-checkpoint:S:GEN``,
   ``torn-write:NTH``, ``poison:OFFSET``);
-  ``--verify`` replays the stream through a single-process
-  ``KeyedOperator`` on the exact kernels and fails unless the states match
-  bit for bit (use a fresh --checkpoint-dir); ``--backend auto`` is
-  bit-identical to it, since it runs only int64-certified kernels.
+  ``--verify`` replays the stream through one single-process
+  ``KeyedOperator`` and fails unless the states match bit for bit (use a
+  fresh --checkpoint-dir).
   ``--on-error quarantine`` retries a deterministically failing element
   once and dead-letters it to ``deadletter-NN.jsonl`` instead of halting
   (default ``fail`` preserves the bit-identity contract).  A checkpoint
@@ -578,6 +578,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     elif args.value_field is not None:
         print("error: --value-field requires --key-field", file=sys.stderr)
         return 2
+    if keyed and args.backend != "exact":
+        print(
+            "error: --backend auto applies to unkeyed runs; keyed runs fold exact only",
+            file=sys.stderr,
+        )
+        return 2
 
     backend = None if args.backend == "exact" else args.backend
     if backend is not None:
@@ -597,16 +603,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 )
             if op.scheme != scheme:
                 raise CheckpointError("checkpoint was taken under a different scheme")
-            if extra:
-                # Fresh bindings override the checkpointed ones, everywhere
-                # (keyed partitions each hold their own copy).
-                op.extra.update(extra)
-                for part in getattr(op, "partitions", {}).values():
-                    part.extra.update(extra)
+            # Fresh bindings override the checkpointed ones.
+            op.extra.update(extra)
         elif keyed:
-            op = KeyedOperator(
-                scheme, key_fn, value_fn=value_fn, extra=extra, backend=backend, bounds=bounds
-            )
+            op = KeyedOperator(scheme, key_fn, value_fn=value_fn, extra=extra)
         else:
             op = OnlineOperator(scheme, extra, backend=backend, bounds=bounds)
     except (OSError, CheckpointError) as exc:
@@ -689,12 +689,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if plan.poison_offsets:
         stream = plan.apply_stream(stream, value_index=args.value_field)
 
-    backend = None if args.backend == "exact" else args.backend
-    if backend is not None:
-        notice = _columnar_notice(scheme, bounds)
-        if notice is not None:
-            print(notice, file=sys.stderr)
-
     seen: list = []  # retained only under --verify (the oracle needs them)
     try:
         server = StreamServer(
@@ -712,8 +706,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             liveness_timeout_s=args.liveness_timeout,
             on_error=args.on_error,
             faults=plan if plan else None,
-            backend=backend,
-            bounds=bounds,
             fresh=args.fresh,
         )
     except ValueError as exc:
@@ -1068,7 +1060,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="batch execution backend: exact rationals "
                             "(default) or auto (NumPy columnar kernels when "
                             "the int64 certificate licenses them *and* the "
-                            "batch is long enough to win — bit-identical)")
+                            "batch is long enough to win — bit-identical; "
+                            "unkeyed runs only)")
     p_run.add_argument("--checkpoint", default=None, metavar="FILE",
                        help="write an operator checkpoint after the run")
     p_run.add_argument("--resume", default=None, metavar="FILE",
@@ -1137,10 +1130,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "poison + --verify needs --on-error fail, where "
                               "the server correctly refuses)")
     p_serve.add_argument("--verify", action="store_true",
-                         help="also fold the stream through a single-process "
-                              "KeyedOperator on the exact kernels and fail "
-                              "unless the final states are bit-identical (use "
-                              "a fresh --checkpoint-dir)")
+                         help="also fold the stream through one single-process "
+                              "KeyedOperator and fail unless the final states "
+                              "are bit-identical (use a fresh --checkpoint-dir)")
     p_serve.add_argument("--fresh", action="store_true",
                          help="wipe any existing checkpoints in --checkpoint-dir "
                               "instead of resuming them")
@@ -1149,11 +1141,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--no-jit", action="store_true",
                          help="interpreted scheme steps in every worker "
                               "(same results; equivalent to REPRO_JIT=0)")
-    p_serve.add_argument("--backend", choices=BACKENDS, default="exact",
-                         help="worker batch backend: exact rationals "
-                              "(default) or auto (int64 columnar when the "
-                              "certificate licenses it *and* the batch is "
-                              "long enough to win — bit-identical)")
     p_serve.add_argument("--no-analyze", action="store_true",
                          help="skip the static-analysis preflight (which "
                               "refuses schemes the analyzer proves will fault)")

@@ -15,6 +15,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 from ..ir.compile import (
     IRCompileError,
     StepKernel,
+    compile_keyed_batch,
     compile_online_step,
     compile_step_batch,
     jit_enabled,
@@ -50,6 +51,8 @@ class OnlineScheme:
     #: ``_compiled_step`` — per-instance, cold after deserialization,
     #: dropped on pickling.
     _compiled_kernel: object = field(default=None, init=False, repr=False, compare=False)
+    #: Lazily-built keyed loop (:meth:`_resolve_keyed_loop`); same lifecycle.
+    _compiled_keyed: object = field(default=None, init=False, repr=False, compare=False)
     #: Lazily-built columnar kernels, one entry per distinct
     #: ``(bounds, jit_enabled())`` request (see :meth:`compiled_columns`);
     #: same lifecycle as the other caches.
@@ -78,16 +81,11 @@ class OnlineScheme:
         cannot be compiled (e.g. it still contains sketch holes); the
         interpreter remains available through :meth:`interpreted_step`.
         """
-        cached = self._compiled_step
-        if cached is None:
-            try:
-                cached = compile_online_step(self.program, name=self.provenance)
-            except IRCompileError:
-                cached = _UNCOMPILABLE
-            self._compiled_step = cached
-        if cached is _UNCOMPILABLE:
-            raise IRCompileError(f"online program of {self.provenance!r} is not compilable")
-        return cached  # type: ignore[return-value]
+        return self._cached(
+            "_compiled_step",
+            lambda: compile_online_step(self.program, name=self.provenance),
+            "compilable",
+        )
 
     def interpreted_step(
         self,
@@ -108,16 +106,25 @@ class OnlineScheme:
         declines); :meth:`_resolve_kernel` then drives the resolved scalar
         step from the generic loop instead.
         """
-        cached = self._compiled_kernel
+        return self._cached(
+            "_compiled_kernel",
+            lambda: compile_step_batch(self.program, name=self.provenance),
+            "batch-compilable",
+        )
+
+    def _cached(self, attr: str, build: Callable, what: str):
+        """``build()`` once per scheme, cached in ``attr``; a program that
+        cannot be compiled is remembered and re-raises without retrying."""
+        cached = getattr(self, attr)
         if cached is None:
             try:
-                cached = compile_step_batch(self.program, name=self.provenance)
+                cached = build()
             except IRCompileError:
                 cached = _UNCOMPILABLE
-            self._compiled_kernel = cached
+            setattr(self, attr, cached)
         if cached is _UNCOMPILABLE:
-            raise IRCompileError(f"online program of {self.provenance!r} is not batch-compilable")
-        return cached  # type: ignore[return-value]
+            raise IRCompileError(f"online program of {self.provenance!r} is not {what}")
+        return cached
 
     def compiled_columns(self, bounds=None):
         """The certificate-licensed columnar (NumPy) kernel for this scheme
@@ -148,12 +155,13 @@ class OnlineScheme:
         return kernel
 
     def invalidate_compiled(self) -> None:
-        """Drop the cached closure and batch kernel.  Only needed if
+        """Drop the cached closure and batch kernels.  Only needed if
         ``program`` is mutated in place, which nothing in this codebase
         does (schemes from ``loads``/``from_dict`` are fresh objects with
         cold caches)."""
         self._compiled_step = None
         self._compiled_kernel = None
+        self._compiled_keyed = None
         self._columnar_cache = []
 
     def _resolve_step(
@@ -181,10 +189,25 @@ class OnlineScheme:
                 pass
         return StepKernel.from_step(self._resolve_step(), name=self.provenance)
 
+    def _resolve_keyed_loop(self) -> StepKernel:
+        """The group-by batch loop (:func:`~repro.ir.compile.compile_keyed_batch`,
+        cached) with the contract of :meth:`_resolve_kernel`."""
+        if jit_enabled():
+            try:
+                return self._cached(
+                    "_compiled_keyed",
+                    lambda: compile_keyed_batch(self.program, self.initializer, self.provenance),
+                    "batch-compilable",
+                )
+            except IRCompileError:
+                pass
+        return StepKernel.keyed_from_step(self._resolve_step(), self.initializer, self.provenance)
+
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         state["_compiled_step"] = None  # exec'd closures do not pickle
         state["_compiled_kernel"] = None
+        state["_compiled_keyed"] = None
         state["_columnar_cache"] = []
         return state
 

@@ -58,8 +58,9 @@ itself: :func:`compile_step_batch` generates the whole ``push_many`` hot
 loop as source (state components live in Python locals across the chunk,
 extra-parameter lookups are hoisted once per batch, the CSE'd step body is
 inlined in the loop) and returns a :class:`StepKernel` — the execution plan
-every runtime layer (operators, keyed partitions, pipelines, windows)
-consumes instead of hand-rolling its own per-element loop.
+every runtime layer (operators, pipelines, windows) consumes instead of
+hand-rolling its own per-element loop; :func:`compile_keyed_batch` is its
+group-by twin, folding each key's partition record in place.
 """
 
 from __future__ import annotations
@@ -160,6 +161,7 @@ class StepKernel:
     ``compiled`` distinguishes codegen-backed kernels from the
     interpreter-driven fallback built by :meth:`from_step` — behaviourally
     identical (bit-for-bit over exact rationals), only slower.
+    Keyed kernels (:func:`compile_keyed_batch`) have their own contract.
     """
 
     __slots__ = ("run", "compiled", "name")
@@ -190,6 +192,31 @@ class StepKernel:
                 _record_partial(exc, state, consumed)
                 raise
             return state, consumed
+
+        return cls(_run, compiled=False, name=name)
+
+    @classmethod
+    def keyed_from_step(cls, step: Callable, initializer: tuple, name: str) -> "StepKernel":
+        """The keyed loop of :func:`compile_keyed_batch` over any scalar
+        ``step(state, element, extra)``, with the same run contract."""
+
+        def _run(partitions, elements, extra, key_fn, value_fn, partition):
+            consumed = 0
+            try:
+                for element in elements:
+                    key = key_fn(element)
+                    payload = element if value_fn is None else value_fn(element)
+                    part = partitions.get(key)
+                    if part is None:
+                        partitions[key] = partition(step(initializer, payload, extra), 1)
+                    else:
+                        part.state = step(part.state, payload, extra)
+                        part.count += 1
+                    consumed += 1
+            except BaseException as exc:
+                _record_partial(exc, None, consumed)
+                raise
+            return consumed
 
         return cls(_run, compiled=False, name=name)
 
@@ -1207,6 +1234,17 @@ def _check_batchable(program: OnlineProgram, what: str) -> None:
         )
 
 
+def _batch_codegen(program: OnlineProgram, name: str) -> tuple:
+    """The set-up both batch compilers share: ``(codegen, state locals,
+    list-typed extras, eager extras)`` for a batchable program."""
+    _check_batchable(program, name)
+    cg = _Codegen()
+    all_extras, list_extras, eager_extras = _extras_of(program)
+    cg.lazy_extras = frozenset(all_extras) - frozenset(eager_extras)
+    cg.globals["_record_partial"] = _record_partial
+    return cg, [cg.mangle(p) for p in program.state_params], list_extras, eager_extras
+
+
 def compile_step_batch(program: OnlineProgram, name: str = "batch") -> StepKernel:
     """Compile the whole batch loop of an online program into one closure:
     ``run(state, elements, extra=None) -> (final_state, consumed)``.
@@ -1230,12 +1268,8 @@ def compile_step_batch(program: OnlineProgram, name: str = "batch") -> StepKerne
     cannot represent (see :func:`_check_batchable`); callers fall back to
     :meth:`StepKernel.from_step` over the resolved scalar step.
     """
-    _check_batchable(program, name)
-    cg = _Codegen()
+    cg, state_vars, list_extras, eager_extras = _batch_codegen(program, name)
     arity = program.arity
-    all_extras, list_extras, eager_extras = _extras_of(program)
-    cg.lazy_extras = frozenset(all_extras) - frozenset(eager_extras)
-    state_vars = [cg.mangle(p) for p in program.state_params]
     state_tuple = _state_tuple(state_vars)
 
     lines = ["def _compiled_batch(_state, _elems, _extra=None):"]
@@ -1277,6 +1311,56 @@ def compile_step_batch(program: OnlineProgram, name: str = "batch") -> StepKerne
     lines.append(f"        _record_partial(_exc, {state_tuple} if _n else _state, _n)")
     lines.append("        raise")
     lines.append(f"    return ({state_tuple} if _n else _state, _n)")
-    cg.globals["_record_partial"] = _record_partial
     fn = cg.build("\n".join(lines) + "\n", "_compiled_batch", name)
+    return StepKernel(fn, compiled=True, name=name)
+
+
+def compile_keyed_batch(
+    program: OnlineProgram, initializer: Sequence[Value], name: str = "keyed"
+) -> StepKernel:
+    """Compile a group-by batch loop into one closure: ``run(partitions,
+    elements, extra, key_fn, value_fn, partition) -> consumed``.
+
+    Per element, in order: ``key_fn``; ``value_fn`` (or the element);
+    ``partitions[key]``, or ``initializer`` for a new key; the inlined,
+    CSE'd step body; the new state stored back, a new key's record made as
+    ``partition(state, 1)`` only now that its step succeeded; the count.
+    Eager extras are fetched on the first element, after its key and value.
+    A raise thus leaves exactly the per-element prefix in ``partitions``
+    and carries ``consumed`` (:func:`kernel_partial`).  Declines what
+    :func:`compile_step_batch` declines (see :meth:`StepKernel.keyed_from_step`).
+    """
+    cg, state_vars, list_extras, eager_extras = _batch_codegen(program, name)
+    cg.globals["_init"] = tuple(initializer)
+    elem = cg.mangle(program.elem_param)
+
+    lines = ["def _compiled_keyed(_parts, _elems, _extra, _key_fn, _value_fn, _partition):"]
+    lines.append("    _n = 0")
+    lines.append("    _get = _parts.get")
+    lines.append("    try:")
+    lines.append("        for _e in _elems:")
+    lines.append("            _k = _key_fn(_e)")
+    lines.append(f"            {elem} = _e if _value_fn is None else _value_fn(_e)")
+    if eager_extras:
+        lines.append("            if not _n:")
+        _emit_extra_fetch(cg, eager_extras, list_extras, lines, 16)
+    lines.append("            _p = _get(_k)")
+    if program.arity:
+        # _check_batchable guarantees the element cannot clobber a state local.
+        lines.append(f"            {', '.join(state_vars)}, = _init if _p is None else _p.state")
+    body: list[str] = []
+    outputs = _emit_outputs(cg, program, eager_extras, body, name)
+    lines.extend("        " + line for line in body)
+    new_state = _state_tuple(outputs)
+    lines.append("            if _p is None:")
+    lines.append(f"                _parts[_k] = _partition({new_state}, 1)")
+    lines.append("            else:")
+    lines.append(f"                _p.state = {new_state}")
+    lines.append("                _p.count += 1")
+    lines.append("            _n += 1")
+    lines.append("    except BaseException as _exc:")
+    lines.append("        _record_partial(_exc, None, _n)")
+    lines.append("        raise")
+    lines.append("    return _n")
+    fn = cg.build("\n".join(lines) + "\n", "_compiled_keyed", name)
     return StepKernel(fn, compiled=True, name=name)

@@ -180,10 +180,8 @@ def restore_keyed(
     key_fn: Callable[[Value], Hashable],
     *,
     value_fn: Callable[[Value], Value] | None = None,
-    backend: str | None = None,
-    bounds=None,
 ):
-    from .keyed import KeyedOperator
+    from .keyed import KeyedOperator, Partition
 
     _check_envelope(data, _KEYED)
     try:
@@ -196,8 +194,6 @@ def restore_keyed(
         value_fn=value_fn,
         extra=_decode_extra(data.get("extra")),
         name=data.get("name"),
-        backend=backend,
-        bounds=bounds,
     )
     keyed.count = _decode_count(data.get("count"))
     raw_parts = data.get("partitions")
@@ -213,9 +209,8 @@ def restore_keyed(
             raise CheckpointError(f"bad partition key: {exc}") from None
         if isinstance(key, list):  # decoded containers: only tuples hash
             raise CheckpointError("partition keys must be hashable values")
-        part = keyed.operator(key)
-        part.state = _decode_state(raw_state, scheme.arity, f"partition {key!r}")
-        part.count = _decode_count(raw_count)
+        state = _decode_state(raw_state, scheme.arity, f"partition {key!r}")
+        keyed.partitions[key] = Partition(state, _decode_count(raw_count))
     return keyed
 
 
@@ -291,9 +286,10 @@ def load_checkpoint(
     Keyed checkpoints need ``key_fn`` (and optionally ``value_fn``) supplied
     again; passing them for other kinds is an error, as is omitting them for
     a keyed one.  ``backend``/``bounds`` (like ``REPRO_JIT``) are process
-    decisions, not state: a checkpoint written under any backend restores
-    under any other (bit-identically on the certified int64 path), and every
-    operator of a pipeline restores under the same choice.
+    decisions, not state: an operator or pipeline checkpoint written under
+    any backend restores under any other (bit-identically on the certified
+    int64 path), and every operator of a pipeline restores under the same
+    choice.  Keyed operators run exact only.
     """
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -308,7 +304,7 @@ def load_checkpoint(
                 "restoring a keyed checkpoint requires key_fn= (extractors are "
                 "code, not data)"
             )
-        return restore_keyed(data, key_fn, value_fn=value_fn, backend=backend, bounds=bounds)
+        return restore_keyed(data, key_fn, value_fn=value_fn)
     if key_fn is not None or value_fn is not None:
         raise CheckpointError(f"key_fn/value_fn only apply to keyed checkpoints, not {kind!r}")
     if kind == _OPERATOR:

@@ -7,7 +7,10 @@ creating partitions on demand as keys first appear — the streaming analogue
 of ``GROUP BY`` over an append-only source.
 
 State is O(#keys x scheme arity): exactly the per-group accumulators a batch
-``GROUP BY`` would materialize, with O(1) work per element.
+``GROUP BY`` would materialize, with O(1) work per element: each batch is
+one pass of the scheme's keyed loop (:func:`~repro.ir.compile.compile_keyed_batch`).
+Keyed runs are exact only: group-by batches split into per-key runs far
+shorter than the columnar backend needs.
 """
 
 from __future__ import annotations
@@ -15,8 +18,17 @@ from __future__ import annotations
 from typing import Callable, Hashable, Iterable, Mapping
 
 from ..core.scheme import OnlineScheme
+from ..ir.compile import kernel_partial
 from ..ir.values import Value
-from .stream import OnlineOperator
+
+class Partition:
+    """One key's accumulator tuple and the elements folded into it."""
+
+    __slots__ = ("state", "count")
+
+    def __init__(self, state: tuple[Value, ...], count: int):
+        self.state = state
+        self.count = count
 
 
 class KeyedOperator:
@@ -40,137 +52,52 @@ class KeyedOperator:
         value_fn: Callable[[Value], Value] | None = None,
         extra: Mapping[str, Value] | None = None,
         name: str | None = None,
-        backend: str | None = None,
-        bounds=None,
     ):
         self.scheme = scheme
         self.key_fn = key_fn
         self.value_fn = value_fn
         self.extra = dict(extra or {})
         self.name = name or scheme.provenance
-        self.partitions: dict[Hashable, OnlineOperator] = {}
+        self.partitions: dict[Hashable, Partition] = {}
         self.count = 0
-        # Columnar backend choice, forwarded to every partition operator
-        # (admission happens once: the scheme caches the columnar kernel,
-        # partitions share it).  Partitions resolve the compiled-vs-
-        # interpreted plan from ``REPRO_JIT`` when they are created.
-        self._backend = backend
-        self._bounds = bounds
-
-    def operator(self, key: Hashable) -> OnlineOperator:
-        """The partition for ``key``, created fresh on first touch."""
-        op = self.partitions.get(key)
-        if op is None:
-            op = self.partitions[key] = OnlineOperator(
-                self.scheme,
-                self.extra,
-                f"{self.name}[{key!r}]",
-                backend=self._backend,
-                bounds=self._bounds,
-            )
-        return op
+        # Resolved once, from REPRO_JIT, like an OnlineOperator's kernel.
+        self._loop = scheme._resolve_keyed_loop()
 
     def push(self, element: Value) -> tuple[Hashable, Value]:
         """Route one element to its partition; returns ``(key, new value)``."""
         key = self.key_fn(element)
-        payload = element if self.value_fn is None else self.value_fn(element)
-        value = self.operator(key).push(payload)
-        self.count += 1  # only after a successful step, as OnlineOperator does
-        return key, value
+        self._fold((element,), lambda _: key, self.value_fn)
+        return key, self.partitions[key].state[0]
 
     def push_many(self, elements: Iterable[Value]) -> dict[Hashable, Value]:
         """Consume a batch; returns the full per-key snapshot — a defined
         value (``{}`` on a fresh operator) even for an empty batch.
 
-        The batch is grouped per key (one pass of key/value extraction,
-        preserving each key's element order and first-arrival partition
-        order), then every key's run drains through its partition's batch
-        kernel via :meth:`OnlineOperator.push_many` — partitions are
-        independent, so the snapshot equals element-by-element ``push``.
-
-        Failure semantics are exactly per-push too: whatever raises first
-        in element order — a key/value extractor or a scheme step — the
-        operator ends up having consumed precisely the elements before
-        that one (``count`` stays a resumable stream offset).  A step
-        failure is discovered while draining a *group*, so the operator
-        rewinds to its pre-batch snapshot and re-drains the common prefix;
-        that replay is sound because scheme steps are pure and
-        deterministic.
+        The same as ``push`` per element, failures included: whatever
+        raises first in element order — an extractor or a scheme step —
+        the operator has consumed precisely the elements before it, and
+        ``count`` stays a resumable stream offset.
         """
-        groups: dict[Hashable, list[Value]] = {}
-        order: list[Hashable] = []
-        key_fn, value_fn = self.key_fn, self.value_fn
-        extract_error: BaseException | None = None
-        try:
-            for element in elements:
-                key = key_fn(element)
-                payload = element if value_fn is None else value_fn(element)
-                groups.setdefault(key, []).append(payload)
-                order.append(key)
-        except BaseException as exc:  # the prefix still drains, per-push
-            extract_error = exc
-        # Rewind snapshot, scoped to the batch: only partitions for keys in
-        # this batch can change (a deployment with many accumulated keys
-        # must not pay O(#keys) per small batch).
-        snapshot = {
-            key: (self.partitions[key].state, self.partitions[key].count)
-            for key in groups
-            if key in self.partitions
-        }
-        total = self.count
-        # Per-key global element positions, to map "partition K failed on
-        # its j-th payload" back to a position in the batch.  Built lazily
-        # on the first failure — successful batches (the hot path) must not
-        # pay a second pass over the elements.
-        positions: dict[Hashable, list[int]] | None = None
-        failure: tuple | None = None  # (global position, exc)
-        for key, payloads in groups.items():
-            op = self.operator(key)
-            before = op.count
-            try:
-                op.push_many(payloads)
-            except BaseException as exc:
-                if positions is None:
-                    positions = {}
-                    for index, each in enumerate(order):
-                        positions.setdefault(each, []).append(index)
-                position = positions[key][op.count - before]
-                if failure is None or position < failure[0]:
-                    failure = (position, exc)
-        if failure is not None:
-            prefix, exc = failure
-            # Rewind the touched partitions to their pre-batch state
-            # (dropping ones the probe created), then re-drain the strict
-            # prefix — which cannot raise, since every partition survived
-            # those payloads.
-            for key in groups:
-                snap = snapshot.get(key)
-                if snap is None:
-                    self.partitions.pop(key, None)
-                else:
-                    self.partitions[key].state, self.partitions[key].count = snap
-            taken: dict[Hashable, int] = {}
-            prefix_groups: dict[Hashable, list[Value]] = {}
-            for key in order[:prefix]:
-                i = taken.get(key, 0)
-                taken[key] = i + 1
-                prefix_groups.setdefault(key, []).append(groups[key][i])
-            for key, payloads in prefix_groups.items():
-                self.operator(key).push_many(payloads)
-            self.count = total + prefix
-            raise exc
-        self.count = total + len(order)
-        if extract_error is not None:
-            raise extract_error
+        self._fold(elements, self.key_fn, self.value_fn)
         return self.snapshot()
 
+    def _fold(self, elements: Iterable[Value], key_fn, value_fn) -> None:
+        try:
+            consumed = self._loop.run(
+                self.partitions, elements, self.extra, key_fn, value_fn, Partition
+            )
+        except BaseException as exc:
+            self.count += kernel_partial(exc, None)[1]
+            raise
+        self.count += consumed
+
     def value(self, key: Hashable, default: Value | None = None) -> Value | None:
-        op = self.partitions.get(key)
-        return default if op is None else op.value
+        part = self.partitions.get(key)
+        return default if part is None else part.state[0]
 
     def snapshot(self) -> dict[Hashable, Value]:
         """Current result per key (insertion order = key arrival order)."""
-        return {key: op.value for key, op in self.partitions.items()}
+        return {key: part.state[0] for key, part in self.partitions.items()}
 
     def keys(self) -> list[Hashable]:
         return list(self.partitions)
@@ -205,14 +132,9 @@ class KeyedOperator:
         key_fn: Callable[[Value], Hashable],
         *,
         value_fn: Callable[[Value], Value] | None = None,
-        backend: str | None = None,
-        bounds=None,
     ) -> "KeyedOperator":
         """Rebuild from :meth:`checkpoint` output.  Key/value extractors are
-        code, not data — the caller supplies them again (as is the
-        ``backend``/``bounds`` choice; that and ``REPRO_JIT`` are process
-        decisions rather than state: a checkpoint written under one backend
-        restores under any other)."""
+        code, not data — the caller supplies them again."""
         from .checkpoint import restore_keyed
 
-        return restore_keyed(data, key_fn, value_fn=value_fn, backend=backend, bounds=bounds)
+        return restore_keyed(data, key_fn, value_fn=value_fn)

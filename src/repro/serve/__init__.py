@@ -4,8 +4,9 @@ service over the keyed runtime.
 The paper's synthesized online schemes are single-process stream folds;
 this package deploys one as a *system*: a :class:`StreamServer` consistent-
 hashes the key space (:class:`HashRing`) across N shard worker processes
-(:func:`~repro.serve.worker.shard_worker`), each draining batched hand-offs
-through the compiled step kernels and checkpointing its partitions to disk.
+(:func:`~repro.serve.worker.shard_worker`), each folding batched hand-offs
+through the scheme's compiled keyed loop and checkpointing its partitions
+to disk.
 Workers that die are restored from their last checkpoint and the server
 replays the non-durable suffix from its bounded buffer — final aggregates
 stay bit-identical to a single-process :class:`~repro.runtime.keyed.KeyedOperator`

@@ -5,8 +5,8 @@ worker processes (:mod:`repro.serve.worker`), each owning the
 :class:`~repro.runtime.keyed.KeyedOperator` partitions for the slice of the
 key space a consistent-hash ring (:mod:`repro.serve.hashring`) assigns it.
 Elements are routed by key, coalesced into batches, and handed off over
-pipes; each worker drains its hand-offs through the compiled batch
-:class:`~repro.ir.compile.StepKernel` hot loop and checkpoints its
+pipes; each worker folds its hand-offs through the scheme's compiled
+keyed loop and checkpoints its
 partitions to disk every ``checkpoint_every`` elements (atomically — see
 :mod:`repro.runtime.checkpoint`).
 
@@ -83,7 +83,6 @@ from ..runtime.checkpoint import (
     restore_keyed,
 )
 from ..runtime.keyed import KeyedOperator
-from ..runtime.stream import BACKENDS
 from ..supervisor import ServiceSupervisor, _mp_context
 from ..ir.values import Value
 from .hashring import HashRing
@@ -229,12 +228,8 @@ class StreamServer:
         faults: FaultPlan | None = None,
         seed: int | None = None,
         ring_replicas: int = 64,
-        backend: str | None = None,
-        bounds=None,
         fresh: bool = False,
     ):
-        if backend is not None and backend not in BACKENDS:
-            raise ValueError(f"unknown backend {backend!r}")
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
         if batch_size < 1:
@@ -266,8 +261,6 @@ class StreamServer:
         self.keep_generations = keep_generations
         self.on_error = on_error
         self.faults = faults.validate(shards) if faults is not None else None
-        self.backend = backend
-        self.bounds = bounds
         self.fresh = fresh
         self.ring = HashRing(shards, replicas=ring_replicas)
         self.latencies_s: list[float] = []
@@ -477,8 +470,6 @@ class StreamServer:
             checkpoint_base=str(self._checkpoint_base(shard.sid)),
             checkpoint_every=self.checkpoint_every,
             keep_generations=self.keep_generations,
-            backend=self.backend,
-            bounds=self.bounds,
             resume=resume,
             heartbeat_every_s=heartbeat,
             on_error=self.on_error,
@@ -735,8 +726,6 @@ class StreamServer:
             merged,
             field_extractor(self.key_field),
             value_fn=field_extractor(self.value_field),
-            backend=self.backend,
-            bounds=self.bounds,
         )
         if len(operator.partitions) < len(partitions):
             raise ServeError(
@@ -768,8 +757,7 @@ def reference_states(
     extra: Mapping[str, Value] | None = None,
 ) -> KeyedOperator:
     """The single-process oracle a serve run must match bit-for-bit: one
-    ``KeyedOperator`` folding the same element sequence in one process, on
-    the exact kernels whatever backend the workers run."""
+    ``KeyedOperator`` folding the same element sequence in one process."""
     op = KeyedOperator(
         scheme,
         field_extractor(key_field),

@@ -4,9 +4,9 @@ A worker owns the :class:`~repro.runtime.keyed.KeyedOperator` partitions for
 every key the server's hash ring routes to it.  Its whole life is a loop on
 the command pipe:
 
-* ``("batch", seq, elements)`` — drain the elements through
-  ``KeyedOperator.push_many`` (each key's run goes through the compiled
-  batch :class:`~repro.ir.compile.StepKernel` hot loop), checkpoint to disk
+* ``("batch", seq, elements)`` — fold the elements through
+  ``KeyedOperator.push_many`` (one pass of the scheme's compiled keyed
+  loop over the whole batch), checkpoint to disk
   if ``checkpoint_every`` elements accumulated since the last one, then
   acknowledge with ``("ack", seq, consumed, durable)``.
 * ``("drain", seq)`` — write a final checkpoint and *return* the final
@@ -66,7 +66,7 @@ def field_extractor(field) -> Callable | None:
     """Turn a CLI-style field index into an extractor (``None`` and
     callables pass through).  The extractor is an ``operator.itemgetter``:
     it pickles (a closure would not), and it runs in C once per element in
-    the server's routing loop and each worker's key grouping."""
+    the server's routing loop and each worker's keyed loop."""
     if field is None or callable(field):
         return field
     return itemgetter(int(field))
@@ -90,8 +90,6 @@ class WorkerConfig:
     checkpoint_every: int
     extra: dict = field(default_factory=dict)
     keep_generations: int = 3
-    backend: str | None = None  #: None or one of repro.runtime.stream.BACKENDS
-    bounds: object = None  #: AnalysisBounds licensing columnar admission
     resume: bool = False
     heartbeat_every_s: float = 1.0
     on_error: str = "fail"  #: "fail" | "quarantine"
@@ -113,15 +111,12 @@ def _restore_lineage(config: WorkerConfig, key_fn, value_fn):
     if latest is None:
         return None
     generation, consumed, payload = latest
-    op = restore_keyed(payload, key_fn, value_fn=value_fn,
-                       backend=config.backend, bounds=config.bounds)
+    op = restore_keyed(payload, key_fn, value_fn=value_fn)
     if op.scheme != config.scheme:
         raise CheckpointError(
             f"shard {config.shard_id} checkpoint was taken under a different scheme"
         )
     op.extra.update(config.extra)
-    for part in op.partitions.values():
-        part.extra.update(config.extra)
     history = []
     for gen, path in list_generations(config.checkpoint_base):
         if gen == generation:
@@ -217,8 +212,6 @@ def shard_worker(config: WorkerConfig, cmd_conn, ack_conn):
             value_fn=value_fn,
             extra=config.extra,
             name=f"shard-{config.shard_id}",
-            backend=config.backend,
-            bounds=config.bounds,
         )
     generation = history[-1][0] if history else 0
     checkpointed = consumed  # consumed count at the last checkpoint write

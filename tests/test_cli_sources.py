@@ -98,12 +98,17 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["bench", "--solver", "z3"])
 
-    @pytest.mark.parametrize("command", ["run", "serve"])
-    def test_backend_columnar_is_an_invalid_choice(self, command, capsys):
+    @pytest.mark.parametrize("argv, message", [
+        (["run"], "invalid choice: 'columnar'"),
+        # Serve workers fold exact only: there is no --backend to choose.
+        (["serve", "--key-field", "0", "--checkpoint-dir", "ck"],
+         "unrecognized arguments: --backend columnar"),
+    ], ids=["run", "serve"])
+    def test_backend_columnar_is_an_invalid_choice(self, argv, message, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main([command, "s.json", "--source", "counter:10", "--backend", "columnar"])
+            main([*argv, "s.json", "--source", "counter:10", "--backend", "columnar"])
         assert excinfo.value.code == 2
-        assert "invalid choice: 'columnar'" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, message", [
         (["--benchmark", "no-such-task"], "error: unknown benchmark 'no-such-task'"),
@@ -266,22 +271,15 @@ class TestKeyedRunBounds:
         args.value_field = None
         assert _spec_analysis_bounds(args).element == whole.element
 
-    def test_keyed_auto_run_is_admitted_and_matches_exact(self, tmp_path, capsys):
-        from repro.ir.vectorize import numpy_or_none
+    def test_keyed_auto_run_is_refused(self, tmp_path, capsys):
+        # Keyed runs fold exact only; asking for columnar is a usage error,
+        # not a flag that silently does nothing.
         from repro.suites import get_benchmark
-
-        if numpy_or_none() is None:
-            pytest.skip("NumPy not available")
 
         path = tmp_path / "max.scheme.json"
         get_benchmark("max").ground_truth.save(path)
-        outputs = {}
-        for backend in ("auto", "exact"):
-            assert main(["run", str(path), "--source", self.SOURCE, "--key-field", "1",
-                         "--value-field", "0", "--batch-size", "4096",
-                         "--backend", backend]) == 0
-            captured = capsys.readouterr()
-            outputs[backend] = captured.out
-            assert "backend:" not in captured.err
-        assert outputs["auto"] == outputs["exact"]
-        assert "over 20 keys" in outputs["auto"]
+        assert main(["run", str(path), "--source", self.SOURCE, "--key-field", "1",
+                     "--value-field", "0", "--backend", "auto"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --backend auto")
+        assert "consumed" not in captured.out

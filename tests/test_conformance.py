@@ -218,6 +218,8 @@ def run_columnar(case) -> Outcome:
 
 def run_keyed(case) -> Outcome:
     op = KeyedOperator(case.scheme, lambda e: e[1], value_fn=lambda e: e[0], extra=case.extra)
+    assert op._loop.compiled is case.jit
+    assert (op._loop.source is not None) is case.jit
     observe = lambda op: [(k, p.state, p.count) for k, p in op.partitions.items()]  # noqa: E731
     return drain(op, batches(case.elements, case.chunks), observe=observe)
 
@@ -256,10 +258,10 @@ Backend = namedtuple("Backend", "run fold columnar nojit skips")
 #: columnar (needs NumPy), whether it has a ``nojit`` case, and the families
 #: it skips.  Cases that could only repeat another are left out: ``nojit``
 #: runs only where ``REPRO_JIT`` selects the code under test, the scalar
-#: step, the batch kernel and the exact kernel a columnar one falls back to
-#: (a scheme caches one columnar kernel per jit mode).  ``columnar``
-#: drives the kernel that ``auto`` resolves to, so it has no ``nojit``
-#: case.  Keyed, checkpoint and tumbling run on the plain batch kernel.
+#: step, the batch kernel, the keyed loop and the exact kernel a columnar
+#: one falls back to (a scheme caches one columnar kernel per jit mode).
+#: ``columnar`` drives the kernel that ``auto`` resolves to, so it has no
+#: ``nojit`` case.  Checkpoint and tumbling run on the plain batch kernel.
 #: ``chunked`` is skipped where batch boundaries are ignored, ``empty``
 #: where no scheme code runs on it.
 BACKENDS = {
@@ -268,7 +270,7 @@ BACKENDS = {
     "auto": Backend(run_auto, interpreted_fold, True, True, {"empty"}),
     "auto-ungated": Backend(run_auto_ungated, interpreted_fold, True, True, {"empty"}),
     "columnar": Backend(run_columnar, interpreted_fold, True, False, {"empty"}),
-    "keyed": Backend(run_keyed, keyed_fold, False, False, set()),
+    "keyed": Backend(run_keyed, keyed_fold, False, True, set()),
     "checkpoint": Backend(run_checkpoint, interpreted_fold, False, False, set()),
     "tumbling": Backend(run_tumbling, window_fold, False, False, {"chunked", "empty"}),
 }

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from repro.cli import main
+from repro.core.scheme import OnlineScheme
 from repro.runtime import KeyedOperator, OnlineOperator, StreamPipeline
 from repro.runtime import stream as stream_mod
 from repro.runtime.checkpoint import restore_keyed
@@ -157,27 +158,28 @@ class TestCliMaxElements:
 
 
 class TestKeyedJit:
-    """Partitions resolve their plan from ``REPRO_JIT`` when they are
+    """The keyed loop resolves from ``REPRO_JIT`` when the operator is
     created, fresh or restored from a checkpoint."""
 
     def _keyed(self):
-        scheme = _scheme("mean")
+        truth = _scheme("mean")  # a copy: cold compile caches
+        scheme = OnlineScheme(truth.initializer, truth.program, provenance=truth.provenance)
         return scheme, KeyedOperator(scheme, key_fn=lambda e: e[1], value_fn=lambda e: e[0])
 
     def test_jit_false_reaches_partitions(self, monkeypatch):
         monkeypatch.setenv("REPRO_JIT", "0")
         scheme, keyed = self._keyed()
         keyed.push((Fraction(10), "a"))
-        partition = keyed.partitions["a"]
-        assert partition._step == scheme.interpreted_step
-        assert not partition._kernel.compiled
+        assert not keyed._loop.compiled
+        # The interpreter-driven loop compiled nothing, not even the scalar step.
+        assert scheme._compiled_step is None and scheme._compiled_keyed is None
 
     def test_default_still_compiles(self, monkeypatch):
         monkeypatch.delenv("REPRO_JIT", raising=False)
         scheme, keyed = self._keyed()
         keyed.push((Fraction(10), "a"))
-        partition = keyed.partitions["a"]
-        assert partition._step != scheme.interpreted_step
+        assert keyed._loop.compiled
+        assert keyed._loop is scheme._compiled_keyed
 
     def test_jit_false_survives_checkpoint_restore(self, monkeypatch):
         monkeypatch.setenv("REPRO_JIT", "1")
@@ -187,14 +189,14 @@ class TestKeyedJit:
         restored = restore_keyed(
             keyed.checkpoint(), key_fn=lambda e: e[1], value_fn=lambda e: e[0]
         )
-        assert restored.partitions["a"]._step == restored.scheme.interpreted_step
-        assert not restored.partitions["a"]._kernel.compiled
-        restored.push((Fraction(4), "b"))  # new partitions inherit the choice
-        assert restored.partitions["b"]._step == restored.scheme.interpreted_step
+        assert not restored._loop.compiled
+        restored.push((Fraction(4), "b"))  # new partitions fold on the same loop
+        assert restored.snapshot() == {"a": 10, "b": 4}
+        assert restored.scheme._compiled_step is None
 
     def test_results_identical_both_backends(self, monkeypatch):
-        # Partitions are created on first touch, so each run pushes under
-        # its own setting.
+        # The loop resolves when the operator is made, so each run makes
+        # its own under its own setting.
         events = [(Fraction(i), i % 3) for i in range(30)]
         monkeypatch.setenv("REPRO_JIT", "1")
         compiled = self._keyed()[1].push_many(events)

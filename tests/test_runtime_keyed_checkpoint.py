@@ -128,6 +128,20 @@ class TestKeyedOperator:
         keyed.push((5, "a"))
         assert keyed.value("a") == 21
 
+    @pytest.mark.parametrize(
+        "push", [KeyedOperator.push, lambda op, e: op.push_many([e])], ids=["push", "push_many"]
+    )
+    def test_failed_first_push_of_a_new_key_leaves_no_partition(self, push):
+        keyed = KeyedOperator(sum_scheme(), key_fn=lambda e: e[1], value_fn=lambda e: e[0])
+        keyed.push((1, "k"))
+        before = keyed.checkpoint()
+        with pytest.raises(TypeError):
+            push(keyed, ("x", "new"))
+        assert keyed.count == 1
+        assert keyed.snapshot() == {"k": 1}
+        assert len(keyed) == 1
+        assert keyed.checkpoint()["partitions"] == before["partitions"]
+
 
 class TestCheckpointRestore:
     def test_operator_resume_identical_outputs(self):

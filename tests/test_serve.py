@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main
-from repro.ir.vectorize import numpy_or_none
 from repro.serve import (
     HashRing,
     ServeError,
@@ -24,12 +23,12 @@ from repro.serve import (
     states_match,
 )
 from repro.serve import hashring
-from repro.suites import get_benchmark
 
 
 def refuse_compiling(monkeypatch):
-    """Make building a compiled step or batch kernel fail loudly (an
-    ``IRCompileError`` would fall back to the interpreter silently)."""
+    """Make building a compiled step, batch kernel or keyed loop fail
+    loudly (an ``IRCompileError`` would fall back to the interpreter
+    silently)."""
     import repro.core.scheme as scheme_module
 
     def refuse(*args, **kwargs):
@@ -37,6 +36,7 @@ def refuse_compiling(monkeypatch):
 
     monkeypatch.setattr(scheme_module, "compile_online_step", refuse)
     monkeypatch.setattr(scheme_module, "compile_step_batch", refuse)
+    monkeypatch.setattr(scheme_module, "compile_keyed_batch", refuse)
 
 
 def result_lines(out):
@@ -456,19 +456,6 @@ class TestServeCli:
         assert code == 0
         assert "verify: OK" in out
         assert "consumed 300 elements" in out
-
-    def test_auto_verify_matches_the_exact_oracle(self, tmp_path, capsys):
-        path = tmp_path / "range.scheme.json"
-        get_benchmark("range").ground_truth.save(path)
-        code = main([
-            "serve", str(path), "--source", "zipf-keys:3000:4:5:1.2:1:1000",
-            "--key-field", "1", "--value-field", "0", "--shards", "2",
-            "--checkpoint-dir", str(tmp_path / "ck"), "--batch-size", "1024",
-            "--backend", "auto", "--verify",
-        ])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "verify: OK" in out
 
     def test_serve_kill_shard_recovers(self, scheme_file, tmp_path, capsys):
         code = main([

@@ -9,7 +9,7 @@ equal sequential per-element ``push`` bit-for-bit over exact rationals
 ``test_conformance.py`` checks every ground-truth scheme's ``push_many``
 against the interpreter; these tests pin the kernel contract itself:
 empty and generator batches, mid-batch errors, declined shapes, caches,
-keyed grouping and pipelines.
+keyed batches and pipelines.
 """
 
 from __future__ import annotations
@@ -18,7 +18,13 @@ import pickle
 from fractions import Fraction
 
 import pytest
-from differential import adversarial_stream, assert_same_value, extras_for, interpreted
+from differential import (
+    adversarial_stream,
+    assert_same_value,
+    extras_for,
+    interpreted,
+    rate_scheme,
+)
 
 from repro.core.scheme import OnlineScheme
 from repro.ir.compile import (
@@ -122,6 +128,11 @@ class TestBatchKernelEquivalence:
         for element in elements:
             stepped.push(element)
         assert_same_value(batched.state, stepped.state)
+        # The keyed loop declines the same shape and wraps the same step.
+        keyed = KeyedOperator(scheme, key_fn=lambda e: e % 2)
+        assert not keyed._loop.compiled
+        keyed.push_many(elements)
+        assert_same_value(keyed.partitions[1].state, stepped.state)
 
     def test_holes_fall_back_to_interpreter_loop(self):
         from repro.ir.nodes import Hole
@@ -219,8 +230,8 @@ class TestKeyedBatch:
     def test_step_failure_has_per_push_parity(self, jit_mode):
         # Batch [a:1, b:2, a:boom, b:4]: the step raises on key a's second
         # payload (global element index 2).  Per-push parity: b's later
-        # element 4 must NOT be consumed even though b's group drains
-        # independently, and count must stay a resumable stream offset.
+        # element 4 must NOT be consumed, and count must stay a resumable
+        # stream offset.
         scheme = fails_at(99)
         events = [("a", 1), ("b", 2), ("a", 99), ("b", 4), ("c", 5)]
         batched = KeyedOperator(
@@ -238,6 +249,17 @@ class TestKeyedBatch:
         assert batched.count == stepped.count == 2
         assert list(batched.partitions) == ["a", "b"]  # no 'c' partition
 
+    def test_extras_are_read_on_the_first_element_only(self, jit_mode):
+        # An unbound extra: an empty batch never looks it up, and the first
+        # element fails after its key and value, having applied nothing.
+        keyed = KeyedOperator(rate_scheme(), key_fn=lambda e: e[1], value_fn=lambda e: e[0])
+        assert keyed.push_many([]) == {}
+        with pytest.raises(EvaluationError, match="rate"):
+            keyed.push_many([(2, "a"), (3, "b")])
+        assert keyed.count == 0 and len(keyed) == 0
+        keyed.extra["rate"] = 3
+        assert keyed.push_many([(2, "a"), (3, "a")]) == {"a": 15}
+
     def test_checkpoint_resume_with_batches(self, tmp_path, jit_mode):
         scheme = get_benchmark("q_avg_price").ground_truth
         events = self._events()
@@ -248,7 +270,7 @@ class TestKeyedBatch:
         path = tmp_path / "keyed.ck.json"
         save_checkpoint(keyed, path)
         resumed = load_checkpoint(path, key_fn=key_fn, value_fn=value_fn)
-        assert all(p._kernel.compiled is jit_mode for p in resumed.partitions.values())
+        assert resumed._loop.compiled is jit_mode
         resumed.push_many(events[20:])
         for key, part in resumed.partitions.items():
             assert_same_value(part.state, interpreted(scheme, [v for v, k in events if k == key]))

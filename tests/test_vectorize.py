@@ -33,7 +33,7 @@ from repro.ir.dsl import add, eq, ite
 from repro.ir.nodes import OnlineProgram, Var
 from repro.ir import vectorize
 from repro.ir.vectorize import admit_columnar, numpy_or_none
-from repro.runtime import KeyedOperator, OnlineOperator, StreamPipeline
+from repro.runtime import OnlineOperator, StreamPipeline
 from repro.runtime.checkpoint import load_checkpoint, save_checkpoint
 from repro.suites import get_benchmark
 
@@ -115,38 +115,21 @@ class TestAdmission:
         admission = self._admit("sum")
         assert admission.verdict == "certified-int64"
 
-    def test_unknown_backend_rejected(self, tmp_path):
-        from repro.serve import StreamServer
+    def test_unknown_backend_rejected(self):
+        from repro.api import CompiledScheme
 
         scheme = get_benchmark("sum").ground_truth
         for backend in ("vectorized", "columnar"):
             with pytest.raises(ValueError):
                 OnlineOperator(scheme, backend=backend)
             with pytest.raises(ValueError, match="unknown backend"):
-                StreamServer(scheme, shards=1, checkpoint_dir=tmp_path, key_field=0,
-                             backend=backend)
+                CompiledScheme(scheme, "sum").keyed(lambda e: e, backend=backend)
 
 
 @needs_numpy
 @pytest.mark.usefixtures("ungated")
 class TestDifferentialGroundTruths:
-    """Keyed partitions and forks on the columnar kernel."""
-
-    def test_keyed_columnar_differential(self):
-        scheme = get_benchmark("q_bid_volume").ground_truth
-        events = [((i * 7) % 11 + 1, i % 5) for i in range(48)]
-        values = [e[0] for e in events]
-        bounds = bounds_for(values, 1)
-        columnar = KeyedOperator(
-            scheme, key_fn=lambda e: e[1], value_fn=lambda e: e[0],
-            backend="auto", bounds=bounds,
-        )
-        columnar.push_many(events)
-        assert list(columnar.partitions) == list(dict.fromkeys(e[1] for e in events))
-        for key, part in columnar.partitions.items():
-            assert part.backend_in_use == "columnar", key
-            payloads = [value for value, k in events if k == key]
-            assert_same_value(part.state, interpreted(scheme, payloads), f"key {key}")
+    """Forks on the columnar kernel."""
 
     def test_fork_keeps_backend(self):
         bench = get_benchmark("sum")
@@ -272,36 +255,6 @@ class TestCrossBackendCheckpoint:
         resumed.push_many(elements[25:])
         assert_same_value(resumed.state, interpreted(scheme, elements))
         assert resumed.count == len(elements)
-
-    @pytest.mark.parametrize(
-        "first,second",
-        [("auto", None), (None, "auto")],
-        ids=["columnar-to-exact", "exact-to-columnar"],
-    )
-    def test_keyed_roundtrip(self, tmp_path, first, second):
-        scheme = get_benchmark("q_bid_volume").ground_truth
-        events = [((i * 7) % 11 + 1, i % 4) for i in range(40)]
-        bounds = bounds_for([e[0] for e in events], 1)
-        key_fn = lambda e: e[1]  # noqa: E731
-        value_fn = lambda e: e[0]  # noqa: E731
-        keyed = KeyedOperator(
-            scheme, key_fn=key_fn, value_fn=value_fn, backend=first, bounds=bounds
-        )
-        keyed.push_many(events[:18])
-        path = tmp_path / "keyed.ck.json"
-        save_checkpoint(keyed, path)
-        resumed = load_checkpoint(
-            path, key_fn=key_fn, value_fn=value_fn, backend=second, bounds=bounds
-        )
-        resumed.push_many(events[18:])
-        reference = KeyedOperator(scheme, key_fn=key_fn, value_fn=value_fn)
-        for event in events:
-            reference.push(event)
-        assert resumed.snapshot() == reference.snapshot()
-        assert resumed.count == reference.count
-        if second == "auto":
-            for part in resumed.partitions.values():
-                assert part.backend_in_use == "columnar"
 
     def test_pipeline_restore_forwards_backend_and_bounds(self, tmp_path):
         # A pipeline's operators restore under the backend and bounds the
@@ -481,28 +434,6 @@ class TestCostGate:
         assert type(auto_exc.value) is type(exact_exc.value)
         assert_same_value(auto.state, exact.state)
         assert auto.count == exact.count == n - 3
-
-    def test_keyed_fragments_below_threshold_never_run_columnar(self, monkeypatch):
-        scheme = get_benchmark("range").ground_truth
-        threshold = _gate_threshold(scheme)
-        keys = 8
-        events = [(Fraction((i * 13) % 1000 + 1), i % keys) for i in range(keys * (threshold - 1))]
-        key_fn = lambda e: e[1]  # noqa: E731
-        value_fn = lambda e: e[0]  # noqa: E731
-
-        def never(*args, **kwargs):
-            raise AssertionError("a gated fragment entered the columnar body")
-
-        monkeypatch.setattr(vectorize, "_element_columns", never)
-        auto = KeyedOperator(
-            scheme, key_fn=key_fn, value_fn=value_fn, backend="auto", bounds=self.BOUNDS
-        )
-        auto.push_many(events)
-        assert len(auto.partitions) == keys
-        for key, part in auto.partitions.items():
-            assert part.backend_in_use == "columnar", key
-            payloads = [value for value, k in events if k == key]
-            assert_same_value(part.state, interpreted(scheme, payloads), f"key {key}")
 
     @pytest.mark.parametrize("self_first", [True, False], ids=["max(m,x)", "max(x,m)"])
     def test_result_objects_follow_the_exact_tie_rule(self, self_first):

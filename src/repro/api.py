@@ -34,6 +34,7 @@ that a deployment path never pays the compilation cost twice.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .core.config import SynthesisConfig
@@ -84,13 +85,26 @@ class CompiledScheme:
     from_store: bool = False
     elapsed_s: float = 0.0
     report: SynthesisReport | None = None
-    #: Static-analysis report (:mod:`repro.ir.analysis`), computed at
-    #: compile time and cached in the scheme store alongside the scheme.
-    analysis: dict | None = None
+    #: The element arity the scheme was compiled for; ``None`` for a scheme
+    #: loaded from a file, which records none.
+    element_arity: int | None = None
+
+    @cached_property
+    def analysis(self) -> dict | None:
+        """Static-analysis report (:mod:`repro.ir.analysis`) under
+        shape-only bounds for :attr:`element_arity`, computed on first read
+        and not stored.  ``None`` when the element arity is unknown."""
+        if self.element_arity is None:
+            return None
+        from .ir.analysis import AnalysisBounds, FieldBounds
+
+        element = tuple(FieldBounds() for _ in range(self.element_arity))
+        bounds = AnalysisBounds(element=element, source="compile")
+        return self.scheme.analyze(bounds, name=self.name, search_witness=False)
 
     @property
     def analysis_verdict(self) -> str | None:
-        """``"ok"`` / ``"warn"`` / ``"error"``, or ``None`` if not analyzed."""
+        """``"ok"`` / ``"warn"`` / ``"error"``, or ``None`` when :attr:`analysis` is."""
         return None if self.analysis is None else self.analysis.get("verdict")
 
     # -- persistence ------------------------------------------------------
@@ -182,14 +196,6 @@ def _coerce_program(fn_or_source, name: str | None) -> tuple[Program, str]:
     )
 
 
-def _analyze_scheme(scheme: OnlineScheme, config: SynthesisConfig, name: str) -> dict:
-    from .ir.analysis import AnalysisBounds, FieldBounds
-
-    element = tuple(FieldBounds() for _ in range(config.element_arity))
-    bounds = AnalysisBounds(element=element, source="compile")
-    return scheme.analyze(bounds, name=name, search_witness=False)
-
-
 def compile(
     fn_or_source,
     *,
@@ -197,7 +203,6 @@ def compile(
     store: SchemeStore | None = _DEFAULT_STORE,  # type: ignore[assignment]
     name: str | None = None,
     force: bool = False,
-    analyze: bool = True,
 ) -> CompiledScheme:
     """Compile a batch function into a deployable online scheme, once.
 
@@ -208,11 +213,8 @@ def compile(
     recompiles and overwrites the stored entry.  Raises :class:`CompileError`
     if synthesis fails.
 
-    ``analyze=True`` (default) attaches the static-analysis report
-    (:mod:`repro.ir.analysis`) to the result; reports are cached in the
-    store next to the scheme, so store-served compiles reuse them.  The key
-    includes the implementation digest, which covers the analyzer itself —
-    a cached report is always from the current analyzer version.
+    The static-analysis report (:attr:`CompiledScheme.analysis`) is
+    computed on first read, so compiling never pays for it.
     """
     global _synthesis_calls
     program, task_name = _coerce_program(fn_or_source, name)
@@ -222,26 +224,18 @@ def compile(
 
     key = scheme_key(program, config) if store is not None else None
     if store is not None and not force:
-        cached, cached_analysis = store.get_entry(key)
+        cached = store.get(key)
         if cached is not None:
-            if analyze and cached_analysis is None:
-                cached_analysis = _analyze_scheme(cached, config, task_name)
-                store.put(key, cached, task=task_name, analysis=cached_analysis)
             return CompiledScheme(
-                cached,
-                task_name,
-                key=key,
-                from_store=True,
-                analysis=cached_analysis if analyze else None,
+                cached, task_name, key=key, from_store=True, element_arity=config.element_arity
             )
 
     _synthesis_calls += 1
     report = synthesize(program, config, task_name)
     if report.scheme is None:
         raise CompileError(task_name, report)
-    analysis = _analyze_scheme(report.scheme, config, task_name) if analyze else None
     if store is not None:
-        store.put(key, report.scheme, task=task_name, analysis=analysis)
+        store.put(key, report.scheme, task=task_name)
     return CompiledScheme(
         report.scheme,
         task_name,
@@ -249,7 +243,7 @@ def compile(
         from_store=False,
         elapsed_s=report.elapsed_s,
         report=report,
-        analysis=analysis,
+        element_arity=config.element_arity,
     )
 
 

@@ -37,7 +37,7 @@ from ..core.rfs import RFS, construct_rfs
 from ..core.scheme import OnlineScheme
 from ..core.simplify import simplify_expr
 from ..ir.evaluator import EvaluationError, evaluate
-from ..ir.nodes import Call, Const, Expr, If, MakeTuple, Program, Var
+from ..ir.nodes import Call, Const, Expr, MakeTuple, Program, Var
 from ..ir.traversal import ast_size, used_builtins
 from ..ir.values import Value
 

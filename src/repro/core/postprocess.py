@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..ir.analysis.liveness import live_components
 from ..ir.nodes import OnlineProgram
-from ..ir.traversal import free_vars
 from ..ir.values import Value
 from .rfs import RFS
 
@@ -28,31 +28,18 @@ def prune_unused_accumulators(
     initializer: tuple[Value, ...],
     program: OnlineProgram,
 ) -> PrunedScheme:
-    """Keep the result accumulator plus everything it transitively reads."""
-    names = list(program.state_params)
-    outputs = list(program.outputs)
-    index_of = {name: i for i, name in enumerate(names)}
-
-    needed: set[str] = {names[0]}
-    changed = True
-    while changed:
-        changed = False
-        for name in list(needed):
-            referenced = free_vars(outputs[index_of[name]]) & set(names)
-            fresh = referenced - needed
-            if fresh:
-                needed |= fresh
-                changed = True
-
-    kept = tuple(name for name in names if name in needed)
-    if len(kept) == len(names):
+    """Keep the result accumulator plus everything it transitively reads
+    (:func:`~repro.ir.analysis.live_components`)."""
+    live = sorted(live_components(program))
+    kept = tuple(program.state_params[i] for i in live)
+    if len(kept) == program.arity:
         return PrunedScheme(initializer, program, kept)
 
     new_program = OnlineProgram(
         state_params=kept,
         elem_param=program.elem_param,
-        outputs=tuple(outputs[index_of[name]] for name in kept),
+        outputs=tuple(program.outputs[i] for i in live),
         extra_params=program.extra_params,
     )
-    new_init = tuple(initializer[index_of[name]] for name in kept)
+    new_init = tuple(initializer[i] for i in live)
     return PrunedScheme(new_init, new_program, kept)

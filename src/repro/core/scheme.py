@@ -154,16 +154,6 @@ class OnlineScheme:
         self._columnar_cache.append((bounds, jit, kernel))
         return kernel
 
-    def invalidate_compiled(self) -> None:
-        """Drop the cached closure and batch kernels.  Only needed if
-        ``program`` is mutated in place, which nothing in this codebase
-        does (schemes from ``loads``/``from_dict`` are fresh objects with
-        cold caches)."""
-        self._compiled_step = None
-        self._compiled_kernel = None
-        self._compiled_keyed = None
-        self._columnar_cache = []
-
     def _resolve_step(
         self,
     ) -> Callable[[Sequence[Value], Value, Mapping[str, Value] | None], tuple]:

@@ -19,7 +19,9 @@ closure per element.  Three techniques stack up:
   because IR expressions are pure and deterministic; the big win on
   synthesized schemes, whose output tuples share whole update expressions
   (Welford's ``sq'`` appears verbatim in two outputs of the variance
-  scheme);
+  scheme).  One emitter produces both shapes of code: temporaries for
+  unconditionally evaluated positions, inline expressions for ``If``
+  branches and lambda bodies, which may never run;
 * **exact arithmetic fast paths** — ``add``/``sub``/``mul``/``div``/``neg``/
   ``pow``/``min``/``max`` go through hand-specialized helpers that skip the
   registry wrapper's per-call ``is_number``/``_bit_size``/
@@ -662,17 +664,17 @@ class _Codegen:
     """One generated module: accumulates globals (constants, built-in impls,
     helpers) while emitting Python code for IR trees.
 
-    Two emission contexts:
+    One emitter, :meth:`emit`, with one handler per IR node, in two contexts:
 
-    * :meth:`emit_stmts` — statement context for unconditionally-evaluated
-      positions: every non-trivial node becomes a single-assignment
+    * statement context (a ``lines`` sink is given) for unconditionally
+      evaluated positions: every non-trivial node becomes a single-assignment
       temporary, memoized by the (structurally hashable) node itself, which
       is exactly common-subexpression elimination;
-    * :meth:`emit` — expression context for conditionally-evaluated
-      positions (``If`` branches, lambda bodies).  ``If`` branches still
-      *read* the memo (no new bindings in scope); binder bodies drop it
-      (their parameters may shadow the names a memoized temp was computed
-      under).
+    * expression context (no ``lines``) for conditionally evaluated
+      positions (``If`` branches, lambda bodies): the code is inline.  ``If``
+      branches still *read* the memo (no new bindings in scope); binder
+      bodies drop it (their parameters may shadow the names a memoized temp
+      was computed under).
     """
 
     def __init__(self) -> None:
@@ -755,87 +757,38 @@ class _Codegen:
             return f"_extra_get(_extra, {name!r}, {kind!r})"
         raise IRCompileError(f"unbound variable {name!r}")
 
-    # -- statement (CSE) context -------------------------------------------
+    # -- emission ----------------------------------------------------------
 
-    def emit_stmts(self, expr: Expr, bound: frozenset[str], lines: list, memo: dict) -> str:
-        """Emit ``expr`` in unconditional statement context; returns a simple
-        reference (literal, variable, or single-assignment temporary)."""
-        cached = memo.get(expr)
-        if cached is not None:
-            return cached
-        if isinstance(expr, (Const, Var, ListVar)):
-            return self.emit(expr, bound, memo)
-        code = self._node_stmts(expr, bound, lines, memo)
+    def emit(
+        self,
+        expr: Expr,
+        bound: frozenset[str],
+        memo: dict | None = None,
+        lines: list[str] | None = None,
+    ) -> str:
+        """Code for ``expr``.  Without ``lines`` it is inline.  With ``lines``
+        (statement context, which always carries a ``memo``) it is a simple
+        reference: a literal, a variable, or a single-assignment temporary
+        appended to ``lines`` and memoized by the node."""
+        if memo is not None:
+            cached = memo.get(expr)
+            if cached is not None:
+                return cached
+        code = self._node(expr, bound, memo, lines)
+        if lines is None or isinstance(expr, (Const, Var, ListVar)):
+            return code
         temp = self.fresh()
         lines.append(f"    {temp} = {code}")
         memo[expr] = temp
         return temp
 
-    def _node_stmts(self, expr: Expr, bound: frozenset[str], lines: list, memo: dict) -> str:
-        """Code for one non-trivial node, hoisting its unconditionally
-        evaluated children (argument/condition/list/init positions) into
-        temporaries first, in the interpreter's evaluation order."""
-        if isinstance(expr, Call):
-            func = expr.func
-            if isinstance(func, Var):
-                # The callable check precedes argument evaluation.
-                callee = self._hoist_env_fn(func, bound, lines)
-                args = [self.emit_stmts(a, bound, lines, memo) for a in expr.args]
-                return f"{callee}({', '.join(args)})"
-            args = [self.emit_stmts(a, bound, lines, memo) for a in expr.args]
-            return self._apply(func, args, bound, memo)
-        if isinstance(expr, If):
-            cond = self.emit_stmts(expr.cond, bound, lines, memo)
-            then = self.emit(expr.then, bound, memo)
-            orelse = self.emit(expr.orelse, bound, memo)
-            return f"({then} if {cond} else {orelse})"
-        if isinstance(expr, Map):
-            return self._combinator(expr.func, expr.lst, bound, memo, filtering=False, lines=lines)
-        if isinstance(expr, Filter):
-            return self._combinator(expr.func, expr.lst, bound, memo, filtering=True, lines=lines)
-        if isinstance(expr, Fold):
-            fn = self._fold_callee(expr.func, bound, memo, lines=lines)
-            init = self.emit_stmts(expr.init, bound, lines, memo)
-            lst = self.emit_stmts(expr.lst, bound, lines, memo)
-            return f"_fold({fn}, {init}, {lst})"
-        if isinstance(expr, Let):
-            value = self.emit_stmts(expr.value, bound, lines, memo)
-            param = self.mangle(expr.name)
-            body = self.emit(expr.body, bound | {expr.name}, None)
-            return f"(lambda {param}: {body})({value})"
-        if isinstance(expr, Snoc):
-            lst = self.emit_stmts(expr.lst, bound, lines, memo)
-            elem = self.emit_stmts(expr.elem, bound, lines, memo)
-            return f"(list({lst}) + [{elem}])"
-        if isinstance(expr, MakeTuple):
-            items = [self.emit_stmts(item, bound, lines, memo) for item in expr.items]
-            if not items:
-                return "()"
-            joined = ", ".join(items)
-            return f"({joined},)" if len(items) == 1 else f"({joined})"
-        if isinstance(expr, Proj):
-            tup = self.emit_stmts(expr.tup, bound, lines, memo)
-            return f"_proj({tup}, {expr.index}, {self.string(repr(expr))})"
-        if isinstance(expr, Lambda):
-            return f"_lam({len(expr.params)}, {self._lambda(expr, bound)})"
-        if isinstance(expr, Hole):
-            raise IRCompileError(f"cannot compile sketch hole {expr!r}")
-        raise IRCompileError(f"unhandled node {type(expr).__name__}")
-
-    def _hoist_env_fn(self, func: Var, bound: frozenset[str], lines: list) -> str:
-        if func.name not in bound:
-            raise IRCompileError(f"unbound variable {func.name!r}")
-        temp = self.fresh("_f")
-        lines.append(f"    {temp} = _env_fn({self.mangle(func.name)}, {func.name!r})")
-        return temp
-
-    # -- expression context ------------------------------------------------
-
-    def emit(self, expr: Expr, bound: frozenset[str], memo: dict | None = None) -> str:
-        if memo is not None:
-            cached = memo.get(expr)
-            if cached is not None:
-                return cached
+    def _node(
+        self, expr: Expr, bound: frozenset[str], memo: dict | None, lines: list[str] | None
+    ) -> str:
+        """Code for one node.  Its unconditionally evaluated children
+        (argument, condition, list, init and value positions) are emitted in
+        the node's own context, in the interpreter's evaluation order; ``If``
+        branches and binder bodies are always inline."""
         if isinstance(expr, Const):
             return self.const(expr.value)
         if isinstance(expr, Var):
@@ -846,56 +799,54 @@ class _Codegen:
             # Value position: arity-guarded like the interpreter's Closure.
             return f"_lam({len(expr.params)}, {self._lambda(expr, bound)})"
         if isinstance(expr, Call):
-            func = expr.func
-            if isinstance(func, Var):
-                if func.name not in bound:
-                    raise IRCompileError(f"unbound variable {func.name!r}")
-                callee = f"_env_fn({self.mangle(func.name)}, {func.name!r})"
-                args = ", ".join(self.emit(a, bound, memo) for a in expr.args)
+            if isinstance(expr.func, Var):
+                # The callable check precedes argument evaluation.
+                callee = self._callable(expr.func, bound, lines)
+                args = ", ".join(self.emit(a, bound, memo, lines) for a in expr.args)
                 return f"{callee}({args})"
-            args = [self.emit(a, bound, memo) for a in expr.args]
-            return self._apply(func, args, bound, memo)
+            args = [self.emit(a, bound, memo, lines) for a in expr.args]
+            return self._apply(expr.func, args, bound)
         if isinstance(expr, If):
-            cond = self.emit(expr.cond, bound, memo)
+            cond = self.emit(expr.cond, bound, memo, lines)
             then = self.emit(expr.then, bound, memo)
             orelse = self.emit(expr.orelse, bound, memo)
             return f"({then} if {cond} else {orelse})"
-        if isinstance(expr, Map):
-            return self._combinator(expr.func, expr.lst, bound, memo, filtering=False)
-        if isinstance(expr, Filter):
-            return self._combinator(expr.func, expr.lst, bound, memo, filtering=True)
+        if isinstance(expr, (Map, Filter)):
+            return self._comprehension(expr, bound, memo, lines)
         if isinstance(expr, Fold):
-            fn = self._fold_callee(expr.func, bound, memo)
-            init = self.emit(expr.init, bound, memo)
-            lst = self.emit(expr.lst, bound, memo)
+            func = expr.func
+            if not isinstance(func, Lambda):
+                fn = self._callable(func, bound, lines)
+            elif len(func.params) == 2:
+                fn = self._lambda(func, bound)
+            else:
+                args = self.fresh("_a")
+                fn = f"(lambda *{args}: _arity({len(func.params)}, {args}))"
+            init = self.emit(expr.init, bound, memo, lines)
+            lst = self.emit(expr.lst, bound, memo, lines)
             return f"_fold({fn}, {init}, {lst})"
         if isinstance(expr, Let):
-            value = self.emit(expr.value, bound, memo)
+            value = self.emit(expr.value, bound, memo, lines)
             param = self.mangle(expr.name)
-            body = self.emit(expr.body, bound | {expr.name}, None)
+            body = self.emit(expr.body, bound | {expr.name})
             return f"(lambda {param}: {body})({value})"
         if isinstance(expr, Snoc):
-            lst = self.emit(expr.lst, bound, memo)
-            elem = self.emit(expr.elem, bound, memo)
+            lst = self.emit(expr.lst, bound, memo, lines)
+            elem = self.emit(expr.elem, bound, memo, lines)
             return f"(list({lst}) + [{elem}])"
         if isinstance(expr, MakeTuple):
-            if not expr.items:
-                return "()"
-            items = ", ".join(self.emit(item, bound, memo) for item in expr.items)
-            return f"({items},)" if len(expr.items) == 1 else f"({items})"
+            return _tuple_code([self.emit(item, bound, memo, lines) for item in expr.items])
         if isinstance(expr, Proj):
-            tup = self.emit(expr.tup, bound, memo)
+            tup = self.emit(expr.tup, bound, memo, lines)
             return f"_proj({tup}, {expr.index}, {self.string(repr(expr))})"
         if isinstance(expr, Hole):
             raise IRCompileError(f"cannot compile sketch hole {expr!r}")
         raise IRCompileError(f"unhandled node {type(expr).__name__}")
 
-    # -- shared pieces -----------------------------------------------------
-
-    def _apply(self, func, args: list, bound: frozenset[str], memo: dict | None) -> str:
-        """A ``Call`` whose arguments are already emitted (func is a builtin
-        name or a Lambda; the Var case is handled by the callers because its
-        check/evaluation order differs between contexts)."""
+    def _apply(self, func, args: list[str], bound: frozenset[str]) -> str:
+        """A ``Call`` of a builtin name or a Lambda on already emitted
+        arguments (an env-provided callee goes through :meth:`_callable`,
+        because its check precedes the arguments)."""
         arglist = ", ".join(args)
         if isinstance(func, str):
             if len(args) == 2:
@@ -947,94 +898,58 @@ class _Codegen:
         # A binder scope: the memo is dropped (parameters may shadow the
         # names memoized temporaries were computed under).
         params = ", ".join(self.mangle(p) for p in lam.params)
-        body = self.emit(lam.body, bound | frozenset(lam.params), None)
+        body = self.emit(lam.body, bound | frozenset(lam.params))
         return f"(lambda {params}: {body})" if params else f"(lambda: {body})"
 
-    def _callable(self, func, bound: frozenset[str]) -> str:
-        """The ``func`` position of Map/Filter/Fold as a Python expression
-        evaluating to a callable (for the non-inlinable forms)."""
+    def _callable(self, func, bound: frozenset[str], lines: list[str] | None) -> str:
+        """A builtin or env-provided callee (Call, Map, Filter or Fold
+        position) as code evaluating to a callable.  An env-provided one gets
+        the interpreter's callable check; in statement context that check is
+        hoisted into a temporary, so it runs before the arguments, list or
+        init (matching ``_eval_function`` order)."""
         if isinstance(func, str):
             return self.builtin(func)
-        if isinstance(func, Var):
-            if func.name not in bound:
-                raise IRCompileError(f"unbound variable {func.name!r}")
-            return f"_env_fn({self.mangle(func.name)}, {func.name!r})"
-        raise IRCompileError(f"cannot apply {func!r}")
+        if not isinstance(func, Var):
+            raise IRCompileError(f"cannot apply {func!r}")
+        if func.name not in bound:
+            raise IRCompileError(f"unbound variable {func.name!r}")
+        check = f"_env_fn({self.mangle(func.name)}, {func.name!r})"
+        if lines is None:
+            return check
+        temp = self.fresh("_f")
+        lines.append(f"    {temp} = {check}")
+        return temp
 
-    def _combinator(
-        self,
-        func,
-        lst: Expr,
-        bound: frozenset[str],
-        memo: dict | None,
-        *,
-        filtering: bool,
-        lines: list | None = None,
+    def _comprehension(
+        self, expr: Map | Filter, bound: frozenset[str], memo: dict | None, lines: list[str] | None
     ) -> str:
-        """Map/Filter as a comprehension.  With ``lines`` (statement
-        context) the list — and, for an env-provided function, the callable
-        check that precedes it — is hoisted; otherwise everything inlines."""
-        if isinstance(func, Var) and lines is not None:
-            callee = self._hoist_env_fn(func, bound, lines)
-            lst_code = self.emit_stmts(lst, bound, lines, memo)
-            return self._comp_with_callee(callee, lst_code, filtering)
-        if lines is not None and not isinstance(func, Lambda):
-            # Builtin callee: resolved at compile time, order-free.
-            callee = self._callable(func, bound)
-            lst_code = self.emit_stmts(lst, bound, lines, memo)
-            return self._comp_with_callee(callee, lst_code, filtering)
-        lst_code = (
-            self.emit_stmts(lst, bound, lines, memo)
-            if lines is not None
-            else self.emit(lst, bound, memo)
-        )
+        """Map/Filter as a list comprehension.  A one-parameter lambda is its
+        body; any other callee is evaluated (and checked) before the list:
+        hoisted in statement context, bound by an applied lambda inline."""
+        func = expr.func
+        inline_callee = not isinstance(func, Lambda) and lines is None
         if isinstance(func, Lambda):
+            lst = self.emit(expr.lst, bound, memo, lines)
             if len(func.params) == 1:
-                param = self.mangle(func.params[0])
-                body = self.emit(func.body, bound | frozenset(func.params), None)
-                if filtering:
-                    return f"[{param} for {param} in {lst_code} if {body}]"
-                return f"[{body} for {param} in {lst_code}]"
-            # Wrong arity: the interpreter raises when the closure is first
-            # invoked — i.e. per element, so an empty list still maps to [].
-            it = self.fresh()
-            fail = f"_arity({len(func.params)}, ({it},))"
-            if filtering:
-                return f"[{it} for {it} in {lst_code} if {fail}]"
-            return f"[{fail} for {it} in {lst_code}]"
-        # Expression context with a builtin/env callee: evaluate (and check)
-        # the callee before the list, matching _eval_function order.
-        callee = self._callable(func, bound)
-        fn = self.fresh("_f")
-        it = self.fresh()
-        if filtering:
-            comp = f"[{it} for {it} in {lst_code} if {fn}({it})]"
+                it = self.mangle(func.params[0])
+                value = self.emit(func.body, bound | frozenset(func.params))
+            else:
+                # Wrong arity: the interpreter raises when the closure is
+                # first invoked, i.e. per element, so an empty list still
+                # maps to [].
+                it = self.fresh()
+                value = f"_arity({len(func.params)}, ({it},))"
         else:
-            comp = f"[{fn}({it}) for {it} in {lst_code}]"
-        return f"(lambda {fn}: {comp})({callee})"
-
-    def _comp_with_callee(self, callee: str, lst_code: str, filtering: bool) -> str:
-        it = self.fresh()
-        if filtering:
-            return f"[{it} for {it} in {lst_code} if {callee}({it})]"
-        return f"[{callee}({it}) for {it} in {lst_code}]"
-
-    def _fold_callee(
-        self,
-        func,
-        bound: frozenset[str],
-        memo: dict | None,
-        lines: list | None = None,
-    ) -> str:
-        if isinstance(func, Lambda):
-            if len(func.params) == 2:
-                return self._lambda(func, bound)
-            args = self.fresh("_a")
-            return f"(lambda *{args}: _arity({len(func.params)}, {args}))"
-        if isinstance(func, Var) and lines is not None:
-            # Statement context: the callable check precedes init/list.
-            return self._hoist_env_fn(func, bound, lines)
-        return self._callable(func, bound)
+            callee = self._callable(func, bound, lines)
+            lst = self.emit(expr.lst, bound, memo, lines)
+            fn = self.fresh("_f") if inline_callee else callee
+            it = self.fresh()
+            value = f"{fn}({it})"
+        if isinstance(expr, Filter):
+            comp = f"[{it} for {it} in {lst} if {value}]"
+        else:
+            comp = f"[{value} for {it} in {lst}]"
+        return f"(lambda {fn}: {comp})({callee})" if inline_callee else comp
 
     # -- finalization ------------------------------------------------------
 
@@ -1063,7 +978,7 @@ def compile_expr(expr: Expr, params: Sequence[str], name: str = "expr") -> Calla
     arglist = ", ".join(cg.mangle(p) for p in params)
     lines: list[str] = [f"def _compiled({arglist}):"]
     try:
-        result = cg.emit_stmts(expr, frozenset(params), lines, {})
+        result = cg.emit(expr, frozenset(params), {}, lines)
     except RecursionError:
         raise IRCompileError(f"expression too deep to compile: {name}") from None
     lines.append(f"    return {result}")
@@ -1158,17 +1073,18 @@ def _emit_outputs(
     all_bound = frozenset(program.state_params) | {program.elem_param} | frozenset(eager_extras)
     memo: dict = {}
     try:
-        return [cg.emit_stmts(out, all_bound, lines, memo) for out in program.outputs]
+        return [cg.emit(out, all_bound, memo, lines) for out in program.outputs]
     except RecursionError:
         raise IRCompileError(f"online program too deep to compile: {name}") from None
 
 
-def _state_tuple(state_vars: Sequence[str]) -> str:
-    if not state_vars:
+def _tuple_code(items: Sequence[str]) -> str:
+    """A Python tuple display of already emitted ``items``."""
+    if not items:
         return "()"
-    if len(state_vars) == 1:
-        return f"({state_vars[0]},)"
-    return f"({', '.join(state_vars)})"
+    if len(items) == 1:
+        return f"({items[0]},)"
+    return f"({', '.join(items)})"
 
 
 def compile_online_step(program: OnlineProgram, name: str = "step") -> Callable:
@@ -1270,7 +1186,7 @@ def compile_step_batch(program: OnlineProgram, name: str = "batch") -> StepKerne
     """
     cg, state_vars, list_extras, eager_extras = _batch_codegen(program, name)
     arity = program.arity
-    state_tuple = _state_tuple(state_vars)
+    state_tuple = _tuple_code(state_vars)
 
     lines = ["def _compiled_batch(_state, _elems, _extra=None):"]
     lines.append("    _n = 0")
@@ -1351,7 +1267,7 @@ def compile_keyed_batch(
     body: list[str] = []
     outputs = _emit_outputs(cg, program, eager_extras, body, name)
     lines.extend("        " + line for line in body)
-    new_state = _state_tuple(outputs)
+    new_state = _tuple_code(outputs)
     lines.append("            if _p is None:")
     lines.append(f"                _parts[_k] = _partition({new_state}, 1)")
     lines.append("            else:")

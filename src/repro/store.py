@@ -120,43 +120,22 @@ class SchemeStore:
         Entries are fully re-validated on load; anything malformed counts as
         a miss (and will be overwritten by the next :meth:`put`).
         """
-        scheme, _ = self.get_entry(key)
-        return scheme
-
-    def get_entry(self, key: str) -> tuple[OnlineScheme | None, dict | None]:
-        """``(scheme, cached analysis report)`` for ``key``.
-
-        The analysis report is the dict cached by :meth:`put`; because the
-        store key already includes the implementation digest (which covers
-        ``repro.ir.analysis``), a cached report is always produced by the
-        *current* analyzer — no separate invalidation needed.  Reports are
-        optional: ``(scheme, None)`` for entries written without one.
-        """
         try:
             data = json.loads(self._path(key).read_text(encoding="utf-8"))
             scheme = scheme_from_dict(data.get("scheme"))
         except (OSError, ValueError, SchemeFormatError, AttributeError):
             self.misses += 1
-            return None, None
+            return None
         self.hits += 1
-        analysis = data.get("analysis")
-        return scheme, analysis if isinstance(analysis, dict) else None
+        return scheme
 
-    def put(
-        self,
-        key: str,
-        scheme: OnlineScheme,
-        task: str = "",
-        analysis: dict | None = None,
-    ) -> None:
+    def put(self, key: str, scheme: OnlineScheme, task: str = "") -> None:
         entry = {
             "key": key,
             "task": task,
             "created_at": time.time(),
             "scheme": scheme_to_dict(scheme),
         }
-        if analysis is not None:
-            entry["analysis"] = analysis
 
         def write(handle):
             json.dump(entry, handle, indent=2, sort_keys=True)

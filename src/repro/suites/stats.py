@@ -46,7 +46,7 @@ from ..ir.dsl import (
     sqrt,
     sub,
 )
-from ..ir.nodes import Expr, OnlineProgram, Program
+from ..ir.nodes import Expr, OnlineProgram
 from .registry import Benchmark, register_suite
 
 MIN_SENTINEL = 10**9

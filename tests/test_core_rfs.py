@@ -20,7 +20,7 @@ from repro.ir.dsl import (
     program,
     sub,
 )
-from repro.ir.nodes import ListVar, Var
+from repro.ir.nodes import Var
 
 
 def mean_program():

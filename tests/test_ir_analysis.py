@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -50,7 +49,6 @@ from repro.ir.analysis import (
     exit_code,
     find_divzero_witness,
     int64_certified,
-    iter_div_sites,
     scalar_bounds,
     statically_redundant,
 )
@@ -533,17 +531,39 @@ class TestReportContract:
         assert round_tripped["format"] == "repro/analysis"
         assert round_tripped["verdict"] in ("ok", "warn", "error")
 
-    def test_compile_attaches_and_caches_analysis(self, tmp_path):
+    def test_compile_attaches_and_caches_analysis(self, tmp_path, monkeypatch):
+        """Compiling never analyzes; the report is computed on first read,
+        once per compiled scheme, and is not written to the store."""
         from repro import api
         from repro.store import SchemeStore
 
+        calls = []
+        analyze = OnlineScheme.analyze
+
+        def counting(scheme, *args, **kwargs):
+            calls.append(scheme)
+            return analyze(scheme, *args, **kwargs)
+
+        monkeypatch.setattr(OnlineScheme, "analyze", counting)
         store = SchemeStore(tmp_path)
         src = "def total(xs):\n    s = 0\n    for x in xs:\n        s += x\n    return s\n"
         first = api.compile(src, store=store, name="total")
-        assert first.analysis_verdict in ("ok", "warn")
         second = api.compile(src, store=store, name="total")
         assert second.from_store
-        assert second.analysis == first.analysis  # served from the store
+        assert calls == []
+        assert first.analysis_verdict in ("ok", "warn")
+        assert first.analysis is first.analysis
+        assert len(calls) == 1
+        bounds = AnalysisBounds(element=(FieldBounds(),), source="compile")
+        expected = analyze(first.scheme, bounds, name="total", search_witness=False)
+        assert first.analysis == expected
+        assert second.analysis == expected
+        assert len(calls) == 2
+        for path in tmp_path.rglob("*.json"):
+            assert "analysis" not in json.loads(path.read_text())
+        path = tmp_path / "total.scheme.json"
+        first.save(path)
+        assert api.CompiledScheme.load(path).analysis is None  # no element arity
 
 
 class TestCLI:

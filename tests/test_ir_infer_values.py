@@ -15,7 +15,6 @@ from repro.ir.dsl import (
     div,
     ffilter,
     fmap,
-    fold,
     fold_sum,
     gt,
     ite,

@@ -18,7 +18,7 @@ from repro.ir.dsl import (
     program,
     sub,
 )
-from repro.ir.nodes import Const, Lambda, ListVar, Snoc, Var
+from repro.ir.nodes import Const, Lambda, Snoc, Var
 from repro.ir.traversal import (
     ast_size,
     contains_list_var,

@@ -155,12 +155,6 @@ class TestBatchKernelEquivalence:
         op.push_many(elements)
         assert_same_value(op.state, interpreted(scheme, elements))
 
-    def test_invalidate_compiled_clears_kernel(self):
-        scheme = get_benchmark("mean").ground_truth
-        scheme.compiled_kernel()
-        scheme.invalidate_compiled()
-        assert scheme._compiled_kernel is None and scheme._compiled_step is None
-
     def test_final_routes_through_kernel(self):
         for name in ("mean", "variance", "q_category_volume"):
             bench = get_benchmark(name)

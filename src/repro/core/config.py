@@ -65,14 +65,6 @@ class SynthesisConfig:
     #: synthesized, so it is excluded from the fingerprint.
     hole_workers: int = 1
 
-    #: Skip statically-redundant candidates (guaranteed-faulting or
-    #: provably duplicating an already-banked signature — see
-    #: :mod:`repro.ir.analysis.prune`) before paying for their oracle-env
-    #: evaluation.  By construction this cannot change what the enumerator
-    #: finds (tests enforce prune-on/off identity), so like
-    #: ``hole_workers`` it is excluded from the fingerprint.
-    enum_static_prune: bool = True
-
     #: Internal: deadline computed at synthesis start.
     _deadline: float | None = field(default=None, repr=False)
 
@@ -99,14 +91,13 @@ class SynthesisConfig:
         it only decides which *process* solves each sketch hole, and the
         invariant (enforced by tests) is that parallel and sequential
         synthesis produce identical reports modulo ``elapsed_s``, so cached
-        results are shared across worker counts.  ``enum_static_prune`` is
-        excluded because pruning cannot change what the enumerator finds.
-        ``_deadline`` is process-local transient state and is excluded.
+        results are shared across worker counts.  ``_deadline`` is
+        process-local transient state and is excluded.
         """
         payload = {
             f.name: getattr(self, f.name)
             for f in fields(self)
-            if f.name not in ("timeout_s", "hole_workers", "enum_static_prune", "_deadline")
+            if f.name not in ("timeout_s", "hole_workers", "_deadline")
         }
         blob = json.dumps(payload, sort_keys=True, default=repr)
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()

@@ -196,7 +196,7 @@ def enumerate_expression(
             raise SynthesisTimeout("enumeration budget exhausted")
         if stats.kept > config.enumeration_max_kept:
             raise EnumerationCapExceeded("enumeration memory budget exhausted")
-        if config.enum_static_prune and statically_redundant(expr):
+        if statically_redundant(expr):
             # Provably faults everywhere or duplicates a banked signature:
             # skipping the env sweep cannot change what the search finds.
             stats.pruned += 1

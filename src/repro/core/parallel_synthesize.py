@@ -25,7 +25,7 @@ shared across worker counts.
 budget at dispatch, and the supervisor additionally caps every kill
 deadline at the task deadline, so the hard wall-clock guarantee of the
 outer harness still bounds the whole task: no hole worker survives past
-``timeout_s + kill_grace_s``.
+``timeout_s + KILL_GRACE_S``.
 
 Workers are forked where available and spawned elsewhere (payloads are
 picklable).  Inside a *daemonic* bench worker the pool is unavailable

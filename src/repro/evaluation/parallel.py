@@ -126,22 +126,17 @@ def _crash_report(task: Task, exitcode: int | None) -> SynthesisReport:
     )
 
 
-def execute_tasks(
-    tasks: list[Task],
-    workers: int,
-    kill_grace_s: float = KILL_GRACE_S,
-) -> Iterator[tuple[Task, SynthesisReport]]:
+def execute_tasks(tasks: list[Task], workers: int) -> Iterator[tuple[Task, SynthesisReport]]:
     """Run tasks across a pool of worker processes; yield in completion order.
 
     Hard-timeout guarantee: no yielded report arrives later than
-    ``timeout_s + kill_grace_s`` after its task started, regardless of what
+    ``timeout_s + KILL_GRACE_S`` after its task started, regardless of what
     the solver does — the supervisor kills the worker outright.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     supervisor = ProcessSupervisor(
         workers,
-        kill_grace_s=kill_grace_s,
         # Daemonic children cannot spawn the grandchildren hole-level
         # parallelism needs; keep the daemon safety net otherwise.
         daemon=not any(task.config.hole_workers > 1 for task in tasks),

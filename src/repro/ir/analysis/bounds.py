@@ -158,11 +158,14 @@ def bounds_from_spec(spec: str, max_elements: int | None = None) -> AnalysisBoun
         count = _count_of(args, 0, max_elements)
         period = _arg(args, 1, Fraction(17))
         noise = _arg(args, 2, Fraction(0))
+        # i % period lies between 0 and period, exclusive of period, on
+        # the grid of multiples of 1/q (period = p/q in lowest terms).
+        step = Fraction(1, period.denominator)
         fields = (
             FieldBounds(
-                -Fraction(noise, 2),
-                period - 1 + Fraction(noise, 2),
-                noise == 0,
+                min(0, period + step) - Fraction(noise, 2),
+                max(0, period - step) + Fraction(noise, 2),
+                noise == 0 and period.denominator == 1,
             ),
         )
     elif name == "random_walk":

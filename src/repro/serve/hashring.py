@@ -7,7 +7,7 @@ partitions must land back on the shard that wrote them), across processes
 workers), and — the property plain ``hash(key) % N`` lacks — across
 *resizes*: adding or removing one shard must remap only the keys that shard
 owned, not reshuffle the world.  The classic fix is a hash ring: each shard
-projects ``replicas`` virtual points onto a circle, a key belongs to the
+projects :data:`REPLICAS` virtual points onto a circle, a key belongs to the
 first point clockwise from its own hash.
 
 Three deliberate choices:
@@ -20,8 +20,8 @@ Three deliberate choices:
   ``(True,)``/``(1,)`` are one key to a worker's partition dict, so they
   must be one key to the ring too, or their partitions split across shards
   and the merge keeps only one of them.
-* ``replicas`` virtual points per shard (default 64) keep the key-space
-  split within a few percent of even for small shard counts.
+* :data:`REPLICAS` virtual points per shard keep the key-space split
+  within a few percent of even for small shard counts.
 * :meth:`HashRing.shard_for` memoizes key → shard.  A serve stream has few
   distinct keys and many elements, so after warm-up routing is one dict
   lookup instead of a BLAKE2b digest and a bisect per element.  The memo
@@ -42,6 +42,10 @@ from typing import Hashable, Iterable
 #: one entry per distinct key forever; past the cap the memo starts over,
 #: which costs only re-hashing, never a wrong route.
 MEMO_LIMIT = 1 << 16
+
+#: Virtual points per shard on the ring.  Part of key placement: changing
+#: it moves keys away from the shards whose checkpoints hold them.
+REPLICAS = 64
 
 
 def canonical_key(key: Hashable) -> Hashable:
@@ -91,10 +95,7 @@ class HashRing:
     2
     """
 
-    def __init__(self, shards: int | Iterable[int], replicas: int = 64):
-        if replicas < 1:
-            raise ValueError(f"replicas must be >= 1, got {replicas}")
-        self.replicas = replicas
+    def __init__(self, shards: int | Iterable[int]):
         ids = list(range(shards)) if isinstance(shards, int) else list(shards)
         if not ids:
             raise ValueError("a hash ring needs at least one shard")
@@ -115,7 +116,7 @@ class HashRing:
             raise ValueError(f"shard {shard} already on the ring")
         self._shards.add(shard)
         self._memo.clear()
-        for replica in range(self.replicas):
+        for replica in range(REPLICAS):
             bisect.insort(self._points, (_point(shard, replica), shard))
 
     def remove_shard(self, shard: int) -> None:

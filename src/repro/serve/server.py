@@ -46,10 +46,11 @@ fail forever — but surface as :class:`ServeError` (or, with
 worker itself — see :mod:`repro.serve.worker`).
 
 **Hardening.**  Checkpoints are integrity-verified *lineages* (BLAKE2b
-digest + monotonic generation number, newest ``keep_generations``
-retained); restore quarantines damaged generations as ``*.corrupt`` and
-falls back to the newest intact one, and only an entirely corrupt lineage
-is a refusal (never a silent fresh start).  Workers heartbeat through the
+digest + monotonic generation number, newest
+:data:`~repro.serve.worker.KEEP_GENERATIONS` retained); restore
+quarantines damaged generations as ``*.corrupt`` and falls back to the
+newest intact one, and only an entirely corrupt lineage is a refusal
+(never a silent fresh start).  Workers heartbeat through the
 ack pipe while idle; a shard that neither acks nor heartbeats within
 ``liveness_timeout_s`` is SIGKILLed and restored like a crash (a *hung*
 worker, not just a dead one).  Restarts pay a jittered exponential
@@ -95,11 +96,15 @@ MANIFEST_FORMAT = "repro/serve-manifest"
 #: be resumed, so the version check below refuses it.
 #: v3: the hash ring hashes a canonical form of each key, so equal keys of
 #: different types (``3`` / ``Fraction(3)``, ``0`` / ``False``) share a
-#: shard — a v2 directory may hold such a key on another shard than v3
-#: routes it to, so it is refused rather than misrouted.  The check is by
-#: version, not by key: a v2 directory of only ``int``/``str`` keys (which
-#: v3 routes exactly as before) is refused too and needs ``fresh=True``.
+#: shard.  Nothing else changed, and ``int``/``str`` keys hash exactly as
+#: in v2, so a v2 directory whose checkpointed keys are all ``int`` or
+#: ``str`` is resumed (and its manifest rewritten as v3); one holding any
+#: other key may hold it on another shard than v3 routes it to, so it is
+#: refused rather than misrouted.
 MANIFEST_VERSION = 3
+
+#: Longest restart backoff, before jitter.
+BACKOFF_MAX_S = 2.0
 
 #: How long one wait for acks/deaths may sleep before re-checking (bounds
 #: crash-detection latency while the server is blocked on backpressure).
@@ -221,13 +226,10 @@ class StreamServer:
         restart_budget: int = 5,
         restart_window_s: float = 60.0,
         backoff_base_s: float = 0.05,
-        backoff_max_s: float = 2.0,
         liveness_timeout_s: float = 10.0,
-        keep_generations: int = 3,
         on_error: str = "fail",
         faults: FaultPlan | None = None,
         seed: int | None = None,
-        ring_replicas: int = 64,
         fresh: bool = False,
     ):
         if shards < 1:
@@ -238,8 +240,6 @@ class StreamServer:
             raise ValueError(f"max_inflight must be >= 1, got {max_inflight}")
         if checkpoint_every < 1:
             raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
-        if keep_generations < 1:
-            raise ValueError(f"keep_generations must be >= 1, got {keep_generations}")
         if on_error not in ("fail", "quarantine"):
             raise ValueError(f"on_error must be 'fail' or 'quarantine', got {on_error!r}")
         if liveness_timeout_s <= 0:
@@ -256,13 +256,11 @@ class StreamServer:
         self.restart_budget = restart_budget
         self.restart_window_s = restart_window_s
         self.backoff_base_s = backoff_base_s
-        self.backoff_max_s = backoff_max_s
         self.liveness_timeout_s = liveness_timeout_s
-        self.keep_generations = keep_generations
         self.on_error = on_error
         self.faults = faults.validate(shards) if faults is not None else None
         self.fresh = fresh
-        self.ring = HashRing(shards, replicas=ring_replicas)
+        self.ring = HashRing(shards)
         self.latencies_s: list[float] = []
         self.quarantine_events: list[tuple[str, str]] = []  #: (path, error)
         self._rng = random.Random(seed)  #: backoff jitter (seedable for chaos)
@@ -411,10 +409,11 @@ class StreamServer:
                 f"{path} is not a serve manifest; pass --fresh (fresh=True) "
                 "to rebuild the checkpoint directory"
             )
-        if manifest.get("version") != MANIFEST_VERSION:
+        version = manifest.get("version")
+        if version not in (2, MANIFEST_VERSION):
             raise ServeError(
                 f"checkpoint dir {self.checkpoint_dir} was written by a build "
-                f"with manifest version {manifest.get('version')!r} (this one "
+                f"with manifest version {version!r} (this one "
                 f"writes {MANIFEST_VERSION}, with a different checkpoint "
                 "layout or key placement); use a fresh directory or fresh=True"
             )
@@ -430,7 +429,27 @@ class StreamServer:
                 f"checkpoint dir {self.checkpoint_dir} belongs to a different "
                 "scheme; use a fresh directory or fresh=True"
             )
+        if version == 2:
+            self._check_v2_keys()
+            manifest["version"] = MANIFEST_VERSION
+            atomic_write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
         return True
+
+    def _check_v2_keys(self) -> None:
+        """Refuse a v2 directory unless every key in each shard's newest
+        intact generation is an ``int`` or a ``str`` — the keys v3 routes
+        exactly as v2 did."""
+        for sid in range(self.shards):
+            latest = self._latest_generation(sid)
+            for entry in [] if latest is None else latest[2].get("partitions", []):
+                encoded = entry[0] if isinstance(entry, list) and entry else None
+                if not (isinstance(encoded, list) and encoded[:1] in (["int"], ["str"])):
+                    raise ServeError(
+                        f"checkpoint dir {self.checkpoint_dir} was written by a build "
+                        f"with manifest version 2 and shard {sid} holds the key "
+                        f"{encoded!r}, which this build may route to another shard; "
+                        "use a fresh directory or fresh=True"
+                    )
 
     def _checkpoint_base(self, sid: int) -> Path:
         """Lineage prefix: generations are ``shard-NN.genNNNNNNNN.json``."""
@@ -442,18 +461,23 @@ class StreamServer:
     def _note_quarantine(self, path, error) -> None:
         self.quarantine_events.append((str(path), str(error)))
 
-    def _checkpoint_count(self, sid: int) -> int:
-        """The durable element count of a shard's newest *intact*
-        checkpoint generation (0 without any) — what a restored worker will
-        resume from, hence where replay must start.  Damaged generations
+    def _latest_generation(self, sid: int):
+        """A shard's newest *intact* checkpoint generation as ``(generation,
+        consumed, payload)``, ``None`` without any.  Damaged generations
         are quarantined on the way; an entirely corrupt lineage is a
         refusal, never a silent restart from zero."""
         try:
-            latest = load_latest_generation(
+            return load_latest_generation(
                 self._checkpoint_base(sid), on_quarantine=self._note_quarantine
             )
         except CheckpointError as exc:
             raise ServeError(f"shard {sid} cannot be restored: {exc}") from None
+
+    def _checkpoint_count(self, sid: int) -> int:
+        """The durable element count of a shard's newest intact checkpoint
+        generation (0 without any) — what a restored worker will resume
+        from, hence where replay must start."""
+        latest = self._latest_generation(sid)
         return 0 if latest is None else latest[1]
 
     def _worker_config(self, shard: _Shard, *, resume: bool, incarnation: int) -> WorkerConfig:
@@ -469,7 +493,6 @@ class StreamServer:
             extra=self.extra,
             checkpoint_base=str(self._checkpoint_base(shard.sid)),
             checkpoint_every=self.checkpoint_every,
-            keep_generations=self.keep_generations,
             resume=resume,
             heartbeat_every_s=heartbeat,
             on_error=self.on_error,
@@ -520,7 +543,7 @@ class StreamServer:
         # jitter (x0.5–1.5, from the seedable RNG) de-synchronizing shards
         # that all crashed on the same cause.
         delay = min(
-            self.backoff_max_s,
+            BACKOFF_MAX_S,
             self.backoff_base_s * (2 ** len(shard.restart_times)),
         ) * (0.5 + self._rng.random())
         shard.restart_times.append(now)

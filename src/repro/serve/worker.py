@@ -21,7 +21,7 @@ injection) is SIGKILLed and restored like a crash.
 
 Checkpoints are a *lineage* of integrity-verified generations
 (:func:`repro.runtime.checkpoint.save_generation` — BLAKE2b digest +
-monotonic generation number, newest ``keep_generations`` retained), written
+monotonic generation number, newest :data:`KEEP_GENERATIONS` retained), written
 atomically, so a SIGKILL at any instant leaves restorable state on disk.
 The ``durable`` field of each ack is deliberately conservative: it is the
 consumed count of the *oldest retained* generation, not the newest — if
@@ -62,6 +62,10 @@ from ..runtime.checkpoint import (
 from ..runtime.keyed import KeyedOperator
 
 
+#: Checkpoint generations a shard keeps on disk (the newest ones).
+KEEP_GENERATIONS = 3
+
+
 def field_extractor(field) -> Callable | None:
     """Turn a CLI-style field index into an extractor (``None`` and
     callables pass through).  The extractor is an ``operator.itemgetter``:
@@ -89,7 +93,6 @@ class WorkerConfig:
     checkpoint_base: str  #: lineage prefix; files are {base}.genNNNNNNNN.json
     checkpoint_every: int
     extra: dict = field(default_factory=dict)
-    keep_generations: int = 3
     resume: bool = False
     heartbeat_every_s: float = 1.0
     on_error: str = "fail"  #: "fail" | "quarantine"
@@ -234,12 +237,12 @@ def shard_worker(config: WorkerConfig, cmd_conn, ack_conn):
             config.checkpoint_base,
             generation=generation,
             consumed=consumed,
-            keep=config.keep_generations,
+            keep=KEEP_GENERATIONS,
         )
         if config.faults is not None:
             config.faults.mutate_after_write(path, generation, writes)
         history.append((generation, consumed))
-        del history[: -config.keep_generations]
+        del history[:-KEEP_GENERATIONS]
         checkpointed = consumed
 
     def final_payload() -> dict:

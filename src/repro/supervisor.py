@@ -5,9 +5,19 @@ One spawn/reap core, three tenants: the *bench-level* parallelism of
 the *hole-level* parallelism of :mod:`repro.core.parallel_synthesize`
 (one process per sketch hole), and the *shard workers* of
 :mod:`repro.serve` (long-lived, restartable — see
-:class:`ServiceSupervisor`).  All need exactly the same core — spawn
-children and reap results from pipes — so that core lives here, free of
-any domain knowledge.
+:class:`ServiceSupervisor`).  The core is :class:`_Child`, one
+``_child_entry`` process with the read end of its result pipe: it spawns
+the child, collects its terminal :class:`JobResult` once the payload has
+arrived or the process has died (a payload that landed before the death
+wins over ``crashed``), and kills it.  Both supervisors spawn and reap
+through it and differ only in policy: deadlines for batches of jobs,
+restarts for services.
+
+Both wait on each child's result pipe as well as its process sentinel.  A
+child whose pickled result exceeds the pipe buffer blocks in ``send``
+until the parent reads; a wait on the sentinel alone would sleep until the
+deadline killed that child, and its finished result would surface as a
+``timeout``.
 
 Contract of :class:`ProcessSupervisor`:
 
@@ -15,7 +25,7 @@ Contract of :class:`ProcessSupervisor`:
 * :meth:`ProcessSupervisor.run` is a generator yielding one
   :class:`JobResult` per job **in completion order**, each tagged ``ok`` /
   ``error`` / ``timeout`` / ``crashed``;
-* no result arrives later than ``timeout_s + kill_grace_s`` after its job
+* no result arrives later than ``timeout_s + KILL_GRACE_S`` after its job
   started (the kill is a SIGKILL, not a poll), and an optional absolute
   ``deadline`` additionally caps every job — the knob that lets a caller
   bound a whole *family* of jobs by one outer budget;
@@ -115,157 +125,133 @@ def _child_entry(conn, fn, args) -> None:
         conn.close()
 
 
+def _from_payload(payload, job: Job, elapsed: float) -> JobResult:
+    if isinstance(payload, tuple) and len(payload) == 3 and payload[0] in ("ok", "error"):
+        kind, value, message = payload
+        return JobResult(job, kind, value=value, message=message, elapsed_s=elapsed)
+    return JobResult(
+        job, "error", message=f"malformed worker payload: {payload!r}", elapsed_s=elapsed
+    )
+
+
+class _Child:
+    """One ``_child_entry`` process and the read end of its result pipe."""
+
+    __slots__ = ("proc", "conn", "started")
+
+    def __init__(self, ctx, fn: Callable, args: tuple, daemon: bool = True) -> None:
+        self.conn, child_conn = ctx.Pipe(duplex=False)
+        self.proc = ctx.Process(target=_child_entry, args=(child_conn, fn, args), daemon=daemon)
+        self.started = time.monotonic()
+        self.proc.start()
+        child_conn.close()  # the child owns its end now
+
+    def collect(self, job: Job) -> JobResult | None:
+        """The terminal result of ``job`` once its payload has arrived or
+        the process has died, ``None`` while it still runs.  A terminal
+        result reaps the process and closes the pipe."""
+        elapsed = time.monotonic() - self.started
+        try:
+            ready = self.conn.poll()
+            if not ready and self.proc.is_alive():
+                return None
+            # Pipe data survives the writer's death: a payload that landed
+            # just before the child died wins over reporting a crash.
+            payload = self.conn.recv() if ready or self.conn.poll() else None
+        except (EOFError, OSError):  # died mid-send, or without sending
+            payload = None
+        self.proc.join()  # publishes exitcode
+        self.conn.close()
+        if payload is None:
+            return JobResult(job, "crashed", elapsed_s=elapsed, exitcode=self.proc.exitcode)
+        return _from_payload(payload, job, elapsed)
+
+    def kill(self) -> None:
+        """SIGKILL and reap the process; the pipe stays open for
+        :meth:`collect` (or for the caller to close)."""
+        self.proc.kill()
+        self.proc.join()
+
+
+def _wait(children, timeout: float | None) -> None:
+    """Sleep until some child's payload or death arrives, or ``timeout``
+    seconds pass (``None``: no limit)."""
+    mp.connection.wait(
+        [handle for child in children for handle in (child.conn, child.proc.sentinel)],
+        timeout=timeout,
+    )
+
+
 class ProcessSupervisor:
     """Run jobs across at most ``workers`` concurrent child processes."""
 
-    def __init__(
-        self,
-        workers: int,
-        kill_grace_s: float = KILL_GRACE_S,
-        daemon: bool = True,
-    ) -> None:
+    def __init__(self, workers: int, daemon: bool = True) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
-        self.kill_grace_s = kill_grace_s
         self.daemon = daemon
         self._ctx = _mp_context()
-        self._pending: list[Job] = []
-        self._active: dict = {}  # sentinel -> (proc, conn, job, started, deadline)
-
-    # -- the supervision loop ----------------------------------------------
 
     def run(self, jobs: list[Job], deadline: float | None = None) -> Iterator[JobResult]:
         """Execute ``jobs``; yield a :class:`JobResult` per job in
         completion order.
 
         ``deadline`` (a ``time.monotonic()`` instant) additionally caps
-        every job's kill time at ``deadline + kill_grace_s``, bounding the
+        every job's kill time at ``deadline + KILL_GRACE_S``, bounding the
         whole batch by one outer budget regardless of per-job budgets.
         """
-        # pop() preserves submission order
-        self._pending = list(reversed(jobs))
-        self._active = {}
+        pending = list(reversed(jobs))  # pop() preserves submission order
+        active: dict[_Child, tuple[Job, float]] = {}  # child -> (job, kill time)
         try:
-            while self._pending or self._active:
-                self._spawn_up_to_capacity(deadline)
-                now = time.monotonic()
-                next_deadline = min(e[4] for e in self._active.values())
-                # Sleep until something completes or the nearest deadline —
+            while pending or active:
+                while pending and len(active) < self.workers:
+                    job = pending.pop()
+                    child = _Child(self._ctx, job.fn, job.args, self.daemon)
+                    kill_at = child.started + job.timeout_s + KILL_GRACE_S
+                    if deadline is not None:
+                        kill_at = min(kill_at, deadline + KILL_GRACE_S)
+                    active[child] = (job, kill_at)
+                # Sleep until something completes or the nearest kill time —
                 # no polling tick (a 100 ms cap here once made the
                 # supervisor busy-wake ~10x/s for idle minutes).
-                ready = mp.connection.wait(
-                    list(self._active), timeout=max(0.0, next_deadline - now)
-                )
-
-                for sentinel in ready:
-                    proc, conn, job, started, _ = self._active.pop(sentinel)
-                    yield self._reap(proc, conn, job, started)
-
+                next_kill = min(kill_at for _, kill_at in active.values())
+                _wait(active, max(0.0, next_kill - time.monotonic()))
                 now = time.monotonic()
-                expired = [
-                    sentinel
-                    for sentinel, (_, _, _, _, job_deadline) in self._active.items()
-                    if now >= job_deadline
-                ]
-                for sentinel in expired:
-                    proc, conn, job, started, _ = self._active.pop(sentinel)
-                    proc.kill()
-                    proc.join()
-                    # The payload may have landed just inside the grace
-                    # window while the supervisor was busy reaping
-                    # elsewhere; prefer it over fabricating a timeout (pipe
-                    # data survives the writer's death).
-                    result = self._drain(conn, job, now - started)
-                    conn.close()
-                    yield result
+                for child, (job, kill_at) in list(active.items()):
+                    result = child.collect(job)
+                    if result is None and now >= kill_at:
+                        # Reap before collecting: an unreaped corpse still
+                        # reads as running.  A payload that landed inside
+                        # the grace window is kept; anything else timed out.
+                        child.kill()
+                        result = child.collect(job)
+                        if result.kind == "crashed":
+                            result = JobResult(job, "timeout", elapsed_s=result.elapsed_s)
+                    if result is not None:
+                        del active[child]
+                        yield result
         finally:
-            for proc, conn, _, _, _ in self._active.values():
-                self._kill(proc, conn)
-            self._active = {}
-            self._pending = []
-
-    # -- internals ---------------------------------------------------------
-
-    def _spawn_up_to_capacity(self, deadline: float | None) -> None:
-        while self._pending and len(self._active) < self.workers:
-            job = self._pending.pop()
-            parent_conn, child_conn = self._ctx.Pipe(duplex=False)
-            proc = self._ctx.Process(
-                target=_child_entry,
-                args=(child_conn, job.fn, job.args),
-                daemon=self.daemon,
-            )
-            started = time.monotonic()
-            proc.start()
-            child_conn.close()  # child owns its end now
-            job_deadline = started + job.timeout_s + self.kill_grace_s
-            if deadline is not None:
-                job_deadline = min(job_deadline, deadline + self.kill_grace_s)
-            self._active[proc.sentinel] = (
-                proc,
-                parent_conn,
-                job,
-                started,
-                job_deadline,
-            )
-
-    @staticmethod
-    def _kill(proc, conn) -> None:
-        proc.kill()
-        proc.join()
-        conn.close()
-
-    def _reap(self, proc, conn, job: Job, started: float) -> JobResult:
-        """Collect the payload from a finished worker (or record a crash)."""
-        elapsed = time.monotonic() - started
-        proc.join()  # before reading exitcode, which join() publishes
-        try:
-            if conn.poll():
-                result = self._from_payload(conn.recv(), job, elapsed)
-            else:
-                result = JobResult(job, "crashed", elapsed_s=elapsed, exitcode=proc.exitcode)
-        except (EOFError, OSError):
-            result = JobResult(job, "crashed", elapsed_s=elapsed, exitcode=proc.exitcode)
-        finally:
-            conn.close()
-        return result
-
-    def _drain(self, conn, job: Job, elapsed: float) -> JobResult:
-        """Late payload of a just-killed worker, else a timeout result."""
-        try:
-            if conn.poll():
-                return self._from_payload(conn.recv(), job, elapsed)
-        except (EOFError, OSError):
-            pass
-        return JobResult(job, "timeout", elapsed_s=elapsed)
-
-    @staticmethod
-    def _from_payload(payload, job: Job, elapsed: float) -> JobResult:
-        if (isinstance(payload, tuple) and len(payload) == 3 and payload[0] in ("ok", "error")):
-            kind, value, message = payload
-            return JobResult(job, kind, value=value, message=message, elapsed_s=elapsed)
-        return JobResult(
-            job, "error", message=f"malformed worker payload: {payload!r}",
-            elapsed_s=elapsed,
-        )
+            for child in active:
+                child.kill()
+                child.conn.close()
 
 
 class _Service:
-    """Book-keeping for one long-lived service: the current incarnation's
-    process/pipe, the spawn recipe for restarts, and the terminal result."""
+    """Book-keeping for one long-lived service: the current incarnation,
+    the spawn recipe for restarts, and the terminal result."""
 
-    __slots__ = ("key", "fn", "args", "proc", "conn", "started", "restarts", "result")
+    __slots__ = ("key", "fn", "args", "child", "restarts", "result")
 
-    def __init__(self, key, fn, args):
+    def __init__(self, key, fn, args, child: _Child):
         self.key = key
         self.fn = fn
         self.args = args
-        self.proc = None
-        self.conn = None
-        self.started = 0.0
+        self.child = child
         self.restarts = 0
         self.result: JobResult | None = None
+
+    def job(self) -> Job:
+        return Job(self.key, self.fn, self.args, 0.0)
 
 
 class ServiceSupervisor:
@@ -288,10 +274,7 @@ class ServiceSupervisor:
     * :meth:`poll` waits until a service finishes — payload arrives or the
       process dies — and returns the keys that just reached a terminal
       :meth:`result` (``ok`` / ``error`` / ``crashed``, the
-      :class:`JobResult` vocabulary).  It waits on result pipes *and*
-      process sentinels: a service shipping a large final payload blocks in
-      ``send`` until the supervisor reads it, so the pipe must be able to
-      wake the poll.
+      :class:`JobResult` vocabulary).
     * :meth:`shutdown` kills every running service and marks it
       ``cancelled``; cancelled (and successfully finished) services refuse
       :meth:`restart` — restore logic cannot accidentally resurrect
@@ -313,9 +296,7 @@ class ServiceSupervisor:
         svc = self._services.get(key)
         if svc is not None and svc.result is None:
             raise ValueError(f"service {key!r} is already running")
-        svc = _Service(key, fn, args)
-        self._services[key] = svc
-        self._spawn(svc)
+        self._services[key] = _Service(key, fn, args, _Child(self._ctx, fn, args))
 
     def restart(self, key, args: tuple | None = None) -> int:
         """Kill (if alive) and respawn ``key`` — with fresh ``args`` when
@@ -326,13 +307,14 @@ class ServiceSupervisor:
             raise ValueError(f"service {key!r} was cancelled")
         if svc.result is not None and svc.result.kind == "ok":
             raise ValueError(f"service {key!r} already finished")
-        if svc.proc is not None and svc.proc.is_alive():
-            _kill_quietly(svc.proc, svc.conn)
+        if svc.result is None:  # a terminal result already closed the pipe
+            svc.child.kill()
+            svc.child.conn.close()
         if args is not None:
             svc.args = args
         svc.result = None
         svc.restarts += 1
-        self._spawn(svc)
+        svc.child = _Child(self._ctx, svc.fn, svc.args)
         return svc.restarts
 
     def kill(self, key) -> None:
@@ -342,18 +324,18 @@ class ServiceSupervisor:
         the caller's existing crash-restore path (and :meth:`restart`)
         applies unchanged; a finished or already-dead service is a no-op."""
         svc = self._require(key)
-        if svc.result is None and svc.proc is not None and svc.proc.is_alive():
-            svc.proc.kill()
+        if svc.result is None:
+            svc.child.kill()
 
     def shutdown(self) -> None:
         """Kill every still-running service (results of finished ones stay
         readable)."""
         for svc in self._services.values():
-            if svc.result is None and svc.proc is not None:
-                _kill_quietly(svc.proc, svc.conn)
+            if svc.result is None:
+                svc.child.kill()
+                svc.child.conn.close()
                 svc.result = JobResult(
-                    Job(svc.key, svc.fn, svc.args, 0.0), "cancelled",
-                    elapsed_s=time.monotonic() - svc.started,
+                    svc.job(), "cancelled", elapsed_s=time.monotonic() - svc.child.started
                 )
 
     def __enter__(self) -> "ServiceSupervisor":
@@ -366,13 +348,10 @@ class ServiceSupervisor:
 
     def alive(self, key) -> bool:
         svc = self._services.get(key)
-        return (
-            svc is not None and svc.result is None and svc.proc is not None and svc.proc.is_alive()
-        )
+        return svc is not None and svc.result is None and svc.child.proc.is_alive()
 
     def pid(self, key) -> int | None:
-        svc = self._require(key)
-        return None if svc.proc is None else svc.proc.pid
+        return self._require(key).child.proc.pid
 
     def restarts(self, key) -> int:
         return self._require(key).restarts
@@ -386,27 +365,20 @@ class ServiceSupervisor:
         ``timeout`` seconds for one to do so (``None``: until the next
         event).  Returns the keys newly holding a :meth:`result`, in no
         particular order."""
-        finished = self._reap_ready()
-        if finished or timeout == 0.0:
-            return finished
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
-            running = [s for s in self._services.values() if s.result is None]
-            if not running:
-                return []
-            waitables = []
+            running = [svc for svc in self._services.values() if svc.result is None]
+            finished = []
             for svc in running:
-                waitables.append(svc.proc.sentinel)
-                waitables.append(svc.conn)
-            mp.connection.wait(
-                waitables,
-                timeout=None if deadline is None else max(0.0, deadline - time.monotonic()),
-            )
-            finished = self._reap_ready()
-            if finished:
+                svc.result = svc.child.collect(svc.job())
+                if svc.result is not None:
+                    finished.append(svc.key)
+            if finished or not running:
                 return finished
-            if deadline is not None and time.monotonic() >= deadline:
+            remaining = None if deadline is None else deadline - time.monotonic()
+            if remaining is not None and remaining <= 0:
                 return []
+            _wait([svc.child for svc in running], remaining)
 
     # -- internals ---------------------------------------------------------
 
@@ -415,74 +387,3 @@ class ServiceSupervisor:
         if svc is None:
             raise KeyError(f"unknown service {key!r}")
         return svc
-
-    def _spawn(self, svc: _Service) -> None:
-        parent_conn, child_conn = self._ctx.Pipe(duplex=False)
-        proc = self._ctx.Process(
-            target=_child_entry,
-            args=(child_conn, svc.fn, svc.args),
-            daemon=True,
-        )
-        svc.started = time.monotonic()
-        proc.start()
-        child_conn.close()
-        svc.proc = proc
-        svc.conn = parent_conn
-
-    def _reap_ready(self) -> list:
-        """One non-blocking sweep: collect payloads and corpses."""
-        finished = []
-        now = time.monotonic()
-        for key, svc in self._services.items():
-            if svc.result is not None:
-                continue
-            job = Job(svc.key, svc.fn, svc.args, 0.0)
-            elapsed = now - svc.started
-            try:
-                has_payload = svc.conn.poll()
-            except (EOFError, OSError):
-                has_payload = False
-            if has_payload:
-                try:
-                    payload = svc.conn.recv()
-                except (EOFError, OSError):
-                    svc.proc.join()
-                    svc.result = JobResult(
-                        job, "crashed", elapsed_s=elapsed,
-                        exitcode=svc.proc.exitcode,
-                    )
-                else:
-                    svc.proc.join()
-                    svc.result = ProcessSupervisor._from_payload(payload, job, elapsed)
-                svc.conn.close()
-                finished.append(key)
-                continue
-            if not svc.proc.is_alive():
-                svc.proc.join()
-                # Prefer a payload that landed between the poll above and
-                # the death check (pipe data survives the writer's death).
-                try:
-                    if svc.conn.poll():
-                        svc.result = ProcessSupervisor._from_payload(svc.conn.recv(), job, elapsed)
-                    else:
-                        svc.result = JobResult(
-                            job, "crashed", elapsed_s=elapsed,
-                            exitcode=svc.proc.exitcode,
-                        )
-                except (EOFError, OSError):
-                    svc.result = JobResult(
-                        job, "crashed", elapsed_s=elapsed,
-                        exitcode=svc.proc.exitcode,
-                    )
-                svc.conn.close()
-                finished.append(key)
-        return finished
-
-
-def _kill_quietly(proc, conn) -> None:
-    proc.kill()
-    proc.join()
-    try:
-        conn.close()
-    except OSError:  # pragma: no cover - already closed
-        pass

@@ -332,7 +332,6 @@ class TestServeHardening:
 
     def test_config_validation(self, tmp_path):
         for kwargs in (
-            {"keep_generations": 0},
             {"on_error": "explode"},
             {"liveness_timeout_s": 0},
         ):

@@ -170,6 +170,54 @@ class TestBounds:
         with pytest.raises(ValueError):
             bounds_from_spec("nope:1")
 
+    #: Each source at its defaults, with explicit arguments, and with
+    #: fractional ones where its generator takes them.  The int64
+    #: certificate trusts these bounds, so every element must lie inside.
+    SOUNDNESS_SPECS = (
+        "list:3,1/2,-2",
+        "constant:3:10",
+        "constant:-5/2:10",
+        "counter:40",
+        "counter:40:-7",
+        "counter:40:5/2",
+        "sawtooth:60",
+        "sawtooth:60:5:3",
+        "sawtooth:60:5/2",
+        "sawtooth:60:7/2:1",
+        "sawtooth:60:-4",
+        "random_walk:80",
+        "random_walk:80:2:5",
+        "gaussian:200",
+        "gaussian:200:3",
+        "bids:200",
+        "bids:200:3:10:20:4",
+        "pairs:60",
+        "pairs:60:-3:2:0",
+        "pairs:60:1/2:1/3:1",
+        "zipf-keys:300",
+        "zipf-keys:300:7:3:3/2:5:9",
+    )
+
+    def test_source_elements_lie_inside_their_bounds(self):
+        from itertools import islice
+
+        from repro.runtime.sources import SPEC_SOURCES, from_spec
+
+        cases = [(spec, None) for spec in self.SOUNDNESS_SPECS]
+        cases += [("counter", 30), ("bids", 40), ("random_walk:500", 25)]
+        names = {spec.partition(":")[0] for spec, _ in cases}
+        assert names == {"list", *SPEC_SOURCES}  # every source has bounds
+        for spec, cap in cases:
+            bounds = bounds_from_spec(spec, max_elements=cap)
+            elements = list(islice(from_spec(spec, allow_unbounded=True), cap))
+            assert len(elements) <= bounds.max_elements, spec
+            for element in elements:
+                fields = element if isinstance(element, tuple) else (element,)
+                assert len(fields) == len(bounds.element), (spec, element)
+                for value, field in zip(fields, bounds.element):
+                    assert field.lo <= value <= field.hi, (spec, value, field)
+                    assert not field.integral or value.denominator == 1, (spec, value)
+
 
 # ---------------------------------------------------------------------------
 # Well-formedness audit
@@ -483,32 +531,26 @@ class TestPrune:
         assert not statically_redundant(Call("div", (e, Const(1.0))))  # float 1
         assert not statically_redundant(Call("div", (e, Const(True))))  # bool
 
-    def test_enumeration_identical_with_and_without_pruning(self):
-        """The load-bearing invariant behind excluding ``enum_static_prune``
-        from the config fingerprint: same candidate generated/kept/checked
-        counts, same found expression."""
+    def test_enumeration_identical_with_and_without_pruning(self, monkeypatch):
+        """Pruning is why the config fingerprint need not know about it:
+        same candidate generated/kept/checked counts, same found
+        expression, with the static check in place or stubbed out."""
+        import repro.core.enumerative as enumerative
+
         spec = fold_sum_of("v", powi("v", 2), XS)
         rfs = RFS(entries={"s": spec}, list_param="xs")
+        config = SynthesisConfig(timeout_s=60.0, enumeration_max_size=7)
         results = {}
         for prune in (True, False):
-            config = SynthesisConfig(
-                timeout_s=60.0, enumeration_max_size=7, enum_static_prune=prune
-            )
+            if not prune:
+                monkeypatch.setattr(enumerative, "statically_redundant", lambda expr: False)
             stats = EnumStats()
             found = enumerate_expression(rfs, spec, config, stats=stats)
-            results[prune] = (found, stats.generated, stats.kept, stats.checked)
+            results[prune] = (found, stats.generated, stats.kept, stats.checked, stats.pruned)
         assert results[True][0] is not None, "enumeration should solve sum-of-squares"
-        assert results[True] == results[False]
-        # and pruning actually did something
-        config = SynthesisConfig(timeout_s=60.0, enumeration_max_size=7)
-        stats = EnumStats()
-        enumerate_expression(rfs, spec, config, stats=stats)
-        assert stats.pruned > 0
-
-    def test_prune_flag_is_fingerprint_neutral(self):
-        on = SynthesisConfig(enum_static_prune=True).fingerprint()
-        off = SynthesisConfig(enum_static_prune=False).fingerprint()
-        assert on == off
+        assert results[True][:4] == results[False][:4]
+        assert results[True][4] > 0  # pruning actually did something
+        assert results[False][4] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Tests for the parallel suite runner and the persistent result cache."""
 
+import multiprocessing as mp
 import os
 import pickle
 import time
@@ -49,6 +50,18 @@ class DyingSolver:
         os._exit(3)
 
 
+class DaemonProbeSolver:
+    """Reports whether the worker process it runs in is daemonic."""
+
+    name = "daemon-probe"
+
+    def synthesize(self, program, config, task_name):
+        return SynthesisReport(
+            task=task_name, success=False, elapsed_s=0.0,
+            failure_reason=f"daemon={mp.current_process().daemon}",
+        )
+
+
 def small_suite():
     return [get_benchmark(n) for n in ("sum", "mean", "max")]
 
@@ -60,7 +73,7 @@ class TestHardTimeout:
                  SynthesisConfig(timeout_s=0.6))
         ]
         start = time.monotonic()
-        [(_, report)] = list(execute_tasks(tasks, workers=1, kill_grace_s=0.2))
+        [(_, report)] = list(execute_tasks(tasks, workers=1))
         wall = time.monotonic() - start
         assert not report.success
         assert "Timeout" in report.failure_reason
@@ -106,6 +119,17 @@ class TestHardTimeout:
         assert len(result.reports) == 3
         assert all("Timeout" in r.failure_reason
                    for r in result.reports.values())
+
+
+class TestNestedWorkers:
+    def test_hole_workers_make_bench_workers_non_daemonic(self):
+        """Daemonic processes may not have children, so a task that asks
+        for hole workers must run in a non-daemonic bench worker."""
+        for hole_workers, daemon in ((1, True), (2, False)):
+            config = SynthesisConfig(timeout_s=5, hole_workers=hole_workers)
+            tasks = [Task(0, DaemonProbeSolver(), get_benchmark("sum"), config)]
+            [(_, report)] = list(execute_tasks(tasks, workers=1))
+            assert report.failure_reason == f"daemon={daemon}"
 
 
 class TestDeterminism:

@@ -139,6 +139,10 @@ def _payload_sleep(seconds):
     return "done"
 
 
+def _payload_bytes(size):
+    return b"x" * size
+
+
 class TestProcessSupervisor:
     def test_ok_result(self):
         sup = ProcessSupervisor(workers=1)
@@ -160,14 +164,24 @@ class TestProcessSupervisor:
         assert (result.kind, result.exitcode) == ("crashed", 3)
 
     def test_timeout_kills_at_deadline(self):
-        sup = ProcessSupervisor(workers=1, kill_grace_s=0.1)
+        sup = ProcessSupervisor(workers=1)
         start = time.monotonic()
         [result] = list(sup.run([Job("k", _payload_sleep, (30.0,), 0.4)]))
         assert result.kind == "timeout"
         assert time.monotonic() - start < 5.0
 
+    def test_result_larger_than_the_pipe_buffer_is_ok(self):
+        """A child blocked sending a big result must be read, not killed at
+        its deadline and reported as a timeout."""
+        sup = ProcessSupervisor(workers=1)
+        start = time.monotonic()
+        [result] = list(sup.run([Job("k", _payload_bytes, (1 << 20,), 3.0)]))
+        assert result.kind == "ok"
+        assert result.value == b"x" * (1 << 20)
+        assert time.monotonic() - start < 5.0
+
     def test_global_deadline_caps_generous_job_budgets(self):
-        sup = ProcessSupervisor(workers=1, kill_grace_s=0.1)
+        sup = ProcessSupervisor(workers=1)
         start = time.monotonic()
         [result] = list(
             sup.run(

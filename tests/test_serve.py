@@ -100,7 +100,7 @@ class TestHashRing:
         assert owners == {0, 1, 2, 3}
 
     def test_distribution_roughly_even(self):
-        ring = HashRing(4, replicas=64)
+        ring = HashRing(4)
         counts = {s: 0 for s in range(4)}
         for key in range(4000):
             counts[ring.shard_for(key)] += 1
@@ -185,8 +185,6 @@ class TestHashRing:
             HashRing(0)
         with pytest.raises(ValueError):
             HashRing([1, 1])
-        with pytest.raises(ValueError):
-            HashRing(2, replicas=0)
         ring = HashRing(1)
         with pytest.raises(ValueError):
             ring.remove_shard(0)  # never remove the last shard
@@ -401,17 +399,47 @@ class TestServerResume:
                 value_field=0, extra={"rate": 1},
             ).start()
 
+    @staticmethod
+    def _v2_directory(tmp_path, elements):
+        """A drained two-shard deployment whose manifest is rewritten as v2
+        (v3 changed only how keys hash, not the checkpoint layout)."""
+        with StreamServer(
+            sum_scheme(), shards=2, checkpoint_dir=tmp_path, key_field=1, value_field=0,
+            checkpoint_every=10, batch_size=8,
+        ) as first:
+            first.push_many(elements)
+            first.drain()
+        path = tmp_path / "manifest.json"
+        manifest = json.loads(path.read_text())
+        path.write_text(json.dumps({**manifest, "version": 2}))
+        return path
+
+    def test_v2_manifest_with_int_keys_resumes(self, tmp_path):
+        # int and str keys hash exactly as they did before canonical hashing.
+        elements = keyed_stream(800)
+        path = self._v2_directory(tmp_path, elements[:400])
+        with StreamServer(
+            sum_scheme(), shards=2, checkpoint_dir=tmp_path, key_field=1, value_field=0,
+            checkpoint_every=10, batch_size=8,
+        ) as second:
+            second.push_many(elements[400:])
+            result = second.drain()
+        oracle = reference_states(sum_scheme(), elements, key_field=1, value_field=0)
+        assert states_match(result, oracle)
+        assert json.loads(path.read_text())["version"] == 3
+
     def test_v2_manifest_is_refused(self, tmp_path):
-        # v2 directories hashed keys before canonicalization: equal keys of
-        # different types may sit on another shard than v3 routes them to.
-        (tmp_path / "manifest.json").write_text(json.dumps({
-            "format": "repro/serve-manifest", "version": 2,
-            "scheme": sum_scheme().to_dict(), "shards": 2, "checkpoint_every": 1000,
-        }))
-        with pytest.raises(ServeError, match="manifest version 2"):
-            StreamServer(
-                sum_scheme(), shards=2, checkpoint_dir=tmp_path, key_field=1,
-            ).start()
+        # v2 directories hashed keys before canonicalization: a key of
+        # another type than int/str may sit on another shard than v3 routes
+        # it to.
+        for name, key in (("rat", Fraction(1, 2)), ("bool", False)):
+            directory = tmp_path / name
+            path = self._v2_directory(directory, keyed_stream(100) + [(Fraction(1), key)])
+            with pytest.raises(ServeError, match="manifest version 2.*holds the key"):
+                StreamServer(
+                    sum_scheme(), shards=2, checkpoint_dir=directory, key_field=1,
+                ).start()
+            assert json.loads(path.read_text())["version"] == 2
 
     def test_restart_budget_gives_up(self, tmp_path):
         scheme = sum_scheme()

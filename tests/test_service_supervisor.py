@@ -46,6 +46,15 @@ class TestServiceLifecycle:
         assert result.kind == "ok"
         assert result.value == {"answer": 42}
 
+    def test_result_larger_than_the_pipe_buffer_is_ok(self):
+        with ServiceSupervisor() as sup:
+            start = time.monotonic()
+            sup.start("big", _echo, (b"x" * (1 << 20),))
+            result = _wait_for(sup, "big", timeout=5.0)
+        assert result.kind == "ok"
+        assert result.value == b"x" * (1 << 20)
+        assert time.monotonic() - start < 5.0
+
     def test_error_result(self):
         with ServiceSupervisor() as sup:
             sup.start("bad", _fail, ("boom",))

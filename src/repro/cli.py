@@ -527,11 +527,11 @@ def _spec_analysis_bounds(args: argparse.Namespace):
 def _columnar_notice(scheme: OnlineScheme, bounds) -> str | None:
     """One-line explanation when --backend auto stays on the exact path
     under ``bounds`` (``None`` when the columnar kernel is taken)."""
-    from .ir.vectorize import admit_columnar, numpy_or_none
+    from .ir.vectorize import numpy_or_none
 
     if numpy_or_none() is None:
         return "backend: columnar unavailable (NumPy not installed); running exact"
-    admission = admit_columnar(scheme.program, scheme.initializer, bounds)
+    admission = scheme.columnar_admission(bounds)
     if admission.admitted:
         return None
     return f"backend: columnar declined ({admission.reason}); running exact"
@@ -634,8 +634,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             result = op.push_many(chunk)
             if args.trace:
                 if keyed:
-                    # The per-key snapshot can be huge; trace one summary
-                    # line per chunk (the full snapshot prints at the end).
+                    # Every key's value can be a lot to print; trace one
+                    # summary line per chunk (all keys print at the end).
                     print(f"[{op.count}] {len(op)} keys")
                 else:
                     print(f"[{op.count}] {result}")
@@ -877,11 +877,10 @@ def _analysis_summary_line(report: dict) -> str:
 
 
 def _backend_report_line(scheme: OnlineScheme, name: str, bounds) -> tuple[str, dict]:
-    """Columnar admission verdict for one scheme: a human line plus the
-    JSON fragment attached to the analysis report under ``"backend"``."""
-    from .ir.vectorize import admit_columnar
-
-    admission = admit_columnar(scheme.program, scheme.initializer, bounds)
+    """Columnar admission verdict for what an ``auto`` operator over one
+    scheme batches: a human line plus the JSON fragment attached to the
+    analysis report under ``"backend"``."""
+    admission = scheme.columnar_admission(bounds)
     fragment = {"columnar": admission.verdict, "reason": admission.reason}
     if admission.verdict == "certified-int64":
         detail = "int64 columnar licensed, bit-identical under --backend auto"

@@ -10,6 +10,7 @@ examples.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from ..ir.compile import (
@@ -18,6 +19,7 @@ from ..ir.compile import (
     compile_keyed_batch,
     compile_online_step,
     compile_step_batch,
+    expr_evaluator,
     jit_enabled,
     kernel_partial,
 )
@@ -29,6 +31,54 @@ from ..ir.values import Value
 #: Cache marker: the program was tried and cannot be compiled (holes etc.);
 #: the scheme then runs on the interpreter without retrying per resolve.
 _UNCOMPILABLE = object()
+#: Cache marker: the program has no read-out to split off.
+_UNSPLIT = object()
+
+
+def _same(state: tuple) -> tuple:
+    return state
+
+
+class BatchPlan:
+    """What the batch tiers of an operator run.  ``scheme`` is the scheme
+    the kernel, its columnar upgrade and the keyed loop compile: the scheme
+    itself, or, when its first component is a read-out
+    (:func:`repro.ir.analysis.split_readout`), a scheme over the other
+    components.  ``to_acc`` maps a full state to the state ``scheme`` folds
+    and ``to_state`` maps a folded state back, the read-out computed as
+    ``g(acc)``; both are the identity without a read-out."""
+
+    __slots__ = ("scheme", "to_acc", "to_state")
+
+    def __init__(self, scheme: "OnlineScheme", to_acc=_same, to_state=_same) -> None:
+        self.scheme = scheme
+        self.to_acc = to_acc
+        self.to_state = to_state
+
+    @property
+    def split(self) -> bool:
+        return self.to_state is not _same
+
+
+def _readout_plan(accumulators: "OnlineScheme", readout, order: tuple[int, ...]) -> BatchPlan:
+    """The plan of a read-out split.  ``order`` is the full-state index of
+    each accumulator: they run in the read-out's evaluation order, a
+    scheme's state in program order.  The read-out is resolved, like a
+    kernel, from ``REPRO_JIT`` when the plan is made."""
+    names = accumulators.program.state_params
+    evaluate = expr_evaluator(readout, names)
+    if order == tuple(range(1, len(order) + 1)):
+        return BatchPlan(
+            accumulators,
+            lambda state: state[1:],
+            lambda acc: (evaluate(dict(zip(names, acc))),) + acc,
+        )
+    back = itemgetter(*sorted(range(len(order)), key=order.__getitem__))
+    return BatchPlan(
+        accumulators,
+        itemgetter(*order),
+        lambda acc: (evaluate(dict(zip(names, acc))),) + back(acc),
+    )
 
 
 @dataclass
@@ -57,6 +107,9 @@ class OnlineScheme:
     #: ``(bounds, jit_enabled())`` request (see :meth:`compiled_columns`);
     #: same lifecycle as the other caches.
     _columnar_cache: list = field(default_factory=list, init=False, repr=False, compare=False)
+    #: Lazily-analysed read-out split (:meth:`batch_plan`): the accumulator
+    #: scheme, the read-out and the accumulators' order, or ``_UNSPLIT``.
+    _split: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.initializer) != self.program.arity:
@@ -193,12 +246,46 @@ class OnlineScheme:
                 pass
         return StepKernel.keyed_from_step(self._resolve_step(), self.initializer, self.provenance)
 
+    def batch_plan(self) -> BatchPlan:
+        """What an operator's batch tiers (the kernel, its columnar upgrade,
+        the keyed loop) and :meth:`final` run: the accumulators of this
+        scheme's read-out split, or the scheme itself.  The split is
+        analysed once per scheme; nothing about it is persisted."""
+        if self._split is None:
+            from ..ir.analysis import split_readout
+
+            split = split_readout(self.program, self.initializer)
+            if split is None:
+                self._split = _UNSPLIT
+            else:
+                accumulators = OnlineScheme(
+                    split.initializer, split.accumulators, provenance=self.provenance
+                )
+                accumulators._split = _UNSPLIT
+                order = tuple(
+                    self.program.state_params.index(name)
+                    for name in split.accumulators.state_params
+                )
+                self._split = (accumulators, split.readout, order)
+        if self._split is _UNSPLIT:
+            return BatchPlan(self)
+        return _readout_plan(*self._split)
+
+    def columnar_admission(self, bounds=None):
+        """The columnar admission verdict (:func:`repro.ir.vectorize.admit_columnar`)
+        for what an ``auto`` operator batches (see :meth:`batch_plan`)."""
+        from ..ir.vectorize import admit_columnar
+
+        batch = self.batch_plan().scheme
+        return admit_columnar(batch.program, batch.initializer, bounds)
+
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         state["_compiled_step"] = None  # exec'd closures do not pickle
         state["_compiled_kernel"] = None
         state["_compiled_keyed"] = None
         state["_columnar_cache"] = []
+        state["_split"] = None
         return state
 
     # -- semantics ---------------------------------------------------------
@@ -250,17 +337,20 @@ class OnlineScheme:
 
         Routed through the batch kernel: the whole stream is folded by one
         compiled loop (see :meth:`_resolve_kernel`) instead of a per-element
-        closure call, with identical results.
+        closure call, with identical results.  A read-out
+        (:meth:`batch_plan`) is evaluated once, at the end.
         """
+        plan = self.batch_plan()
+        start = plan.to_acc(self.initializer)
         try:
-            state, _consumed = self._resolve_kernel().run(self.initializer, stream, extra)
+            acc, consumed = plan.scheme._resolve_kernel().run(start, stream, extra)
         except BaseException as exc:
             # Strip the kernel's partial-progress marker: nothing on this
             # path resumes, and the caught exception must not keep the
             # accumulator state alive (or leak a private side channel).
-            kernel_partial(exc, self.initializer)
+            kernel_partial(exc, start)
             raise
-        return state[0]
+        return plan.to_state(acc)[0] if consumed else self.initializer[0]
 
     def trajectory(
         self,

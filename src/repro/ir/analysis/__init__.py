@@ -9,7 +9,8 @@ Four analyses over online schemes (Figure 7 programs + initializer):
   (concrete replayable witness) that a ``div`` site can see a zero
   denominator;
 * **liveness** (:mod:`.liveness`) — dead state components and a verified,
-  fault-preserving dead-state-elimination rewrite;
+  fault-preserving dead-state-elimination rewrite, and the read-out split
+  the runtime batches on;
 * **wellformed** (:mod:`.wellformed`) — unbound variables, holes, arity and
   type errors beyond ``infer.py``'s permissive pass, determinism notes.
 
@@ -28,7 +29,13 @@ from .bounds import (
 from .divzero import DivZeroWitness, find_divzero_witness
 from .domain import ANum, Interval, int64_certified
 from .engine import IntervalAnalysis, analyze_intervals, iter_div_sites
-from .liveness import analyze_liveness, eliminate_dead_state, live_components
+from .liveness import (
+    ReadoutSplit,
+    analyze_liveness,
+    eliminate_dead_state,
+    live_components,
+    split_readout,
+)
 from .prune import statically_redundant
 from .report import (
     ANALYSIS_FORMAT,
@@ -48,6 +55,7 @@ __all__ = [
     "FieldBounds",
     "Interval",
     "IntervalAnalysis",
+    "ReadoutSplit",
     "UNKNOWN_BOUNDS",
     "analyze_intervals",
     "analyze_liveness",
@@ -62,5 +70,6 @@ __all__ = [
     "live_components",
     "report_verdict",
     "scalar_bounds",
+    "split_readout",
     "statically_redundant",
 ]

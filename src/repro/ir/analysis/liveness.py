@@ -1,4 +1,5 @@
-"""State-component liveness and verified dead-state elimination.
+"""State-component liveness, verified dead-state elimination, and the
+read-out split.
 
 A component is *live* when the primary output (component 0, the value
 ``run`` streams to the caller) transitively depends on it through the
@@ -16,6 +17,11 @@ ranges — totality of the safe builtins is range-independent, except for the
 float-converting ones (``sqrt``/``log``/``floor``/…, non-constant ``pow``)
 which can overflow on huge exact rationals and are therefore never "total"
 here.
+
+The same totality check licenses :func:`split_readout`: a first component
+that no update reads and that is a total function of the other components'
+*new* values need not be carried through a batch loop at all; it is read
+out from the accumulators when somebody looks.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from ..nodes import (
     Proj,
     Var,
 )
-from ..traversal import free_vars
+from ..traversal import free_vars, substitute
 from ..values import Value
 
 # Kinds: ("num",) | ("bool",) | ("tuple", (kind, ...)) | ("any",)
@@ -121,6 +127,11 @@ def kind_and_totality(expr: Expr, kenv: dict[str, Kind]) -> tuple[Kind, bool]:
                 if _is_const_int(expr.args[1]):
                     return NUM_K, args_total
                 return NUM_K, False
+            if expr.func in ("min", "max"):
+                # Not arithmetic: the result is one of the arguments, so a
+                # bool (or anything else that compares with numbers) passes
+                # through where the arguments are not all numbers.
+                return join_kinds(kinds[0], kinds[1]), False
             # sqrt/log/floor/ceil/expm1/log1p/length, or a numeric builtin
             # applied to non-NUM kinds: may raise (conversion overflow or
             # TypeError), so not total.
@@ -172,10 +183,12 @@ def state_kinds(
     program: OnlineProgram,
     initializer: tuple[Value, ...],
     element_arity: int | None,
+    *,
+    extra_kind: Kind = NUM_K,
 ) -> dict[str, Kind]:
     """Per-variable kind environment, iterated to a (tiny) fixpoint so that
     kind-changing updates are joined rather than missed."""
-    kenv: dict[str, Kind] = {name: NUM_K for name in program.extra_params}
+    kenv: dict[str, Kind] = {name: extra_kind for name in program.extra_params}
     kenv[program.elem_param] = _element_kind(program, element_arity)
     kinds = [kind_of_value(v) for v in initializer]
     for _ in range(1 + len(initializer)):
@@ -255,3 +268,118 @@ def eliminate_dead_state(
     )
     new_initializer = tuple(initializer[i] for i in keep)
     return new_program, new_initializer, removed
+
+
+@dataclass(frozen=True)
+class ReadoutSplit:
+    """A program whose first component is a read-out of the others:
+    ``y1' = g(y2', ..., yn')`` after every step."""
+
+    #: Components ``2..n`` with their own updates, in the order ``g`` first
+    #: evaluates them, then in program order.
+    accumulators: OnlineProgram
+    #: The initializer of ``accumulators``.
+    initializer: tuple[Value, ...]
+    #: ``g`` over the accumulator names, each read as its *new* value.
+    readout: Expr
+
+
+def _new_state_of(expr: Expr, updates: dict[str, Var]) -> Expr:
+    """``expr`` with every subtree that is another component's update
+    replaced by that component's marker.  Matching is by ``repr``, which
+    tells ``Const(1)`` from ``Const(1.0)`` where ``==`` does not.  Binders
+    are left whole: inside them a subtree may not mean what it means
+    outside, and their free names then refuse the split."""
+    marker = updates.get(repr(expr))
+    if marker is not None:
+        return marker
+    if isinstance(expr, Call) and isinstance(expr.func, str):
+        return Call(expr.func, tuple(_new_state_of(a, updates) for a in expr.args))
+    if isinstance(expr, If):
+        return If(*(_new_state_of(c, updates) for c in expr.children()))
+    if isinstance(expr, MakeTuple):
+        return MakeTuple(tuple(_new_state_of(item, updates) for item in expr.items))
+    if isinstance(expr, Proj):
+        return Proj(_new_state_of(expr.tup, updates), expr.index)
+    return expr
+
+
+def _evaluation_order(expr: Expr, names: frozenset[str], seen: list[str], branch: bool) -> bool:
+    """Append to ``seen`` the ``names`` ``expr`` reads, in the order the
+    interpreter first evaluates them; ``False`` when one is first read in an
+    ``If`` branch, where whether it is evaluated depends on the data."""
+    if isinstance(expr, Var) and expr.name in names:
+        if expr.name not in seen:
+            if branch:
+                return False
+            seen.append(expr.name)
+        return True
+    if isinstance(expr, If):
+        return (
+            _evaluation_order(expr.cond, names, seen, branch)
+            and _evaluation_order(expr.then, names, seen, True)
+            and _evaluation_order(expr.orelse, names, seen, True)
+        )
+    return all(_evaluation_order(c, names, seen, branch) for c in expr.children())
+
+
+def split_readout(
+    program: OnlineProgram, initializer: tuple[Value, ...]
+) -> ReadoutSplit | None:
+    """Split the first component off as a read-out, or ``None``.
+
+    The split holds when, syntactically, the first update is an expression
+    ``g`` over the other components' new values only (no old state, no
+    element, no extras: a keyed read is lazy, and extras may change between
+    batches); no update reads the first component; and ``g`` provably cannot
+    raise, whatever the elements and extras are.  An eager step fails
+    wherever ``g`` would, so a lazy read of a partial ``g`` would turn a
+    loud failure into a late or a silent one.
+
+    Folding the accumulators then reaches the eager fold's state after any
+    non-empty stream, failures included: an eager step evaluates the
+    updates ``g`` reads first, in ``g``'s order, then the rest in program
+    order, and the accumulators are ordered the same way, so the first
+    update to raise on an element is the same one.
+    """
+    names = program.state_params
+    if (
+        program.arity < 2
+        or len(program.outputs) != program.arity
+        or len(set(names)) != program.arity
+        or program.elem_param in names
+    ):
+        return None
+    head, rest = names[0], names[1:]
+    if any(head in free_vars(out) for out in program.outputs[1:]):
+        return None
+    # Markers for new values, fresh against every name the program uses.
+    taken = set(names) | {program.elem_param} | set(program.extra_params)
+    taken = taken.union(*(free_vars(out) for out in program.outputs))
+    prime = "'"
+    while any(name + prime in taken for name in rest):
+        prime += "'"
+    marker_of = {name: name + prime for name in rest}
+    index_of = {marker: i for i, marker in enumerate(marker_of.values())}
+    updates: dict[str, Var] = {}
+    for name, out in zip(rest, program.outputs[1:]):
+        updates.setdefault(repr(out), Var(marker_of[name]))
+    readout = _new_state_of(program.outputs[0], updates)
+    markers = frozenset(index_of)
+    first: list[str] = []
+    if not free_vars(readout) <= markers or not _evaluation_order(readout, markers, first, False):
+        return None
+    order = [index_of[marker] for marker in first]
+    order += [i for i in range(len(rest)) if i not in order]
+    accumulators = OnlineProgram(
+        state_params=tuple(rest[i] for i in order),
+        elem_param=program.elem_param,
+        outputs=tuple(program.outputs[1 + i] for i in order),
+        extra_params=program.extra_params,
+    )
+    acc_init = tuple(initializer[1 + i] for i in order)
+    readout = substitute(readout, {marker_of[name]: Var(name) for name in rest})
+    kenv = state_kinds(accumulators, acc_init, None, extra_kind=ANY_K)
+    if not kind_and_totality(readout, {name: kenv[name] for name in rest})[1]:
+        return None
+    return ReadoutSplit(accumulators, acc_init, readout)

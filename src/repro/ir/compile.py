@@ -212,7 +212,7 @@ class StepKernel:
                     if part is None:
                         partitions[key] = partition(step(initializer, payload, extra), 1)
                     else:
-                        part.state = step(part.state, payload, extra)
+                        part.acc = step(part.acc, payload, extra)
                         part.count += 1
                     consumed += 1
             except BaseException as exc:
@@ -985,11 +985,17 @@ def compile_expr(expr: Expr, params: Sequence[str], name: str = "expr") -> Calla
     return cg.build("\n".join(lines) + "\n", "_compiled", name)
 
 
-@lru_cache(maxsize=512)
 def _compile_cached(expr: Expr, params: tuple[str, ...]) -> Callable | None:
     """Memoized :func:`compile_expr`; ``None`` caches a declined compile too.
     IR nodes hash structurally, so a spec tested against thousands of
-    candidates compiles once."""
+    candidates compiles once.  The memo is also keyed by ``repr(expr)``:
+    structural equality takes ``Const(0)`` for ``Const(False)``, whose
+    results differ in type."""
+    return _compile_memo(repr(expr), params, expr)
+
+
+@lru_cache(maxsize=512)
+def _compile_memo(text: str, params: tuple[str, ...], expr: Expr) -> Callable | None:
     try:
         return compile_expr(expr, params, name="evaluator")
     except IRCompileError:
@@ -1238,9 +1244,10 @@ def compile_keyed_batch(
     elements, extra, key_fn, value_fn, partition) -> consumed``.
 
     Per element, in order: ``key_fn``; ``value_fn`` (or the element);
-    ``partitions[key]``, or ``initializer`` for a new key; the inlined,
-    CSE'd step body; the new state stored back, a new key's record made as
-    ``partition(state, 1)`` only now that its step succeeded; the count.
+    the state ``partitions[key].acc``, or ``initializer`` for a new key; the
+    inlined, CSE'd step body; the new state stored back, a new key's record
+    made as ``partition(state, 1)`` only now that its step succeeded; the
+    count.
     Eager extras are fetched on the first element, after its key and value.
     A raise thus leaves exactly the per-element prefix in ``partitions``
     and carries ``consumed`` (:func:`kernel_partial`).  Declines what
@@ -1263,7 +1270,7 @@ def compile_keyed_batch(
     lines.append("            _p = _get(_k)")
     if program.arity:
         # _check_batchable guarantees the element cannot clobber a state local.
-        lines.append(f"            {', '.join(state_vars)}, = _init if _p is None else _p.state")
+        lines.append(f"            {', '.join(state_vars)}, = _init if _p is None else _p.acc")
     body: list[str] = []
     outputs = _emit_outputs(cg, program, eager_extras, body, name)
     lines.extend("        " + line for line in body)
@@ -1271,7 +1278,7 @@ def compile_keyed_batch(
     lines.append("            if _p is None:")
     lines.append(f"                _parts[_k] = _partition({new_state}, 1)")
     lines.append("            else:")
-    lines.append(f"                _p.state = {new_state}")
+    lines.append(f"                _p.acc = {new_state}")
     lines.append("                _p.count += 1")
     lines.append("            _n += 1")
     lines.append("    except BaseException as _exc:")

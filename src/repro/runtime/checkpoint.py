@@ -181,7 +181,7 @@ def restore_keyed(
     *,
     value_fn: Callable[[Value], Value] | None = None,
 ):
-    from .keyed import KeyedOperator, Partition
+    from .keyed import KeyedOperator
 
     _check_envelope(data, _KEYED)
     try:
@@ -199,6 +199,7 @@ def restore_keyed(
     raw_parts = data.get("partitions")
     if not isinstance(raw_parts, list):
         raise CheckpointError("keyed checkpoint needs a 'partitions' array")
+    entries = []
     for entry in raw_parts:
         if not (isinstance(entry, list) and len(entry) == 3):
             raise CheckpointError(f"malformed partition entry: {entry!r}")
@@ -210,7 +211,8 @@ def restore_keyed(
         if isinstance(key, list):  # decoded containers: only tuples hash
             raise CheckpointError("partition keys must be hashable values")
         state = _decode_state(raw_state, scheme.arity, f"partition {key!r}")
-        keyed.partitions[key] = Partition(state, _decode_count(raw_count))
+        entries.append((key, state, _decode_count(raw_count)))
+    keyed._restore_partitions(entries)
     return keyed
 
 
@@ -331,6 +333,8 @@ def load_checkpoint(
 
 GENERATION_FORMAT = "repro/checkpoint-generation"
 GENERATION_VERSION = 1
+#: Generations a lineage keeps on disk (the newest ones).
+KEEP_GENERATIONS = 3
 
 _GEN_RE = re.compile(r"\.gen(\d{8})\.json$")
 
@@ -371,22 +375,13 @@ def list_generations(base) -> list[tuple[int, Path]]:
     return found
 
 
-def save_generation(
-    payload: dict,
-    base,
-    *,
-    generation: int,
-    consumed: int,
-    keep: int = 3,
-) -> Path:
+def save_generation(payload: dict, base, *, generation: int, consumed: int) -> Path:
     """Write one generation of a checkpoint lineage atomically and prune
-    generations older than the newest ``keep``.
+    generations older than the newest :data:`KEEP_GENERATIONS`.
 
     Returns the path written.  Pruning never touches ``*.corrupt`` files —
     quarantined evidence outlives the lineage that produced it.
     """
-    if keep < 1:
-        raise CheckpointError(f"keep must be >= 1, got {keep}")
     path = generation_path(base, generation)
     envelope = {
         "format": GENERATION_FORMAT,
@@ -398,7 +393,7 @@ def save_generation(
     }
     atomic_write_text(path, json.dumps(envelope, indent=2, sort_keys=True) + "\n")
     for gen, old in list_generations(base):
-        if gen <= generation - keep:
+        if gen <= generation - KEEP_GENERATIONS:
             try:
                 os.unlink(old)
             except OSError:

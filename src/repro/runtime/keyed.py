@@ -9,26 +9,84 @@ of ``GROUP BY`` over an append-only source.
 State is O(#keys x scheme arity): exactly the per-group accumulators a batch
 ``GROUP BY`` would materialize, with O(1) work per element: each batch is
 one pass of the scheme's keyed loop (:func:`~repro.ir.compile.compile_keyed_batch`).
+When the scheme's first component is a read-out
+(:meth:`~repro.core.scheme.OnlineScheme.batch_plan`), partitions carry
+only the other components and compute the first when read.
 Keyed runs are exact only: group-by batches split into per-key runs far
 shorter than the columnar backend needs.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Iterable, Mapping
+from collections.abc import Mapping
+from typing import Callable, Hashable, Iterable, Iterator
 
-from ..core.scheme import OnlineScheme
+from ..core.scheme import BatchPlan, OnlineScheme
 from ..ir.compile import kernel_partial
 from ..ir.values import Value
 
+
 class Partition:
-    """One key's accumulator tuple and the elements folded into it."""
+    """One key's accumulator tuple and the elements folded into it.
 
-    __slots__ = ("state", "count")
+    ``acc`` is what the keyed loop folds; ``state`` is the scheme's full
+    state.  The two are the same tuple unless the operator batches on a
+    read-out split (see :func:`_readout_partition`)."""
 
-    def __init__(self, state: tuple[Value, ...], count: int):
-        self.state = state
+    __slots__ = ("acc", "count")
+
+    def __init__(self, acc: tuple[Value, ...], count: int):
+        self.acc = acc
         self.count = count
+
+    @property
+    def state(self) -> tuple[Value, ...]:
+        return self.acc
+
+
+def _readout_partition(to_state: Callable[[tuple], tuple]) -> type:
+    """The partition record of a read-out plan: it stores the accumulators
+    and materializes the full state, read-out first, on every read."""
+
+    class ReadoutPartition(Partition):
+        __slots__ = ()
+
+        @property
+        def state(self) -> tuple[Value, ...]:
+            return to_state(self.acc)
+
+    return ReadoutPartition
+
+
+def _identical(a: Value, b: Value) -> bool:
+    """Equal values of the same Python types, recursively."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(_identical, a, b))
+    return a == b
+
+
+class KeyedValues(Mapping):
+    """A read-only live view of a keyed operator's current result per key,
+    in key arrival order; each value is read when it is looked up."""
+
+    __slots__ = ("_partitions",)
+
+    def __init__(self, partitions: dict):
+        self._partitions = partitions
+
+    def __getitem__(self, key: Hashable) -> Value:
+        return self._partitions[key].state[0]
+
+    def __iter__(self) -> Iterator[Hashable]:
+        return iter(self._partitions)
+
+    def __len__(self) -> int:
+        return len(self._partitions)
+
+    def __repr__(self) -> str:
+        return f"KeyedValues({dict(self)!r})"
 
 
 class KeyedOperator:
@@ -60,8 +118,15 @@ class KeyedOperator:
         self.name = name or scheme.provenance
         self.partitions: dict[Hashable, Partition] = {}
         self.count = 0
-        # Resolved once, from REPRO_JIT, like an OnlineOperator's kernel.
-        self._loop = scheme._resolve_keyed_loop()
+        self._values = KeyedValues(self.partitions)
+        self._use_plan(scheme.batch_plan())
+
+    def _use_plan(self, plan: BatchPlan) -> None:
+        """Fold on ``plan``; the loop is resolved once, from REPRO_JIT, like
+        an OnlineOperator's kernel."""
+        self._plan = plan
+        self._loop = plan.scheme._resolve_keyed_loop()
+        self._partition = _readout_partition(plan.to_state) if plan.split else Partition
 
     def push(self, element: Value) -> tuple[Hashable, Value]:
         """Route one element to its partition; returns ``(key, new value)``."""
@@ -69,9 +134,12 @@ class KeyedOperator:
         self._fold((element,), lambda _: key, self.value_fn)
         return key, self.partitions[key].state[0]
 
-    def push_many(self, elements: Iterable[Value]) -> dict[Hashable, Value]:
-        """Consume a batch; returns the full per-key snapshot — a defined
-        value (``{}`` on a fresh operator) even for an empty batch.
+    def push_many(self, elements: Iterable[Value]) -> Mapping[Hashable, Value]:
+        """Consume a batch; returns the current result per key as a
+        read-only live view (:class:`KeyedValues`) — a defined value (an
+        empty view on a fresh operator) even for an empty batch.  The view
+        costs nothing to return and follows later batches; take
+        :meth:`snapshot` for a frozen copy.
 
         The same as ``push`` per element, failures included: whatever
         raises first in element order — an extractor or a scheme step —
@@ -79,12 +147,12 @@ class KeyedOperator:
         ``count`` stays a resumable stream offset.
         """
         self._fold(elements, self.key_fn, self.value_fn)
-        return self.snapshot()
+        return self._values
 
     def _fold(self, elements: Iterable[Value], key_fn, value_fn) -> None:
         try:
             consumed = self._loop.run(
-                self.partitions, elements, self.extra, key_fn, value_fn, Partition
+                self.partitions, elements, self.extra, key_fn, value_fn, self._partition
             )
         except BaseException as exc:
             self.count += kernel_partial(exc, None)[1]
@@ -96,7 +164,8 @@ class KeyedOperator:
         return default if part is None else part.state[0]
 
     def snapshot(self) -> dict[Hashable, Value]:
-        """Current result per key (insertion order = key arrival order)."""
+        """Current result per key (insertion order = key arrival order), as
+        a copy that later batches leave alone."""
         return {key: part.state[0] for key, part in self.partitions.items()}
 
     def keys(self) -> list[Hashable]:
@@ -115,6 +184,26 @@ class KeyedOperator:
             dropped = self.partitions.pop(key, None)
             if dropped is not None:
                 self.count -= dropped.count
+
+    def _restore_partitions(self, entries: list) -> None:
+        """Adopt ``(key, full state, count)`` entries.  A read-out plan
+        holds only where every state's first component is its read-out
+        (an eager fold leaves it so); otherwise the operator folds the full
+        state, so that each stored component reads back as it was."""
+        plan = self._plan
+        if plan.split:
+            try:
+                consistent = all(
+                    _identical(state[0], plan.to_state(plan.to_acc(state))[0])
+                    for _, state, _ in entries
+                )
+            except Exception:  # noqa: BLE001 - a read-out that raises is not one
+                consistent = False
+            if not consistent:
+                plan = BatchPlan(self.scheme)
+                self._use_plan(plan)
+        for key, state, count in entries:
+            self.partitions[key] = self._partition(plan.to_acc(state), count)
 
     # -- checkpointing ----------------------------------------------------
 

@@ -215,16 +215,11 @@ def from_spec(spec: str, allow_unbounded: bool = False) -> Iterator[Value]:
         raise ValueError(
             f"unknown source {name!r}; choices: list, {', '.join(sorted(SPEC_SOURCES))}"
         )
-    args = [_spec_value(tok) for tok in rest.split(":")] if rest else []
+    tokens = rest.split(":") if rest else []
+    args = [_spec_value(tok) for tok in tokens]
     if name == "constant" and args:
         args[0] = Fraction(args[0])  # the repeated element must stay exact
-    # Checked here: the generators are lazy, so a bad seed would otherwise
-    # surface as a TypeError from random.Random at the first element.
-    seed_at = _SEED_ARG.get(name)
-    if seed_at is not None and len(args) > seed_at and not isinstance(args[seed_at], int):
-        raise ValueError(
-            f"source {name!r}: the seed must be an integer, got {rest.split(':')[seed_at]!r}"
-        )
+    _check_args(name, source, tokens, args)
     if not allow_unbounded:
         bound = _BOUND_ARG.get(name)
         if bound is not None and len(args) <= bound:
@@ -233,10 +228,51 @@ def from_spec(spec: str, allow_unbounded: bool = False) -> Iterator[Value]:
                 f"(e.g. {name}:{rest + ':' if rest else ''}100) "
                 f"or pass allow_unbounded=True"
             )
-    try:
-        return source(*args)
-    except TypeError as exc:
-        raise ValueError(f"bad arguments for source {name!r}: {exc}") from None
+    return source(*args)
+
+
+#: What each positional argument of a spec source must be (see
+#: :data:`_KINDS`).
+_ARG_KINDS = {
+    "constant": ("number", "count"),
+    "counter": ("count", "number"),
+    "sawtooth": ("count", "nonzero", "count", "int"),
+    "random_walk": ("count", "count", "int"),
+    "gaussian": ("count", "int"),
+    "pairs": ("count", "number", "number", "count", "int"),
+    "bids": ("count", "int", "int", "int", "positive"),
+    "zipf-keys": ("count", "positive", "int", "number", "int", "int"),
+}
+#: Argument kind -> (what it must be, the test).
+_KINDS = {
+    "number": ("a number", lambda v: True),
+    "nonzero": ("a non-zero number", lambda v: v != 0),
+    "int": ("an integer", lambda v: isinstance(v, int)),
+    "count": ("an integer >= 0", lambda v: isinstance(v, int) and v >= 0),
+    "positive": ("an integer >= 1", lambda v: isinstance(v, int) and v >= 1),
+}
+
+
+def _check_args(name: str, source, tokens: list[str], args: list) -> None:
+    """Refuse a spec whose arguments the source would choke on.  Checked
+    here because the generators are lazy: a zero period or a fractional
+    step would otherwise surface as a traceback mid-stream."""
+    import inspect
+
+    signature = inspect.signature(source)
+    params = signature.parameters
+    if len(args) > len(params):
+        raise ValueError(f"source {name!r} takes at most {len(params)} arguments, got {len(args)}")
+    for param, kind, token, value in zip(params, _ARG_KINDS[name], tokens, args):
+        what, fits = _KINDS[kind]
+        if not fits(value):
+            label = "element count" if param == "n" else param
+            raise ValueError(f"source {name!r}: the {label} must be {what}, got {token!r}")
+    bound = signature.bind(*args)
+    bound.apply_defaults()
+    low, high = bound.arguments.get("low"), bound.arguments.get("high")
+    if low is not None and high is not None and low > high:
+        raise ValueError(f"source {name!r}: low {low} exceeds high {high}")
 
 
 #: Positional index of each spec source's seed argument (sources without

@@ -18,7 +18,9 @@ runs on :class:`~repro.ir.compile.StepKernel` execution plans: each
 scheme's whole chunk loop is compiled to one native closure, with the
 interpreter-driven loop as the transparent fallback under ``REPRO_JIT=0``,
 the one interpreter switch.  Kernels are semantically invisible — batch
-results equal per-element ``push``, bit-for-bit.
+results equal per-element ``push``, bit-for-bit.  A scheme whose first
+component is a read-out of the others batches on the others and computes
+the read-out once per batch (:meth:`~repro.core.scheme.OnlineScheme.batch_plan`).
 """
 
 from __future__ import annotations
@@ -73,10 +75,14 @@ class OnlineOperator:
         # The scalar step is kept alongside the batch kernel on purpose:
         # routing a per-element push through a 1-element kernel batch
         # measured 2.06x slower on count and q_highest_bid.
+        # When the first component is a read-out (OnlineScheme.batch_plan),
+        # the batch kernel and its columnar admission are those of the
+        # accumulators; push still runs the full step.
         self._step = scheme._resolve_step()
-        self._kernel = scheme._resolve_kernel()
+        self._plan = scheme.batch_plan()
+        self._kernel = self._plan.scheme._resolve_kernel()
         if backend == "auto":
-            self._kernel = scheme.compiled_columns(bounds) or self._kernel
+            self._kernel = self._plan.scheme.compiled_columns(bounds) or self._kernel
 
     @property
     def value(self) -> Value:
@@ -110,17 +116,22 @@ class OnlineOperator:
         # batch loop (state in locals, no per-element closure re-entry), or
         # the interpreter-driven loop under REPRO_JIT=0.  If an element
         # raises, the kernel's partial-progress record keeps exactly the
-        # state and count a per-element loop would have kept.
+        # state and count a per-element loop would have kept.  A read-out
+        # is evaluated once per batch, and only when an element was folded:
+        # until then the state is whatever it was, restored or initial.
+        start = self._plan.to_acc(self.state)
         try:
-            state, consumed = self._kernel.run(self.state, elements, self.extra)
+            acc, consumed = self._kernel.run(start, elements, self.extra)
         except BaseException as exc:
-            state, consumed = kernel_partial(exc, self.state)
-            self.state = state
-            self.count += consumed
+            self._advance(*kernel_partial(exc, start))
             raise
-        self.state = state
-        self.count += consumed
-        return state[0]
+        self._advance(acc, consumed)
+        return self.state[0]
+
+    def _advance(self, acc: tuple, consumed: int) -> None:
+        if consumed:
+            self.state = self._plan.to_state(acc)
+            self.count += consumed
 
     def reset(self) -> None:
         """Back to the initializer, as if freshly constructed."""

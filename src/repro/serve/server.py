@@ -47,7 +47,7 @@ worker itself — see :mod:`repro.serve.worker`).
 
 **Hardening.**  Checkpoints are integrity-verified *lineages* (BLAKE2b
 digest + monotonic generation number, newest
-:data:`~repro.serve.worker.KEEP_GENERATIONS` retained); restore
+:data:`~repro.runtime.checkpoint.KEEP_GENERATIONS` retained); restore
 quarantines damaged generations as ``*.corrupt`` and falls back to the
 newest intact one, and only an entirely corrupt lineage is a refusal
 (never a silent fresh start).  Workers heartbeat through the

@@ -21,7 +21,8 @@ injection) is SIGKILLed and restored like a crash.
 
 Checkpoints are a *lineage* of integrity-verified generations
 (:func:`repro.runtime.checkpoint.save_generation` — BLAKE2b digest +
-monotonic generation number, newest :data:`KEEP_GENERATIONS` retained), written
+monotonic generation number, newest
+:data:`~repro.runtime.checkpoint.KEEP_GENERATIONS` retained), written
 atomically, so a SIGKILL at any instant leaves restorable state on disk.
 The ``durable`` field of each ack is deliberately conservative: it is the
 consumed count of the *oldest retained* generation, not the newest — if
@@ -51,6 +52,7 @@ from typing import Callable
 
 from ..faults import ShardFaultPlan
 from ..runtime.checkpoint import (
+    KEEP_GENERATIONS,
     CheckpointError,
     list_generations,
     load_latest_generation,
@@ -61,9 +63,6 @@ from ..runtime.checkpoint import (
 )
 from ..runtime.keyed import KeyedOperator
 
-
-#: Checkpoint generations a shard keeps on disk (the newest ones).
-KEEP_GENERATIONS = 3
 
 
 def field_extractor(field) -> Callable | None:
@@ -237,7 +236,6 @@ def shard_worker(config: WorkerConfig, cmd_conn, ack_conn):
             config.checkpoint_base,
             generation=generation,
             consumed=consumed,
-            keep=KEEP_GENERATIONS,
         )
         if config.faults is not None:
             config.faults.mutate_after_write(path, generation, writes)

@@ -22,6 +22,7 @@ from repro.faults import (
 )
 from repro.runtime import sources
 from repro.runtime.checkpoint import (
+    KEEP_GENERATIONS,
     CheckpointError,
     list_generations,
     load_latest_generation,
@@ -145,9 +146,11 @@ class TestCheckpointGenerations:
 
     def test_pruning_keeps_newest_generations(self, tmp_path):
         base = tmp_path / "shard-00"
-        for gen in range(1, 7):
-            save_generation({}, base, generation=gen, consumed=gen, keep=3)
-        assert [g for g, _ in list_generations(base)] == [4, 5, 6]
+        newest = KEEP_GENERATIONS + 3
+        for gen in range(1, newest + 1):
+            save_generation({}, base, generation=gen, consumed=gen)
+        kept = list(range(newest - KEEP_GENERATIONS + 1, newest + 1))
+        assert [g for g, _ in list_generations(base)] == kept
 
     def test_digest_catches_payload_tamper(self, tmp_path):
         base = tmp_path / "shard-00"
@@ -198,9 +201,10 @@ class TestCheckpointGenerations:
         bad.write_bytes(b"xx")
         with pytest.raises(CheckpointError):
             load_latest_generation(base)
-        for gen in range(2, 8):
-            save_generation({}, base, generation=gen, consumed=gen, keep=2)
+        for gen in range(2, KEEP_GENERATIONS + 6):
+            save_generation({}, base, generation=gen, consumed=gen)
         assert len(list(tmp_path.glob("*.corrupt"))) == 1
+        assert len(list_generations(base)) == KEEP_GENERATIONS
 
 
 class TestServeHardening:

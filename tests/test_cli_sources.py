@@ -1,5 +1,6 @@
 """Tests for the CLI and the synthetic stream sources."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -241,6 +242,35 @@ class TestSpecValidation:
 
         with pytest.raises(ValueError, match="seed must be an integer"):
             from_spec(spec)
+
+    @pytest.mark.parametrize("spec,message", [
+        ("sawtooth:10:0", "the period must be a non-zero number, got '0'"),
+        ("sawtooth:10:17:-1", "the noise must be an integer >= 0"),
+        ("random_walk:10:1/2", "the step must be an integer >= 0, got '1/2'"),
+        ("counter:-1", "the element count must be an integer >= 0"),
+        ("pairs:5:1/2:1:1/2", "the noise must be an integer >= 0"),
+        ("zipf-keys:10:0", "the keys must be an integer >= 1"),
+        ("bids:10:1:600", "low 600 exceeds high 500"),
+        ("gaussian:5:1:2", "takes at most 2 arguments, got 3"),
+    ])
+    def test_bad_arguments_are_refused_up_front(self, spec, message):
+        # The generators are lazy: without the check these would fail at
+        # the first element, mid-run.
+        from repro.runtime.sources import from_spec
+
+        with pytest.raises(ValueError, match=re.escape(message)):
+            from_spec(spec)
+
+    @pytest.mark.parametrize("spec", ["sawtooth:10:0", "random_walk:10:1/2"])
+    def test_run_with_bad_arguments_exits_2(self, spec, tmp_path, capsys):
+        from repro.suites import get_benchmark
+
+        path = tmp_path / "mean.scheme.json"
+        get_benchmark("mean").ground_truth.save(path)
+        assert main(["run", str(path), "--source", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: source {spec.split(':')[0]!r}: the ")
+        assert "consumed" not in captured.out
 
     def test_run_with_non_integer_seed_exits_2(self, tmp_path, capsys):
         from repro.suites import get_benchmark

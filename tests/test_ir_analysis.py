@@ -13,6 +13,10 @@ actual runtime rather than against the analyzer's own opinion of itself:
   every ground-truth scheme and on synthetic schemes with dead components,
   compiled and interpreted, keyed and unkeyed, through checkpoint round
   trips;
+* the read-out split: exactly the ground truths whose first component is a
+  total function of the other components' new values split, and operators
+  batching on the accumulators show the interpreter fold's full state
+  after empty, failing and restored batches, keyed and unkeyed;
 * static pruning: the enumerator finds the identical expression with the
   identical generated/kept/checked counts whether pruning is on or off;
 * the report/exit-code contract the CLI builds on.
@@ -50,6 +54,7 @@ from repro.ir.analysis import (
     find_divzero_witness,
     int64_certified,
     scalar_bounds,
+    split_readout,
     statically_redundant,
 )
 from repro.ir.analysis.domain import INF, ANum, Interval, join_iv, of_value, widen_iv
@@ -65,7 +70,10 @@ from repro.ir.nodes import (
     Proj,
     Var,
 )
-from repro.runtime import KeyedOperator
+from repro.core.serialize import encode_value
+from repro.ir.pretty import pretty
+from repro.ir.traversal import substitute
+from repro.runtime import KeyedOperator, OnlineOperator
 from repro.runtime.checkpoint import restore_keyed
 from repro.suites import all_benchmarks, get_benchmark
 
@@ -423,6 +431,189 @@ class TestDeadStateElimination:
 
 
 # ---------------------------------------------------------------------------
+# The read-out split
+# ---------------------------------------------------------------------------
+
+
+def _split_of(name: str):
+    scheme = get_benchmark(name).ground_truth
+    return split_readout(scheme.program, scheme.initializer)
+
+
+def _fold(scheme, state, elements):
+    for element in elements:
+        state = scheme.interpreted_step(state, element)
+    return state
+
+
+class TestReadoutSplit:
+    #: The suite ground truths whose first component is a read-out.
+    SPLIT = {
+        "covariance", "dispersion_index", "frac_above", "geometric_mean",
+        "harmonic_mean", "kurtosis", "mean_abs", "q_avg_price", "q_avg_revenue",
+        "q_hit_rate", "regression_slope", "variance", "variance_onepass",
+        "variance_sample", "weighted_mean",
+    }
+
+    def test_which_ground_truths_split(self):
+        assert {b.name for b in all_benchmarks() if _split_of(b.name)} == self.SPLIT
+
+    def test_accumulators_run_in_readout_order(self):
+        # variance reads sq' then n'; the unread s' comes last, so the
+        # first update to raise on an element is the one an eager step
+        # meets first.
+        split = _split_of("variance")
+        assert split.accumulators.state_params == ("sq", "n", "s")
+        assert pretty(split.readout) == "sq / n"
+        assert split.initializer == (0, 0, 0)
+
+    @pytest.mark.parametrize("name", ["std", "rms"])
+    def test_partial_readout_is_refused(self, name):
+        # sqrt converts to float, which can overflow: not provably total.
+        assert _split_of(name) is None
+
+    def test_readout_reading_an_extra_is_refused(self):
+        # q_avg_converted's y1 = s' / n' * rate: rate may change between
+        # batches, and a keyed read is lazy.
+        assert _split_of("q_avg_converted") is None
+
+    @pytest.mark.parametrize("name", ["sum_sq_dev", "q_top2"])
+    def test_first_component_of_old_state_is_refused(self, name):
+        assert _split_of(name) is None
+
+    def test_update_reading_the_first_component_is_refused(self):
+        mean = (
+            Call("div", (Call("add", (Var("s"), Var("x"))), Call("add", (Var("n"), Const(1))))),
+            Call("add", (Var("s"), Var("x"))),
+            Call("add", (Var("n"), Const(1))),
+        )
+        assert split_readout(OnlineProgram(("m", "s", "n"), "x", mean), (0, 0, 0))
+        reads_m = OnlineProgram(
+            ("m", "s", "n", "t"), "x", mean + (Call("add", (Var("t"), Var("m"))),)
+        )
+        assert split_readout(reads_m, (0, 0, 0, 0)) is None
+
+    def test_min_max_pass_through_is_refused(self):
+        # max/min hand a bool element through and arithmetic on it raises,
+        # so range fails eagerly on a bool element; folding only max and
+        # min would carry it silently (on [True, 5, 0], back to numbers).
+        scheme = get_benchmark("range").ground_truth
+        assert _split_of("range") is None
+        with pytest.raises(TypeError):
+            scheme.interpreted_step(scheme.initializer, True)
+
+    def test_random_splits_fold_like_the_interpreter(self, jit_mode):
+        # y1 = g(y2', y3') over random updates, on streams mixing numbers
+        # with bools, strings and tuples: every split program's batches
+        # must reach the interpreter's state, count and exception class.
+        pool = (0, 1, -1, 2, Fraction(1, 3), Fraction(-5, 2), True, False, "s", (1, 2))
+        split = 0
+        for seed in range(400):
+            rng = random.Random(f"readout:{seed}")
+            updates = [random_candidate(rng, ("y2", "y3", "x"), 2) for _ in range(2)]
+            g = random_candidate(rng, ("y2", "y3"), 2)
+            first = substitute(g, dict(zip(("y2", "y3"), updates)))
+            program = OnlineProgram(("y1", "y2", "y3"), "x", (first, *updates))
+            init = tuple(rng.choice((0, 1, Fraction(1, 2))) for _ in range(3))
+            if split_readout(program, init) is None:
+                continue
+            split += 1
+            scheme = OnlineScheme(init, program, provenance=f"readout-{seed}")
+            stream = [rng.choice(pool) for _ in range(12)]
+            want, consumed, raised = init, 0, None
+            for element in stream:
+                try:
+                    want = scheme.interpreted_step(want, element)
+                except ORACLE_ERRORS as exc:
+                    raised = type(exc)
+                    break
+                consumed += 1
+            op, got = OnlineOperator(scheme), None
+            for start, stop in ((0, 3), (3, 7), (7, 12)):
+                try:
+                    op.push_many(stream[start:stop])
+                except ORACLE_ERRORS as exc:
+                    got = type(exc)
+                    break
+            assert (got, op.count) == (raised, consumed), seed
+            assert_same_value(op.state, want, f"seed {seed}")
+        assert split >= 100
+
+    def test_unkeyed_state_is_the_interpreter_fold(self, jit_mode):
+        scheme = get_benchmark("variance").ground_truth
+        elements = adversarial_stream(1, "readout", n=14)
+        op = OnlineOperator(scheme)
+        assert op._plan.split and op._kernel.compiled is jit_mode
+        op.push_many([])
+        assert_same_value(op.state, scheme.initializer, "empty batch")
+        op.push_many(elements[:5])
+        assert_same_value(op.state, _fold(scheme, scheme.initializer, elements[:5]), "batch")
+        with pytest.raises(TypeError):
+            op.push_many(elements[5:9] + ["poison"] + elements[9:])
+        assert op.count == 9
+        assert_same_value(op.state, _fold(scheme, scheme.initializer, elements[:9]), "failed")
+        op.reset()
+        op.push_many([])
+        assert_same_value(op.state, scheme.initializer, "reset")
+        # A restored first component that is not the read-out reads back
+        # as stored until an element is folded.
+        checkpoint = op.checkpoint()
+        checkpoint["state"] = [encode_value(v) for v in (Fraction(7, 3), 4, 1, 2)]
+        restored = OnlineOperator.restore(checkpoint)
+        restored.push_many([])
+        assert_same_value(restored.state, (Fraction(7, 3), 4, 1, 2), "restored")
+        restored.push_many(elements[:3])
+        want = _fold(scheme, (Fraction(7, 3), 4, 1, 2), elements[:3])
+        assert_same_value(restored.state, want, "resumed")
+        assert scheme.final(elements) == _fold(scheme, scheme.initializer, elements)[0]
+
+    def test_keyed_state_is_the_interpreter_fold(self, jit_mode):
+        scheme = get_benchmark("variance").ground_truth
+        stream = [(v, i % 3) for i, v in enumerate(adversarial_stream(1, "keyed", n=20))]
+        key_fn, value_fn = (lambda e: e[1]), (lambda e: e[0])
+
+        def check(op, elements, start=None, where=""):
+            for key, part in op.partitions.items():
+                init = scheme.initializer if start is None else start[key]
+                values = [v for v, k in elements if k == key]
+                assert_same_value(part.state, _fold(scheme, init, values), f"{where} {key}")
+                assert op.value(key) == part.state[0]
+
+        op = KeyedOperator(scheme, key_fn, value_fn=value_fn)
+        assert op._plan.split and op._loop.compiled is jit_mode
+        view = op.push_many([])
+        assert len(view) == 0 and dict(view) == {}
+        op.push_many(stream[:7])
+        check(op, stream[:7], where="batch")
+        with pytest.raises(TypeError):
+            op.push_many(stream[7:10] + [("poison", 1)] + stream[10:])
+        assert op.count == 10
+        check(op, stream[:10], where="failed")
+        # The view is live and read-only; snapshot() is a frozen copy.
+        frozen = op.snapshot()
+        assert dict(view) == frozen and not hasattr(view, "__setitem__")
+        op.push_many(stream[10:])
+        check(op, stream, where="resumed")
+        assert dict(view) == op.snapshot() != frozen
+        consistent = restore_keyed(op.checkpoint(), key_fn, value_fn=value_fn)
+        assert consistent._plan.split
+        check(consistent, stream, where="restored")
+        # One inconsistent partition: the restored operator folds full states.
+        checkpoint = op.checkpoint()
+        checkpoint["partitions"][0][1][0] = encode_value(Fraction(7, 3))
+        restored = restore_keyed(checkpoint, key_fn, value_fn=value_fn)
+        assert not restored._plan.split
+        starts = {key: part.state for key, part in restored.partitions.items()}
+        assert starts[0][0] == Fraction(7, 3)
+        restored.push_many(stream)
+        check(restored, stream, starts, where="inconsistent")
+        op.reset(0)
+        assert 0 not in view and op.count == sum(p.count for p in op.partitions.values())
+        op.reset()
+        assert len(view) == 0 and op.count == 0
+
+
+# ---------------------------------------------------------------------------
 # Soundness, differentially
 # ---------------------------------------------------------------------------
 
@@ -643,6 +834,9 @@ class TestCLI:
 
     @pytest.mark.parametrize("name, verdict", [
         ("max", "certified-int64"), ("variance", "uncertified"),
+        # The verdict is on what an operator batches: q_avg_price's
+        # accumulators (s, n), not its rational read-out s / n.
+        ("q_avg_price", "certified-int64"),
     ])
     def test_backend_report_has_two_verdicts(self, tmp_path, capsys, name, verdict):
         out = tmp_path / "report.json"

@@ -291,6 +291,15 @@ class TestExprEvaluator:
         assert expr_evaluator(Const(5), ())({}) == 5
         assert expr_evaluator(Var("a"), ("a",))(self.ENV) == Fraction(3, 2)
 
+    def test_memo_keeps_constant_types(self, jit_mode):
+        # Const(0) == Const(False) and Const(1) == Const(1.0) structurally;
+        # an evaluator compiled for one must not answer for the other.
+        for a, b in ((False, 0), (1.0, 1), (True, Fraction(1))):
+            for value in (a, b):
+                pair = expr_evaluator(MakeTuple((Var("a"), Const(value))), ("a",))
+                assert type(pair({"a": 2})[1]) is type(value), value
+                assert type(expr_evaluator(Const(value), ())({})) is type(value), value
+
     def test_jit_off_never_compiles(self, monkeypatch):
         import repro.ir.compile as compile_module
 

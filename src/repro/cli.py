@@ -502,18 +502,16 @@ def _preflight_analyze(scheme: OnlineScheme, scheme_path: str, bounds) -> int:
 
 def _spec_analysis_bounds(args: argparse.Namespace):
     """Bounds for the analysis preflight and columnar admission of ``repro
-    run`` / ``repro serve``, from the source spec (or ``UNKNOWN_BOUNDS``
-    when the spec names an open-ended source: the analysis is then
-    structure-only).  A keyed run with ``--value-field J`` pushes only
-    field J into the scheme, so the bounds are projected onto that field."""
+    run`` / ``repro serve``, from the source spec (``UNKNOWN_BOUNDS``
+    without one: the analysis is then structure-only).  The spec was
+    already accepted by ``from_spec``, and every spec it accepts has bounds.
+    A keyed run with ``--value-field J`` pushes only field J into the
+    scheme, so the bounds are projected onto that field."""
     from .ir.analysis import UNKNOWN_BOUNDS, bounds_from_spec
 
     if args.source is None:
         return UNKNOWN_BOUNDS
-    try:
-        bounds = bounds_from_spec(args.source, args.max_elements)
-    except ValueError:
-        return UNKNOWN_BOUNDS
+    bounds = bounds_from_spec(args.source, args.max_elements)
     field = args.value_field
     if args.key_field is None or field is None or bounds.element is None:
         return bounds

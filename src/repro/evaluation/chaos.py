@@ -246,7 +246,7 @@ def run_chaos(
 
     kinds = normalize_fault_kinds(fault_kinds)
     schemes = list(schemes) or list(DEFAULT_SCHEMES)
-    base_spec = source or f"zipf-keys:{elements}:{keys}:1"
+    base_spec = source or sources.source_spec("zipf-keys", n=elements, keys=keys, seed=1)
     keep_artifacts = workdir is not None
     root = Path(workdir) if keep_artifacts else Path(tempfile.mkdtemp(prefix="repro-chaos-"))
     root.mkdir(parents=True, exist_ok=True)

@@ -668,8 +668,9 @@ class _Codegen:
 
     * statement context (a ``lines`` sink is given) for unconditionally
       evaluated positions: every non-trivial node becomes a single-assignment
-      temporary, memoized by the (structurally hashable) node itself, which
-      is exactly common-subexpression elimination;
+      temporary, memoized by the node's ``repr`` (which, unlike structural
+      equality, tells ``1`` from ``1.0``), which is exactly
+      common-subexpression elimination;
     * expression context (no ``lines``) for conditionally evaluated
       positions (``If`` branches, lambda bodies): the code is inline.  ``If``
       branches still *read* the memo (no new bindings in scope); binder
@@ -769,9 +770,12 @@ class _Codegen:
         """Code for ``expr``.  Without ``lines`` it is inline.  With ``lines``
         (statement context, which always carries a ``memo``) it is a simple
         reference: a literal, a variable, or a single-assignment temporary
-        appended to ``lines`` and memoized by the node."""
+        appended to ``lines`` and memoized by ``repr(expr)``: structural
+        equality takes ``x + 1`` for ``x + 1.0``, whose results differ in
+        type."""
         if memo is not None:
-            cached = memo.get(expr)
+            key = repr(expr)
+            cached = memo.get(key)
             if cached is not None:
                 return cached
         code = self._node(expr, bound, memo, lines)
@@ -779,7 +783,7 @@ class _Codegen:
             return code
         temp = self.fresh()
         lines.append(f"    {temp} = {code}")
-        memo[expr] = temp
+        memo[key] = temp
         return temp
 
     def _node(

@@ -28,12 +28,6 @@ class Type:
 
     __slots__ = ()
 
-    def is_list(self) -> bool:
-        return isinstance(self, ListType)
-
-    def is_tuple(self) -> bool:
-        return isinstance(self, TupleType)
-
     def is_scalar(self) -> bool:
         """Scalar types may appear in online programs (Figure 7)."""
         return isinstance(self, (NumType, BoolType)) or (
@@ -103,14 +97,6 @@ NUM_LIST = ListType(NUM)
 
 def tuple_of(*elements: Type) -> TupleType:
     return TupleType(tuple(elements))
-
-
-def list_of(element: Type) -> ListType:
-    return ListType(element)
-
-
-def fun(params: Iterable[Type], result: Type) -> FunType:
-    return FunType(tuple(params), result)
 
 
 def unify(a: Type, b: Type) -> Type:

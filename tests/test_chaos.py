@@ -371,6 +371,26 @@ class TestReseedSpec:
         with pytest.raises(ValueError, match="no paddable default"):
             sources.reseed_spec("bids", 9)  # n=None default is unpaddable
 
+    def test_source_spec_builds_the_positional_spec(self):
+        assert sources.source_spec("zipf-keys", n=4000, keys=20) == "zipf-keys:4000:20"
+        assert sources.source_spec("counter") == "counter"
+        assert sources.source_spec("list", values="1,2,5/2") == "list:1,2,5/2"
+
+    def test_source_spec_pads_up_to_the_seed_like_reseed(self):
+        assert sources.source_spec("sawtooth", n=100, seed=5) == "sawtooth:100:17:0:5"
+        assert sources.source_spec("sawtooth", n=100, seed=5) == \
+            sources.reseed_spec("sawtooth:100", 5)
+        assert sources.source_spec("zipf-keys", n=4000, keys=20, seed=9, skew="1.5") == \
+            sources.reseed_spec("zipf-keys:4000:20:1:1.5", 9)
+
+    def test_source_spec_refuses_what_from_spec_refuses(self):
+        with pytest.raises(ValueError, match="the keys must be an integer >= 1"):
+            sources.source_spec("zipf-keys", n=10, keys=0)
+        with pytest.raises(ValueError, match="no paddable default"):
+            sources.source_spec("bids", seed=3)
+        with pytest.raises(ValueError, match="not 'speed'"):
+            sources.source_spec("zipf-keys", n=10, speed=3)
+
     def test_reseeded_stream_differs_only_by_seed(self):
         a = list(sources.from_spec(sources.reseed_spec("zipf-keys:50:8", 1)))
         b = list(sources.from_spec(sources.reseed_spec("zipf-keys:50:8", 2)))

@@ -252,16 +252,39 @@ class TestSpecValidation:
         ("zipf-keys:10:0", "the keys must be an integer >= 1"),
         ("bids:10:1:600", "low 600 exceeds high 500"),
         ("gaussian:5:1:2", "takes at most 2 arguments, got 3"),
+        ("constant", "source 'constant': the value is required"),
     ])
     def test_bad_arguments_are_refused_up_front(self, spec, message):
         # The generators are lazy: without the check these would fail at
-        # the first element, mid-run.
+        # the first element, mid-run.  The analysis bounds parse the spec
+        # the same way, so they refuse it with the same message.
+        from repro.ir.analysis import bounds_from_spec
         from repro.runtime.sources import from_spec
 
-        with pytest.raises(ValueError, match=re.escape(message)):
-            from_spec(spec)
+        for parse in (from_spec, bounds_from_spec):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                parse(spec)
 
-    @pytest.mark.parametrize("spec", ["sawtooth:10:0", "random_walk:10:1/2"])
+    def test_registry_defaults_match_the_generators(self):
+        # Specs take their defaults from the registry; a Python caller of
+        # the generator gets the signature's.  The two must agree.
+        import inspect
+
+        from repro.runtime.sources import SPEC_SOURCES
+
+        for name, source in SPEC_SOURCES.items():
+            if name in ("list", "constant"):  # iter, and a Fraction-coercing wrapper
+                continue
+            signature = inspect.signature(source.generate).parameters
+            assert [p.name for p in source.params] == list(signature), name
+            for param in source.params:
+                default = signature[param.name].default
+                if param.required:
+                    assert default is inspect.Parameter.empty, (name, param)
+                else:
+                    assert str(default) == str(param.default), (name, param)
+
+    @pytest.mark.parametrize("spec", ["sawtooth:10:0", "random_walk:10:1/2", "constant"])
     def test_run_with_bad_arguments_exits_2(self, spec, tmp_path, capsys):
         from repro.suites import get_benchmark
 

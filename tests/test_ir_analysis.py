@@ -171,7 +171,7 @@ class TestBounds:
         assert (c.element[0].lo, c.element[0].hi, c.max_elements) == (0, 99, 100)
         c = bounds_from_spec("counter:1000:5", max_elements=10)
         assert (c.element[0].lo, c.element[0].hi) == (5, 14)
-        w = bounds_from_spec("random_walk", max_elements=4)
+        w = bounds_from_spec("random_walk:500", max_elements=4)
         assert (w.element[0].lo, w.element[0].hi) == (-12, 12)
 
     def test_unknown_source_raises(self):
@@ -204,6 +204,19 @@ class TestBounds:
         "pairs:60:1/2:1/3:1",
         "zipf-keys:300",
         "zipf-keys:300:7:3:3/2:5:9",
+        # The valid specs the CLI tests run.
+        "list:10",
+        "counter:5",
+        "counter:50:50",
+        "gaussian:20",
+        "bids:20",
+        "bids:100",
+        "zipf-keys:10",
+        "zipf-keys:20:5:9",
+        "zipf-keys:300:10:5",
+        "zipf-keys:400:10:5",
+        "zipf-keys:6000:20:7",
+        "zipf-keys:2000:20:3:1.2:1:1000",
     )
 
     def test_source_elements_lie_inside_their_bounds(self):
@@ -213,6 +226,7 @@ class TestBounds:
 
         cases = [(spec, None) for spec in self.SOUNDNESS_SPECS]
         cases += [("counter", 30), ("bids", 40), ("random_walk:500", 25)]
+        cases += [("constant:3", 5), ("zipf-keys", 50)]
         names = {spec.partition(":")[0] for spec, _ in cases}
         assert names == {"list", *SPEC_SOURCES}  # every source has bounds
         for spec, cap in cases:
@@ -823,6 +837,11 @@ class TestCLI:
         path = self._scheme_file(tmp_path)
         assert cli_main(["analyze", path, "--source", "nope:1"]) == 2
         capsys.readouterr()
+        # Bounds parse specs as the run does, so a spec `repro run` refuses
+        # is refused here with the same message, not a traceback.
+        assert cli_main(["analyze", "--suite", "stats", "--source", "zipf-keys:10:0"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: source 'zipf-keys': the keys must be an integer >= 1, got '0'\n"
 
     def test_analyze_writes_report_json(self, tmp_path, capsys):
         out = tmp_path / "report.json"

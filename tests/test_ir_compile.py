@@ -300,6 +300,14 @@ class TestExprEvaluator:
                 assert type(pair({"a": 2})[1]) is type(value), value
                 assert type(expr_evaluator(Const(value), ())({})) is type(value), value
 
+    def test_shared_subexpressions_keep_constant_types(self):
+        # add(x, 1) == add(x, 1.0) structurally; the step's common-
+        # subexpression memo must not share one temporary between them.
+        outputs = (Call("add", (Var("x"), Const(1))), Call("add", (Var("x"), Const(1.0))))
+        program = OnlineProgram(("s", "t"), "x", outputs)
+        got = compile_online_step(program)((0, 0), 2)
+        assert got == step_online(program, (0, 0), 2) and type(got[1]) is float
+
     def test_jit_off_never_compiles(self, monkeypatch):
         import repro.ir.compile as compile_module
 

@@ -502,24 +502,25 @@ def _preflight_analyze(scheme: OnlineScheme, scheme_path: str, bounds) -> int:
 
 def _spec_analysis_bounds(args: argparse.Namespace):
     """Bounds for the analysis preflight and columnar admission of ``repro
-    run`` / ``repro serve``, from the source spec (``UNKNOWN_BOUNDS``
-    without one: the analysis is then structure-only).  The spec was
-    already accepted by ``from_spec``, and every spec it accepts has bounds.
-    A keyed run with ``--value-field J`` pushes only field J into the
-    scheme, so the bounds are projected onto that field."""
-    from .ir.analysis import UNKNOWN_BOUNDS, bounds_from_spec
+    run`` / ``repro serve``, from the source's registry record, and the one
+    check of their field flags: ``ValueError`` when one names a field the
+    elements lack (a source declaring one field yields scalars, which have
+    none).  ``--value-field J`` pushes only field J into the scheme, so the
+    bounds are projected onto it."""
+    from .ir.analysis import bounds_from_spec
 
-    if args.source is None:
-        return UNKNOWN_BOUNDS
     bounds = bounds_from_spec(args.source, args.max_elements)
-    field = args.value_field
-    if args.key_field is None or field is None or bounds.element is None:
+    if args.key_field is None:
         return bounds
-    try:
-        element = (bounds.element[field],)
-    except IndexError:
-        element = None  # the field does not exist: shape unknown
-    return dataclasses.replace(bounds, element=element)
+    arity = len(bounds.element) if len(bounds.element) > 1 else 0  # 0: scalars
+    for flag, index in (("--key-field", args.key_field), ("--value-field", args.value_field)):
+        if index is not None and not -arity <= index < arity:
+            shape = f"records of {arity} fields" if arity else "scalars, which have no fields"
+            name = args.source.partition(":")[0]
+            raise ValueError(f"{flag} {index}: source {name!r} yields {shape}")
+    if args.value_field is None:
+        return bounds
+    return dataclasses.replace(bounds, element=(bounds.element[args.value_field],))
 
 
 def _columnar_notice(scheme: OnlineScheme, bounds) -> str | None:
@@ -551,11 +552,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         # An explicit --max-elements makes unbounded sources safe to drain.
         stream = sources.from_spec(args.source, allow_unbounded=args.max_elements is not None)
         extra = _parse_extra(args.extra)
+        bounds = _spec_analysis_bounds(args)
     except ValueError as exc:
         hint = " (or pass --max-elements N)" if "unbounded" in str(exc) else ""
         print(f"error: {exc}{hint}", file=sys.stderr)
         return 2
-    bounds = _spec_analysis_bounds(args)
     if not args.no_analyze:
         code = _preflight_analyze(scheme, args.scheme, bounds)
         if code:
@@ -671,11 +672,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         stream = sources.from_spec(args.source, allow_unbounded=args.max_elements is not None)
         extra = _parse_extra(args.extra)
         plan = FaultPlan(args.fault or [])
+        bounds = _spec_analysis_bounds(args)
     except ValueError as exc:
         hint = " (or pass --max-elements N)" if "unbounded" in str(exc) else ""
         print(f"error: {exc}{hint}", file=sys.stderr)
         return 2
-    bounds = _spec_analysis_bounds(args)
     if not args.no_analyze:
         code = _preflight_analyze(scheme, args.scheme, bounds)
         if code:

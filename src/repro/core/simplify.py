@@ -8,7 +8,9 @@ for correctness.
 
 The safe-division convention makes some classical identities unsound
 (``e / e`` is 0, not 1, when ``e = 0``), so only identities valid under the
-paper's semantics are applied.
+paper's semantics are applied.  An identity operand is the node ``ZERO``,
+``ONE``, ``TRUE`` or ``FALSE`` itself: ``x + 0.0`` is a float and ``x * True``
+raises, so neither is ``x``.
 """
 
 from __future__ import annotations
@@ -16,15 +18,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..ir.builtins import get_builtin, is_builtin
-from ..ir.nodes import Call, Const, Expr, If, MakeTuple, Proj, const
+from ..ir.nodes import FALSE, ONE, TRUE, ZERO, Call, Const, Expr, If, MakeTuple, Proj, const
 from ..ir.traversal import transform_bottom_up
 from ..ir.values import is_number
-
-
-def _is_const(expr: Expr, value=None) -> bool:
-    if not isinstance(expr, Const):
-        return False
-    return value is None or expr.value == value
 
 
 def _fold_constants(node: Expr) -> Expr:
@@ -51,26 +47,26 @@ def _local(node: Expr) -> Expr:
         b = node.args[1] if len(node.args) > 1 else None
         op = node.func
         if op == "add":
-            if _is_const(a, 0):
+            if a == ZERO:
                 return b  # type: ignore[return-value]
-            if _is_const(b, 0):
+            if b == ZERO:
                 return a  # type: ignore[return-value]
         elif op == "sub":
-            if _is_const(b, 0):
+            if b == ZERO:
                 return a  # type: ignore[return-value]
             if a == b:
-                return Const(0)
+                return ZERO
         elif op == "mul":
-            if _is_const(a, 0) or _is_const(b, 0):
-                return Const(0)
-            if _is_const(a, 1):
+            if a == ZERO or b == ZERO:
+                return ZERO
+            if a == ONE:
                 return b  # type: ignore[return-value]
-            if _is_const(b, 1):
+            if b == ONE:
                 return a  # type: ignore[return-value]
         elif op == "div":
-            if _is_const(a, 0):
-                return Const(0)
-            if _is_const(b, 1):
+            if a == ZERO:
+                return ZERO
+            if b == ONE:
                 return a  # type: ignore[return-value]
             # Nested constant denominators: (e / c1) / c2 -> e / (c1*c2).
             if (
@@ -84,16 +80,16 @@ def _local(node: Expr) -> Expr:
                 merged = Fraction(a.args[1].value) * Fraction(b.value)
                 return Call("div", (a.args[0], const(merged)))
         elif op == "pow":
-            if _is_const(b, 1):
+            if b == ONE:
                 return a  # type: ignore[return-value]
-            if _is_const(b, 0):
-                return Const(1)
+            if b == ZERO:
+                return ONE
         elif op == "neg" and isinstance(a, Call) and a.func == "neg":
             return a.args[0]
     if isinstance(node, If):
-        if _is_const(node.cond, True):
+        if node.cond == TRUE:
             return node.then
-        if _is_const(node.cond, False):
+        if node.cond == FALSE:
             return node.orelse
         if node.then == node.orelse:
             return node.then

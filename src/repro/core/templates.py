@@ -30,7 +30,7 @@ from math import gcd
 from ..algebra.linsolve import nullspace
 from ..ir.compile import expr_evaluator
 from ..ir.evaluator import EvaluationError, evaluate
-from ..ir.nodes import Call, Const, Expr, Var, const
+from ..ir.nodes import ONE, ZERO, Call, Const, Expr, Var, const
 from ..ir.values import Value, is_number
 from .config import SynthesisConfig
 from .decompose import ELEM_PARAM
@@ -78,7 +78,7 @@ def templatize(mined: MinedTerm) -> Template:
         den_terms.append(decode_monomial(mono, mined.ctx))
         den_hints.append(coeff)
     if not den_terms:
-        den_terms, den_hints = [Const(1)], [Fraction(1)]
+        den_terms, den_hints = [ONE], [Fraction(1)]
     return Template(num_terms, den_terms, num_hints, den_hints)
 
 
@@ -154,7 +154,7 @@ def _poly_in_n(coeffs: list[Fraction], n_expr: Expr) -> Expr:
             power = n_expr if degree == 1 else Call("pow", (n_expr, Const(degree)))
             part = power if coeff == 1 else Call("mul", (const(coeff), power))
         result = part if result is None else Call("add", (result, part))
-    return result if result is not None else Const(0)
+    return result if result is not None else ZERO
 
 
 def _combine(terms: list[Expr], coeff_exprs: list[Expr | None]) -> Expr | None:
@@ -162,11 +162,11 @@ def _combine(terms: list[Expr], coeff_exprs: list[Expr | None]) -> Expr | None:
     for term, coeff in zip(terms, coeff_exprs):
         if coeff is None:
             continue
-        if isinstance(coeff, Const) and coeff.value == 0:
+        if coeff == ZERO:
             continue
-        if isinstance(coeff, Const) and coeff.value == 1:
+        if coeff == ONE:
             part = term
-        elif isinstance(term, Const) and term.value == 1:
+        elif term == ONE:
             part = coeff
         else:
             part = Call("mul", (coeff, term))
@@ -208,10 +208,10 @@ def solve_template(
         num = _combine(template.num_terms, coeff_exprs[: len(template.num_terms)])
         den = _combine(template.den_terms, coeff_exprs[len(template.num_terms) :])
         if num is None:
-            num = Const(0)
+            num = ZERO
         if den is None:
             continue
-        if isinstance(den, Const) and den.value == 1:
+        if den == ONE:
             candidate: Expr = num
         else:
             candidate = Call("div", (num, den))

@@ -284,13 +284,12 @@ class ReadoutSplit:
     readout: Expr
 
 
-def _new_state_of(expr: Expr, updates: dict[str, Var]) -> Expr:
-    """``expr`` with every subtree that is another component's update
-    replaced by that component's marker.  Matching is by ``repr``, which
-    tells ``Const(1)`` from ``Const(1.0)`` where ``==`` does not.  Binders
+def _new_state_of(expr: Expr, updates: dict[Expr, Var]) -> Expr:
+    """``expr`` with every subtree equal to another component's update
+    (constant types included) replaced by that component's marker.  Binders
     are left whole: inside them a subtree may not mean what it means
     outside, and their free names then refuse the split."""
-    marker = updates.get(repr(expr))
+    marker = updates.get(expr)
     if marker is not None:
         return marker
     if isinstance(expr, Call) and isinstance(expr.func, str):
@@ -361,9 +360,9 @@ def split_readout(
         prime += "'"
     marker_of = {name: name + prime for name in rest}
     index_of = {marker: i for i, marker in enumerate(marker_of.values())}
-    updates: dict[str, Var] = {}
+    updates: dict[Expr, Var] = {}
     for name, out in zip(rest, program.outputs[1:]):
-        updates.setdefault(repr(out), Var(marker_of[name]))
+        updates.setdefault(out, Var(marker_of[name]))
     readout = _new_state_of(program.outputs[0], updates)
     markers = frozenset(index_of)
     first: list[str] = []

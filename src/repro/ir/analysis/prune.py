@@ -20,10 +20,8 @@ negation (and bool inputs collide hash-wise with their int images).
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from ..builtins import get_builtin, is_builtin
-from ..nodes import Call, Const, Expr, If, MakeTuple, Proj
+from ..nodes import ONE, Call, Const, Expr, If, MakeTuple, Proj
 from ..types import BOOL
 from ..values import is_number
 
@@ -71,15 +69,6 @@ def _definite_kind(expr: Expr) -> str | None:
     return None
 
 
-def _is_exact_one(expr: Expr) -> bool:
-    if not isinstance(expr, Const):
-        return False
-    v = expr.value
-    if isinstance(v, bool) or isinstance(v, float):
-        return False
-    return (isinstance(v, int) or isinstance(v, Fraction)) and v == 1
-
-
 def statically_redundant(expr: Expr) -> bool:
     """Candidate can be dropped without consulting the oracle envs: on every
     environment it faults or duplicates an already-banked signature."""
@@ -87,7 +76,7 @@ def statically_redundant(expr: Expr) -> bool:
         name = expr.func
         args = expr.args
         # div(e, 1) == e exactly (safe_div never degrades precision).
-        if name == "div" and len(args) == 2 and _is_exact_one(args[1]):
+        if name == "div" and len(args) == 2 and args[1] == ONE:
             return True
         # min/max of an expression with itself is that expression.
         if name in ("min", "max") and len(args) == 2 and args[0] == args[1]:

@@ -668,9 +668,8 @@ class _Codegen:
 
     * statement context (a ``lines`` sink is given) for unconditionally
       evaluated positions: every non-trivial node becomes a single-assignment
-      temporary, memoized by the node's ``repr`` (which, unlike structural
-      equality, tells ``1`` from ``1.0``), which is exactly
-      common-subexpression elimination;
+      temporary, memoized by the node (IR equality tells ``1`` from ``1.0``),
+      which is exactly common-subexpression elimination;
     * expression context (no ``lines``) for conditionally evaluated
       positions (``If`` branches, lambda bodies): the code is inline.  ``If``
       branches still *read* the memo (no new bindings in scope); binder
@@ -770,12 +769,10 @@ class _Codegen:
         """Code for ``expr``.  Without ``lines`` it is inline.  With ``lines``
         (statement context, which always carries a ``memo``) it is a simple
         reference: a literal, a variable, or a single-assignment temporary
-        appended to ``lines`` and memoized by ``repr(expr)``: structural
-        equality takes ``x + 1`` for ``x + 1.0``, whose results differ in
-        type."""
+        appended to ``lines`` and memoized by the node, so only an equal
+        subtree (same constant types included) shares it."""
         if memo is not None:
-            key = repr(expr)
-            cached = memo.get(key)
+            cached = memo.get(expr)
             if cached is not None:
                 return cached
         code = self._node(expr, bound, memo, lines)
@@ -783,7 +780,7 @@ class _Codegen:
             return code
         temp = self.fresh()
         lines.append(f"    {temp} = {code}")
-        memo[key] = temp
+        memo[expr] = temp
         return temp
 
     def _node(
@@ -989,17 +986,12 @@ def compile_expr(expr: Expr, params: Sequence[str], name: str = "expr") -> Calla
     return cg.build("\n".join(lines) + "\n", "_compiled", name)
 
 
+@lru_cache(maxsize=512)
 def _compile_cached(expr: Expr, params: tuple[str, ...]) -> Callable | None:
     """Memoized :func:`compile_expr`; ``None`` caches a declined compile too.
     IR nodes hash structurally, so a spec tested against thousands of
-    candidates compiles once.  The memo is also keyed by ``repr(expr)``:
-    structural equality takes ``Const(0)`` for ``Const(False)``, whose
-    results differ in type."""
-    return _compile_memo(repr(expr), params, expr)
-
-
-@lru_cache(maxsize=512)
-def _compile_memo(text: str, params: tuple[str, ...], expr: Expr) -> Callable | None:
+    candidates compiles once, and an expression differing only in a
+    constant's type (``Const(0)`` for ``Const(False)``) is another key."""
     try:
         return compile_expr(expr, params, name="evaluator")
     except IRCompileError:

@@ -17,11 +17,17 @@ programs) and Figure 7 (online programs) as immutable, hashable dataclasses:
 
 All nodes are frozen dataclasses, so structural equality and hashing come for
 free; the synthesizer relies on both (e.g. hole specifications are dictionary
-keys, and memo tables are keyed by expressions).
+keys, and memo tables are keyed by expressions).  Equality is the one
+expression identity every table shares: two ``Const`` nodes are equal only
+when their values have the same type and are equal, telling floats apart as
+``repr`` does (``-0.0`` is not ``0.0``; a NaN constant equals itself).  So
+``Const(1)``, ``Const(1.0)`` and ``Const(True)`` are three constants, as
+their results are, and every composite node inherits the rule.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
@@ -46,9 +52,23 @@ class Expr:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Const(Expr):
     value: ConstValue
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Const:
+            return NotImplemented
+        a, b = self.value, other.value
+        if a.__class__ is not b.__class__:
+            return False
+        return repr(a) == repr(b) if a.__class__ is float else a == b
+
+    def __hash__(self) -> int:
+        value = self.value
+        if value.__class__ is float and value != value:
+            value = math.nan  # a NaN hashes by identity; all NaN constants are equal
+        return hash((value,))
 
     def children(self) -> tuple[Expr, ...]:
         return ()

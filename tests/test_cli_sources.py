@@ -284,16 +284,48 @@ class TestSpecValidation:
                 else:
                     assert str(default) == str(param.default), (name, param)
 
-    @pytest.mark.parametrize("spec", ["sawtooth:10:0", "random_walk:10:1/2", "constant"])
+    #: A spec, then field flags naming a field its elements lack: ``counter``
+    #: yields scalars, ``bids`` (price, category) pairs.
+    BAD_FIELDS = [
+        "counter:10 --key-field 0",
+        "bids:10 --key-field 2",
+        "bids:10 --key-field 1 --value-field 7",
+    ]
+
+    @pytest.mark.parametrize(
+        "spec", ["sawtooth:10:0", "random_walk:10:1/2", "constant", *BAD_FIELDS]
+    )
     def test_run_with_bad_arguments_exits_2(self, spec, tmp_path, capsys):
         from repro.suites import get_benchmark
 
         path = tmp_path / "mean.scheme.json"
         get_benchmark("mean").ground_truth.save(path)
-        assert main(["run", str(path), "--source", spec]) == 2
+        source, *flags = spec.split()
+        assert main(["run", str(path), "--source", source, *flags]) == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith(f"error: source {spec.split(':')[0]!r}: the ")
+        name = source.split(":")[0]
+        if flags:  # the last flag and its value name the missing field
+            want = f"error: {flags[-2]} {flags[-1]}: source {name!r} yields "
+        else:
+            want = f"error: source {name!r}: the "
+        assert captured.err.startswith(want)
         assert "consumed" not in captured.out
+
+    @pytest.mark.parametrize("spec", BAD_FIELDS)
+    def test_serve_with_bad_fields_exits_2(self, spec, tmp_path, capsys):
+        from repro.suites import get_benchmark
+
+        path = tmp_path / "mean.scheme.json"
+        get_benchmark("mean").ground_truth.save(path)
+        source, *flags = spec.split()
+        argv = ["serve", str(path), "--source", source, *flags,
+                "--checkpoint-dir", str(tmp_path / "ck")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        name = source.split(":")[0]
+        assert captured.err.startswith(f"error: {flags[-2]} {flags[-1]}: source {name!r} yields ")
+        assert "consumed" not in captured.out
+        assert not (tmp_path / "ck").exists()  # refused before any worker started
 
     def test_run_with_non_integer_seed_exits_2(self, tmp_path, capsys):
         from repro.suites import get_benchmark
@@ -320,7 +352,8 @@ class TestKeyedRunBounds:
             ["run", "s.json", "--source", self.SOURCE, "--key-field", "1", "--value-field", "0"])
         assert _spec_analysis_bounds(args).element == whole.element[:1]
         args.value_field = 5
-        assert _spec_analysis_bounds(args).element is None
+        with pytest.raises(ValueError, match="--value-field 5: source 'zipf-keys' yields"):
+            _spec_analysis_bounds(args)
         args.value_field = None
         assert _spec_analysis_bounds(args).element == whole.element
 

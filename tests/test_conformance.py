@@ -35,7 +35,7 @@ from test_ir_compile import random_candidate
 
 from repro.core.scheme import OnlineScheme
 from repro.ir.analysis import AnalysisBounds, FieldBounds
-from repro.ir.nodes import OnlineProgram
+from repro.ir.nodes import Call, Const, OnlineProgram, Var
 from repro.ir.compile import kernel_partial
 from repro.ir.vectorize import admit_columnar, numpy_or_none
 from repro.runtime import KeyedOperator, OnlineOperator
@@ -56,9 +56,24 @@ def _random_scheme(seed: int) -> tuple[OnlineScheme, int]:
     return OnlineScheme((0, 1), program, provenance=f"random-{seed}"), 1
 
 
+def _mixed_constants_scheme() -> tuple[OnlineScheme, int]:
+    """Outputs that differ only in a constant's type (``0``/``False``,
+    ``1``/``1.0``): a backend that shares one result between them is caught."""
+    x, s = Var("x"), Var("s")
+    outputs = (
+        Call("max", (x, Const(0))),
+        Call("max", (x, Const(False))),
+        Call("add", (s, Call("mul", (x, Const(1))))),
+        Call("add", (s, Call("mul", (x, Const(1.0))))),
+    )
+    program = OnlineProgram(("m", "f", "s", "t"), "x", outputs)
+    return OnlineScheme((0, 0, 0, 0), program, provenance="mixed-constants"), 1
+
+
 #: name -> (scheme, element arity)
 SCHEMES = {b.name: (b.ground_truth, b.element_arity) for b in all_benchmarks()}
 SCHEMES.update({f"random-{seed}": _random_scheme(seed) for seed in range(2)})
+SCHEMES["mixed-constants"] = _mixed_constants_scheme()
 
 
 def _chunked(arity):

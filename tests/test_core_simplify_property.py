@@ -16,7 +16,10 @@ stored, so its contract is load-bearing:
   subtrees, which every verified candidate has — see the module docstring
   of :mod:`repro.core.simplify`.)
 * **non-growing** — reported AST sizes stay comparable with the hand
-  written ground truth, so simplification never enlarges a tree.
+  written ground truth, so simplification never enlarges a tree;
+* **type-preserving on identities** — an identity operand is ``0``, ``1``,
+  ``True`` or ``False`` of its own type: ``x + 0.0`` is a float and
+  ``x * True`` raises, so neither simplifies to ``x``.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from differential import assert_same_value
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,6 +36,7 @@ from test_ir_compile import ORACLE_ERRORS, random_candidate
 
 from repro.core.simplify import simplify_expr
 from repro.ir.dsl import add, div, ite, lt, mul, powi, sub
+from repro.ir.nodes import Const
 from repro.ir.evaluator import evaluate
 from repro.ir.traversal import ast_size
 from repro.ir.values import values_close
@@ -112,3 +117,26 @@ def test_total_on_faulting_constant_subtrees():
     assert simplify_expr(simplified) == simplified
     with pytest.raises(TypeError):
         evaluate(simplified, {})
+
+
+#: Identity-shaped operands of another type than the identity itself.
+_TYPED_PROBES = [
+    add("x", Const(0.0)),
+    mul("x", Const(1.0)),
+    mul("x", Const(True)),
+    add("x", Const(False)),
+    powi("x", Const(1.0)),
+    ite(lt("x", 3), Const(1), Const(1.0)),
+]
+
+
+@pytest.mark.parametrize("expr", _TYPED_PROBES, ids=repr)
+def test_identities_keep_constant_types(expr):
+    """The simplified form gives the same value of the same type, or raises
+    the same exception class, as the original."""
+    simplified = simplify_expr(expr)
+    for x in (2, -3, 7, Fraction(1, 3), 2.5):
+        value, raised = _outcome(expr, {"x": x})
+        s_value, s_raised = _outcome(simplified, {"x": x})
+        assert s_raised is raised, f"x={x!r}: {simplified!r} raised {s_raised}, not {raised}"
+        assert_same_value(s_value, value, f"x={x!r}: {simplified!r}")

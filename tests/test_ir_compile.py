@@ -292,8 +292,9 @@ class TestExprEvaluator:
         assert expr_evaluator(Var("a"), ("a",))(self.ENV) == Fraction(3, 2)
 
     def test_memo_keeps_constant_types(self, jit_mode):
-        # Const(0) == Const(False) and Const(1) == Const(1.0) structurally;
-        # an evaluator compiled for one must not answer for the other.
+        # Const(0) and Const(False), Const(1) and Const(1.0) are different
+        # nodes, as their results differ in type: an evaluator compiled for
+        # one must not answer for the other.
         for a, b in ((False, 0), (1.0, 1), (True, Fraction(1))):
             for value in (a, b):
                 pair = expr_evaluator(MakeTuple((Var("a"), Const(value))), ("a",))
@@ -301,7 +302,7 @@ class TestExprEvaluator:
                 assert type(expr_evaluator(Const(value), ())({})) is type(value), value
 
     def test_shared_subexpressions_keep_constant_types(self):
-        # add(x, 1) == add(x, 1.0) structurally; the step's common-
+        # add(x, 1) and add(x, 1.0) are different nodes; the step's common-
         # subexpression memo must not share one temporary between them.
         outputs = (Call("add", (Var("x"), Const(1))), Call("add", (Var("x"), Const(1.0))))
         program = OnlineProgram(("s", "t"), "x", outputs)

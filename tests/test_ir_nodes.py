@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+import pytest
+
 from repro.ir.nodes import (
     Call,
     Const,
@@ -51,6 +53,41 @@ class TestStructuralEquality:
     def test_usable_as_dict_keys(self):
         mapping = {Call("add", (Var("x"), Const(1))): "one"}
         assert mapping[Call("add", (Var("x"), Const(1)))] == "one"
+
+
+class TestConstIdentity:
+    """Constants are equal only when their values have the same type and
+    are equal, floats told apart as ``repr`` tells them: the interpreter's
+    results differ in type, so no memo may answer for the other."""
+
+    @pytest.mark.parametrize(
+        "a,b",
+        [
+            (Const(1), Const(1.0)),
+            (Const(1), Const(True)),
+            (Const(1.0), Const(True)),
+            (Const(0), Const(False)),
+            (Const(Fraction(1, 2)), Const(0.5)),
+            (Const(0.0), Const(-0.0)),
+            (Call("add", (Var("x"), Const(1))), Call("add", (Var("x"), Const(1.0)))),
+        ],
+        ids=repr,
+    )
+    def test_constants_of_different_type_or_sign_differ(self, a, b):
+        assert a != b and b != a
+        assert len({a, b}) == 2
+
+    def test_nan_constant_equals_itself(self):
+        a, b = Const(float("nan")), Const(float("nan"))
+        assert a == b and hash(a) == hash(b)
+        assert If(Var("c"), a, Const(1)) == If(Var("c"), b, Const(1))
+
+    @pytest.mark.parametrize("value", [0, 1, True, False, Fraction(2, 3), 0.5, -0.0, float("inf")])
+    def test_equal_nodes_hash_equal(self, value):
+        a = MakeTuple((Const(value), Call("neg", (Const(value),))))
+        b = MakeTuple((Const(value), Call("neg", (Const(value),))))
+        assert a == b and hash(a) == hash(b)
+        assert {a: "v"}[b] == "v"
 
 
 class TestChildren:

@@ -9,8 +9,7 @@ Layers, bottom-up:
 * :mod:`repro.algebra.atoms` — interning of opaque (non-polynomial) subterms;
 * :mod:`repro.algebra.linsolve` — exact fraction-free elimination / nullspaces;
 * :mod:`repro.algebra.symmetric` — power-sum rewriting of symmetric systems;
-* :mod:`repro.algebra.elimination` — equational quantifier elimination;
-* :mod:`repro.algebra.interpolation` — exact polynomial interpolation.
+* :mod:`repro.algebra.elimination` — equational quantifier elimination.
 """
 
 from .atoms import Atom, AtomTable
@@ -24,9 +23,8 @@ from .elimination import (
     solve_linear,
     solve_target,
 )
-from .interpolation import fit_polynomial, lagrange_interpolate
-from .linsolve import nullspace, rank, rref, solve
-from .polynomial import Poly, poly_product, poly_sum
+from .linsolve import nullspace, rref, solve
+from .polynomial import Poly
 from .ratfunc import AlgebraError, RatFunc
 from .symmetric import (
     expand_power_sum,
@@ -34,7 +32,6 @@ from .symmetric import (
     psum_name,
     rewrite_symmetric,
     rewrite_symmetric_ratfunc,
-    shift_power_sums,
 )
 
 __all__ = [
@@ -50,18 +47,12 @@ __all__ = [
     "equation",
     "expand_power_sum",
     "find_definition",
-    "fit_polynomial",
-    "lagrange_interpolate",
     "nullspace",
-    "poly_product",
-    "poly_sum",
     "power_sum_basis",
     "psum_name",
-    "rank",
     "rewrite_symmetric",
     "rewrite_symmetric_ratfunc",
     "rref",
-    "shift_power_sums",
     "solve",
     "solve_linear",
     "solve_target",

@@ -1,14 +1,12 @@
 """Exact linear algebra over the rationals.
 
-Three consumers inside the synthesizer:
+Two consumers inside the synthesizer:
 
 * power-sum rewriting (:mod:`repro.algebra.symmetric`) solves for a
   representation of a symmetric polynomial in a power-sum basis;
 * template solving (:mod:`repro.core.templates`) takes nullspaces: of the
   per-length sample systems of Algorithm 6, which pin each coefficient
-  vector up to scale, and of the joint projective interpolation system;
-* polynomial interpolation (:mod:`repro.algebra.interpolation`) builds small
-  Vandermonde solves.
+  vector up to scale, and of the joint projective interpolation system.
 
 Elimination is fraction-free.  Each row's denominators are cleared once;
 Gauss–Jordan then runs over Python integers by cross-multiplication, and
@@ -140,7 +138,3 @@ def nullspace(matrix: Sequence[Sequence[Fraction | int]]) -> list[Vector]:
             vec[c] = Fraction(-row[free], row[c])
         basis.append(vec)
     return basis
-
-
-def rank(matrix: Sequence[Sequence[Fraction | int]]) -> int:
-    return len(_eliminate([_integer_row(row) for row in matrix]))

@@ -22,7 +22,7 @@ empty tuple is the constant monomial.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterator, Mapping, Union
 
 Monomial = tuple[tuple[str, int], ...]
 Coeff = Fraction
@@ -323,17 +323,3 @@ def _coerce(value: "Poly | Scalar") -> Poly:
 
 _ZERO = Poly({})
 _ONE = Poly({_ONE_MONO: Fraction(1)})
-
-
-def poly_sum(polys: Iterable[Poly]) -> Poly:
-    total = _ZERO
-    for p in polys:
-        total = total + p
-    return total
-
-
-def poly_product(polys: Iterable[Poly]) -> Poly:
-    total = _ONE
-    for p in polys:
-        total = total * p
-    return total

@@ -158,14 +158,3 @@ def rewrite_symmetric_ratfunc(term: RatFunc, elem_vars: Sequence[str]) -> RatFun
     if den.is_zero():
         return None
     return RatFunc(num, den)
-
-
-def shift_power_sums(max_degree: int, new_elem: str) -> dict[str, RatFunc]:
-    """The substitution ``q_d -> p_d + x^d`` relating power sums over
-    ``xs ++ [x]`` to power sums over ``xs`` plus the new element."""
-    return {
-        psum_name(d): RatFunc.from_poly(
-            Poly.var(psum_name(d)) + Poly.var(new_elem, d)
-        )
-        for d in range(1, max_degree + 1)
-    }

@@ -536,7 +536,14 @@ def _columnar_notice(scheme: OnlineScheme, bounds) -> str | None:
     return f"backend: columnar declined ({admission.reason}); running exact"
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _open_deployment(args: argparse.Namespace, parse_flags: Callable[[], object]) -> tuple | int:
+    """What ``repro run`` and ``repro serve`` do before their first element:
+    load the scheme, check ``--max-elements``, parse the verb's own flags
+    (``parse_flags`` raises ``ValueError`` on a bad one), open the source,
+    parse ``--extra``, take the source's bounds, run the analysis preflight
+    and cut the stream at ``--max-elements``.  Returns ``(scheme, stream,
+    extra, bounds, parse_flags())``, or the exit code once the error is
+    printed."""
     try:
         scheme = OnlineScheme.load(args.scheme)
     except (OSError, SchemeFormatError) as exc:
@@ -545,10 +552,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.max_elements is not None and args.max_elements < 0:
         print(f"error: --max-elements must be >= 0, got {args.max_elements}", file=sys.stderr)
         return 2
-    if args.batch_size is not None and args.batch_size < 1:
-        print(f"error: --batch-size must be >= 1, got {args.batch_size}", file=sys.stderr)
-        return 2
     try:
+        flags = parse_flags()
         # An explicit --max-elements makes unbounded sources safe to drain.
         stream = sources.from_spec(args.source, allow_unbounded=args.max_elements is not None)
         extra = _parse_extra(args.extra)
@@ -565,6 +570,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
         import itertools
 
         stream = itertools.islice(stream, args.max_elements)
+    return scheme, stream, extra, bounds, flags
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    def check_batch_size() -> None:
+        if args.batch_size is not None and args.batch_size < 1:
+            raise ValueError(f"--batch-size must be >= 1, got {args.batch_size}")
+
+    opened = _open_deployment(args, check_batch_size)
+    if isinstance(opened, int):
+        return opened
+    scheme, stream, extra, bounds, _ = opened
 
     keyed = args.key_field is not None
     key_fn = value_fn = None
@@ -660,31 +677,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    try:
-        scheme = OnlineScheme.load(args.scheme)
-    except (OSError, SchemeFormatError) as exc:
-        print(f"error: cannot load scheme {args.scheme}: {exc}", file=sys.stderr)
-        return 2
-    if args.max_elements is not None and args.max_elements < 0:
-        print(f"error: --max-elements must be >= 0, got {args.max_elements}", file=sys.stderr)
-        return 2
-    try:
-        stream = sources.from_spec(args.source, allow_unbounded=args.max_elements is not None)
-        extra = _parse_extra(args.extra)
-        plan = FaultPlan(args.fault or [])
-        bounds = _spec_analysis_bounds(args)
-    except ValueError as exc:
-        hint = " (or pass --max-elements N)" if "unbounded" in str(exc) else ""
-        print(f"error: {exc}{hint}", file=sys.stderr)
-        return 2
-    if not args.no_analyze:
-        code = _preflight_analyze(scheme, args.scheme, bounds)
-        if code:
-            return code
-    if args.max_elements is not None:
-        import itertools
-
-        stream = itertools.islice(stream, args.max_elements)
+    opened = _open_deployment(args, lambda: FaultPlan(args.fault or []))
+    if isinstance(opened, int):
+        return opened
+    scheme, stream, extra, _, plan = opened
     if plan.poison_offsets:
         stream = plan.apply_stream(stream, value_index=args.value_field)
 

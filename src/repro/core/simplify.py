@@ -10,7 +10,9 @@ The safe-division convention makes some classical identities unsound
 (``e / e`` is 0, not 1, when ``e = 0``), so only identities valid under the
 paper's semantics are applied.  An identity operand is the node ``ZERO``,
 ``ONE``, ``TRUE`` or ``FALSE`` itself: ``x + 0.0`` is a float and ``x * True``
-raises, so neither is ``x``.
+raises, so neither is ``x``.  Absorbing rewrites (``x * 0``, ``x - x``,
+``0 / x``, ``x ** 0``) are not applied: they would drop the operand's float
+type and its faults (a tuple ``x`` raises).
 """
 
 from __future__ import annotations
@@ -54,18 +56,12 @@ def _local(node: Expr) -> Expr:
         elif op == "sub":
             if b == ZERO:
                 return a  # type: ignore[return-value]
-            if a == b:
-                return ZERO
         elif op == "mul":
-            if a == ZERO or b == ZERO:
-                return ZERO
             if a == ONE:
                 return b  # type: ignore[return-value]
             if b == ONE:
                 return a  # type: ignore[return-value]
         elif op == "div":
-            if a == ZERO:
-                return ZERO
             if b == ONE:
                 return a  # type: ignore[return-value]
             # Nested constant denominators: (e / c1) / c2 -> e / (c1*c2).
@@ -82,8 +78,6 @@ def _local(node: Expr) -> Expr:
         elif op == "pow":
             if b == ONE:
                 return a  # type: ignore[return-value]
-            if b == ZERO:
-                return ONE
         elif op == "neg" and isinstance(a, Call) and a.func == "neg":
             return a.args[0]
     if isinstance(node, If):

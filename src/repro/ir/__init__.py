@@ -41,7 +41,6 @@ from .compile import (
     expr_evaluator,
 )
 from .evaluator import EvaluationError, evaluate, run_offline, step_online
-from .infer import check_well_typed, infer_program_type, infer_type
 from .parser import ParseError, parse_expr, parse_online_program, parse_program
 from .pretty import (
     online_program_to_sexpr,
@@ -85,11 +84,8 @@ __all__ = [
     "Snoc",
     "Var",
     "ast_size",
-    "check_well_typed",
     "compile_expr",
     "compile_online_step",
-    "infer_program_type",
-    "infer_type",
     "const",
     "evaluate",
     "expr_evaluator",

@@ -11,8 +11,8 @@ Four analyses over online schemes (Figure 7 programs + initializer):
 * **liveness** (:mod:`.liveness`) — dead state components and a verified,
   fault-preserving dead-state-elimination rewrite, and the read-out split
   the runtime batches on;
-* **wellformed** (:mod:`.wellformed`) — unbound variables, holes, arity and
-  type errors beyond ``infer.py``'s permissive pass, determinism notes.
+* **wellformed** (:mod:`.wellformed`) — unbound variables, holes, arity
+  errors, non-online constructs, determinism notes.
 
 :mod:`.report` aggregates them into a versioned JSON report with an
 ``ok``/``warn``/``error`` verdict; :mod:`.prune` exposes the sound

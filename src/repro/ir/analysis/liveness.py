@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ..builtins import get_builtin, is_builtin
-from ..types import BOOL
 from ..nodes import (
     Call,
     Const,
@@ -135,7 +134,7 @@ def kind_and_totality(expr: Expr, kenv: dict[str, Kind]) -> tuple[Kind, bool]:
             # sqrt/log/floor/ceil/expm1/log1p/length, or a numeric builtin
             # applied to non-NUM kinds: may raise (conversion overflow or
             # TypeError), so not total.
-            result = BOOL_K if builtin.result_type == BOOL else NUM_K
+            result = BOOL_K if builtin.kind == "predicate" else NUM_K
             return result, False
         if isinstance(expr.func, Lambda):
             lam = expr.func

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from ..builtins import get_builtin, is_builtin
 from ..nodes import ONE, Call, Const, Expr, If, MakeTuple, Proj
-from ..types import BOOL
 from ..values import is_number
 
 #: Builtins that raise ``TypeError`` when *any* argument is a tuple
@@ -63,9 +62,12 @@ def _definite_kind(expr: Expr) -> str | None:
     if isinstance(expr, MakeTuple):
         return "tuple"
     if isinstance(expr, Call) and isinstance(expr.func, str) and is_builtin(expr.func):
-        builtin = get_builtin(expr.func)
-        if builtin.kind != "list":
-            return "bool" if builtin.result_type == BOOL else "num"
+        kind = get_builtin(expr.func).kind
+        if kind == "predicate":
+            return "bool"
+        if kind != "list" and expr.func not in ("min", "max"):
+            # min/max return one of their arguments, whatever its kind.
+            return "num"
     return None
 
 

@@ -3,10 +3,10 @@
 ``parser.parse_online_program`` rejects the worst offenders at load time,
 but programs also arrive from synthesis internals, old store entries, and
 tests that build IR directly.  This audit re-checks everything statically —
-unbound variables, unfilled holes, unknown builtins, arity mismatches,
-non-online constructs, and type confusion beyond ``infer.py``'s permissive
-pass — and classifies each problem as an ``error`` (the step *will* raise)
-or a ``warn`` (suspicious but executable).
+unbound variables, unfilled holes, unknown builtins, arity mismatches and
+non-online constructs (list variables, combinators and builtins) — and
+classifies each problem as an ``error`` (the step *will* raise) or a
+``warn`` (suspicious but executable).
 
 Every IR builtin is a pure function of its arguments, so any well-formed
 scheme is deterministic; the audit reports that as a fact, plus an info
@@ -16,7 +16,6 @@ note when float-valued builtins make exactness stream-order sensitive.
 from __future__ import annotations
 
 from ..builtins import get_builtin, is_builtin
-from ..infer import TypeError_, infer_type
 from ..nodes import (
     Call,
     Expr,
@@ -27,7 +26,6 @@ from ..nodes import (
     Var,
 )
 from ..traversal import iter_subexprs, used_builtins, validate_online_expr
-from ..types import NUM, TypeEnvironment
 from ..values import Value
 
 #: Builtins whose results may be floats — exactness, not determinism, caveat.
@@ -122,7 +120,6 @@ def audit_program(
         )
 
     bound = _bound_names(program)
-    env = TypeEnvironment({name: NUM for name in bound})
     for i, out in enumerate(program.outputs):
         site = f"output {i} ({program.state_params[i]})" if i < len(
             program.state_params
@@ -137,12 +134,6 @@ def audit_program(
                 )
             )
         findings.extend(_check_expr(out, bound, site))
-        try:
-            infer_type(out, env)
-        except TypeError_ as exc:
-            findings.append(_finding("error", f"type error: {exc}", site))
-        except KeyError:
-            pass  # unknown builtin: already reported by the scope walk
 
     floaty = set()
     for out in program.outputs:

@@ -3,7 +3,6 @@
 Each built-in carries:
 
 * a runtime implementation over :mod:`repro.ir.values` values;
-* a coarse result type for inference;
 * an *algebraic kind* telling the symbolic layer how to encode calls:
 
   - ``"poly"`` — the operation is polynomial/rational arithmetic and is
@@ -15,18 +14,14 @@ Each built-in carries:
   - ``"list"`` — consumes a list (``length``, ``sum`` aliases); such calls are
     list expressions in the sense of Algorithm 2 and always become RFS
     entries / sketch holes.
-
-The enumerative synthesizer additionally reads ``commutative`` and ``cost``
-to prune and order its search space.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .types import BOOL, NUM, Type
 from .values import (
     Value,
     _bit_size,
@@ -45,12 +40,7 @@ class Builtin:
     name: str
     arity: int
     impl: Callable[..., Value]
-    result_type: Type = NUM
     kind: str = "poly"  # poly | uninterp | predicate | list
-    commutative: bool = False
-    cost: int = 1
-    #: identity element, when one exists (used by fold-axiom specialization)
-    identity: Value | None = field(default=None)
 
 
 _REGISTRY: dict[str, Builtin] = {}
@@ -99,51 +89,33 @@ def _num2(f):
     return wrapped
 
 
-register(Builtin("add", 2, _num2(lambda a, b: a + b), NUM, "poly", commutative=True, identity=0))
-register(Builtin("sub", 2, _num2(lambda a, b: a - b), NUM, "poly"))
-register(Builtin("mul", 2, _num2(lambda a, b: a * b), NUM, "poly", commutative=True, identity=1))
-register(Builtin("div", 2, safe_div, NUM, "poly"))
-register(Builtin("neg", 1, lambda a: normalize_number(-a), NUM, "poly"))
-register(Builtin("pow", 2, safe_pow, NUM, "poly"))
+register(Builtin("add", 2, _num2(lambda a, b: a + b), "poly"))
+register(Builtin("sub", 2, _num2(lambda a, b: a - b), "poly"))
+register(Builtin("mul", 2, _num2(lambda a, b: a * b), "poly"))
+register(Builtin("div", 2, safe_div, "poly"))
+register(Builtin("neg", 1, lambda a: normalize_number(-a), "poly"))
+register(Builtin("pow", 2, safe_pow, "poly"))
 
-register(Builtin("min", 2, lambda a, b: min(a, b), NUM, "uninterp", commutative=True))
-register(Builtin("max", 2, lambda a, b: max(a, b), NUM, "uninterp", commutative=True))
-register(Builtin("abs", 1, lambda a: normalize_number(abs(a)), NUM, "uninterp"))
-register(Builtin("sqrt", 1, safe_sqrt, NUM, "uninterp", cost=2))
-register(Builtin("exp", 1, safe_exp, NUM, "uninterp", cost=2))
-register(Builtin("log", 1, safe_log, NUM, "uninterp", cost=2))
-register(
-    Builtin(
-        "expm1",
-        1,
-        lambda a: math.expm1(float(a)) if a != 0 else 0,
-        NUM,
-        "uninterp",
-        cost=2,
-    )
-)
-register(
-    Builtin(
-        "log1p",
-        1,
-        lambda a: math.log1p(float(a)) if a > -1 else 0,
-        NUM,
-        "uninterp",
-        cost=2,
-    )
-)
-register(Builtin("sign", 1, lambda a: (a > 0) - (a < 0), NUM, "uninterp"))
-register(Builtin("floor", 1, lambda a: math.floor(a), NUM, "uninterp"))
-register(Builtin("ceil", 1, lambda a: math.ceil(a), NUM, "uninterp"))
+register(Builtin("min", 2, lambda a, b: min(a, b), "uninterp"))
+register(Builtin("max", 2, lambda a, b: max(a, b), "uninterp"))
+register(Builtin("abs", 1, lambda a: normalize_number(abs(a)), "uninterp"))
+register(Builtin("sqrt", 1, safe_sqrt, "uninterp"))
+register(Builtin("exp", 1, safe_exp, "uninterp"))
+register(Builtin("log", 1, safe_log, "uninterp"))
+register(Builtin("expm1", 1, lambda a: math.expm1(float(a)) if a != 0 else 0, "uninterp"))
+register(Builtin("log1p", 1, lambda a: math.log1p(float(a)) if a > -1 else 0, "uninterp"))
+register(Builtin("sign", 1, lambda a: (a > 0) - (a < 0), "uninterp"))
+register(Builtin("floor", 1, lambda a: math.floor(a), "uninterp"))
+register(Builtin("ceil", 1, lambda a: math.ceil(a), "uninterp"))
 
-register(Builtin("lt", 2, lambda a, b: a < b, BOOL, "predicate"))
-register(Builtin("le", 2, lambda a, b: a <= b, BOOL, "predicate"))
-register(Builtin("gt", 2, lambda a, b: a > b, BOOL, "predicate"))
-register(Builtin("ge", 2, lambda a, b: a >= b, BOOL, "predicate"))
-register(Builtin("eq", 2, lambda a, b: a == b, BOOL, "predicate", commutative=True))
-register(Builtin("ne", 2, lambda a, b: a != b, BOOL, "predicate", commutative=True))
-register(Builtin("and", 2, lambda a, b: bool(a) and bool(b), BOOL, "predicate", commutative=True))
-register(Builtin("or", 2, lambda a, b: bool(a) or bool(b), BOOL, "predicate", commutative=True))
-register(Builtin("not", 1, lambda a: not bool(a), BOOL, "predicate"))
+register(Builtin("lt", 2, lambda a, b: a < b, "predicate"))
+register(Builtin("le", 2, lambda a, b: a <= b, "predicate"))
+register(Builtin("gt", 2, lambda a, b: a > b, "predicate"))
+register(Builtin("ge", 2, lambda a, b: a >= b, "predicate"))
+register(Builtin("eq", 2, lambda a, b: a == b, "predicate"))
+register(Builtin("ne", 2, lambda a, b: a != b, "predicate"))
+register(Builtin("and", 2, lambda a, b: bool(a) and bool(b), "predicate"))
+register(Builtin("or", 2, lambda a, b: bool(a) or bool(b), "predicate"))
+register(Builtin("not", 1, lambda a: not bool(a), "predicate"))
 
-register(Builtin("length", 1, lambda lst: len(lst), NUM, "list"))
+register(Builtin("length", 1, lambda lst: len(lst), "list"))

@@ -1,13 +1,11 @@
-"""Tests for exact linear algebra and polynomial interpolation."""
+"""Tests for exact linear algebra."""
 
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algebra.interpolation import fit_polynomial, lagrange_interpolate
-from repro.algebra.linsolve import nullspace, rank, rref, solve
+from repro.algebra.linsolve import nullspace, rref, solve
 
 F = Fraction
 
@@ -55,7 +53,7 @@ class TestNullspace:
 
     def test_rank_nullity(self):
         matrix = [[1, 2, 3], [2, 4, 6], [1, 0, 1]]
-        assert rank(matrix) + len(nullspace(matrix)) == 3
+        assert len(rref(matrix)[1]) + len(nullspace(matrix)) == 3
 
 
 class TestRref:
@@ -222,7 +220,6 @@ class TestAgainstFractionGaussJordan:
         assert reduced == expected_rows
         assert all(type(x) is F for row in reduced for x in row)
         assert nullspace(matrix) == reference_nullspace(matrix)
-        assert rank(matrix) == len(expected_pivots)
 
     @settings(max_examples=100, deadline=None)
     @given(any_matrix, st.data())
@@ -236,50 +233,3 @@ class TestAgainstFractionGaussJordan:
         rref(matrix)
         nullspace(matrix)
         assert matrix == snapshot
-
-
-class TestInterpolation:
-    def test_line(self):
-        pts = [(F(0), F(1)), (F(1), F(3))]
-        assert lagrange_interpolate(pts) == [F(1), F(2)]
-
-    def test_quadratic(self):
-        # n^2 + n through 3 points
-        pts = [(F(1), F(2)), (F(2), F(6)), (F(3), F(12))]
-        assert lagrange_interpolate(pts) == [F(0), F(1), F(1)]
-
-    def test_duplicate_abscissae_rejected(self):
-        with pytest.raises(ValueError):
-            lagrange_interpolate([(F(1), F(1)), (F(1), F(2))])
-
-    def test_fit_uses_extra_points_as_checks(self):
-        pts = [(F(i), F(i * i)) for i in range(1, 7)]
-        assert fit_polynomial(pts) == [F(0), F(0), F(1)]
-
-    def test_fit_rejects_non_polynomial(self):
-        # 2^n is not a polynomial of degree <= 3.
-        pts = [(F(i), F(2**i)) for i in range(1, 8)]
-        assert fit_polynomial(pts, max_degree=3) is None
-
-    def test_fit_constant(self):
-        pts = [(F(i), F(7)) for i in range(1, 5)]
-        assert fit_polynomial(pts) == [F(7)]
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.lists(st.integers(-9, 9), min_size=1, max_size=5))
-    def test_fit_recovers_coefficients(self, coeffs):
-        def poly(x):
-            total = F(0)
-            for c in reversed(coeffs):
-                total = total * x + c
-            return total
-
-        pts = [(F(i), poly(F(i))) for i in range(1, len(coeffs) + 3)]
-        fitted = fit_polynomial(pts)
-        assert fitted is not None
-        # Compare as functions (trailing zeros trimmed).
-        for x, y in pts:
-            total = F(0)
-            for c in reversed(fitted):
-                total = total * x + c
-            assert total == y

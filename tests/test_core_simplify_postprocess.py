@@ -16,10 +16,11 @@ class TestSimplify:
 
     def test_mul_identities(self):
         assert simplify_expr(mul("a", 1)) == Var("a")
-        assert simplify_expr(mul("a", 0)) == Const(0)
+        # Absorbing rewrites drop the operand's type and faults: kept as is.
+        assert simplify_expr(mul("a", 0)) == mul("a", 0)
 
     def test_sub_self(self):
-        assert simplify_expr(sub("a", "a")) == Const(0)
+        assert simplify_expr(sub("a", "a")) == sub("a", "a")
 
     def test_div_by_one(self):
         assert simplify_expr(div("a", 1)) == Var("a")
@@ -33,7 +34,7 @@ class TestSimplify:
 
     def test_pow_identities(self):
         assert simplify_expr(powi("a", 1)) == Var("a")
-        assert simplify_expr(powi("a", 0)) == Const(1)
+        assert simplify_expr(powi("a", 0)) == powi("a", 0)
 
     def test_if_constant_condition(self):
         assert simplify_expr(If(Const(True), Var("a"), Var("b"))) == Var("a")

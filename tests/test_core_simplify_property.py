@@ -11,10 +11,7 @@ stored, so its contract is load-bearing:
   loop returns unconverged expressions);
 * **value-preserving** — on any environment where the original expression
   evaluates successfully, the simplified expression evaluates successfully
-  to the same value.  (Where the original faults the simplifier makes no
-  promise: identities such as ``sub(e, e) -> 0`` assume well-typed numeric
-  subtrees, which every verified candidate has — see the module docstring
-  of :mod:`repro.core.simplify`.)
+  to the same value.
 * **non-growing** — reported AST sizes stay comparable with the hand
   written ground truth, so simplification never enlarges a tree;
 * **type-preserving on identities** — an identity operand is ``0``, ``1``,
@@ -127,6 +124,12 @@ _TYPED_PROBES = [
     add("x", Const(False)),
     powi("x", Const(1.0)),
     ite(lt("x", 3), Const(1), Const(1.0)),
+    # Absorbing shapes: 0.0 / 1.0 on a float ``x``, TypeError on a tuple.
+    mul("x", 0),
+    mul(0, "x"),
+    sub("x", "x"),
+    div(0, "x"),
+    powi("x", 0),
 ]
 
 
@@ -135,7 +138,7 @@ def test_identities_keep_constant_types(expr):
     """The simplified form gives the same value of the same type, or raises
     the same exception class, as the original."""
     simplified = simplify_expr(expr)
-    for x in (2, -3, 7, Fraction(1, 3), 2.5):
+    for x in (2, -3, 7, Fraction(1, 3), 2.5, (1, 2)):
         value, raised = _outcome(expr, {"x": x})
         s_value, s_raised = _outcome(simplified, {"x": x})
         assert s_raised is raised, f"x={x!r}: {simplified!r} raised {s_raised}, not {raised}"

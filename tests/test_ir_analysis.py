@@ -59,12 +59,13 @@ from repro.ir.analysis import (
 )
 from repro.ir.analysis.domain import INF, ANum, Interval, join_iv, of_value, widen_iv
 from repro.ir.analysis.divzero import watched_step
-from repro.ir.dsl import XS, fold_sum_of, powi
+from repro.ir.dsl import XS, add, fmap, fold_sum_of, ite, lam, powi
 from repro.ir.nodes import (
     Call,
     Const,
     Hole,
     If,
+    ListVar,
     MakeTuple,
     OnlineProgram,
     Proj,
@@ -263,6 +264,20 @@ class TestWellformed:
         assert analyze_online(holey, (0,), search_witness=False)["verdict"] == "error"
         unknown = OnlineProgram(("s",), "x", (Call("frobnicate", (Var("s"),)),))
         assert analyze_online(unknown, (0,), search_witness=False)["verdict"] == "error"
+
+    @pytest.mark.parametrize(
+        "output",
+        [add(ListVar("xs"), 1), ite(fmap(lam("v", add("v", 1)), XS), 1, 2)],
+        ids=["list-operand", "list-condition"],
+    )
+    def test_list_constructs_are_not_online(self, output):
+        prog = OnlineProgram(("s",), "x", (output,))
+        report = analyze_online(prog, (0,), scalar_bounds(), search_witness=False)
+        assert report["verdict"] == "error"
+        assert any(
+            f["level"] == "error" and "not an online expression" in f["message"]
+            for f in report["findings"]
+        )
 
     def test_error_reports_skip_deeper_analyses(self):
         # The interval engine assumes well-formedness; a broken scheme must
@@ -735,6 +750,10 @@ class TestPrune:
         assert not statically_redundant(Call("sub", (e, e)))
         assert not statically_redundant(Call("div", (e, Const(1.0))))  # float 1
         assert not statically_redundant(Call("div", (e, Const(True))))  # bool
+        # min/max return one of their arguments: on tuples, a tuple (an
+        # argmax at x=(5, 10), y=(3, 20)), so projecting from them is live.
+        assert not statically_redundant(Proj(Call("max", (Var("x"), Var("y"))), 1))
+        assert not statically_redundant(Proj(Call("min", (Var("x"), Var("y"))), 0))
 
     def test_enumeration_identical_with_and_without_pruning(self, monkeypatch):
         """Pruning is why the config fingerprint need not know about it:

@@ -1,4 +1,4 @@
-"""Tests for type inference, runtime values and the builtin registry."""
+"""Tests for runtime values, the safe builtin semantics and the builtin registry."""
 
 import math
 from fractions import Fraction
@@ -9,30 +9,8 @@ from hypothesis import strategies as st
 
 from repro.ir.builtins import all_builtins, get_builtin, is_builtin
 from repro.ir.compile import compile_expr
-from repro.ir.dsl import (
-    XS,
-    add,
-    div,
-    ffilter,
-    fmap,
-    fold_sum,
-    gt,
-    ite,
-    lam,
-    length,
-    program,
-    proj,
-    tup,
-)
 from repro.ir.evaluator import evaluate
-from repro.ir.infer import (
-    TypeError_,
-    check_well_typed,
-    infer_program_type,
-    infer_type,
-)
-from repro.ir.nodes import Call, Const, ListVar, Snoc, Var
-from repro.ir.types import BOOL, NUM, ListType, TupleType
+from repro.ir.nodes import Call, Var
 from repro.ir.values import (
     safe_div,
     safe_exp,
@@ -41,57 +19,6 @@ from repro.ir.values import (
     safe_sqrt,
     values_close,
 )
-
-
-class TestInference:
-    def test_constants(self):
-        assert infer_type(Const(3)) == NUM
-        assert infer_type(Const(True)) == BOOL
-
-    def test_comparison_is_bool(self):
-        assert infer_type(gt("a", 0)) == BOOL
-
-    def test_list_variable(self):
-        assert infer_type(ListVar("xs")) == ListType(NUM)
-
-    def test_fold_takes_init_type(self):
-        assert infer_type(fold_sum(XS)) == NUM
-
-    def test_map_produces_list(self):
-        assert isinstance(infer_type(fmap(lam("v", add("v", 1)), XS)), ListType)
-
-    def test_filter_preserves_list(self):
-        assert isinstance(
-            infer_type(ffilter(lam("v", gt("v", 0)), XS)), ListType
-        )
-
-    def test_tuple_and_projection(self):
-        t = infer_type(tup(1, gt("a", 0)))
-        assert isinstance(t, TupleType)
-        assert t.elements == (NUM, BOOL)
-        assert infer_type(proj(tup(1, gt("a", 0)), 1)) == BOOL
-
-    def test_snoc(self):
-        assert infer_type(Snoc(XS, Var("x"))) == ListType(NUM)
-
-    def test_conditional_unifies(self):
-        assert infer_type(ite(gt("a", 0), 1, 2)) == NUM
-
-    def test_list_into_scalar_op_rejected(self):
-        with pytest.raises(TypeError_):
-            infer_type(add(XS, 1))
-
-    def test_program_types(self):
-        assert infer_program_type(program(mean := div(fold_sum(XS), length(XS)))) == NUM
-        assert check_well_typed(program(mean))
-
-    def test_suite_is_well_typed(self):
-        from repro.ir.types import tuple_of
-        from repro.suites import all_benchmarks
-
-        for bench in all_benchmarks():
-            elem = NUM if bench.element_arity == 1 else tuple_of(NUM, NUM)
-            assert check_well_typed(bench.program, elem), bench.name
 
 
 class TestSafeOps:
@@ -198,10 +125,6 @@ class TestBuiltins:
     def test_kinds_partition(self):
         kinds = {b.kind for b in all_builtins()}
         assert kinds == {"poly", "uninterp", "predicate", "list"}
-
-    def test_identities(self):
-        assert get_builtin("add").identity == 0
-        assert get_builtin("mul").identity == 1
 
     def test_tuple_arithmetic_rejected(self):
         with pytest.raises(TypeError):

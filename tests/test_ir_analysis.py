@@ -59,7 +59,7 @@ from repro.ir.analysis import (
 )
 from repro.ir.analysis.domain import INF, ANum, Interval, join_iv, of_value, widen_iv
 from repro.ir.analysis.divzero import watched_step
-from repro.ir.dsl import XS, add, fmap, fold_sum_of, ite, lam, powi
+from repro.ir.dsl import XS, add, fmap, fold_sum_of, ite, lam, mul, powi
 from repro.ir.nodes import (
     Call,
     Const,
@@ -267,8 +267,12 @@ class TestWellformed:
 
     @pytest.mark.parametrize(
         "output",
-        [add(ListVar("xs"), 1), ite(fmap(lam("v", add("v", 1)), XS), 1, 2)],
-        ids=["list-operand", "list-condition"],
+        [
+            add(ListVar("xs"), 1),
+            mul(2, XS),
+            ite(fmap(lam("v", add("v", 1)), XS), 1, 2),
+        ],
+        ids=["list-operand", "list-second-operand", "list-condition"],
     )
     def test_list_constructs_are_not_online(self, output):
         prog = OnlineProgram(("s",), "x", (output,))

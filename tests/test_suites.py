@@ -2,6 +2,8 @@
 correctness (Definition 3.3) and inductiveness of ground truths where the
 accumulator layout matches an RFS."""
 
+from fractions import Fraction
+
 import pytest
 
 from repro.core import SynthesisConfig, check_scheme_equivalence
@@ -63,6 +65,15 @@ class TestGroundTruths:
             elem = (2, 1) if bench.element_arity == 2 else 2
             extras = {p: 3 for p in bench.program.extra_params}
             run_offline(bench.program, [elem, elem], extras)  # must not raise
+
+    def test_offline_programs_return_numbers(self):
+        for bench in all_benchmarks():
+            elem = (2, 1) if bench.element_arity == 2 else 2
+            extras = {p: 3 for p in bench.program.extra_params}
+            for n in (1, 2, 5):
+                out = run_offline(bench.program, [elem] * n, extras)
+                assert isinstance(out, (int, float, Fraction)), bench.name
+                assert not isinstance(out, bool), bench.name
 
 
 class TestSuiteShape:

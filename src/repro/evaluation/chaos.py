@@ -35,7 +35,7 @@ from pathlib import Path
 
 from ..faults import POISON, FaultPlan
 from ..runtime import sources
-from ..serve import ServeError, StreamServer, reference_states
+from ..serve import ServeError, StreamServer, reference_states, states_match
 from .export import bench_metadata
 
 CHAOS_FORMAT = "repro/chaos"
@@ -199,8 +199,7 @@ def run_trial(
     else:
         oracle_elements = elements
     oracle = reference_states(scheme, oracle_elements, key_field=1, value_field=0)
-    want = {key: part.state for key, part in oracle.partitions.items()}
-    ok = result.states == want and result.count == oracle.count
+    ok = states_match(result, oracle)
 
     if on_error == "quarantine":
         letters = read_dead_letters(workdir)

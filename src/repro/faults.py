@@ -21,13 +21,13 @@ Spec grammar (colon-separated, one fault per spec)::
                                 replacement makes progress.
     corrupt-checkpoint:SHARD:GEN
                                 shard SHARD's checkpoint generation GEN is
-                                corrupted on disk right after it is written
-                                (the digest check must catch it on restore
-                                and fall back to an older generation)
+                                written corrupted (the digest check must
+                                catch it on restore and fall back to an
+                                older generation)
     torn-write:NTH              each shard worker's NTH checkpoint write
-                                (per incarnation) is torn: the file is
-                                truncated after the write "succeeded" — a
-                                filesystem that lied about durability
+                                (per incarnation) is torn: the file holds
+                                only its first half — what a filesystem
+                                that lied about durability leaves behind
     poison:OFFSET               the element at 0-based stream offset OFFSET
                                 has its value replaced by a sentinel the
                                 scheme step deterministically raises on
@@ -45,7 +45,7 @@ Injection surfaces:
   per-element loop's;
 * ``shard_plan(sid)`` — the picklable per-worker slice
   (:class:`ShardFaultPlan`) that rides into the worker process and drives
-  stalls and post-write file mutations;
+  stalls and checkpoint damage;
 * ``apply_stream(elements)`` — rewrites poisoned offsets of the element
   stream before it reaches the server.
 """
@@ -53,7 +53,6 @@ Injection surfaces:
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -183,27 +182,21 @@ class ShardFaultPlan:
             and consumed >= self.stall_after
         )
 
-    def mutate_after_write(self, path, generation: int, ordinal: int) -> str | None:
-        """Post-write hook: injure the just-written checkpoint file.
+    def damage(self, text: str, generation: int, ordinal: int) -> str:
+        """A checkpoint file's text as this plan's faults leave it.
 
-        Returns the fault kind applied (``"corrupt"`` / ``"torn"``) or
-        ``None``.  Corruption overwrites a span in the middle of the file
-        (breaking either the JSON or the digest — both restore-detectable);
-        a torn write truncates to half, the classic lying-filesystem tear.
+        Applied before the file is published, so no kill can land between
+        an intact write and its injury: which generations are damaged
+        depends on the plan alone.  Corruption overwrites a span in the
+        middle (breaking either the JSON or the digest — both
+        restore-detectable); a torn write keeps the first half.
         """
-        applied = None
         if generation in self.corrupt_generations:
-            size = os.path.getsize(path)
-            with open(path, "r+b") as handle:
-                handle.seek(max(0, size // 2 - 4))
-                handle.write(b"\x00CHAOS\x00")
-            applied = "corrupt"
+            middle = max(0, len(text) // 2 - 4)
+            text = text[:middle] + "\x00CHAOS\x00" + text[middle + 7 :]
         if ordinal in self.torn_writes:
-            size = os.path.getsize(path)
-            with open(path, "r+b") as handle:
-                handle.truncate(max(1, size // 2))
-            applied = "torn"
-        return applied
+            text = text[: max(1, len(text) // 2)]
+        return text
 
 
 def poison_element(element, value_index: int | None = None):

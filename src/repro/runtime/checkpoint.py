@@ -375,12 +375,20 @@ def list_generations(base) -> list[tuple[int, Path]]:
     return found
 
 
-def save_generation(payload: dict, base, *, generation: int, consumed: int) -> Path:
+def save_generation(
+    payload: dict,
+    base,
+    *,
+    generation: int,
+    consumed: int,
+    damage: Callable[[str], str] | None = None,
+) -> Path:
     """Write one generation of a checkpoint lineage atomically and prune
     generations older than the newest :data:`KEEP_GENERATIONS`.
 
     Returns the path written.  Pruning never touches ``*.corrupt`` files —
-    quarantined evidence outlives the lineage that produced it.
+    quarantined evidence outlives the lineage that produced it.  ``damage``
+    (fault injection) rewrites the file's text before it is published.
     """
     path = generation_path(base, generation)
     envelope = {
@@ -391,7 +399,8 @@ def save_generation(payload: dict, base, *, generation: int, consumed: int) -> P
         "digest": content_digest(generation, consumed, payload),
         "payload": payload,
     }
-    atomic_write_text(path, json.dumps(envelope, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(envelope, indent=2, sort_keys=True) + "\n"
+    atomic_write_text(path, text if damage is None else damage(text))
     for gen, old in list_generations(base):
         if gen <= generation - KEEP_GENERATIONS:
             try:

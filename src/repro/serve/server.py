@@ -87,7 +87,7 @@ from ..runtime.keyed import KeyedOperator
 from ..supervisor import ServiceSupervisor, _mp_context
 from ..ir.values import Value
 from .hashring import HashRing
-from .worker import WorkerConfig, field_extractor, shard_worker
+from .worker import WorkerConfig, encode_batch, field_extractor, shard_worker
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_FORMAT = "repro/serve-manifest"
@@ -593,7 +593,10 @@ class StreamServer:
 
     def _transmit(self, shard: _Shard, elements: list, start: int) -> None:
         """Send one batch (recording it in the replay buffer first — a send
-        that dies mid-flight is replayed from the buffer)."""
+        that dies mid-flight is replayed from the buffer).  The buffer keeps
+        the elements, which restore slices by offset; each send, a replay's
+        too, carries them in :func:`~repro.serve.worker.encode_batch`'s
+        encoding."""
         if not elements:
             return
         seq = self._next_seq()
@@ -602,7 +605,7 @@ class StreamServer:
         shard.inflight += 1
         shard.sent = max(shard.sent, start + len(elements))
         try:
-            shard.cmd.send(("batch", seq, elements))
+            shard.cmd.send(("batch", seq, encode_batch(elements)))
         except (BrokenPipeError, OSError):
             self._restore_shard(shard)
 
@@ -793,7 +796,12 @@ def reference_states(
 
 def states_match(result: ServeResult, oracle: KeyedOperator) -> bool:
     """Bit-identical comparison of a serve result against the oracle: same
-    key set, same accumulator tuples, same total element count."""
-    got = result.states
-    want = {key: part.state for key, part in oracle.partitions.items()}
-    return got == want and result.count == oracle.count
+    total element count, same key set, and each key's accumulator tuple
+    compared in its checkpoint encoding.  That encoding tags every value's
+    type, so ``Fraction(3)`` does not pass for ``3``, nor ``0.0`` for
+    ``-0.0``, as they would under ``==``."""
+
+    def states(checkpoint: dict) -> dict:
+        return {json.dumps(key): state for key, state, _ in checkpoint["partitions"]}
+
+    return result.count == oracle.count and states(result.checkpoint) == states(oracle.checkpoint())

@@ -4,7 +4,8 @@ A worker owns the :class:`~repro.runtime.keyed.KeyedOperator` partitions for
 every key the server's hash ring routes to it.  Its whole life is a loop on
 the command pipe:
 
-* ``("batch", seq, elements)`` — fold the elements through
+* ``("batch", seq, data)`` — decode the elements (``data`` is
+  :func:`encode_batch`'s bytes, see *Wire format* below), fold them through
   ``KeyedOperator.push_many`` (one pass of the scheme's compiled keyed
   loop over the whole batch), checkpoint to disk
   if ``checkpoint_every`` elements accumulated since the last one, then
@@ -39,14 +40,25 @@ handed off to this shard) is tracked separately from ``op.count``
 failing element is retried once and then dead-lettered — appended to a
 per-shard JSONL file as ``{"shard", "seq", "element", "error"}`` — and
 skipped, so the two counts diverge by exactly the dead-lettered elements.
+
+**Wire format.**  Both ends of the command pipe import this module, so it
+owns the batch encoding.  :func:`encode_batch` pickles the element list as
+pickle does, except that an exact-type ``Fraction`` with denominator 1
+(what every spec source yields) travels as its numerator alone and decodes
+through the one-argument ``Fraction(numerator)``, which skips the gcd that
+pickle's own two-argument ``Fraction(numerator, 1)`` runs per element.
+Every value decodes to the same type and value it was sent as.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import os
+import pickle
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 from operator import itemgetter
 from typing import Callable
 
@@ -63,6 +75,29 @@ from ..runtime.checkpoint import (
 )
 from ..runtime.keyed import KeyedOperator
 
+
+def _reduce_fraction(value: Fraction):
+    numerator, denominator = value.as_integer_ratio()
+    if denominator == 1:
+        return Fraction, (numerator,)
+    return Fraction, (numerator, denominator)  # Fraction.__reduce__'s form
+
+
+class _BatchPickler(pickle.Pickler):
+    # Keyed by exact type: Fraction subclasses keep their own reduction.
+    dispatch_table = {Fraction: _reduce_fraction}
+
+
+def encode_batch(elements: list) -> bytes:
+    """One batch as the command pipe carries it (see *Wire format*)."""
+    buffer = io.BytesIO()
+    _BatchPickler(buffer).dump(elements)
+    return buffer.getvalue()
+
+
+def decode_batch(data: bytes) -> list:
+    """The inverse of :func:`encode_batch`."""
+    return pickle.loads(data)
 
 
 def field_extractor(field) -> Callable | None:
@@ -231,14 +266,14 @@ def shard_worker(config: WorkerConfig, cmd_conn, ack_conn):
         nonlocal generation, checkpointed, writes
         generation += 1
         writes += 1
-        path = save_generation(
+        faults = config.faults
+        save_generation(
             op.checkpoint(),
             config.checkpoint_base,
             generation=generation,
             consumed=consumed,
+            damage=None if faults is None else lambda text: faults.damage(text, generation, writes),
         )
-        if config.faults is not None:
-            config.faults.mutate_after_write(path, generation, writes)
         history.append((generation, consumed))
         del history[:-KEEP_GENERATIONS]
         checkpointed = consumed
@@ -264,7 +299,8 @@ def shard_worker(config: WorkerConfig, cmd_conn, ack_conn):
             return final_payload()
         kind = message[0]
         if kind == "batch":
-            _, seq, elements = message
+            _, seq, data = message
+            elements = decode_batch(data)
             dead_lettered += _apply(config, op, elements, consumed)
             consumed += len(elements)
             if config.faults is not None and config.faults.should_stall(

@@ -2,20 +2,25 @@
 crash-restore differential, backpressure, resume and CLI."""
 
 import hashlib
+import io
 import json
 import pickle
+import random
 from fractions import Fraction
 from unittest import mock
 
 import pytest
-from differential import keyed_stream, rate_scheme, sum_scheme
+from differential import assert_same_value, keyed_stream, rate_scheme, sum_scheme
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main
+from repro.core.scheme import OnlineScheme
+from repro.ir.nodes import OnlineProgram, Var
 from repro.serve import (
     HashRing,
     ServeError,
+    ServeResult,
     StreamServer,
     field_extractor,
     reference_states,
@@ -23,6 +28,7 @@ from repro.serve import (
     states_match,
 )
 from repro.serve import hashring
+from repro.serve.worker import decode_batch, encode_batch
 
 
 def refuse_compiling(monkeypatch):
@@ -190,7 +196,97 @@ class TestHashRing:
             ring.remove_shard(0)  # never remove the last shard
 
 
+class Ratio(Fraction):
+    """A Fraction subclass: the wire format must leave it its own type."""
+
+
+class TestWireFormat:
+    VALUES = [
+        0, -7, 2**70, True, False,
+        Fraction(3), Fraction(-3), Fraction(0), Fraction(2**63), Fraction(-2**64 - 1),
+        Fraction(1, 2), Fraction(-7, 3), Fraction(2**65 + 1, 3), Ratio(4), Ratio(1, 3),
+        0.0, -0.0, 2.5, float("inf"), "", "a", None,
+        (), (Fraction(5), (True, [Fraction(5), -0.0]), "s"), [[], [Fraction(-1, 2), 1]],
+    ]
+
+    def test_round_trip_keeps_types_at_every_depth(self):
+        got = decode_batch(encode_batch(self.VALUES))
+        # Same type at every depth: == alone takes Fraction(3) for 3.
+        assert_same_value(got, self.VALUES, "values")
+        assert repr(got) == repr(self.VALUES)
+
+    def test_integral_fractions_travel_as_their_numerator(self):
+        calls = []
+
+        class Recording(pickle.Unpickler):
+            def find_class(self, module, name):
+                cls = super().find_class(module, name)
+                return lambda *args: calls.append((cls, args)) or cls(*args)
+
+        batch = [Fraction(3), Fraction(-2**70), Fraction(1, 2), Ratio(3)]
+        Recording(io.BytesIO(encode_batch(batch))).load()
+        assert calls == [
+            (Fraction, (3,)), (Fraction, (-2**70,)), (Fraction, (1, 2)), (Ratio, (3, 1)),
+        ]
+
+
+def last_value_scheme() -> OnlineScheme:
+    """Stores each key's latest element itself, so the element's type ends
+    up in the checkpoint."""
+    return OnlineScheme((0,), OnlineProgram(("s",), "x", (Var("x"),)))
+
+
+def mixed_stream(n, keys=12, seed=5) -> list:
+    """(value, key) records whose values mix every type the checkpoint codec
+    encodes, equal values of different types included."""
+    rng = random.Random(seed)
+    makers = (
+        lambda: rng.randint(-3, 3),
+        lambda: rng.random() < 0.5,
+        lambda: Fraction(rng.randint(-3, 3)),
+        lambda: Fraction(rng.randint(-9, 9), 4),
+        lambda: float(rng.randint(-3, 3)),
+        lambda: -0.0,
+        lambda: rng.choice("ab"),
+        lambda: (Fraction(rng.randint(0, 2)), rng.randint(0, 2)),
+        lambda: [Fraction(rng.randint(-2**70, 2**70)), 1.0],
+    )
+    return [(rng.choice(makers)(), rng.randrange(keys)) for _ in range(n)]
+
+
 class TestServerDifferential:
+    def test_kill_restore_keeps_every_value_type(self, tmp_path):
+        # The last-value scheme stores elements themselves, and replayed
+        # batches are encoded again after each kill.
+        scheme = last_value_scheme()
+        elements = mixed_stream(1500)
+        with StreamServer(
+            scheme, shards=2, checkpoint_dir=tmp_path, key_field=1, value_field=0,
+            checkpoint_every=100, batch_size=16, max_inflight=4,
+        ) as server:
+            for i, element in enumerate(elements):
+                server.push(element)
+                if i == 500:
+                    server.kill_shard(0)
+                if i == 1000:
+                    server.kill_shard(1)
+            result = server.drain()
+        assert result.restarts == 2
+        assert states_match(result, reference_states(scheme, elements, key_field=1, value_field=0))
+
+    @pytest.mark.parametrize("sent, got", [(Fraction(3), 3), (1, True), (0.0, -0.0), (3, 3.0)])
+    def test_states_match_tells_equal_values_of_other_types_apart(self, sent, got):
+        scheme = last_value_scheme()
+        oracle = reference_states(scheme, [(sent, "k")], key_field=1, value_field=0)
+        served = reference_states(scheme, [(got, "k")], key_field=1, value_field=0)
+        result = ServeResult(
+            operator=served, checkpoint=served.checkpoint(), count=served.count,
+            shard_counts={0: 1}, restarts=0, elapsed_s=0.0,
+        )
+        assert result.states == {"k": (sent,)}  # == cannot see the difference
+        assert not states_match(result, oracle)
+        assert states_match(result, served)
+
     def test_clean_run_matches_single_process(self, tmp_path):
         scheme = sum_scheme()
         elements = keyed_stream(600)

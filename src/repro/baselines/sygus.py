@@ -30,7 +30,7 @@ import time
 from ..core.config import SynthesisConfig
 from ..core.enumerative import build_bank
 from ..core.equivalence import check_scheme_equivalence
-from ..core.exceptions import SynthesisTimeout, UnsupportedProgram
+from ..core.exceptions import SynthesisError, SynthesisTimeout, UnsupportedProgram
 from ..core.initializer import build_initializer
 from ..core.report import HoleOutcome, SynthesisReport
 from ..core.rfs import RFS, construct_rfs
@@ -74,7 +74,7 @@ class Cvc5Style:
             report.scheme = scheme
             report.success = True
             report.record_hole(HoleOutcome(0, "enumerative", ast_size(spec), ast_size(expr)))
-        except (SynthesisTimeout, UnsupportedProgram, EvaluationError) as exc:
+        except (SynthesisError, EvaluationError) as exc:
             report.failure_reason = f"{type(exc).__name__}: {exc}"
         finally:
             report.elapsed_s = time.monotonic() - started

@@ -34,11 +34,9 @@ class SynthesisConfig:
     #: Maximum degree for interpolated coefficient polynomials over ``n``.
     interpolation_max_degree: int = 6
 
-    #: Maximum AST size explored by the enumerative fallback.
+    #: Maximum AST size explored by the enumerative fallback.  A size tier
+    #: over the enumerator's fixed ``BUDGET`` fails the hole before it runs.
     enumeration_max_size: int = 11
-
-    #: Cap on distinct behaviours kept by the enumerator (memory bound).
-    enumeration_max_kept: int = 150_000
 
     #: Number of random tests used by the equivalence oracle.
     equivalence_tests: int = 24

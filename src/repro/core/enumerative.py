@@ -1,8 +1,14 @@
 """Enumerative expression synthesis (the ``EnumSynthesize`` fallback of
 Algorithm 4).
 
-Bottom-up enumeration over the online expression grammar of Figure 7, with
-the two standard accelerations:
+Bottom-up enumeration over the online expression grammar of Figure 7,
+declared once per hole as a :class:`Grammar` and walked size tier by size
+tier.  :func:`tier` spells a tier as cartesian products over the smaller,
+complete pools, so :func:`count_tier` knows its exact size before any of it
+runs (GRAPE's ``grape-count`` before ``grape-enum``).  A tier above
+:data:`BUDGET` is not walked: the hole fails at once with ``search space of
+N programs at size S exceeds budget B``, the same reason in every process.
+Two standard accelerations keep the walked tiers small:
 
 * **observational equivalence pruning** — candidates are deduplicated by
   their value vector on a bank of random RFS-consistent environments, so the
@@ -19,6 +25,9 @@ Correctness of an accepted candidate is established by the testing oracle
 
 from __future__ import annotations
 
+import itertools
+import math
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -26,6 +35,7 @@ from ..ir.analysis.prune import statically_redundant
 from ..ir.compile import expr_evaluator
 from ..ir.evaluator import EvaluationError, evaluate
 from ..ir.nodes import Call, Const, Expr, If, MakeTuple, Proj, Var
+from ..ir.pretty import pretty
 from ..ir.traversal import ast_size, used_builtins
 from ..ir.values import Value, is_number
 from .config import SynthesisConfig
@@ -38,13 +48,19 @@ from .equivalence import (
     random_list,
     rfs_binder,
 )
-from .exceptions import EnumerationCapExceeded, SynthesisTimeout
+from .exceptions import HoleSynthesisFailure, SynthesisTimeout
 from .rfs import RFS
+
+#: Most expressions one size tier may build: above every tier that solves a
+#: suite task (the largest, 333,946, is Opera-NoSymbolic covariance's size 7)
+#: and below kurtosis' size 7 (1,073,859), the paper's one expected failure.
+BUDGET = 500_000
 
 #: Binary arithmetic always available to the online grammar.
 _CORE_BINOPS = ("add", "sub", "mul", "div")
-#: Offline-program builtins that may be inherited by the grammar.
-_INHERITABLE = ("min", "max", "abs", "sqrt", "exp", "log", "pow")
+#: Offline-program builtins the grammar inherits when the spec uses them.
+_INHERITED_BINOPS = ("min", "max", "pow")
+_UNOPS = ("neg", "abs", "sqrt", "exp", "log")
 _PREDICATES = ("lt", "le", "gt", "ge", "eq")
 
 
@@ -128,8 +144,104 @@ def build_bank(rfs: RFS, spec: Expr, config: SynthesisConfig, salt: str) -> Bank
     return Bank(envs, signature)
 
 
+@dataclass(frozen=True)
+class Grammar:
+    """One hole's productions.  A size tier applies them in field order,
+    with the binary operators (by far the largest population) last so
+    they cannot starve the cheap, high-yield productions."""
+
+    terminals: tuple[Expr, ...]
+    #: Indices projected out of the previous tier (empty: no projections).
+    projections: tuple[int, ...]
+    unops: tuple[str, ...]
+    #: Constant exponents of ``pow(e, k)``.
+    exponents: tuple[int, ...]
+    #: Comparison builtins; ``If`` is in the grammar exactly when they are.
+    predicates: tuple[str, ...]
+    tuple_arities: tuple[int, ...]
+    binops: tuple[str, ...]
+    max_size: int
+
+
+def build_grammar(
+    rfs: RFS, spec: Expr, bank: Bank, config: SynthesisConfig, seeds: Iterable[Expr] = ()
+) -> Grammar:
+    """The grammar of one hole: the RFS variables, the stream element and the
+    extra parameters, then the small constants 0, 1, 2 and the mined
+    ``seeds`` as terminals; the operators the offline program uses."""
+    terminals: list[Expr] = [Var(name) for name in rfs.names]
+    terminals.append(Var(ELEM_PARAM))
+    terminals.extend(Var(name) for name in rfs.extra_params)
+    for extra in (Const(0), Const(1), Const(2), *seeds):
+        if extra not in terminals:
+            terminals.append(extra)
+    offline_ops = used_builtins(spec)
+    tuple_arities = tuple(sorted({len(v) for v in bank.spec_signature if isinstance(v, tuple)}))
+    # Pair-shaped stream elements need projections even for scalar outputs.
+    projected = bool(tuple_arities) or any(
+        isinstance(env.get(ELEM_PARAM), tuple) for env in bank.envs
+    )
+    return Grammar(
+        terminals=tuple(terminals),
+        projections=(0, 1, 2) if projected else (),
+        unops=tuple(op for op in _UNOPS if op == "neg" or op in offline_ops),
+        exponents=(2, 3),
+        predicates=tuple(op for op in _PREDICATES if op in offline_ops),
+        tuple_arities=tuple_arities,
+        binops=_CORE_BINOPS + tuple(op for op in _INHERITED_BINOPS if op in offline_ops),
+        max_size=config.enumeration_max_size,
+    )
+
+
+def tier(grammar: Grammar, size: int, pools: defaultdict, predicates: defaultdict) -> list:
+    """The productions of one size tier, in walk order, each a triple
+    ``(build, blocks, is_predicate)``: ``build`` applies to each element of
+    each block's cartesian product.  ``pools`` and ``predicates`` map a size
+    to its kept expressions; a tier reads only smaller, complete sizes."""
+    if size == 1:
+        return [(lambda term: term, [(grammar.terminals,)], False)]
+    last = pools[size - 1]
+    pairs = [(pools[left], pools[size - 1 - left]) for left in range(1, size - 1)]
+    return [
+        (Proj, [(last, grammar.projections)], False),
+        (lambda op, e: Call(op, (e,)), [(grammar.unops, last)], False),
+        (lambda k, e: Call("pow", (e, Const(k))), [(grammar.exponents, pools[size - 2])], False),
+        (_binary, [(*pair, (op,)) for op in grammar.predicates for pair in pairs], True),
+        (
+            If,
+            [
+                ((cond,), pools[then], pools[size - 1 - cond_size - then])
+                for cond_size in range(2, size - 2)
+                for cond in predicates[cond_size]
+                for then in range(1, size - 1 - cond_size)
+            ],
+            False,
+        ),
+        (
+            lambda *items: MakeTuple(items),
+            [
+                tuple(pools[part] for part in parts)
+                for arity in grammar.tuple_arities
+                for parts in _compositions(size - 1, arity)
+            ],
+            False,
+        ),
+        (_binary, [(*pair, grammar.binops) for pair in pairs], False),
+    ]
+
+
+def _binary(left: Expr, right: Expr, op: str) -> Expr:
+    return Call(op, (left, right))
+
+
+def count_tier(productions: list[tuple]) -> int:
+    """Exactly how many expressions walking ``productions`` builds."""
+    return sum(math.prod(map(len, block)) for _, blocks, _ in productions for block in blocks)
+
+
 @dataclass
 class EnumStats:
+    #: Expressions built, candidates and predicates alike.
     generated: int = 0
     kept: int = 0
     checked: int = 0
@@ -146,56 +258,30 @@ def enumerate_expression(
     salt: str = "",
     stats: EnumStats | None = None,
 ) -> Expr | None:
-    """Size-bounded bottom-up search for an online expression matching the
-    specification modulo the RFS.
+    """Size-bounded bottom-up search over :func:`build_grammar`'s grammar for
+    an online expression matching the specification modulo the RFS.
 
-    The terminal pool is the RFS variables, the stream element and the
-    extra parameters, then the small constants 0, 1, 2 and the mined
-    ``seeds``.  Raises :class:`EnumerationCapExceeded` once more than
-    ``config.enumeration_max_kept`` distinct behaviours are kept.
+    Returns ``None`` when every tier up to the size bound was walked in
+    vain; raises :class:`HoleSynthesisFailure` before walking a tier of
+    more than :data:`BUDGET` expressions.
     """
     stats = stats if stats is not None else EnumStats()
     bank = build_bank(rfs, spec, config, salt)
     if bank is None:
         return None
+    grammar = build_grammar(rfs, spec, bank, config, seeds)
 
-    terminals: list[Expr] = [Var(name) for name in rfs.names]
-    terminals.append(Var(ELEM_PARAM))
-    terminals.extend(Var(name) for name in rfs.extra_params)
-    for extra in (Const(0), Const(1), Const(2), *seeds):
-        if extra not in terminals:
-            terminals.append(extra)
-
-    offline_ops = used_builtins(spec)
-    binops = list(_CORE_BINOPS) + [
-        op for op in _INHERITABLE if op in offline_ops and op not in ("abs", "sqrt", "exp", "log")
-    ]
-    unops = [op for op in ("neg", "abs", "sqrt", "exp", "log") if op in offline_ops or op == "neg"]
-    want_conditionals = bool(offline_ops & set(_PREDICATES))
-    predicates = [op for op in _PREDICATES if op in offline_ops]
-    tuple_arities = sorted({len(v) for v in bank.spec_signature if isinstance(v, tuple)})
-    want_tuples = bool(tuple_arities)
-    # Pair-shaped stream elements need projections even for scalar outputs.
-    want_projections = want_tuples or any(
-        isinstance(env.get(ELEM_PARAM), tuple) for env in bank.envs
-    )
-
-    # by_size[s] = distinct-behaviour expressions of each size; ``seen``
-    # stores signature *hashes* only (storing millions of value tuples was a
-    # memory hazard on long runs; a 64-bit hash collision merely prunes one
+    # pools[s] = distinct-behaviour expressions of size s; ``seen`` stores
+    # signature *hashes* only (storing millions of value tuples was a memory
+    # hazard on long runs; a 64-bit hash collision merely prunes one
     # candidate).
-    by_size: dict[int, list[Expr]] = {1: []}
+    pools: defaultdict[int, list[Expr]] = defaultdict(list)
     seen: set[int] = set()
-    bool_by_size: dict[int, list[Expr]] = {}
-    bool_seen: set[int] = set()
+    predicates: defaultdict[int, list[Expr]] = defaultdict(list)
+    predicate_seen: set[int] = set()
     spec_hash = hash(bank.spec_signature)
 
     def consider(expr: Expr, size: int) -> Expr | None:
-        stats.generated += 1
-        if stats.generated % 2048 == 0 and config.expired():
-            raise SynthesisTimeout("enumeration budget exhausted")
-        if stats.kept > config.enumeration_max_kept:
-            raise EnumerationCapExceeded("enumeration memory budget exhausted")
         if statically_redundant(expr):
             # Provably faults everywhere or duplicates a banked signature:
             # skipping the env sweep cannot change what the search finds.
@@ -208,7 +294,7 @@ def enumerate_expression(
         if h in seen:
             return None
         seen.add(h)
-        by_size.setdefault(size, []).append(expr)
+        pools[size].append(expr)
         stats.kept += 1
         if h == spec_hash and signature == bank.spec_signature:
             stats.checked += 1
@@ -216,101 +302,40 @@ def enumerate_expression(
                 return expr
         return None
 
-    for term in terminals:
-        found = consider(term, 1)
-        if found is not None:
-            return found
+    def bank_predicate(cond: Expr, size: int) -> None:
+        signature = _signature(cond, bank.envs)
+        if signature is not None and hash(signature) not in predicate_seen:
+            predicate_seen.add(hash(signature))
+            predicates[size].append(cond)
 
-    # Within each size tier the cheap, high-yield productions run first
-    # (projections, conditionals, tuples); the binary-operator flood — by far
-    # the largest population — runs last so it cannot starve them.
-    for size in range(2, config.enumeration_max_size + 1):
+    for size in range(1, grammar.max_size + 1):
         if config.expired():
             raise SynthesisTimeout("enumeration budget exhausted")
-        # Projections of tuple-valued expressions.
-        if want_projections:
-            for expr in by_size.get(size - 1, []):
-                for index in (0, 1, 2):
-                    found = consider(Proj(expr, index), size)
+        productions = tier(grammar, size, pools, predicates)
+        count = count_tier(productions)
+        if count > BUDGET:
+            reason = f"search space of {count} programs at size {size} exceeds budget {BUDGET}"
+            raise HoleSynthesisFailure(0, pretty(spec), reason)
+        for build, blocks, is_predicate in productions:
+            sink = bank_predicate if is_predicate else consider
+            for block in blocks:
+                if not all(block):
+                    continue  # an empty factor: nothing to build or copy
+                for parts in itertools.product(*block):
+                    stats.generated += 1
+                    if stats.generated % 2048 == 0 and config.expired():
+                        raise SynthesisTimeout("enumeration budget exhausted")
+                    found = sink(build(*parts), size)
                     if found is not None:
                         return found
-        # Unary operators.
-        for op in unops:
-            for expr in by_size.get(size - 1, []):
-                found = consider(Call(op, (expr,)), size)
-                if found is not None:
-                    return found
-        # pow with small constant exponents.
-        for exponent in (2, 3):
-            for expr in by_size.get(size - 2, []):
-                found = consider(Call("pow", (expr, Const(exponent))), size)
-                if found is not None:
-                    return found
-        # Conditionals: first extend the predicate pool, then build Ifs from
-        # smaller (already complete) expression tiers.
-        if want_conditionals:
-            for op in predicates:
-                for left_size in range(1, size - 1):
-                    right_size = size - 1 - left_size
-                    for left in by_size.get(left_size, []):
-                        for right in by_size.get(right_size, []):
-                            cond = Call(op, (left, right))
-                            csig = _signature(cond, bank.envs)
-                            if csig is None or hash(csig) in bool_seen:
-                                continue
-                            bool_seen.add(hash(csig))
-                            bool_by_size.setdefault(size, []).append(cond)
-            for cond_size in range(2, size - 2):
-                branch_budget = size - 1 - cond_size
-                for cond in bool_by_size.get(cond_size, []):
-                    for then_size in range(1, branch_budget):
-                        else_size = branch_budget - then_size
-                        for then in by_size.get(then_size, []):
-                            for orelse in by_size.get(else_size, []):
-                                found = consider(If(cond, then, orelse), size)
-                                if found is not None:
-                                    return found
-        # Tuples (paired accumulators / whole-program tuple specs).
-        if want_tuples:
-            for arity in tuple_arities:
-                for parts in _compositions(size - 1, arity):
-                    for combo in _pool_product(by_size, parts):
-                        found = consider(MakeTuple(combo), size)
-                        if found is not None:
-                            return found
-        # Binary operators (the flood).
-        for left_size in range(1, size - 1):
-            right_size = size - 1 - left_size
-            for left in by_size.get(left_size, []):
-                for right in by_size.get(right_size, []):
-                    for op in binops:
-                        found = consider(Call(op, (left, right)), size)
-                        if found is not None:
-                            return found
-            if config.expired():
-                raise SynthesisTimeout("enumeration budget exhausted")
     return None
 
 
 def _compositions(total: int, parts: int):
-    """All ways to split ``total`` into ``parts`` positive integers."""
-    if parts == 1:
-        if total >= 1:
-            yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def _pool_product(by_size: dict[int, list[Expr]], parts: tuple[int, ...]):
-    """Cartesian product of the size-indexed expression pools."""
-    import itertools
-
-    pools = [by_size.get(p, []) for p in parts]
-    if any(not pool for pool in pools):
-        return
-    yield from itertools.product(*pools)
+    """All ways to split ``total`` into ``parts`` positive integers, in
+    lexicographic order (that of their cut points)."""
+    for cuts in itertools.combinations(range(1, total), parts - 1):
+        yield tuple(b - a for a, b in zip((0, *cuts), (*cuts, total)))
 
 
 def seeds_from_template(template) -> list[Expr]:

@@ -47,12 +47,7 @@ from ..ir.traversal import ast_size, fill_holes
 from ..supervisor import Job, ProcessSupervisor
 from .config import SynthesisConfig
 from .decompose import Sketch
-from .exceptions import (
-    EnumerationCapExceeded,
-    HoleSynthesisFailure,
-    SynthesisError,
-    SynthesisTimeout,
-)
+from .exceptions import HoleSynthesisFailure, SynthesisError, SynthesisTimeout
 from .report import HoleOutcome, SynthesisReport
 from .rfs import RFS
 from .simplify import simplify_expr
@@ -75,13 +70,10 @@ def _hole_job(
     try:
         expr, method = synthesize_expr(rfs, spec, config, salt=salt)
         return (_OK, expr, method)
-    except HoleSynthesisFailure:
-        return (_NONE, None, None)
+    except HoleSynthesisFailure as exc:
+        return (_NONE, exc.reason, None)
     except SynthesisTimeout as exc:
-        # Carry the concrete class name across the process boundary: the
-        # parent must re-raise EnumerationCapExceeded as itself, or the
-        # failure_reason diverges from the sequential run's.
-        return (_TIMEOUT, str(exc), type(exc).__name__)
+        return (_TIMEOUT, str(exc), None)
 
 
 def solve_sketch_parallel(
@@ -133,10 +125,8 @@ def solve_sketch_parallel(
                 cursor += 1
                 continue
             if tag == _NONE:
-                raise HoleSynthesisFailure(hole_id, pretty(spec))
+                raise HoleSynthesisFailure(hole_id, pretty(spec), value)
             if tag == _TIMEOUT:
-                if method == EnumerationCapExceeded.__name__:
-                    raise EnumerationCapExceeded(value)
                 raise SynthesisTimeout(value)
             raise SynthesisError(f"hole {hole_id} worker failed: {value}")
 

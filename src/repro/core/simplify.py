@@ -10,15 +10,17 @@ The safe-division convention makes some classical identities unsound
 (``e / e`` is 0, not 1, when ``e = 0``), so only identities valid under the
 paper's semantics are applied.  An identity operand is the node ``ZERO``,
 ``ONE``, ``TRUE`` or ``FALSE`` itself: ``x + 0.0`` is a float and ``x * True``
-raises, so neither is ``x``.  Absorbing rewrites (``x * 0``, ``x - x``,
-``0 / x``, ``x ** 0``) are not applied: they would drop the operand's float
-type and its faults (a tuple ``x`` raises).
+raises, so neither is ``x``; nor is ``x + 0`` unless ``kind_and_totality``
+proves ``x`` a number (a tuple or bool ``x`` raises).  Absorbing rewrites
+(``x * 0``, ``x - x``, ``0 / x``, ``x ** 0``) are not applied: they would
+drop the operand's float type and its faults.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from ..ir.analysis.liveness import NUM_K, kind_and_totality
 from ..ir.builtins import get_builtin, is_builtin
 from ..ir.nodes import FALSE, ONE, TRUE, ZERO, Call, Const, Expr, If, MakeTuple, Proj, const
 from ..ir.traversal import transform_bottom_up
@@ -42,6 +44,11 @@ def _fold_constants(node: Expr) -> Expr:
     return node
 
 
+def _numeric(expr: Expr | None) -> bool:
+    """``expr`` is a number whenever it returns."""
+    return expr is not None and kind_and_totality(expr, {})[0] == NUM_K
+
+
 def _local(node: Expr) -> Expr:
     node = _fold_constants(node)
     if isinstance(node, Call) and isinstance(node.func, str):
@@ -49,20 +56,20 @@ def _local(node: Expr) -> Expr:
         b = node.args[1] if len(node.args) > 1 else None
         op = node.func
         if op == "add":
-            if a == ZERO:
+            if a == ZERO and _numeric(b):
                 return b  # type: ignore[return-value]
-            if b == ZERO:
+            if b == ZERO and _numeric(a):
                 return a  # type: ignore[return-value]
         elif op == "sub":
-            if b == ZERO:
+            if b == ZERO and _numeric(a):
                 return a  # type: ignore[return-value]
         elif op == "mul":
-            if a == ONE:
+            if a == ONE and _numeric(b):
                 return b  # type: ignore[return-value]
-            if b == ONE:
+            if b == ONE and _numeric(a):
                 return a  # type: ignore[return-value]
         elif op == "div":
-            if b == ONE:
+            if b == ONE and _numeric(a):
                 return a  # type: ignore[return-value]
             # Nested constant denominators: (e / c1) / c2 -> e / (c1*c2).
             if (
@@ -76,9 +83,9 @@ def _local(node: Expr) -> Expr:
                 merged = Fraction(a.args[1].value) * Fraction(b.value)
                 return Call("div", (a.args[0], const(merged)))
         elif op == "pow":
-            if b == ONE:
+            if b == ONE and _numeric(a):
                 return a  # type: ignore[return-value]
-        elif op == "neg" and isinstance(a, Call) and a.func == "neg":
+        elif op == "neg" and isinstance(a, Call) and a.func == "neg" and _numeric(a.args[0]):
             return a.args[0]
     if isinstance(node, If):
         if node.cond == TRUE:

@@ -109,8 +109,8 @@ def _solve_sketch(
             raise SynthesisTimeout(f"budget exhausted at hole {hole_id}")
         try:
             expr, method = synthesize_expr(rfs, spec, config, salt=str(hole_id))
-        except HoleSynthesisFailure:
-            raise HoleSynthesisFailure(hole_id, pretty(spec)) from None
+        except HoleSynthesisFailure as exc:
+            raise HoleSynthesisFailure(hole_id, pretty(spec), exc.reason) from None
         fills[hole_id] = expr
         report.record_hole(HoleOutcome(hole_id, method, ast_size(spec), ast_size(expr)))
     outputs = tuple(simplify_expr(fill_holes(out, fills)) for out in sketch.program.outputs)

@@ -15,14 +15,16 @@ float-degrade on huge exact values breaks them: ``add(e, 0)``,
 a float and acquires a *new* signature, and ``Const(0)`` need not even be
 in a sharded terminal pool.  ``div(e, 1)`` survives because ``safe_div``
 has no degrade path; ``neg(neg(e))`` because ``neg`` is unguarded exact
-negation (and bool inputs collide hash-wise with their int images).
+negation (and bool inputs collide hash-wise with their int images).  Kinds
+come from :func:`~repro.ir.analysis.liveness.kind_and_totality`.
 """
 
 from __future__ import annotations
 
-from ..builtins import get_builtin, is_builtin
+import functools
+
 from ..nodes import ONE, Call, Const, Expr, If, MakeTuple, Proj
-from ..values import is_number
+from .liveness import BOOL_K, NUM_K, Kind, kind_and_totality
 
 #: Builtins that raise ``TypeError`` when *any* argument is a tuple
 #: (``_num2`` / explicit numeric coercion reject non-numbers outright).
@@ -47,28 +49,11 @@ _SCALAR_ONLY = frozenset(
 )
 
 
-def _definite_kind(expr: Expr) -> str | None:
-    """``"num"`` / ``"bool"`` / ``"tuple"`` when the value kind is certain
-    *whenever the expression returns*; ``None`` otherwise."""
-    if isinstance(expr, Const):
-        v = expr.value
-        if isinstance(v, bool):
-            return "bool"
-        if isinstance(v, tuple):
-            return "tuple"
-        if is_number(v):
-            return "num"
-        return None
-    if isinstance(expr, MakeTuple):
-        return "tuple"
-    if isinstance(expr, Call) and isinstance(expr.func, str) and is_builtin(expr.func):
-        kind = get_builtin(expr.func).kind
-        if kind == "predicate":
-            return "bool"
-        if kind != "list" and expr.func not in ("min", "max"):
-            # min/max return one of their arguments, whatever its kind.
-            return "num"
-    return None
+@functools.lru_cache(maxsize=4096)
+def _kind(expr: Expr) -> Kind:
+    """``expr``'s kind whenever it returns.  Cached: candidates' operands are
+    the same few pool members over and over, and the analysis walks each."""
+    return kind_and_totality(expr, {})[0]
 
 
 def statically_redundant(expr: Expr) -> bool:
@@ -91,7 +76,7 @@ def statically_redundant(expr: Expr) -> bool:
         ):
             return True
         # A numeric builtin fed a guaranteed tuple always raises TypeError.
-        if name in _SCALAR_ONLY and any(_definite_kind(a) == "tuple" for a in args):
+        if name in _SCALAR_ONLY and any(_kind(a)[0] == "tuple" for a in args):
             return True
     if isinstance(expr, If):
         # Constant condition: the candidate IS one of its branches.
@@ -102,9 +87,8 @@ def statically_redundant(expr: Expr) -> bool:
         if expr.then == expr.orelse:
             return True
     if isinstance(expr, Proj):
-        kind = _definite_kind(expr.tup)
         # Projection from a certain scalar always faults.
-        if kind in ("num", "bool"):
+        if _kind(expr.tup) in (NUM_K, BOOL_K):
             return True
         # Proj(MakeTuple(..), i): equals item i (whose signature is banked)
         # or faults — either way never a new signature.

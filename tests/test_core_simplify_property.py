@@ -16,7 +16,8 @@ stored, so its contract is load-bearing:
   written ground truth, so simplification never enlarges a tree;
 * **type-preserving on identities** — an identity operand is ``0``, ``1``,
   ``True`` or ``False`` of its own type: ``x + 0.0`` is a float and
-  ``x * True`` raises, so neither simplifies to ``x``.
+  ``x * True`` raises, so neither simplifies to ``x``; and ``x + 0`` is
+  ``x`` only for a numeric ``x`` (on a tuple it raises).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from hypothesis import strategies as st
 from test_ir_compile import ORACLE_ERRORS, random_candidate
 
 from repro.core.simplify import simplify_expr
-from repro.ir.dsl import add, div, ite, lt, mul, powi, sub
+from repro.ir.dsl import add, div, ite, lt, mul, neg, powi, sub
 from repro.ir.nodes import Const
 from repro.ir.evaluator import evaluate
 from repro.ir.traversal import ast_size
@@ -91,10 +92,11 @@ def test_noise_shapes_simplify_and_preserve_meaning(a, b, x):
     """The decoder's actual noise shapes (identity operands, constant
     subtrees, same-branch conditionals) on hypothesis-generated values."""
     env = {"a": a, "b": b, "x": x}
+    # Identities rewrite only operands the kind analysis proves numeric.
     noisy = [
-        add(mul(sub("a", "a"), "b"), div(mul("x", 1), 2)),
-        mul(add("a", 0), powi(add("b", 0), 1)),
-        ite(lt("a", "b"), add("x", 0), add("x", 0)),
+        add(mul(sub("a", "a"), "b"), div(mul(add("x", 1), 1), 2)),
+        mul(add(sub("a", "b"), 0), powi(add(neg("b"), 0), 1)),
+        ite(lt("a", "b"), add(mul("x", 2), 0), add(mul("x", 2), 0)),
         div(div("a", 2), 3),
         sub(add("a", "b"), 0),
     ]
@@ -124,6 +126,15 @@ _TYPED_PROBES = [
     add("x", Const(False)),
     powi("x", Const(1.0)),
     ite(lt("x", 3), Const(1), Const(1.0)),
+    # Identity shapes: TypeError on a tuple ``x``, whatever the identity.
+    add("x", 0),
+    add(0, "x"),
+    sub("x", 0),
+    mul("x", 1),
+    mul(1, "x"),
+    div("x", 1),
+    powi("x", 1),
+    neg(neg("x")),
     # Absorbing shapes: 0.0 / 1.0 on a float ``x``, TypeError on a tuple.
     mul("x", 0),
     mul(0, "x"),

@@ -7,7 +7,9 @@ import time
 from fractions import Fraction
 
 import pytest
+from test_enumerative_grammar import built_per_tier, record_tiers
 
+import repro.core.enumerative as enumerative
 from repro.core import SynthesisConfig, synthesize
 from repro.evaluation import ResultCache, default_hole_workers
 from repro.evaluation.hole_bench import hole_bench_targets
@@ -65,21 +67,25 @@ class TestHoleShardingDeterminism:
         assert len(reports[1].holes) >= 4
         assert _comparable(reports[1]) == _comparable(reports[2])
 
-    def test_deterministic_failures_identical_across_hole_workers(self):
-        """Deterministic failures (enumeration work caps, not wall-clock)
-        must replay with the exact class name in failure_reason."""
+    def test_deterministic_failures_identical_across_hole_workers(self, monkeypatch):
+        """A deterministic failure (an enumeration tier over budget, not
+        wall-clock) replays with the same stated reason in any process, and
+        the over-budget tier builds no candidate."""
+        calls = record_tiers(monkeypatch)
+        monkeypatch.setattr(enumerative, "BUDGET", 40)  # forked workers inherit it
         reports = {
-            hw: _synthesize(
-                "variance",
-                use_symbolic=False,
-                enumeration_max_kept=5,
-                hole_workers=hw,
-            )
-            for hw in (1, 2)
+            hw: _synthesize("variance", use_symbolic=False, hole_workers=hw) for hw in (1, 2)
         }
-        assert not reports[1].success
-        assert reports[1].failure_reason.startswith("EnumerationCapExceeded")
         assert _comparable(reports[1]) == _comparable(reports[2])
+        tiers, stats = calls[-1]  # the failing hole, recorded in this process
+        count, _ = tiers[-1]
+        assert count > 40 and all(c <= 40 for c, _ in tiers[:-1])
+        assert built_per_tier(tiers, stats)[-1] == 0
+        assert not reports[1].success
+        assert reports[1].failure_reason.startswith("HoleSynthesisFailure: hole □")
+        assert reports[1].failure_reason.endswith(
+            f": search space of {count} programs at size {len(tiers)} exceeds budget 40"
+        )
 
     def test_budget_still_bounds_the_whole_task(self):
         """The hard wall-clock guarantee survives hole-level dispatch: no

@@ -5,8 +5,9 @@ synthesized when the digest below was taken.
 A refactor of synthesis or of the code it evaluates through must leave the
 digest alone, with the compiled evaluators and under ``REPRO_JIT=0``.  A
 change that alters synthesized schemes on purpose re-pins the digest and
-names every changed task.  Kurtosis (``expected_hard``) is left out: it
-fails only after 30-60 s of enumeration.
+names every changed task.  Kurtosis (``expected_hard``) is left out: its
+hole fails, after ~11 s of enumerating the tiers up to size 6, with
+``search space of 1073859 programs at size 7 exceeds budget 500000``.
 """
 
 import hashlib

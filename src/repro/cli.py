@@ -744,6 +744,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"dead-lettered {result.dead_lettered} element(s) "
             f"(deadletter-*.jsonl in {args.checkpoint_dir})"
         )
+    print(f"wire: {result.wire}")
     print(f"checkpoints: {args.checkpoint_dir} (resumable)")
     if args.verify:
         oracle = reference_states(

@@ -9,8 +9,9 @@ Four analyses over online schemes (Figure 7 programs + initializer):
   (concrete replayable witness) that a ``div`` site can see a zero
   denominator;
 * **liveness** (:mod:`.liveness`) — dead state components and a verified,
-  fault-preserving dead-state-elimination rewrite, and the read-out split
-  the runtime batches on;
+  fault-preserving dead-state-elimination rewrite, the read-out split
+  the runtime batches on, and the representation-blind license serve
+  workers fold canonical numbers on;
 * **wellformed** (:mod:`.wellformed`) — unbound variables, holes, arity
   errors, non-online constructs, determinism notes.
 
@@ -32,6 +33,7 @@ from .engine import IntervalAnalysis, analyze_intervals, iter_div_sites
 from .liveness import (
     ReadoutSplit,
     analyze_liveness,
+    element_blind,
     eliminate_dead_state,
     live_components,
     split_readout,
@@ -62,6 +64,7 @@ __all__ = [
     "analyze_online",
     "audit_program",
     "bounds_from_spec",
+    "element_blind",
     "eliminate_dead_state",
     "exit_code",
     "find_divzero_witness",

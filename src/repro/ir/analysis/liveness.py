@@ -22,6 +22,11 @@ The same totality check licenses :func:`split_readout`: a first component
 that no update reads and that is a total function of the other components'
 *new* values need not be carried through a batch loop at all; it is read
 out from the accumulators when somebody looks.
+
+:func:`element_blind` is a license of the same syntactic kind: an update
+that only ever hands the element to normalizing arithmetic or a predicate
+cannot tell ``Fraction(k)`` from ``k``, so serve workers may fold the
+latter.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ..builtins import get_builtin, is_builtin
+from ..builtins import all_builtins, get_builtin, is_builtin
 from ..nodes import (
     Call,
     Const,
@@ -168,6 +173,59 @@ def kind_and_totality(expr: Expr, kenv: dict[str, Kind]) -> tuple[Kind, bool]:
         return ANY_K, False  # out of range or non-tuple: EvaluationError
     # List constructs, holes, anything else: faults in an online step.
     return ANY_K, False
+
+
+#: Builtins whose every result goes through ``normalize_number`` (or is a
+#: float or a literal), so an integral ``Fraction`` argument and its ``int``
+#: give the same value of the same type.
+NORMALIZING_BUILTINS = frozenset({"add", "sub", "mul", "div", "neg", "pow", "abs"})
+#: The builtins an element may reach without showing its representation.
+_BLIND_BUILTINS = NORMALIZING_BUILTINS | {b.name for b in all_builtins() if b.kind == "predicate"}
+
+
+def _is_element(expr: Expr, elem: str) -> bool:
+    """The element itself or a projection of it, ``x[i]`` (at any depth)."""
+    while isinstance(expr, Proj):
+        expr = expr.tup
+    return isinstance(expr, Var) and expr.name == elem
+
+
+def _element_hidden(expr: Expr, elem: str) -> bool:
+    """No occurrence of ``elem`` in ``expr`` can show its representation:
+    each is a direct argument of a normalizing builtin or a predicate."""
+    if _is_element(expr, elem):
+        return False  # bare, in a branch, a tuple, a Let, min/max, a lambda call
+    if isinstance(expr, Lambda) and elem in expr.params:
+        return False  # a binder shadowing the element: refuse, not reason
+    if isinstance(expr, Let) and expr.name == elem:
+        return False
+    if isinstance(expr, Call):
+        if expr.func in _BLIND_BUILTINS:
+            return all(_is_element(a, elem) or _element_hidden(a, elem) for a in expr.args)
+        if _is_element(expr.func, elem):
+            return False  # the element called as a function
+    return all(_element_hidden(child, elem) for child in expr.children())
+
+
+def element_blind(program: OnlineProgram) -> bool:
+    """Whether the update is *representation-blind* in the element: folding
+    ``k`` where the stream holds ``Fraction(k)`` (at any depth of a tuple
+    element) reaches the same state, value and type.
+
+    It holds when every occurrence of the element, or of a projection
+    ``x[i]`` of it, is a direct argument of a normalizing builtin
+    (``add sub mul div neg pow abs``) or of a predicate; those return the
+    same value and type for either form (``values._bit_size`` counts both
+    alike).  An occurrence returned bare, sitting in an ``If`` branch, a
+    tuple or a ``Let``, or passed through ``min``/``max`` (which return an
+    argument unchanged) refuses it, and so does any binder that shadows
+    the element's name.  Errors are outside the license: a step that
+    raises on an element may word its message differently.
+    """
+    elem = program.elem_param
+    if elem in program.state_params or elem in program.extra_params:
+        return False
+    return all(_element_hidden(out, elem) for out in program.outputs)
 
 
 def _element_kind(program: OnlineProgram, element_arity: int | None) -> Kind:

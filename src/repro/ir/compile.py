@@ -303,10 +303,10 @@ def _lam(expected, fn):
 # Integral rationals — ``Fraction(k)``, the shape every built-in source
 # yields — are unwrapped to their ``int`` numerator once they pass the small
 # Fraction guard, so ``Fraction(k) + 3`` is one int addition instead of a
-# Fraction construction plus a normalization.  Only the arithmetic sees the
-# unwrapped value: every fallback passes the *original* operands to the
-# impl, because ``_bit_size(Fraction(k))`` is one more than
-# ``_bit_size(k)``, and that bit can decide the float degrade.
+# Fraction construction plus a normalization.  Every fallback passes the
+# *original* operands to the impl, which is exact either way:
+# ``_bit_size(Fraction(k))`` is ``_bit_size(k)``, so the float degrade
+# treats both alike, and the normalized result is the same value and type.
 #
 # ``pow`` takes ``a ** b`` for an int exponent in ``0..64`` on an int base of
 # at most 2**16 bits, or on a Fraction whose numerator and denominator have

@@ -50,9 +50,13 @@ def safe_div(a: Number, b: Number) -> Number:
 
 
 def _bit_size(v: Number) -> int:
-    """Rough magnitude of an exact number in bits (floats count as small)."""
+    """Rough magnitude of an exact number in bits (floats count as small).
+    An integral ``Fraction`` counts as its numerator, so ``Fraction(k)`` and
+    ``k`` take the same side of every threshold built on this size."""
     if isinstance(v, Fraction):
-        return v.numerator.bit_length() + v.denominator.bit_length()
+        bits = v.numerator.bit_length()
+        denominator = v.denominator
+        return bits if denominator == 1 else bits + denominator.bit_length()
     if isinstance(v, int):
         return v.bit_length()
     return 64

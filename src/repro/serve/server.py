@@ -60,6 +60,20 @@ counts against a fresh one.  Fault injection threads through the same
 seams (:mod:`repro.faults`): stalls and checkpoint corruption ride into
 workers on their :class:`~repro.serve.worker.WorkerConfig`, kills are
 driven by the pusher, and ``repro chaos`` differentially verifies the lot.
+
+**Wire form.**  Batches travel in :func:`~repro.serve.worker.encode_batch`'s
+*canonical* form, integral ``Fraction`` values as ``int``, when the server
+can tell that a worker folding ``k`` reaches the state the single-process
+fold of ``Fraction(k)`` does.  It decides that once, at construction: the
+scheme must be representation-blind
+(:func:`~repro.ir.analysis.liveness.element_blind`), ``on_error`` must be
+``"fail"`` (dead-letter records ``repr`` the element), and the key and value
+fields must be indices (a callable extractor may look at the type).  Partition
+keys are not the scheme's to normalize: the checkpoint records each key's
+type, so the first key the canonical form would change (an integral
+``Fraction`` key) switches the server to the exact form for every later
+send, replays included.  :attr:`ServeResult.wire` says which form the run
+ended on, and why it is exact.
 """
 
 from __future__ import annotations
@@ -70,6 +84,7 @@ import random
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from fractions import Fraction
 from pathlib import Path
 from typing import Hashable, Iterable, Mapping
 
@@ -77,6 +92,7 @@ import multiprocessing as mp
 
 from ..core.scheme import OnlineScheme
 from ..faults import FaultPlan
+from ..ir.analysis.liveness import element_blind
 from ..runtime.checkpoint import (
     CheckpointError,
     atomic_write_text,
@@ -109,6 +125,27 @@ BACKOFF_MAX_S = 2.0
 #: How long one wait for acks/deaths may sleep before re-checking (bounds
 #: crash-detection latency while the server is blocked on backpressure).
 _WAIT_S = 0.25
+
+#: Key types the canonical wire form hands to a worker unchanged.
+_PLAIN_KEYS = frozenset({int, str, bytes, float, bool, type(None)})
+
+
+def _wire_changes(key) -> str | None:
+    """Why ``key`` keeps the server off the canonical wire form: it holds a
+    ``Fraction`` (an integral one would arrive as an ``int``), or its type
+    pickles by its own rules.  ``None`` when the form hands it over as is."""
+    cls = key.__class__
+    if cls in _PLAIN_KEYS:
+        return None
+    if cls is Fraction:
+        return "Fraction key"
+    if cls is tuple:
+        for item in key:
+            reason = _wire_changes(item)
+            if reason is not None:
+                return reason
+        return None
+    return "key type"  # pickled by its own rules, which may reach a Fraction
 
 
 class ServeError(RuntimeError):
@@ -146,6 +183,10 @@ class ServeResult:
     dead_lettered: int = 0  #: elements quarantined to dead-letter files
     hung_restarts: int = 0  #: restarts triggered by the liveness deadline
     quarantined: int = 0  #: checkpoint generations renamed *.corrupt
+    #: The wire form the run ended on: "canonical", or "exact (REASON)"
+    #: with REASON one of unlicensed, quarantine, callable field, Fraction
+    #: key, key type.
+    wire: str = "exact"
     latencies_s: list[float] = field(repr=False, default_factory=list)
 
     @property
@@ -265,6 +306,8 @@ class StreamServer:
         self.quarantine_events: list[tuple[str, str]] = []  #: (path, error)
         self._rng = random.Random(seed)  #: backoff jitter (seedable for chaos)
         self._key_fn = field_extractor(key_field)
+        #: Why batches travel in the exact wire form; None: canonical.
+        self._wire_reason = self._exact_wire_reason()
         self._ctx = _mp_context()
         self._supervisor: ServiceSupervisor | None = None
         self._shards: dict[int, _Shard] = {}
@@ -273,6 +316,17 @@ class StreamServer:
         self._draining = False
         self._closed = False
         self._hung_restarts = 0
+
+    def _exact_wire_reason(self) -> str | None:
+        """What keeps this deployment off the canonical wire form from the
+        start (see *Wire form* in the module docstring), or ``None``."""
+        if not element_blind(self.scheme.program):
+            return "unlicensed"
+        if self.on_error == "quarantine":
+            return "quarantine"
+        if callable(self.key_field) or callable(self.value_field):
+            return "callable field"
+        return None
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -335,8 +389,13 @@ class StreamServer:
         shard_for = self.ring.shard_for
         shards = self._shards
         batch_size = self.batch_size
+        canonical = self._wire_reason is None
         for element in elements:
-            shard = shards[shard_for(key_fn(element))]
+            key = key_fn(element)
+            if canonical and key.__class__ not in _PLAIN_KEYS:
+                self._wire_reason = _wire_changes(key)
+                canonical = self._wire_reason is None
+            shard = shards[shard_for(key)]
             pending = shard.pending
             pending.append(element)
             if len(pending) >= batch_size:
@@ -596,7 +655,7 @@ class StreamServer:
         that dies mid-flight is replayed from the buffer).  The buffer keeps
         the elements, which restore slices by offset; each send, a replay's
         too, carries them in :func:`~repro.serve.worker.encode_batch`'s
-        encoding."""
+        encoding, in the wire form in force at the send."""
         if not elements:
             return
         seq = self._next_seq()
@@ -605,7 +664,7 @@ class StreamServer:
         shard.inflight += 1
         shard.sent = max(shard.sent, start + len(elements))
         try:
-            shard.cmd.send(("batch", seq, encode_batch(elements)))
+            shard.cmd.send(("batch", seq, encode_batch(elements, self._wire_reason is None)))
         except (BrokenPipeError, OSError):
             self._restore_shard(shard)
 
@@ -770,6 +829,7 @@ class StreamServer:
             dead_lettered=dead_lettered,
             hung_restarts=self._hung_restarts,
             quarantined=len(self.quarantine_events),
+            wire=f"exact ({self._wire_reason})" if self._wire_reason else "canonical",
             latencies_s=list(self.latencies_s),
         )
 

@@ -11,6 +11,7 @@ from repro.core.scheme import OnlineScheme
 from repro.ir.dsl import add, div, mul
 from repro.ir.nodes import OnlineProgram
 from repro.runtime import sources
+from repro.serve.worker import decode_batch, encode_batch
 
 
 def assert_same_value(a, b, where=""):
@@ -24,6 +25,12 @@ def assert_same_value(a, b, where=""):
         assert b != b, f"{where}: nan vs {b!r}"
     else:
         assert a == b, f"{where}: {a!r} != {b!r}"
+
+
+def canonical_stream(elements: list) -> list:
+    """``elements`` as a serve worker receives them in the canonical wire
+    form: every integral ``Fraction``, at any depth, becomes its ``int``."""
+    return decode_batch(encode_batch(elements, canonical=True))
 
 
 def interpreted(scheme, elements, extra=None) -> tuple:

@@ -14,6 +14,13 @@ Case ids name the four axes, ``[jit-backend-scheme-family]``; slice with
 backend or a stream family is one entry in ``BACKENDS`` or ``FAMILIES``;
 ``BACKENDS`` also says which combinations could only repeat another.
 The columnar backends skip when NumPy is absent.
+
+A fifth axis, the wire form, is its own test,
+``test_canonical_wire_matches_interpreter``: each scheme the
+representation-blind license admits runs every backend over the stream
+as a serve worker receives it in the canonical wire form (integral
+``Fraction`` values as ints), against the interpreter's fold of the
+``Fraction`` stream, compared in checkpoint encoding.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ import pytest
 from differential import (
     adversarial_stream,
     assert_same_value,
+    canonical_stream,
     extras_for,
     integral_stream,
     small_int_stream,
@@ -34,7 +42,8 @@ from differential import (
 from test_ir_compile import random_candidate
 
 from repro.core.scheme import OnlineScheme
-from repro.ir.analysis import AnalysisBounds, FieldBounds
+from repro.core.serialize import encode_value
+from repro.ir.analysis import AnalysisBounds, FieldBounds, element_blind
 from repro.ir.nodes import Call, Const, OnlineProgram, Var
 from repro.ir.compile import kernel_partial
 from repro.ir.vectorize import admit_columnar, numpy_or_none
@@ -298,20 +307,29 @@ def shared(tmp_path_factory):
     return SimpleNamespace(tmp_dir=tmp_path_factory.mktemp("conformance"), folds={})
 
 
-def _cases():
+#: The schemes the canonical wire form may serve, and the families holding
+#: integral Fractions (on the others the form changes nothing).
+CANONICAL_SCHEMES = [name for name, (scheme, _) in SCHEMES.items()
+                     if element_blind(scheme.program)]
+CANONICAL_FAMILIES = ("adversarial", "integral", "chunked", "poisoned")
+
+
+def _cases(names=SCHEMES, families=FAMILIES):
     for jit, jit_id in (("1", "jit"), ("0", "nojit")):
         for backend, spec in BACKENDS.items():
             if jit == "0" and not spec.nojit:
                 continue
-            for name in SCHEMES:
-                for family in (f for f in FAMILIES if f not in spec.skips):
+            for name in names:
+                for family in (f for f in families if f not in spec.skips):
                     yield pytest.param(
                         jit, backend, name, family, id=f"{jit_id}-{backend}-{name}-{family}"
                     )
 
 
-@pytest.mark.parametrize("jit_mode,backend,name,family", list(_cases()), indirect=["jit_mode"])
-def test_matches_interpreter(jit_mode, backend, name, family, request, shared):
+def _run_case(jit_mode, backend, name, family, request, shared, *, canonical=False):
+    """One backend's outcome and the interpreter's, over the family's
+    stream; with ``canonical``, the backend gets the stream as the
+    canonical wire form delivers it and the interpreter the original."""
     run, fold, columnar, _, _ = BACKENDS[backend]
     if columnar and numpy_or_none() is None:
         pytest.skip("NumPy not installed")
@@ -321,8 +339,9 @@ def test_matches_interpreter(jit_mode, backend, name, family, request, shared):
     if backend == "keyed":
         elements = [(element, i % KEYS) for i, element in enumerate(elements)]
     case = SimpleNamespace(
-        scheme=scheme, arity=arity, extra=extra, elements=elements, chunks=chunks,
-        jit=jit_mode, request=request, tmp_dir=shared.tmp_dir,
+        scheme=scheme, arity=arity, extra=extra, chunks=chunks, jit=jit_mode,
+        elements=canonical_stream(elements) if canonical else elements,
+        request=request, tmp_dir=shared.tmp_dir,
     )
     got = run(case)
     base = trajectory_fold if fold is interpreted_fold else fold
@@ -334,7 +353,38 @@ def test_matches_interpreter(jit_mode, backend, name, family, request, shared):
     where = f"{backend} {name} {family}"
     assert got.raised is want.raised, f"{where}: raised {got.raised} vs {want.raised}"
     assert got.consumed in (None, want.consumed), f"{where}: consumed {got.consumed}"
+    return got, want, where
+
+
+@pytest.mark.parametrize("jit_mode,backend,name,family", list(_cases()), indirect=["jit_mode"])
+def test_matches_interpreter(jit_mode, backend, name, family, request, shared):
+    got, want, where = _run_case(jit_mode, backend, name, family, request, shared)
     assert_same_value(got.observed, want.observed, where)
+
+
+@pytest.mark.parametrize(
+    "jit_mode,backend,name,family",
+    list(_cases(CANONICAL_SCHEMES, CANONICAL_FAMILIES)),
+    indirect=["jit_mode"],
+)
+def test_canonical_wire_matches_interpreter(jit_mode, backend, name, family, request, shared):
+    got, want, where = _run_case(
+        jit_mode, backend, name, family, request, shared, canonical=True
+    )
+    assert encode_value(got.observed) == encode_value(want.observed), where
+
+
+def test_canonical_wire_axis_is_not_vacuous():
+    """The licensed schemes include the suite's moment aggregates, and the
+    canonical families hold integral Fractions the wire turns into ints."""
+    assert {"sum", "count", "mean", "variance"} <= set(CANONICAL_SCHEMES)
+    assert not {"last", "min", "max", "range"} & set(CANONICAL_SCHEMES)
+    for family in CANONICAL_FAMILIES:
+        streams = [FAMILIES[family](arity)[0] for arity in (1, 2)]
+        assert any(
+            encode_value(canonical_stream(elements)) != encode_value(elements)
+            for elements in streams
+        ), family
 
 
 @pytest.mark.skipif(numpy_or_none() is None, reason="NumPy not installed")

@@ -33,7 +33,7 @@ from fractions import Fraction
 
 import pytest
 
-from differential import adversarial_stream, assert_same_value
+from differential import adversarial_stream, assert_same_value, canonical_stream, integral_stream
 from test_ir_compile import ORACLE_ERRORS, random_candidate
 
 from repro.cli import main as cli_main
@@ -49,6 +49,7 @@ from repro.ir.analysis import (
     analyze_online,
     audit_program,
     bounds_from_spec,
+    element_blind,
     eliminate_dead_state,
     exit_code,
     find_divzero_witness,
@@ -65,6 +66,8 @@ from repro.ir.nodes import (
     Const,
     Hole,
     If,
+    Lambda,
+    Let,
     ListVar,
     MakeTuple,
     OnlineProgram,
@@ -73,7 +76,7 @@ from repro.ir.nodes import (
 )
 from repro.core.serialize import encode_value
 from repro.ir.pretty import pretty
-from repro.ir.traversal import substitute
+from repro.ir.traversal import free_vars, substitute
 from repro.runtime import KeyedOperator, OnlineOperator
 from repro.runtime.checkpoint import restore_keyed
 from repro.suites import all_benchmarks, get_benchmark
@@ -644,6 +647,91 @@ class TestReadoutSplit:
         assert 0 not in view and op.count == sum(p.count for p in op.partitions.values())
         op.reset()
         assert len(view) == 0 and op.count == 0
+
+
+# ---------------------------------------------------------------------------
+# The representation-blind license
+# ---------------------------------------------------------------------------
+
+
+def _typed(value):
+    """``value`` with each leaf tagged by its type, and floats by their bits
+    (``-0.0`` is not ``0.0``), like the checkpoint encoding; unlike it, a
+    number of any size compares."""
+    if isinstance(value, tuple):
+        return tuple(map(_typed, value))
+    return type(value).__name__, value.hex() if isinstance(value, float) else value
+
+
+def _typed_fold(program, initializer, elements) -> tuple:
+    """The interpreter's states over ``elements``, type-tagged, up to the
+    first failure, and the class of that failure."""
+    scheme = OnlineScheme(initializer, program)
+    state, states = initializer, []
+    for element in elements:
+        try:
+            state = scheme.interpreted_step(state, element)
+        except ORACLE_ERRORS as exc:
+            return states, type(exc)
+        states.append(_typed(state))
+    return states, None
+
+
+class TestElementBlind:
+    x, s = Var("x"), Var("s")
+
+    def _licensed(self, *outputs) -> bool:
+        return element_blind(OnlineProgram(("s",) * len(outputs), "x", outputs))
+
+    @pytest.mark.parametrize("name", ["sum", "count", "mean", "variance"])
+    def test_normalizing_ground_truths_are_licensed(self, name):
+        assert element_blind(get_benchmark(name).ground_truth.program)
+
+    def test_projection_inside_arithmetic_is_licensed(self):
+        assert self._licensed(add(self.s, Proj(self.x, 0)))
+        assert self._licensed(ite(Call("lt", (Proj(self.x, 1), Const(0))), self.s, mul(self.s, 2)))
+
+    @pytest.mark.parametrize("name", ["last", "min", "max", "range"])
+    def test_element_storing_ground_truths_are_refused(self, name):
+        assert not element_blind(get_benchmark(name).ground_truth.program)
+
+    @pytest.mark.parametrize(
+        "output",
+        [
+            Var("x"),
+            If(Call("lt", (Var("x"), Const(0))), Var("x"), Var("s")),
+            MakeTuple((Var("x"), Var("s"))),
+            Call("max", (Var("x"), Var("s"))),
+            Let("y", Var("x"), Var("y")),
+            Call(Lambda(("x",), add("x", 1)), (Var("s"),)),
+            Proj(Var("x"), 0),
+        ],
+        ids=["bare", "if-branch", "tuple", "max", "let", "shadowing-lambda", "bare-projection"],
+    )
+    def test_observable_occurrences_are_refused(self, output):
+        assert not self._licensed(output)
+
+    @pytest.mark.parametrize("seed", [11, 12])
+    def test_random_licensed_updates_fold_alike(self, seed):
+        # The license proposes, this checks: every licensed random update
+        # folds the canonical stream to the Fraction stream's states, types
+        # included, and fails on the same element if it fails.
+        rng = random.Random(seed)
+        streams = [
+            integral_stream(1, 12) + adversarial_stream(1, f"blind-{seed}", 12),
+            integral_stream(2, 12) + adversarial_stream(2, f"blind-{seed}", 12),
+        ]
+        licensed = 0
+        while licensed < 150:
+            outputs = tuple(random_candidate(rng, ("y1", "y2", "x"), 3) for _ in range(2))
+            program = OnlineProgram(("y1", "y2"), "x", outputs)
+            if "x" not in set().union(*map(free_vars, outputs)) or not element_blind(program):
+                continue
+            licensed += 1
+            for stream in streams:
+                want = _typed_fold(program, (0, 1), stream)
+                got = _typed_fold(program, (0, 1), canonical_stream(stream))
+                assert got == want, pretty(outputs[0]) + " | " + pretty(outputs[1])
 
 
 # ---------------------------------------------------------------------------

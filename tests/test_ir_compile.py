@@ -31,6 +31,7 @@ from repro.core.equivalence import check_expr_equivalence
 from repro.core.rfs import RFS
 from repro.core.scheme import OnlineScheme
 from repro.ir.compile import (
+    _FAST_IMPLS,
     IRCompileError,
     _fast_add,
     _fast_div,
@@ -45,7 +46,8 @@ from repro.ir.compile import (
     expr_evaluator,
     jit_enabled,
 )
-from repro.ir.builtins import get_builtin
+from repro.ir.analysis.liveness import NORMALIZING_BUILTINS
+from repro.ir.builtins import all_builtins, get_builtin
 from repro.ir.evaluator import EvaluationError, evaluate, step_online
 from repro.ir.nodes import (
     Call,
@@ -458,8 +460,7 @@ _GRID = (
     -2.25,
     float("inf"),
     # Denominator-1 Fractions around the fast paths' 2**18-bit guard, where
-    # unwrapping to int must not move the registry's 2**20-bit float degrade
-    # (_bit_size(Fraction(n)) is n.bit_length() + 1).
+    # unwrapping to int must not move the registry's 2**20-bit float degrade.
     Fraction(1 << ((1 << 18) - 2)),
     Fraction(-(1 << ((1 << 18) - 1))),
     Fraction(1 << (1 << 18)),
@@ -612,3 +613,75 @@ def test_fast_div_safe_conventions():
     assert_same_value(_fast_div(1, 3), Fraction(1, 3), "1/3")
     assert_same_value(_fast_div(6, 3), 2, "6/3 normalizes to int")
     assert_same_value(_fast_div(Fraction(1, 2), -2), Fraction(-1, 4), "sign")
+
+
+# -- representation blindness -------------------------------------------------
+#
+# The serve license (repro.ir.analysis.liveness.element_blind) lets workers
+# fold ``k`` where the stream holds ``Fraction(k)`` when the element only
+# reaches these builtins; each implementation must then give the same type
+# and value for either form.
+
+#: 3 + (2**20 - 3) bits: ``5`` and this sit exactly at the registry's 2**20-bit
+#: float degrade, whichever form ``5`` takes.
+_AT_DEGRADE = (1 << ((1 << 20) - 3)) - 1
+#: 2**16 bits: its 64th power sits exactly at safe_pow's 2**22-bit degrade.
+_POW_AT_DEGRADE = 1 << ((1 << 16) - 1)
+_BLIND_INTS = (0, 1, -1, 5, -7, 64, 2**70, _POW_AT_DEGRADE)
+_BLIND_OTHERS = (
+    3, -2, Fraction(1, 3), Fraction(-7, 2), 0.5, -0.0, float("inf"), True, "s", (1, 2),
+    _AT_DEGRADE, -_AT_DEGRADE, Fraction(_AT_DEGRADE),
+) + _BLIND_INTS + tuple(Fraction(k) for k in _BLIND_INTS)
+
+
+def _blind_impls():
+    """Every implementation a licensed element can reach: the registry
+    impl, the fast-path helper and the code the compiler emits."""
+    for builtin in all_builtins():
+        name = builtin.name
+        if name not in NORMALIZING_BUILTINS and builtin.kind != "predicate":
+            continue
+        params = ("a", "b")[: builtin.arity]
+        call = Call(name, tuple(map(Var, params)))
+        yield pytest.param(name, builtin.arity, builtin.impl, id=name)
+        compiled = compile_expr(call, params)
+        yield pytest.param(name, builtin.arity, compiled, id=f"compiled-{name}")
+        if name in _FAST_IMPLS:
+            yield pytest.param(name, builtin.arity, _FAST_IMPLS[name], id=f"fast-{name}")
+
+
+def _outcome(fn, *args):
+    """The result's type and value (a float by its bits), or the class of
+    the exception raised."""
+    try:
+        value = fn(*args)
+    except ORACLE_ERRORS as exc:
+        return type(exc)
+    return type(value), value.hex() if isinstance(value, float) else value
+
+
+@pytest.mark.parametrize("name,arity,impl", list(_blind_impls()))
+def test_integral_fraction_and_int_are_interchangeable(name, arity, impl):
+    # div has no bit-size degrade to probe, and spends seconds in the gcds
+    # of 2**20-bit operands.
+    others = [
+        y for y in _BLIND_OTHERS
+        if name != "div" or not isinstance(y, (int, Fraction)) or abs(y) < 1 << (1 << 16)
+    ]
+    for k in _BLIND_INTS:
+        if arity == 1:
+            assert _outcome(impl, Fraction(k)) == _outcome(impl, k), f"{name}({_short(k)})"
+            continue
+        for y in others:
+            where = f"{name} of {_short(k)} and {_short(y)}"
+            assert _outcome(impl, Fraction(k), y) == _outcome(impl, k, y), where
+            assert _outcome(impl, y, Fraction(k)) == _outcome(impl, y, k), where
+
+
+def test_bit_size_boundary_is_exact_for_either_form():
+    """The pairs the interchangeability test turns on: while ``_bit_size``
+    counted ``Fraction(5)`` one bit more than ``5``, these degraded to 0."""
+    add, mul, pow_ = (get_builtin(n).impl for n in ("add", "mul", "pow"))
+    assert add(Fraction(5), _AT_DEGRADE) == add(5, _AT_DEGRADE) == _AT_DEGRADE + 5
+    assert mul(Fraction(5), _AT_DEGRADE) == _AT_DEGRADE * 5
+    assert pow_(Fraction(_POW_AT_DEGRADE), 64) == _POW_AT_DEGRADE**64

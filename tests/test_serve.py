@@ -7,6 +7,7 @@ import json
 import pickle
 import random
 from fractions import Fraction
+from operator import itemgetter
 from unittest import mock
 
 import pytest
@@ -28,6 +29,7 @@ from repro.serve import (
     states_match,
 )
 from repro.serve import hashring
+from repro.serve.server import _wire_changes
 from repro.serve.worker import decode_batch, encode_batch
 
 
@@ -435,6 +437,88 @@ class TestServerDifferential:
         assert get(("v", "k")) == "k"
         assert field_extractor(None) is None
         assert field_extractor(len) is len
+
+
+class TestWireForm:
+    """The canonical wire form (integral Fractions as ints) runs only where
+    no state can tell; everything else keeps the exact form."""
+
+    def test_licensed_scheme_travels_canonical(self, tmp_path):
+        elements = keyed_stream(300)
+        result = serve(elements, tmp_path)
+        assert result.wire == "canonical"
+        assert states_match(result, reference_states(sum_scheme(), elements, key_field=1,
+                                                     value_field=0))
+
+    def test_unlicensed_scheme_travels_exact(self, tmp_path):
+        with StreamServer(
+            last_value_scheme(), shards=2, checkpoint_dir=tmp_path, key_field=1, value_field=0,
+        ) as server:
+            server.push_many(keyed_stream(50))
+            result = server.drain()
+        assert result.wire == "exact (unlicensed)"
+
+    def test_fraction_keys_switch_to_exact_across_a_kill(self, tmp_path):
+        # Int keys travel canonical until the first Fraction key; the kill
+        # after it replays batches first sent canonical in the exact form.
+        # The Fraction keys must reach the checkpoint as Fractions.
+        scheme = sum_scheme()
+        head = keyed_stream(400, keys=8)
+        tail = [(value, Fraction(key + 8 * (i % 2))) for i, (value, key) in
+                enumerate(keyed_stream(800, keys=8, seed=4))]
+        elements = head + tail
+        with StreamServer(
+            scheme, shards=2, checkpoint_dir=tmp_path, key_field=1, value_field=0,
+            checkpoint_every=100, batch_size=16, max_inflight=4,
+        ) as server:
+            for i, element in enumerate(elements):
+                server.push(element)
+                if i == 700:
+                    server.kill_shard(0)
+            result = server.drain()
+        assert result.restarts == 1
+        assert result.wire == "exact (Fraction key)"
+        assert states_match(result, reference_states(scheme, elements, key_field=1,
+                                                     value_field=0))
+        assert {type(key) for key in result.states} == {int, Fraction}
+
+    @pytest.mark.parametrize("keys", [(3, Fraction(3)), (Fraction(3), 3)],
+                             ids=["int-first", "fraction-first"])
+    def test_equal_keys_keep_the_type_that_came_first(self, tmp_path, keys):
+        elements = [(Fraction(5), keys[0]), (Fraction(7), keys[1]), (Fraction(1), 4)]
+        result = serve(elements, tmp_path)
+        assert states_match(result, reference_states(sum_scheme(), elements, key_field=1,
+                                                     value_field=0))
+        assert [type(key) for key in result.states if key == 3] == [type(keys[0])]
+
+    def test_callable_fields_travel_exact(self, tmp_path):
+        # A callable extractor may look at the type; an itemgetter pickles.
+        with StreamServer(
+            sum_scheme(), shards=2, checkpoint_dir=tmp_path, key_field=1,
+            value_field=itemgetter(0),
+        ) as server:
+            server.push_many(keyed_stream(50))
+            result = server.drain()
+        assert result.wire == "exact (callable field)"
+
+    @pytest.mark.parametrize("key, reason", [
+        (3, None), ("a", None), (2.5, None), ((1, ("a", None)), None),
+        (Fraction(3), "Fraction key"), (("a", (1, Fraction(1, 2))), "Fraction key"),
+        (Ratio(3), "key type"), (frozenset({1}), "key type"),
+    ])
+    def test_which_keys_switch_to_exact(self, key, reason):
+        assert _wire_changes(key) == reason
+
+    def test_quarantine_dead_letters_keep_fractions(self, tmp_path):
+        # A tuple value raises in add; the dead-letter record reprs it, and
+        # must show the Fraction the stream held.
+        elements = keyed_stream(40) + [((Fraction(3), 1), 2)] + keyed_stream(40, seed=9)
+        result = serve(elements, tmp_path, on_error="quarantine")
+        assert result.wire == "exact (quarantine)"
+        assert result.dead_lettered == 1
+        [record] = [json.loads(line) for path in sorted(tmp_path.glob("deadletter-*.jsonl"))
+                    for line in path.read_text().splitlines()]
+        assert record["element"] == repr(((Fraction(3), 1), 2))
 
 
 class TestServerResume:

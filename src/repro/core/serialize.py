@@ -32,13 +32,17 @@ Value encoding
     53-bit numbers), ``["rat", "<num>", "<den>"]``, ``["float", "<repr>"]``
     (``repr`` round-trips exactly, including ``inf``/``nan``),
     ``["str", "<text>"]`` (checkpoint partition keys), and
-    ``["tuple", [...]]`` / ``["list", [...]]`` for containers.
+    ``["tuple", [...]]`` / ``["list", [...]]`` for containers.  Digit
+    strings have any length: past CPython's int/str conversion limit
+    (``sys.get_int_max_str_digits()``) they go through
+    :class:`decimal.Decimal`, and the process-wide limit is left alone.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from decimal import Decimal
 from fractions import Fraction
 from typing import Any
 
@@ -59,6 +63,20 @@ class SchemeFormatError(ValueError):
     """The serialized form is malformed, inconsistent, or from the future."""
 
 
+def _digits(n: int) -> str:
+    try:
+        return str(n)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        return str(Decimal(n))
+
+
+def _integer(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        return int(Decimal(digits))
+
+
 def encode_value(value: Value) -> Any:
     """Encode one runtime value as a JSON-safe tagged form.
 
@@ -70,9 +88,9 @@ def encode_value(value: Value) -> Any:
     if isinstance(value, str):
         return ["str", value]
     if isinstance(value, int):
-        return ["int", str(value)]
+        return ["int", _digits(value)]
     if isinstance(value, Fraction):
-        return ["rat", str(value.numerator), str(value.denominator)]
+        return ["rat", _digits(value.numerator), _digits(value.denominator)]
     if isinstance(value, float):
         return ["float", repr(value)]
     if isinstance(value, tuple):
@@ -94,7 +112,7 @@ def decode_value(data: Any) -> Value:
     if tag == "int" and len(rest) == 1 and isinstance(rest[0], str):
         if not _INT_RE.match(rest[0]):
             raise SchemeFormatError(f"malformed int literal {rest[0]!r}")
-        return int(rest[0])
+        return _integer(rest[0])
     if (
         tag == "rat"
         and len(rest) == 2
@@ -103,7 +121,7 @@ def decode_value(data: Any) -> Value:
         and _POS_INT_RE.match(rest[1])
         and rest[1] != "0"
     ):
-        return Fraction(int(rest[0]), int(rest[1]))
+        return Fraction(_integer(rest[0]), _integer(rest[1]))
     if tag == "float" and len(rest) == 1 and isinstance(rest[0], str):
         try:
             return float(rest[0])

@@ -1,19 +1,23 @@
 """Algebraic tidying of synthesized online expressions.
 
 The decoder and template solver can leave arithmetic noise behind
-(``x * 1``, ``0 + e``, constant subtrees).  This pass performs local,
+(``e / 1``, ``-(-e)``, constant subtrees).  This pass performs local,
 semantics-preserving rewrites only — it exists so that reported AST sizes and
 pretty-printed schemes are comparable with the hand-written ground truth, not
 for correctness.
 
 The safe-division convention makes some classical identities unsound
 (``e / e`` is 0, not 1, when ``e = 0``), so only identities valid under the
-paper's semantics are applied.  An identity operand is the node ``ZERO``,
-``ONE``, ``TRUE`` or ``FALSE`` itself: ``x + 0.0`` is a float and ``x * True``
-raises, so neither is ``x``; nor is ``x + 0`` unless ``kind_and_totality``
-proves ``x`` a number (a tuple or bool ``x`` raises).  Absorbing rewrites
-(``x * 0``, ``x - x``, ``0 / x``, ``x ** 0``) are not applied: they would
-drop the operand's float type and its faults.
+paper's semantics are applied, the same ones
+:mod:`repro.ir.analysis.prune` applies: ``x / 1`` and ``-(-x)`` become ``x``
+when ``kind_and_totality`` proves ``x`` a number (a tuple or bool ``x``
+raises or changes type), and the identity is the node ``ONE`` itself
+(``x / 1.0`` is a float).  ``x + 0``, ``x - 0``, ``x * 1`` and ``x ** 1``
+are not ``x``: ``add``, ``sub`` and ``mul`` degrade operands past 2**20
+bits to floats, and ``pow`` past 2**22 bits, so at ``x = 2**(2**20)`` the
+sum ``-x + 0`` is ``0``.  ``div`` and ``neg`` never degrade.  Absorbing
+rewrites (``x * 0``, ``x - x``, ``0 / x``, ``x ** 0``) are not applied
+either: they would drop the operand's float type and its faults.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from fractions import Fraction
 
 from ..ir.analysis.liveness import NUM_K, kind_and_totality
 from ..ir.builtins import get_builtin, is_builtin
-from ..ir.nodes import FALSE, ONE, TRUE, ZERO, Call, Const, Expr, If, MakeTuple, Proj, const
+from ..ir.nodes import FALSE, ONE, TRUE, Call, Const, Expr, If, MakeTuple, Proj, const
 from ..ir.traversal import transform_bottom_up
 from ..ir.values import is_number
 
@@ -54,21 +58,7 @@ def _local(node: Expr) -> Expr:
     if isinstance(node, Call) and isinstance(node.func, str):
         a = node.args[0] if node.args else None
         b = node.args[1] if len(node.args) > 1 else None
-        op = node.func
-        if op == "add":
-            if a == ZERO and _numeric(b):
-                return b  # type: ignore[return-value]
-            if b == ZERO and _numeric(a):
-                return a  # type: ignore[return-value]
-        elif op == "sub":
-            if b == ZERO and _numeric(a):
-                return a  # type: ignore[return-value]
-        elif op == "mul":
-            if a == ONE and _numeric(b):
-                return b  # type: ignore[return-value]
-            if b == ONE and _numeric(a):
-                return a  # type: ignore[return-value]
-        elif op == "div":
+        if node.func == "div":
             if b == ONE and _numeric(a):
                 return a  # type: ignore[return-value]
             # Nested constant denominators: (e / c1) / c2 -> e / (c1*c2).
@@ -82,10 +72,7 @@ def _local(node: Expr) -> Expr:
             ):
                 merged = Fraction(a.args[1].value) * Fraction(b.value)
                 return Call("div", (a.args[0], const(merged)))
-        elif op == "pow":
-            if b == ONE and _numeric(a):
-                return a  # type: ignore[return-value]
-        elif op == "neg" and isinstance(a, Call) and a.func == "neg" and _numeric(a.args[0]):
+        elif node.func == "neg" and isinstance(a, Call) and a.func == "neg" and _numeric(a.args[0]):
             return a.args[0]
     if isinstance(node, If):
         if node.cond == TRUE:

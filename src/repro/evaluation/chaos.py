@@ -252,34 +252,40 @@ def run_chaos(
 
     records = []
     started = time.perf_counter()
-    for trial in range(trials):
-        rng = random.Random(f"repro-chaos:{seed}:{trial}")
-        scheme_name = schemes[trial % len(schemes)]
-        spec = sources.reseed_spec(base_spec, rng.randrange(1_000_000))
-        stream = list(sources.from_spec(spec))
-        fault_specs = schedule_faults(
-            rng,
-            kinds,
-            shards=shards,
-            elements=len(stream),
-            checkpoint_every=checkpoint_every,
-        )
-        trial_dir = root / f"trial-{trial:02d}"
-        record = run_trial(
-            scheme_name,
-            stream,
-            fault_specs,
-            shards=shards,
-            checkpoint_every=checkpoint_every,
-            batch_size=batch_size,
-            on_error=on_error,
-            workdir=trial_dir,
-            liveness_timeout_s=liveness_timeout_s,
-            trial_seed=rng.randrange(1_000_000),
-        )
-        record["trial"] = trial
-        record["source"] = spec
-        records.append(record)
+    try:
+        for trial in range(trials):
+            rng = random.Random(f"repro-chaos:{seed}:{trial}")
+            scheme_name = schemes[trial % len(schemes)]
+            spec = sources.reseed_spec(base_spec, rng.randrange(1_000_000))
+            stream = list(sources.from_spec(spec))
+            fault_specs = schedule_faults(
+                rng,
+                kinds,
+                shards=shards,
+                elements=len(stream),
+                checkpoint_every=checkpoint_every,
+            )
+            trial_dir = root / f"trial-{trial:02d}"
+            record = run_trial(
+                scheme_name,
+                stream,
+                fault_specs,
+                shards=shards,
+                checkpoint_every=checkpoint_every,
+                batch_size=batch_size,
+                on_error=on_error,
+                workdir=trial_dir,
+                liveness_timeout_s=liveness_timeout_s,
+                trial_seed=rng.randrange(1_000_000),
+            )
+            record["trial"] = trial
+            record["source"] = spec
+            records.append(record)
+    finally:
+        if not keep_artifacts:
+            import shutil
+
+            shutil.rmtree(root, ignore_errors=True)
 
     counts = {"match": 0, "refused": 0, "failed": 0, "diverged": 0}
     for record in records:
@@ -305,10 +311,6 @@ def run_chaos(
         "elapsed_s": time.perf_counter() - started,
         "ok": counts["failed"] == 0 and counts["diverged"] == 0,
     }
-    if not keep_artifacts:
-        import shutil
-
-        shutil.rmtree(root, ignore_errors=True)
     return report
 
 

@@ -283,8 +283,16 @@ class StreamServer:
             raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
         if on_error not in ("fail", "quarantine"):
             raise ValueError(f"on_error must be 'fail' or 'quarantine', got {on_error!r}")
-        if liveness_timeout_s <= 0:
-            raise ValueError(f"liveness_timeout_s must be > 0, got {liveness_timeout_s}")
+        # A nan or infinite duration would silently switch off hung-worker
+        # detection or the restart budget's window.
+        for name, seconds in (("liveness_timeout_s", liveness_timeout_s),
+                              ("restart_window_s", restart_window_s)):
+            if seconds <= 0:
+                raise ValueError(f"{name} must be > 0, got {seconds}")
+            if not math.isfinite(seconds):
+                raise ValueError(f"{name} must be finite, got {seconds}")
+        if restart_budget < 0:
+            raise ValueError(f"restart_budget must be >= 0, got {restart_budget}")
         self.scheme = scheme
         self.shards = shards
         self.checkpoint_dir = Path(checkpoint_dir)

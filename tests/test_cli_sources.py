@@ -344,7 +344,7 @@ class TestKeyedRunBounds:
     SOURCE = "zipf-keys:2000:20:3:1.2:1:1000"
 
     def test_bounds_are_projected_onto_the_value_field(self):
-        from repro.cli import _spec_analysis_bounds
+        from repro.cli.deploy import _spec_analysis_bounds
         from repro.ir.analysis import bounds_from_spec
 
         whole = bounds_from_spec(self.SOURCE)

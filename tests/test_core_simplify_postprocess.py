@@ -14,13 +14,15 @@ NUM = add("a", "b")
 
 class TestSimplify:
     def test_add_zero(self):
-        assert simplify_expr(add(NUM, 0)) == NUM
-        assert simplify_expr(add(0, NUM)) == NUM
-        assert simplify_expr(sub(NUM, 0)) == NUM
+        # ``add``/``sub`` degrade operands past 2**20 bits to floats, so
+        # ``e + 0`` is not ``e`` even for a numeric ``e``: kept as is.
+        for expr in (add(NUM, 0), add(0, NUM), sub(NUM, 0)):
+            assert simplify_expr(expr) == expr
 
     def test_mul_identities(self):
-        assert simplify_expr(mul(NUM, 1)) == NUM
-        assert simplify_expr(mul(1, NUM)) == NUM
+        # ``mul`` degrades like ``add``: ``e * 1`` is kept as is.
+        assert simplify_expr(mul(NUM, 1)) == mul(NUM, 1)
+        assert simplify_expr(mul(1, NUM)) == mul(1, NUM)
         # Absorbing rewrites drop the operand's type and faults: kept as is.
         assert simplify_expr(mul("a", 0)) == mul("a", 0)
 
@@ -53,7 +55,8 @@ class TestSimplify:
         assert simplify_expr(expr) == div("a", 6)
 
     def test_pow_identities(self):
-        assert simplify_expr(powi(NUM, 1)) == NUM
+        # ``pow`` degrades bases past 2**22 bits to floats: ``e ** 1`` is kept.
+        assert simplify_expr(powi(NUM, 1)) == powi(NUM, 1)
         assert simplify_expr(powi("a", 0)) == powi("a", 0)
 
     def test_if_constant_condition(self):

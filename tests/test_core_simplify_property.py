@@ -16,8 +16,9 @@ stored, so its contract is load-bearing:
   written ground truth, so simplification never enlarges a tree;
 * **type-preserving on identities** — an identity operand is ``0``, ``1``,
   ``True`` or ``False`` of its own type: ``x + 0.0`` is a float and
-  ``x * True`` raises, so neither simplifies to ``x``; and ``x + 0`` is
-  ``x`` only for a numeric ``x`` (on a tuple it raises).
+  ``x * True`` raises, so neither simplifies to ``x``; ``x / 1`` is ``x``
+  only for a numeric ``x`` (on a tuple it raises); and ``x + 0`` is never
+  ``x``, since ``add`` degrades operands past 2**20 bits to floats.
 """
 
 from __future__ import annotations
@@ -92,13 +93,14 @@ def test_noise_shapes_simplify_and_preserve_meaning(a, b, x):
     """The decoder's actual noise shapes (identity operands, constant
     subtrees, same-branch conditionals) on hypothesis-generated values."""
     env = {"a": a, "b": b, "x": x}
-    # Identities rewrite only operands the kind analysis proves numeric.
+    # Identities (``e / 1``, ``-(-e)``) rewrite only operands the kind
+    # analysis proves numeric.
     noisy = [
-        add(mul(sub("a", "a"), "b"), div(mul(add("x", 1), 1), 2)),
-        mul(add(sub("a", "b"), 0), powi(add(neg("b"), 0), 1)),
+        add(mul(sub("a", "a"), "b"), div(div(add("x", 1), 1), 2)),
+        mul(div(sub("a", "b"), 1), powi(neg(neg(add("b", 1))), 2)),
         ite(lt("a", "b"), add(mul("x", 2), 0), add(mul("x", 2), 0)),
         div(div("a", 2), 3),
-        sub(add("a", "b"), 0),
+        sub(add("a", "b"), sub(2, 2)),
     ]
     for expr in noisy:
         simplified = simplify_expr(expr)
@@ -135,6 +137,10 @@ _TYPED_PROBES = [
     div("x", 1),
     powi("x", 1),
     neg(neg("x")),
+    # The float degrade: at x = 2, the base is 2**(2**20), exact (pow stays
+    # exact up to 2**22 bits), and ``add`` turns that operand into a float,
+    # which overflows to 0.  So ``e + 0`` is 0 where ``e`` is not.
+    add(powi(powi(powi(powi("x", 64), 64), 64), 4), 0),
     # Absorbing shapes: 0.0 / 1.0 on a float ``x``, TypeError on a tuple.
     mul("x", 0),
     mul(0, "x"),

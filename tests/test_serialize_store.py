@@ -2,6 +2,7 @@
 scheme store (repro.store)."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from repro.ir.dsl import add, mul
 from repro.ir.nodes import OnlineProgram
 from repro.ir.parser import ParseError, parse_online_program
 from repro.ir.pretty import online_program_to_sexpr
+from repro.runtime import OnlineOperator
 from repro.store import SchemeStore, scheme_key
 from repro.suites import all_benchmarks, get_benchmark
 
@@ -78,6 +80,32 @@ class TestValueCodec:
     def test_unserializable_value_rejected(self):
         with pytest.raises(SchemeFormatError):
             encode_value(object())
+
+    def test_values_past_the_int_digit_limit_round_trip(self):
+        # CPython refuses str(int) past sys.get_int_max_str_digits() digits;
+        # the codec must not, and must leave that process-wide limit alone.
+        limit = sys.get_int_max_str_digits()
+        big = -(7 ** 12000)  # ~10,000 decimal digits
+        for value in (big, Fraction(big, 3 ** 9000), (big, [Fraction(1, -big)])):
+            decoded = decode_value(json.loads(json.dumps(encode_value(value))))
+            assert decoded == value and type(decoded) is type(value)
+        assert encode_value(big)[1][:5] == "-1501"
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_values_under_the_limit_encode_as_plain_str(self):
+        under = 10 ** 4299 - 1  # 4,299 digits: within the default limit
+        assert encode_value(under) == ["int", str(under)]
+        assert encode_value(Fraction(-under, 7)) == ["rat", str(-under), "7"]
+
+    def test_huge_exact_state_checkpoint_restores_bit_identically(self):
+        op = OnlineOperator(get_benchmark("product").ground_truth)
+        op.push_many(range(2, 2200))  # 2199! has ~6,300 digits
+        restored = OnlineOperator.restore(json.loads(json.dumps(op.checkpoint())))
+        assert restored.state == op.state
+        assert [type(v) for v in restored.state] == [type(v) for v in op.state]
+        restored.push(3)
+        op.push(3)
+        assert restored.value == op.value
 
 
 class TestOnlineProgramSexpr:

@@ -23,8 +23,10 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
     try:
         kinds = chaos.normalize_fault_kinds(k for k in args.faults.split(",") if k.strip())
-        if args.trials < 1:
-            raise ValueError(f"--trials must be >= 1, got {args.trials}")
+        for flag, count in (("--trials", args.trials), ("--shards", args.shards),
+                            ("--checkpoint-every", args.checkpoint_every)):
+            if count < 1:
+                raise ValueError(f"{flag} must be >= 1, got {count}")
         if args.liveness_timeout <= 0:
             raise ValueError(f"--liveness-timeout must be > 0, got {args.liveness_timeout}")
         report = chaos.run_chaos(

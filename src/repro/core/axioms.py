@@ -24,7 +24,6 @@ strictly moves ``Snoc``/``If`` nodes toward the root or eliminates them.
 
 from __future__ import annotations
 
-from ..ir.builtins import is_builtin
 from ..ir.nodes import (
     Call,
     Const,
@@ -41,15 +40,13 @@ from ..ir.traversal import rebuild, substitute
 _MAX_REWRITE_PASSES = 64
 
 
-def apply_lambda(func: Expr, *args: Expr) -> Expr:
-    """Beta-reduce a lambda application; builtin names become calls."""
-    if isinstance(func, Lambda):
-        if len(func.params) != len(args):
-            raise ValueError(f"lambda arity {len(func.params)} vs {len(args)} arguments")
-        return substitute(func.body, dict(zip(func.params, args)))
-    if isinstance(func, str) and is_builtin(func):  # defensive; not produced by parser
-        return Call(func, tuple(args))
-    raise ValueError(f"cannot apply non-lambda {func!r}")
+def apply_lambda(func: Lambda, *args: Expr) -> Expr:
+    """Beta-reduce a combinator's lambda applied to ``args``."""
+    if not isinstance(func, Lambda):
+        raise ValueError(f"cannot apply non-lambda {func!r}")
+    if len(func.params) != len(args):
+        raise ValueError(f"lambda arity {len(func.params)} vs {len(args)} arguments")
+    return substitute(func.body, dict(zip(func.params, args)))
 
 
 def _rewrite_once(expr: Expr) -> Expr:

@@ -455,7 +455,15 @@ class OnlineScheme:
 
     @classmethod
     def load(cls, path) -> "OnlineScheme":
-        """Read a scheme previously written by :meth:`save`."""
+        """Read a scheme previously written by :meth:`save`
+        (:class:`repro.core.serialize.SchemeFormatError` on a file that is
+        not UTF-8 text, or on anything :meth:`loads` refuses)."""
         from pathlib import Path
 
-        return cls.loads(Path(path).read_text(encoding="utf-8"))
+        from .serialize import SchemeFormatError
+
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise SchemeFormatError(f"not UTF-8 text: {exc}") from None
+        return cls.loads(text)

@@ -34,7 +34,7 @@ from ..nodes import (
     Proj,
     Var,
 )
-from ..traversal import iter_subexprs
+from ..traversal import element_shape
 from ..values import Value
 from .bounds import AnalysisBounds, FieldBounds
 from .engine import Path
@@ -132,21 +132,6 @@ def watched_step(
     return tuple(_eval_watched(out, env, hits, (i,)) for i, out in enumerate(program.outputs))
 
 
-def element_arity(program: OnlineProgram) -> int:
-    """Guessed stream-element arity: ``k`` if the element is projected
-    (``Proj(x, i)`` with ``i < k``), else 1 (scalar)."""
-    arity = 0
-    for out in program.outputs:
-        for sub in iter_subexprs(out):
-            if (
-                isinstance(sub, Proj)
-                and isinstance(sub.tup, Var)
-                and sub.tup.name == program.elem_param
-            ):
-                arity = max(arity, sub.index + 1)
-    return max(arity, 1) if arity else 1
-
-
 def _field_pool(fb: FieldBounds, rng) -> list[Value]:
     """A small set of in-bounds probe values for one stream field."""
     finite_lo = isinstance(fb.lo, (int, Fraction))
@@ -189,7 +174,8 @@ def _field_pool(fb: FieldBounds, rng) -> list[Value]:
 def _element_pool(program: OnlineProgram, bounds: AnalysisBounds, rng) -> list[Value]:
     fields = bounds.element
     if fields is None:
-        arity = element_arity(program)
+        # Guess the arity from the projections; a scalar stream has none.
+        arity = max(element_shape(program)[0], 1)
         fields = tuple(FieldBounds() for _ in range(arity))
     pools = [_field_pool(fb, rng) for fb in fields]
     if len(pools) == 1:

@@ -19,9 +19,12 @@ from ..builtins import get_builtin, is_builtin
 from ..nodes import (
     Call,
     Expr,
+    Filter,
+    Fold,
     Hole,
     Lambda,
     Let,
+    Map,
     OnlineProgram,
     Var,
 )
@@ -87,6 +90,11 @@ def _check_expr(expr: Expr, bound: frozenset[str], site: str) -> list[dict]:
         if isinstance(node, Lambda):
             walk(node.body, scope | frozenset(node.params))
             return
+        if isinstance(node, (Map, Filter, Fold)) and not isinstance(node.func, Lambda):
+            findings.append(_finding("error", f"cannot apply {type(node.func).__name__}", site))
+            for child in node.children()[1:]:
+                walk(child, scope)
+            return
         if isinstance(node, Let):
             walk(node.value, scope)
             walk(node.body, scope | {node.name})
@@ -120,11 +128,14 @@ def audit_program(
         )
 
     bound = _bound_names(program)
+    online = []
     for i, out in enumerate(program.outputs):
         site = f"output {i} ({program.state_params[i]})" if i < len(
             program.state_params
         ) else f"output {i}"
-        if not validate_online_expr(out):
+        if validate_online_expr(out):
+            online.append(out)
+        else:
             findings.append(
                 _finding(
                     "error",
@@ -135,12 +146,12 @@ def audit_program(
             )
         findings.extend(_check_expr(out, bound, site))
 
+    # The notes below walk online outputs only: the others are errors
+    # already, and a combinator there may hold a callee outside the IR.
     floaty = set()
-    for out in program.outputs:
+    for out in online:
         floaty |= used_builtins(out) & _FLOATY
-    has_higher_order = any(
-        isinstance(sub, Lambda) for out in program.outputs for sub in iter_subexprs(out)
-    )
+    has_higher_order = any(isinstance(sub, Lambda) for out in online for sub in iter_subexprs(out))
     findings.append(
         _finding(
             "info",

@@ -39,12 +39,13 @@ randomly enumerated candidates.
 
 Failure contract (mirroring the interpreter's :class:`EvaluationError`
 cases): conditions that are detectable statically — sketch holes, unbound
-variables, unknown built-ins, non-applicable callees — fail *at compile
-time* with :class:`IRCompileError`, and every caller falls back to the
-interpreter, which then raises exactly as it always did.  Conditions that
-the interpreter only detects at run time (lambda arity mismatches inside a
-combinator, bad projections, missing extra parameters) raise the same
-exception class from compiled code as from interpreted code.
+variables, unknown built-ins, a callee that is neither a built-in name nor
+a ``Lambda`` — fail *at compile time* with :class:`IRCompileError`, and
+every caller falls back to the interpreter, which then raises exactly as it
+always did.  Conditions that the interpreter only detects at run time
+(lambda arity mismatches inside a combinator, bad projections, missing
+extra parameters) raise the same exception class from compiled code as
+from interpreted code.
 
 Synthesis evaluates through :func:`expr_evaluator`: an expression that is
 evaluated many times (an RFS specification per random sample, both sides of
@@ -95,13 +96,15 @@ from .nodes import (
     Snoc,
     Var,
 )
+from .traversal import free_vars, iter_subexprs
 from .values import Value
 
 
 class IRCompileError(Exception):
     """The expression cannot be compiled (holes, unbound names, unknown
-    built-ins, non-applicable callees, or pathological nesting).  Callers
-    fall back to the interpreter, whose behaviour is the specification."""
+    built-ins, callees outside the IR contract, or pathological nesting).
+    Callers fall back to the interpreter, whose behaviour is the
+    specification."""
 
 
 def jit_enabled() -> bool:
@@ -231,9 +234,8 @@ class StepKernel:
 #
 # These live in each closure's globals under fixed names.  They cover the few
 # constructs that need a statement (fold's loop), a guard the interpreter
-# applies (projection, env-provided callables, closure arity), an error the
-# interpreter raises only when a lambda is actually invoked, and the exact
-# arithmetic fast paths.
+# applies (projection, closure arity), an error the interpreter raises only
+# when a lambda is actually invoked, and the exact arithmetic fast paths.
 
 
 def _fold(fn, acc, lst):
@@ -247,14 +249,6 @@ def _proj(tup, index, what):
         return tup[index]
     except (IndexError, TypeError) as exc:
         raise EvaluationError(f"bad projection {what}: {exc}") from None
-
-
-def _env_fn(value, name):
-    """The interpreter's Var-in-function-position check, hoisted before the
-    arguments/list are evaluated (matching ``_eval_function`` order)."""
-    if callable(value):
-        return value
-    raise EvaluationError(f"variable {name!r} is not a function")
 
 
 def _extra_get(extra, name, what):
@@ -609,23 +603,6 @@ def _is_int_literal(code: str) -> bool:
     return _INT_LITERAL_RE.fullmatch(code) is not None
 
 
-def _free_names(expr: Expr) -> frozenset[str]:
-    """Free ``Var``/``ListVar`` names, including a ``Var`` in call position
-    (which :func:`repro.ir.traversal.free_vars` does not see)."""
-    if isinstance(expr, (Var, ListVar)):
-        return frozenset((expr.name,))
-    if isinstance(expr, Lambda):
-        return _free_names(expr.body) - frozenset(expr.params)
-    if isinstance(expr, Let):
-        return _free_names(expr.value) | (_free_names(expr.body) - {expr.name})
-    result: frozenset[str] = frozenset()
-    if isinstance(expr, Call) and isinstance(expr.func, Var):
-        result |= frozenset((expr.func.name,))
-    for child in expr.children():
-        result |= _free_names(child)
-    return result
-
-
 def _unconditional_free(expr: Expr, bound: frozenset[str]) -> frozenset[str]:
     """Free names that every evaluation of ``expr`` is guaranteed to look
     up: everything except ``If`` branches and function bodies (which may
@@ -642,19 +619,7 @@ def _unconditional_free(expr: Expr, bound: frozenset[str]) -> frozenset[str]:
         )
     if isinstance(expr, If):
         return _unconditional_free(expr.cond, bound)
-    if isinstance(expr, (Map, Filter)):
-        result = _unconditional_free(expr.lst, bound)
-        if isinstance(expr.func, Var):
-            result |= frozenset((expr.func.name,)) - bound
-        return result
-    if isinstance(expr, Fold):
-        result = _unconditional_free(expr.init, bound) | _unconditional_free(expr.lst, bound)
-        if isinstance(expr.func, Var):
-            result |= frozenset((expr.func.name,)) - bound
-        return result
     result = frozenset()
-    if isinstance(expr, Call) and isinstance(expr.func, Var):
-        result |= frozenset((expr.func.name,)) - bound
     for child in expr.children():
         result |= _unconditional_free(child, bound)
     return result
@@ -691,7 +656,6 @@ class _Codegen:
             "EvaluationError": EvaluationError,
             "_fold": _fold,
             "_proj": _proj,
-            "_env_fn": _env_fn,
             "_arity": _arity,
             "_lam": _lam,
         }
@@ -800,11 +764,6 @@ class _Codegen:
             # Value position: arity-guarded like the interpreter's Closure.
             return f"_lam({len(expr.params)}, {self._lambda(expr, bound)})"
         if isinstance(expr, Call):
-            if isinstance(expr.func, Var):
-                # The callable check precedes argument evaluation.
-                callee = self._callable(expr.func, bound, lines)
-                args = ", ".join(self.emit(a, bound, memo, lines) for a in expr.args)
-                return f"{callee}({args})"
             args = [self.emit(a, bound, memo, lines) for a in expr.args]
             return self._apply(expr.func, args, bound)
         if isinstance(expr, If):
@@ -812,13 +771,13 @@ class _Codegen:
             then = self.emit(expr.then, bound, memo)
             orelse = self.emit(expr.orelse, bound, memo)
             return f"({then} if {cond} else {orelse})"
+        if isinstance(expr, (Map, Filter, Fold)) and not isinstance(expr.func, Lambda):
+            raise IRCompileError(f"cannot apply {expr.func!r}")
         if isinstance(expr, (Map, Filter)):
             return self._comprehension(expr, bound, memo, lines)
         if isinstance(expr, Fold):
             func = expr.func
-            if not isinstance(func, Lambda):
-                fn = self._callable(func, bound, lines)
-            elif len(func.params) == 2:
+            if len(func.params) == 2:
                 fn = self._lambda(func, bound)
             else:
                 args = self.fresh("_a")
@@ -846,8 +805,7 @@ class _Codegen:
 
     def _apply(self, func, args: list[str], bound: frozenset[str]) -> str:
         """A ``Call`` of a builtin name or a Lambda on already emitted
-        arguments (an env-provided callee goes through :meth:`_callable`,
-        because its check precedes the arguments)."""
+        arguments."""
         arglist = ", ".join(args)
         if isinstance(func, str):
             if len(args) == 2:
@@ -902,55 +860,24 @@ class _Codegen:
         body = self.emit(lam.body, bound | frozenset(lam.params))
         return f"(lambda {params}: {body})" if params else f"(lambda: {body})"
 
-    def _callable(self, func, bound: frozenset[str], lines: list[str] | None) -> str:
-        """A builtin or env-provided callee (Call, Map, Filter or Fold
-        position) as code evaluating to a callable.  An env-provided one gets
-        the interpreter's callable check; in statement context that check is
-        hoisted into a temporary, so it runs before the arguments, list or
-        init (matching ``_eval_function`` order)."""
-        if isinstance(func, str):
-            return self.builtin(func)
-        if not isinstance(func, Var):
-            raise IRCompileError(f"cannot apply {func!r}")
-        if func.name not in bound:
-            raise IRCompileError(f"unbound variable {func.name!r}")
-        check = f"_env_fn({self.mangle(func.name)}, {func.name!r})"
-        if lines is None:
-            return check
-        temp = self.fresh("_f")
-        lines.append(f"    {temp} = {check}")
-        return temp
-
     def _comprehension(
         self, expr: Map | Filter, bound: frozenset[str], memo: dict | None, lines: list[str] | None
     ) -> str:
-        """Map/Filter as a list comprehension.  A one-parameter lambda is its
-        body; any other callee is evaluated (and checked) before the list:
-        hoisted in statement context, bound by an applied lambda inline."""
+        """Map/Filter as a list comprehension whose value is the lambda's
+        body."""
         func = expr.func
-        inline_callee = not isinstance(func, Lambda) and lines is None
-        if isinstance(func, Lambda):
-            lst = self.emit(expr.lst, bound, memo, lines)
-            if len(func.params) == 1:
-                it = self.mangle(func.params[0])
-                value = self.emit(func.body, bound | frozenset(func.params))
-            else:
-                # Wrong arity: the interpreter raises when the closure is
-                # first invoked, i.e. per element, so an empty list still
-                # maps to [].
-                it = self.fresh()
-                value = f"_arity({len(func.params)}, ({it},))"
+        lst = self.emit(expr.lst, bound, memo, lines)
+        if len(func.params) == 1:
+            it = self.mangle(func.params[0])
+            value = self.emit(func.body, bound | frozenset(func.params))
         else:
-            callee = self._callable(func, bound, lines)
-            lst = self.emit(expr.lst, bound, memo, lines)
-            fn = self.fresh("_f") if inline_callee else callee
+            # Wrong arity: the interpreter raises when the closure is first
+            # invoked, i.e. per element, so an empty list still maps to [].
             it = self.fresh()
-            value = f"{fn}({it})"
+            value = f"_arity({len(func.params)}, ({it},))"
         if isinstance(expr, Filter):
-            comp = f"[{it} for {it} in {lst} if {value}]"
-        else:
-            comp = f"[{value} for {it} in {lst}]"
-        return f"(lambda {fn}: {comp})({callee})" if inline_callee else comp
+            return f"[{it} for {it} in {lst} if {value}]"
+        return f"[{value} for {it} in {lst}]"
 
     # -- finalization ------------------------------------------------------
 
@@ -1031,14 +958,12 @@ def _extras_of(program: OnlineProgram) -> tuple[list[str], set[str], list[str]]:
     (If branches, lambda bodies) must be fetched lazily at each use site,
     so a missing binding raises exactly when the interpreter would.
     """
-    from .traversal import iter_subexprs
-
     bound = frozenset(program.state_params) | {program.elem_param}
     all_extras: list[str] = []
     uncond: frozenset[str] = frozenset()
     list_extras: set[str] = set()
     for out in program.outputs:
-        for free in sorted(_free_names(out) - bound):
+        for free in sorted(free_vars(out, lists=True) - bound):
             if free not in all_extras:
                 all_extras.append(free)
         uncond |= _unconditional_free(out, bound)

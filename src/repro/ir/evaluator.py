@@ -91,17 +91,11 @@ class Closure:
         return evaluate(self.lam.body, _ChainEnv(frame, self.env))
 
 
-def _eval_function(func, env: Mapping[str, Value]):
-    """Turn the ``func`` position of Call/Map/Filter/Fold into a callable."""
+def _closure(func, env: Mapping[str, Value]) -> Closure:
+    """The callee of a combinator, or of a ``Call`` that names no builtin:
+    always a ``Lambda``."""
     if isinstance(func, Lambda):
         return Closure(func, env)
-    if isinstance(func, str):
-        return get_builtin(func).impl
-    if isinstance(func, Var):
-        value = env.get(func.name)
-        if callable(value):
-            return value
-        raise EvaluationError(f"variable {func.name!r} is not a function")
     raise EvaluationError(f"cannot apply {func!r}")
 
 
@@ -125,22 +119,23 @@ def evaluate(expr: Expr, env: Mapping[str, Value]) -> Value:
         # safe and copy-free.
         return Closure(expr, env)
     if isinstance(expr, Call):
-        fn = _eval_function(expr.func, env)
+        func = expr.func
+        fn = get_builtin(func).impl if isinstance(func, str) else _closure(func, env)
         args = [evaluate(a, env) for a in expr.args]
         return fn(*args)
     if isinstance(expr, If):
         cond = evaluate(expr.cond, env)
         return evaluate(expr.then if cond else expr.orelse, env)
     if isinstance(expr, Map):
-        fn = _eval_function(expr.func, env)
+        fn = _closure(expr.func, env)
         lst = evaluate(expr.lst, env)
         return [fn(item) for item in lst]
     if isinstance(expr, Filter):
-        fn = _eval_function(expr.func, env)
+        fn = _closure(expr.func, env)
         lst = evaluate(expr.lst, env)
         return [item for item in lst if fn(item)]
     if isinstance(expr, Fold):
-        fn = _eval_function(expr.func, env)
+        fn = _closure(expr.func, env)
         acc = evaluate(expr.init, env)
         lst = evaluate(expr.lst, env)
         for item in lst:

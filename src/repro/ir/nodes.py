@@ -5,9 +5,10 @@ programs) and Figure 7 (online programs) as immutable, hashable dataclasses:
 
 * ``Const``, ``Var`` — constants and scalar variables;
 * ``ListVar`` — the distinguished input list ``xs`` of an offline program;
-* ``Call`` — application of a built-in function or a ``Lambda``;
+* ``Call`` — application of a built-in function (by name) or a ``Lambda``;
 * ``If`` — the conditional ``E ? E : E``;
-* ``Map`` / ``Filter`` / ``Fold`` — the list combinators (offline only);
+* ``Map`` / ``Filter`` / ``Fold`` — the list combinators (offline only),
+  whose function is always a ``Lambda``;
 * ``Let`` — surface-level let bindings (Figure 3a); these are sugar and are
   inlined by :func:`repro.ir.traversal.inline_lets` before analysis;
 * ``Snoc`` — ``xs ++ [x]``, the single-element append used by specifications
@@ -115,7 +116,10 @@ class Lambda(Expr):
 
 @dataclass(frozen=True)
 class Call(Expr):
-    """Application ``g(E1, ..., En)`` of a built-in (by name) or a lambda."""
+    """Application ``g(E1, ..., En)`` of a built-in (by name) or a lambda.
+
+    These are the only callees: no pass applies a variable or any other
+    expression, and the interpreter and the code generator refuse one."""
 
     func: Union[str, Lambda]
     args: tuple[Expr, ...]
@@ -141,7 +145,7 @@ class If(Expr):
 
 @dataclass(frozen=True)
 class Map(Expr):
-    func: Expr  # Lambda or builtin name wrapped in Lambda
+    func: Lambda  # the parser eta-expands a bare builtin name
     lst: Expr
 
     def children(self) -> tuple[Expr, ...]:
@@ -150,7 +154,7 @@ class Map(Expr):
 
 @dataclass(frozen=True)
 class Filter(Expr):
-    func: Expr
+    func: Lambda
     lst: Expr
 
     def children(self) -> tuple[Expr, ...]:
@@ -161,7 +165,7 @@ class Filter(Expr):
 class Fold(Expr):
     """``foldl(g, init, lst)``; the workhorse combinator of the paper."""
 
-    func: Expr
+    func: Lambda
     init: Expr
     lst: Expr
 

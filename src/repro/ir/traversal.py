@@ -1,8 +1,11 @@
 """Generic AST traversals: substitution, free variables, let-inlining,
-list-expression discovery, and AST size (the paper's Table 1 metric).
+list-expression discovery, the stream element's shape, and AST size (the
+paper's Table 1 metric).
 
 Every function here is purely structural and returns new trees; IR nodes are
-immutable.
+immutable.  Each structural question has one answer here: the backends and
+analyses ask :func:`free_vars` which names an expression reads, and
+:func:`element_shape` how an online program reads its element.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from .nodes import (
     ListVar,
     MakeTuple,
     Map,
+    OnlineProgram,
     Proj,
     Snoc,
     Var,
@@ -84,18 +88,40 @@ def ast_size(expr: Expr) -> int:
     return 1 + sum(ast_size(c) for c in expr.children())
 
 
-def free_vars(expr: Expr) -> frozenset[str]:
-    """Free scalar variable names (``Var`` nodes) of ``expr``."""
-    if isinstance(expr, Var):
+def free_vars(expr: Expr, lists: bool = False) -> frozenset[str]:
+    """Names ``expr`` reads free: its ``Var`` names, and its ``ListVar``
+    names too when ``lists`` is set.  ``Lambda`` parameters and ``Let``
+    names bind both kinds."""
+    if isinstance(expr, Var) or (lists and isinstance(expr, ListVar)):
         return frozenset({expr.name})
     if isinstance(expr, Lambda):
-        return free_vars(expr.body) - frozenset(expr.params)
+        return free_vars(expr.body, lists) - frozenset(expr.params)
     if isinstance(expr, Let):
-        return free_vars(expr.value) | (free_vars(expr.body) - {expr.name})
+        return free_vars(expr.value, lists) | (free_vars(expr.body, lists) - {expr.name})
     result: frozenset[str] = frozenset()
     for child in expr.children():
-        result |= free_vars(child)
+        result |= free_vars(child, lists)
     return result
+
+
+def element_shape(program: OnlineProgram) -> tuple[int, bool]:
+    """How the outputs of an online program read its stream element:
+    ``(fields, whole)``.  ``fields`` is the largest index projected off the
+    element (``Proj(x, i)``) plus one, 0 when it is never projected;
+    ``whole`` says whether the element is also read other than through such
+    a projection."""
+    elem = program.elem_param
+    fields, whole = 0, False
+    pending = list(program.outputs)
+    while pending:
+        expr = pending.pop()
+        if isinstance(expr, Proj) and isinstance(expr.tup, Var) and expr.tup.name == elem:
+            fields = max(fields, expr.index + 1)
+        elif isinstance(expr, Var) and expr.name == elem:
+            whole = True
+        else:
+            pending.extend(expr.children())
+    return fields, whole
 
 
 def contains_list_var(expr: Expr, name: str = "xs") -> bool:

@@ -42,6 +42,7 @@ from typing import Any, Callable, Sequence
 
 from .compile import IRCompileError, StepKernel
 from .nodes import Call, Const, Expr, If, Let, MakeTuple, OnlineProgram, Proj, Var
+from .traversal import element_shape, free_vars, iter_subexprs
 from .values import Value
 
 __all__ = [
@@ -173,44 +174,11 @@ class ColumnPlan:
     elem_arity: int  #: element fields (1 = scalar stream)
 
 
-def _free_state_refs(expr: Expr, state_names: frozenset[str]) -> set[str]:
-    """State parameters referenced (free) anywhere in ``expr``."""
-    refs: set[str] = set()
-
-    def walk(e: Expr, bound: frozenset[str]) -> None:
-        if isinstance(e, Var):
-            if e.name in state_names and e.name not in bound:
-                refs.add(e.name)
-        elif isinstance(e, Const):
-            pass
-        elif isinstance(e, Call):
-            if not isinstance(e.func, str):
-                raise ColumnarError("lambda application is not columnarizable")
-            for arg in e.args:
-                walk(arg, bound)
-        elif isinstance(e, If):
-            walk(e.cond, bound)
-            walk(e.then, bound)
-            walk(e.orelse, bound)
-        elif isinstance(e, Let):
-            walk(e.value, bound)
-            walk(e.body, bound | {e.name})
-        elif isinstance(e, MakeTuple):
-            for item in e.items:
-                walk(item, bound)
-        elif isinstance(e, Proj):
-            walk(e.tup, bound)
-        else:
-            raise ColumnarError(f"{type(e).__name__} nodes are not columnarizable")
-
-    walk(expr, frozenset())
-    return refs
-
-
 def _validate_ops(expr: Expr) -> None:
-    """Check every builtin has an exact int64 column implementation."""
-
-    def walk(e: Expr) -> None:
+    """Check every node is one the column evaluator implements, and every
+    builtin has an exact int64 column implementation.  The planning below
+    assumes a validated tree: builtin calls over these nodes only."""
+    for e in iter_subexprs(expr):
         if isinstance(e, Call):
             name = e.func if isinstance(e.func, str) else None
             if name in _FLOAT_ONLY_OPS:
@@ -229,44 +197,8 @@ def _validate_ops(expr: Expr) -> None:
                         "uses float-only builtins (pow with a fractional or negative "
                         "exponent is not exact in int64)"
                     )
-            for arg in e.args:
-                walk(arg)
-        elif isinstance(e, If):
-            walk(e.cond), walk(e.then), walk(e.orelse)
-        elif isinstance(e, Let):
-            walk(e.value), walk(e.body)
-        elif isinstance(e, MakeTuple):
-            for item in e.items:
-                walk(item)
-        elif isinstance(e, Proj):
-            walk(e.tup)
-        elif not isinstance(e, (Var, Const)):
+        elif not isinstance(e, (Var, Const, If, Let, MakeTuple, Proj)):
             raise ColumnarError(f"{type(e).__name__} nodes are not columnarizable")
-
-    walk(expr)
-
-
-def _contains(expr: Expr, name: str) -> bool:
-    """Does ``expr`` reference ``name`` free?"""
-    if isinstance(expr, Var):
-        return expr.name == name
-    if isinstance(expr, Const):
-        return False
-    if isinstance(expr, Call):
-        return any(_contains(a, name) for a in expr.args)
-    if isinstance(expr, If):
-        return _contains(expr.cond, name) or _contains(expr.then, name) or _contains(
-            expr.orelse, name
-        )
-    if isinstance(expr, Let):
-        if _contains(expr.value, name):
-            return True
-        return expr.name != name and _contains(expr.body, name)
-    if isinstance(expr, MakeTuple):
-        return any(_contains(item, name) for item in expr.items)
-    if isinstance(expr, Proj):
-        return _contains(expr.tup, name)
-    return True  # unknown node: assume the worst (planning then declines)
 
 
 def _decompose_additive(expr: Expr, name: str) -> Expr | None:
@@ -281,11 +213,11 @@ def _decompose_additive(expr: Expr, name: str) -> Expr | None:
     """
     if isinstance(expr, Var) and expr.name == name:
         return Const(0)
-    if not _contains(expr, name):
+    if name not in free_vars(expr):
         return None
     if isinstance(expr, Call) and isinstance(expr.func, str) and len(expr.args) == 2:
         left, right = expr.args
-        in_left, in_right = _contains(left, name), _contains(right, name)
+        in_left, in_right = name in free_vars(left), name in free_vars(right)
         if expr.func == "add" and in_left != in_right:
             if in_left:
                 dec = _decompose_additive(left, name)
@@ -295,12 +227,12 @@ def _decompose_additive(expr: Expr, name: str) -> Expr | None:
         if expr.func == "sub" and in_left and not in_right:
             dec = _decompose_additive(left, name)
             return None if dec is None else Call("sub", (dec, right))
-    if isinstance(expr, If) and not _contains(expr.cond, name):
+    if isinstance(expr, If) and name not in free_vars(expr.cond):
         then = _decompose_additive(expr.then, name)
         orelse = _decompose_additive(expr.orelse, name)
         if then is not None and orelse is not None:
             return If(expr.cond, then, orelse)
-    if isinstance(expr, Let) and expr.name != name and not _contains(expr.value, name):
+    if isinstance(expr, Let) and expr.name != name and name not in free_vars(expr.value):
         body = _decompose_additive(expr.body, name)
         return None if body is None else Let(expr.name, expr.value, body)
     return None
@@ -315,16 +247,16 @@ def _match_assoc(expr: Expr, name: str) -> tuple[str, Expr, Expr | None, bool] |
             kind = _ACCUMULATION_OPS.get(e.func)
             if kind in ("cummax", "cummin", "cumor", "cumand", "cumprod"):
                 left, right = e.args
-                if isinstance(left, Var) and left.name == name and not _contains(right, name):
+                if isinstance(left, Var) and left.name == name and name not in free_vars(right):
                     return kind, right
-                if isinstance(right, Var) and right.name == name and not _contains(left, name):
+                if isinstance(right, Var) and right.name == name and name not in free_vars(left):
                     return kind, left
         return None
 
     hit = bare(expr)
     if hit is not None:
         return hit[0], hit[1], None, True
-    if isinstance(expr, If) and not _contains(expr.cond, name):
+    if isinstance(expr, If) and name not in free_vars(expr.cond):
         if isinstance(expr.orelse, Var) and expr.orelse.name == name:
             hit = bare(expr.then)
             if hit is not None:
@@ -340,23 +272,21 @@ def _classify(name: str, update: Expr, state_names: frozenset[str]) -> _Componen
     """One component's strategy (dependencies not yet checked for order)."""
     if isinstance(update, Var) and update.name == name:
         return _Component(name, "invariant", None, ())
-    refs = _free_state_refs(update, state_names)
+    refs = free_vars(update) & state_names
     if name not in refs:
         return _Component(name, "elementwise", update, tuple(sorted(refs)))
     # Self-referential: additive scan (cumsum) covers nested +/- chains and
     # conditional accumulation; the associative-idempotent ops cover
     # max/min/or/and/product, optionally under a single If mask.
+    others = state_names - {name}
     term = _decompose_additive(update, name)
     if term is not None:
-        term_refs = _free_state_refs(term, state_names) - {name}
-        return _Component(name, "cumsum", term, tuple(sorted(term_refs)))
+        return _Component(name, "cumsum", term, tuple(sorted(free_vars(term) & others)))
     assoc = _match_assoc(update, name)
     if assoc is not None:
         kind, term, mask, sense = assoc
-        deps = _free_state_refs(term, state_names) - {name}
-        if mask is not None:
-            deps |= _free_state_refs(mask, state_names) - {name}
-        return _Component(name, kind, term, tuple(sorted(deps)), mask, sense)
+        deps = free_vars(term) if mask is None else free_vars(term) | free_vars(mask)
+        return _Component(name, kind, term, tuple(sorted(deps & others)), mask, sense)
     raise ColumnarError(
         f"state component {name!r}: self-referential update is not "
         f"scan-decomposable (not of the form op({name}, term))"
@@ -404,7 +334,11 @@ def plan_columns(program: OnlineProgram, initializer: Sequence[Value]) -> Column
                 f"state components {stuck}: mutually recursive updates are "
                 f"not scan-decomposable"
             )
-    return ColumnPlan(program, tuple(components), tuple(order), _infer_elem_arity(program))
+    # Element columns: one per projected field, or the element itself.
+    fields, whole = element_shape(program)
+    if fields and whole:
+        raise ColumnarError("element used both whole and projected")
+    return ColumnPlan(program, tuple(components), tuple(order), max(fields, 1))
 
 
 # -- admission ----------------------------------------------------------------
@@ -945,40 +879,6 @@ def compile_columns(
         return new_state, len(chunk)
 
     return ColumnarKernel(_run, exact=exact, plan=plan, bounds=bounds, name=name)
-
-
-def _infer_elem_arity(program: OnlineProgram) -> int:
-    """Largest ``Proj`` index applied to the element parameter, plus one;
-    1 when the element is only used whole (scalar streams)."""
-    best = 0
-    seen_whole = False
-
-    def walk(e: Expr) -> None:
-        nonlocal best, seen_whole
-        if isinstance(e, Proj):
-            if isinstance(e.tup, Var) and e.tup.name == program.elem_param:
-                best = max(best, e.index + 1)
-                return
-            walk(e.tup)
-        elif isinstance(e, Var):
-            if e.name == program.elem_param:
-                seen_whole = True
-        elif isinstance(e, Call):
-            for a in e.args:
-                walk(a)
-        elif isinstance(e, If):
-            walk(e.cond), walk(e.then), walk(e.orelse)
-        elif isinstance(e, Let):
-            walk(e.value), walk(e.body)
-        elif isinstance(e, MakeTuple):
-            for item in e.items:
-                walk(item)
-
-    for out in program.outputs:
-        walk(out)
-    if best > 0 and seen_whole:
-        raise ColumnarError("element used both whole and projected")
-    return best if best > 0 else 1
 
 
 def _broadcast(np, value, n: int):

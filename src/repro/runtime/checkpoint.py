@@ -295,6 +295,8 @@ def load_checkpoint(
     """
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise CheckpointError(f"not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise CheckpointError(f"not valid JSON: {exc}") from None
     if not isinstance(data, dict):

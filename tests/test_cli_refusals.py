@@ -43,6 +43,12 @@ REFUSED = {
     "chaos-liveness-inf": (
         ["chaos", "--trials", "1", "--liveness-timeout", "inf"],
         "error: liveness_timeout_s must be finite, got inf"),
+    "chaos-shards-zero": (
+        ["chaos", "--trials", "1", "--shards", "0"],
+        "error: --shards must be >= 1, got 0"),
+    "chaos-checkpoint-every-zero": (
+        ["chaos", "--trials", "1", "--checkpoint-every", "0"],
+        "error: --checkpoint-every must be >= 1, got 0"),
 }
 
 
@@ -72,3 +78,33 @@ def test_stream_server_refuses_nonsense_durations(kwargs, tmp_path):
     with pytest.raises(ValueError):
         StreamServer(get_benchmark("mean").ground_truth, shards=1,
                      checkpoint_dir=tmp_path / "ckpt", key_field=1, **kwargs)
+
+
+#: A byte order mark that is not UTF-8: the file cannot be decoded at all.
+NOT_UTF8 = b"\xff\xfe"
+UNDECODABLE = "not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 0"
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "{bad}", "--source", "counter:10"],
+    ["serve", "{bad}", "--source", "bids:20", "--key-field", "1", "--checkpoint-dir", CKPT],
+    ["analyze", "{bad}"],
+], ids=lambda argv: argv[0])
+def test_undecodable_scheme_file_is_refused(argv, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(NOT_UTF8)
+    ckpt = tmp_path / "ckpt"
+    assert main([a.format(bad=bad, ckpt=ckpt) for a in argv]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: cannot load scheme {bad}: {UNDECODABLE}")
+    assert not ckpt.exists()
+
+
+def test_undecodable_checkpoint_file_is_refused(tmp_path, capsys):
+    scheme = tmp_path / "mean.scheme.json"
+    get_benchmark("mean").ground_truth.save(scheme)
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(NOT_UTF8)
+    assert main(["run", str(scheme), "--source", "counter:10", "--resume", str(bad)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: cannot resume: {UNDECODABLE}")

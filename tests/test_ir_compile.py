@@ -46,12 +46,16 @@ from repro.ir.compile import (
     expr_evaluator,
     jit_enabled,
 )
+from repro.cli.common import CommandError
+from repro.cli.deploy import _preflight_analyze
+from repro.ir.analysis import UNKNOWN_BOUNDS, audit_program
 from repro.ir.analysis.liveness import NORMALIZING_BUILTINS
 from repro.ir.builtins import all_builtins, get_builtin
 from repro.ir.evaluator import EvaluationError, evaluate, step_online
 from repro.ir.nodes import (
     Call,
     Const,
+    Fold,
     Hole,
     If,
     Lambda,
@@ -439,6 +443,41 @@ class TestErrorContract:
     def test_unknown_builtin_fails_at_compile_time(self):
         with pytest.raises(IRCompileError):
             compile_expr(Call("frobnicate", (Var("x"),)), ("x",))
+
+
+#: Callees outside the IR contract, which no producer builds: a ``Call``
+#: applies a builtin name or a ``Lambda``, a combinator a ``Lambda``.  Here
+#: ``f`` is bound to a Python callable, which is still not a callee.
+OUT_OF_CONTRACT = {
+    "call-var": Call(Var("f"), (Var("x"),)),
+    "map-var": Map(Var("f"), ListVar("xs")),
+    "fold-builtin-name": Fold("add", Const(0), ListVar("xs")),
+}
+CONTRACT_ENV = {"f": abs, "x": -1, "xs": [1, -2]}
+
+
+@pytest.mark.parametrize("name", sorted(OUT_OF_CONTRACT))
+class TestCalleeContract:
+    def test_interpreter_refuses(self, name):
+        with pytest.raises(EvaluationError, match="cannot apply"):
+            evaluate(OUT_OF_CONTRACT[name], CONTRACT_ENV)
+
+    def test_codegen_refuses(self, name):
+        with pytest.raises(IRCompileError, match="cannot apply"):
+            compile_expr(OUT_OF_CONTRACT[name], tuple(CONTRACT_ENV))
+
+    def test_evaluator_raises_the_interpreter_error(self, name, jit_mode):
+        fn = expr_evaluator(OUT_OF_CONTRACT[name], tuple(CONTRACT_ENV))
+        with pytest.raises(EvaluationError, match="cannot apply"):
+            fn(CONTRACT_ENV)
+
+    def test_audit_and_preflight_refuse(self, name):
+        program = OnlineProgram(("s",), "x", (OUT_OF_CONTRACT[name],), ("f", "xs"))
+        errors = [f for f in audit_program(program, (0,)) if f["level"] == "error"]
+        assert any(f["message"].startswith("cannot apply") for f in errors)
+        with pytest.raises(CommandError) as refused:
+            _preflight_analyze(OnlineScheme((0,), program), "s.json", UNKNOWN_BOUNDS)
+        assert refused.value.code == 1
 
 
 # -- fast-path helpers vs registry impls --------------------------------------

@@ -1,6 +1,12 @@
-"""Tests for structural traversals: substitution, let-inlining,
-list-expression discovery, AST size."""
+"""Tests for structural traversals: substitution, free names, let-inlining,
+list-expression discovery, the stream element's shape, AST size."""
 
+import random
+
+import pytest
+
+from repro.ir.analysis import UNKNOWN_BOUNDS
+from repro.ir.analysis.divzero import _element_pool
 from repro.ir.dsl import (
     XS,
     add,
@@ -18,10 +24,11 @@ from repro.ir.dsl import (
     program,
     sub,
 )
-from repro.ir.nodes import Const, Lambda, Snoc, Var
+from repro.ir.nodes import Const, ListVar, OnlineProgram, Proj, Snoc, Var
 from repro.ir.traversal import (
     ast_size,
     contains_list_var,
+    element_shape,
     fill_holes,
     free_vars,
     inline_lets,
@@ -32,6 +39,7 @@ from repro.ir.traversal import (
     used_builtins,
     validate_online_expr,
 )
+from repro.ir.vectorize import ColumnarError, plan_columns
 
 
 class TestSubstitution:
@@ -71,6 +79,55 @@ class TestFreeVars:
 
     def test_listvar_not_a_free_scalar(self):
         assert free_vars(fold_sum(XS)) == frozenset()
+
+    def test_list_names_on_request(self):
+        assert free_vars(fold_sum(XS), lists=True) == frozenset({"xs"})
+        assert free_vars(add(length(ListVar("ys")), "a"), lists=True) == frozenset({"ys", "a"})
+
+    def test_binders_shadow_list_names(self):
+        expr = lam("ys", length(ListVar("ys")))
+        assert free_vars(expr, lists=True) == frozenset()
+        assert free_vars(let("ys", Var("a"), length(ListVar("ys"))), lists=True) == {"a"}
+
+
+def _step(*outputs):
+    return OnlineProgram(tuple(f"s{i}" for i in range(len(outputs))), "x", outputs)
+
+
+X0, X1 = Proj(Var("x"), 0), Proj(Var("x"), 1)
+
+#: name -> (program, element_shape, vectorize's element columns or None for
+#: its refusal)
+SHAPES = {
+    "whole-only": (_step(add("s0", "x"), mul("x", "x")), (0, True), 1),
+    "projected-only": (_step(add("s0", X1), add("s1", X0)), (2, False), 2),
+    "projected-high-field": (_step(add("s0", Proj(Var("x"), 2))), (3, False), 3),
+    "mixed": (_step(add("s0", X0), add("s1", "x")), (1, True), None),
+    "unused": (_step(add("s0", 1)), (0, False), 1),
+}
+
+
+class TestElementShape:
+    @pytest.mark.parametrize("name", sorted(SHAPES))
+    def test_shape(self, name):
+        program, shape, _ = SHAPES[name]
+        assert element_shape(program) == shape
+
+    @pytest.mark.parametrize("name", sorted(SHAPES))
+    def test_vectorize_columns_and_refusal(self, name):
+        program, _, columns = SHAPES[name]
+        initializer = (0,) * program.arity
+        if columns is None:
+            with pytest.raises(ColumnarError, match="element used both whole and projected"):
+                plan_columns(program, initializer)
+        else:
+            assert plan_columns(program, initializer).elem_arity == columns
+
+    @pytest.mark.parametrize("name", sorted(SHAPES))
+    def test_divzero_probes_take_the_projected_arity(self, name):
+        program, (fields, _), _ = SHAPES[name]
+        pool = _element_pool(program, UNKNOWN_BOUNDS, random.Random(0))
+        assert {len(e) if isinstance(e, tuple) else 1 for e in pool} == {max(fields, 1)}
 
 
 class TestInlineLets:

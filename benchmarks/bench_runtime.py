@@ -22,9 +22,10 @@ import pytest
 
 from repro.baselines import OperaFull
 from repro.core import SynthesisConfig
-from repro.evaluation import resolve_cache, run_suite
+from repro.evaluation import run_suite
 from repro.ir import run_offline
 from repro.runtime import OnlineOperator
+from repro.store import resolve_store
 from repro.suites import get_benchmark
 
 STREAM = [Fraction(i % 23) + Fraction(1, 1 + (i % 5)) for i in range(400)]
@@ -37,7 +38,7 @@ def variance_scheme():
         OperaFull(),
         [bench],
         SynthesisConfig(timeout_s=60),
-        cache=resolve_cache(),  # the scheme, not its synthesis, is timed here
+        store=resolve_store(),  # the scheme, not its synthesis, is timed here
     )
     report = suite.reports["variance"]
     assert report.success

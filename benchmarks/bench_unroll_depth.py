@@ -22,20 +22,20 @@ from repro.core import SynthesisConfig
 from repro.evaluation import (
     default_timeout,
     default_workers,
-    resolve_cache,
     run_suite,
 )
+from repro.store import resolve_store
 from repro.suites import get_benchmark
 
 MINING_TASKS = ["variance", "sum_sq_dev", "std", "skewness", "kurtosis"]
 DEPTHS = [2, 3, 4]
 
 _WORKERS = default_workers(fallback=max(1, min(4, os.cpu_count() or 1)))
-_CACHE = resolve_cache()
+_STORE = resolve_store()
 
 
 def _run(depth: int) -> dict[str, bool]:
-    # Each depth is a distinct config fingerprint, so the sweep caches per
+    # Each depth is a distinct config fingerprint, so the sweep stores per
     # depth and an edited default invalidates exactly its own column.
     config = SynthesisConfig(timeout_s=default_timeout(5.0), unroll_depth=depth)
     suite = run_suite(
@@ -43,7 +43,7 @@ def _run(depth: int) -> dict[str, bool]:
         [get_benchmark(name) for name in MINING_TASKS],
         config,
         workers=_WORKERS,
-        cache=_CACHE,
+        store=_STORE,
     )
     return {name: suite.reports[name].success for name in MINING_TASKS}
 

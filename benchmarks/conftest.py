@@ -13,12 +13,14 @@ Raise it to approach the paper's exact regime.
 
 Execution: the matrices run through the parallel suite runner
 (``REPRO_BENCH_WORKERS`` workers, default min(4, cpu); runaway tasks are
-hard-killed at their budget) and reuse the persistent result cache, so only
-the first regeneration after a task/config change pays for synthesis.  Set
-``REPRO_CACHE=0`` to force everything to re-run, ``REPRO_BENCH_WORKERS=1``
-for the old in-process sequential behaviour.  Cached reports keep their
-original ``elapsed_s``, so the timing-shape assertions of the figure
-benchmarks are unaffected by where a report came from.
+hard-killed at their budget) and reuse the persistent synthesis store
+(:mod:`repro.store`), so only the first regeneration after a task/config
+change pays for synthesis.  Set ``REPRO_CACHE=0`` to force everything to
+re-run, ``REPRO_BENCH_WORKERS=1`` for the old in-process sequential
+behaviour.  Stored reports keep their original ``elapsed_s``, and a stored
+success is reused only under a budget it fits, so the timing-shape
+assertions of the figure benchmarks are unaffected by where a report came
+from.
 """
 
 from __future__ import annotations
@@ -39,13 +41,13 @@ from repro.evaluation import (
     SuiteResult,
     default_timeout,
     default_workers,
-    resolve_cache,
     run_suite,
 )
+from repro.store import resolve_store
 from repro.suites import benchmarks_for
 
 _WORKERS = default_workers(fallback=max(1, min(4, os.cpu_count() or 1)))
-_CACHE = resolve_cache()
+_STORE = resolve_store()
 
 
 def _config() -> SynthesisConfig:
@@ -54,7 +56,7 @@ def _config() -> SynthesisConfig:
 
 def _run(solver, benchmarks) -> SuiteResult:
     return run_suite(
-        solver, benchmarks, _config(), workers=_WORKERS, cache=_CACHE
+        solver, benchmarks, _config(), workers=_WORKERS, store=_STORE
     )
 
 

@@ -5,7 +5,7 @@
 task — each sketch hole is an independent sub-task (Lemma 1), so a
 multi-hole synthesis can use several cores.  The contract demonstrated
 below: the parallel report is identical to the sequential one in everything
-but wall-clock, so you can turn the knob freely (cached results are even
+but wall-clock, so you can turn the knob freely (stored results are even
 shared across worker counts).
 
 CLI equivalents::

@@ -7,9 +7,10 @@ deployable streaming library around a **compile / load / deploy** lifecycle:
 
 1. **Compile once.** :func:`repro.api.compile` turns a batch Python function
    into an :class:`OnlineScheme`.  Results persist in a content-addressed
-   scheme store (:mod:`repro.store`), keyed by task x config x synthesizer
-   implementation digest, so every later compile — in any process — is a
-   disk read, not a synthesis search::
+   synthesis store (:mod:`repro.store`), keyed by task x solver x config x
+   synthesizer implementation digest, so every later compile — in any
+   process, or after ``repro bench`` ran the same program — is a disk read,
+   not a synthesis search::
 
        from repro import compile
 
@@ -55,7 +56,8 @@ Package map:
 * :mod:`repro.core` — the synthesis pipeline (RFS, decomposition, implicates,
   mining, templates, enumeration) and scheme serialization;
 * :mod:`repro.api` — the compile/load/deploy surface;
-* :mod:`repro.store` — the persistent compiled-scheme store;
+* :mod:`repro.store` — the persistent synthesis store of ``compile`` and
+  ``bench``;
 * :mod:`repro.runtime` — stream operators, keyed partitioning, checkpoints;
 * :mod:`repro.suites` — the 51 evaluation benchmarks;
 * :mod:`repro.baselines` — SyGuS-style baselines and ablations;

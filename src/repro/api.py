@@ -6,8 +6,9 @@ This module splits the two cleanly:
 * :func:`compile` — batch function in (Python callable, Python source,
   s-expression text, or an IR :class:`~repro.ir.nodes.Program`),
   :class:`CompiledScheme` out.  Transparently backed by the persistent
-  scheme store (:mod:`repro.store`): the first call synthesizes, every later
-  call — in this process or any other — is a store hit;
+  synthesis store (:mod:`repro.store`): the first call synthesizes, every
+  later call — in this process or any other, and after a ``repro bench``
+  run of the same program — is a store hit;
 * :class:`CompiledScheme` — the deployable artifact: save/load it as JSON,
   spin up :class:`~repro.runtime.OnlineOperator` /
   :class:`~repro.runtime.KeyedOperator` instances from it, or call it on a
@@ -47,7 +48,7 @@ from .ir.parser import parse_program
 from .ir.values import Value
 from .runtime.keyed import KeyedOperator
 from .runtime.stream import BACKENDS, OnlineOperator, StreamPipeline
-from .store import SchemeStore, resolve_store, scheme_key
+from .store import SchemeStore, resolve_store, synthesis_key
 
 #: Sentinel distinguishing "use the default store" from "no store".
 _DEFAULT_STORE = object()
@@ -206,12 +207,13 @@ def compile(
 ) -> CompiledScheme:
     """Compile a batch function into a deployable online scheme, once.
 
-    Looks the task up in the persistent scheme store first (keyed by task
-    fingerprint x config fingerprint x synthesizer implementation digest);
-    only a miss pays for synthesis, and the result is persisted for every
-    future process.  ``store=None`` disables persistence; ``force=True``
-    recompiles and overwrites the stored entry.  Raises :class:`CompileError`
-    if synthesis fails.
+    Looks the task up in the persistent store first (:mod:`repro.store`,
+    keyed by program x solver ``"opera"`` x config x synthesizer
+    implementation, under its budget rule); only a miss pays for synthesis,
+    and the report is persisted for every future process.  ``store=None``
+    disables persistence; ``force=True`` recompiles and overwrites the
+    stored entry.  Raises :class:`CompileError` if synthesis fails, or if
+    the store holds a failure under at least ``config.timeout_s``.
 
     The static-analysis report (:attr:`CompiledScheme.analysis`) is
     computed on first read, so compiling never pays for it.
@@ -222,20 +224,27 @@ def compile(
     if store is _DEFAULT_STORE:
         store = resolve_store()
 
-    key = scheme_key(program, config) if store is not None else None
+    key = synthesis_key("opera", program, config) if store is not None else None
     if store is not None and not force:
-        cached = store.get(key)
-        if cached is not None:
+        stored = store.get(key, config.timeout_s, task_name)
+        if stored is not None:
+            if stored.scheme is None:
+                raise CompileError(task_name, stored)
             return CompiledScheme(
-                cached, task_name, key=key, from_store=True, element_arity=config.element_arity
+                stored.scheme,
+                task_name,
+                key=key,
+                from_store=True,
+                report=stored,
+                element_arity=config.element_arity,
             )
 
     _synthesis_calls += 1
     report = synthesize(program, config, task_name)
+    if store is not None:
+        store.put(key, config.timeout_s, report)
     if report.scheme is None:
         raise CompileError(task_name, report)
-    if store is not None:
-        store.put(key, report.scheme, task=task_name)
     return CompiledScheme(
         report.scheme,
         task_name,

@@ -12,8 +12,7 @@ evaluation workflows, one module per verb group:
   or the suite, :mod:`repro.ir.analysis`);
 * :mod:`repro.cli.chaos` — ``chaos`` (seeded fault trials against
   ``serve``, :mod:`repro.evaluation.chaos`);
-* :mod:`repro.cli.cache` — ``cache`` (result cache and scheme store
-  maintenance).
+* :mod:`repro.cli.cache` — ``cache`` (synthesis store maintenance).
 
 Each module declares its verbs' flags in ``add_parsers`` and imports only
 what its handlers need, so ``repro list`` never loads the serve runtime.

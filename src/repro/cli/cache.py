@@ -1,7 +1,8 @@
-"""``repro cache``: maintain the on-disk result cache and scheme store::
+"""``repro cache``: maintain the on-disk synthesis store that ``compile``
+and ``bench`` share (:mod:`repro.store`)::
 
     python -m repro cache stats
-    python -m repro cache clear --schemes
+    python -m repro cache clear
     python -m repro cache gc --older-than 30d
 """
 
@@ -10,7 +11,6 @@ from __future__ import annotations
 import argparse
 import re
 
-from ..evaluation.cache import ResultCache
 from ..store import SchemeStore
 from .common import CommandError
 
@@ -27,39 +27,28 @@ def _parse_age(text: str) -> float:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
-    # One root holds both stores (objects/ and schemes/); --results/--schemes
-    # restrict the action to one of them.
-    results = ResultCache(args.cache_dir)
-    schemes = SchemeStore(args.cache_dir)
+    store = SchemeStore(args.cache_dir)
     if args.action == "stats":
-        r_count, r_bytes = results.entry_stats()
-        s_count, s_bytes = schemes.entry_stats()
-        print(f"cache root: {results.root}")
-        print(f"  results: {r_count} entries, {r_bytes / 1024:.1f} KiB")
-        print(f"  schemes: {s_count} entries, {s_bytes / 1024:.1f} KiB")
+        count, size = store.entry_stats()
+        print(f"cache root: {store.root}")
+        print(f"  {count} entries, {size / 1024:.1f} KiB")
         return 0
-    age_s = None
-    if args.action == "gc":
-        if args.older_than is None:
-            raise CommandError("gc requires --older-than (e.g. --older-than 30d)")
-        age_s = _parse_age(args.older_than)
-    for name, store, skip in (("results", results, args.schemes),
-                              ("schemes", schemes, args.results)):
-        if not skip:
-            removed = store.clear() if age_s is None else store.gc(age_s)
-            print(f"{name}: removed {removed} entries")
+    if args.action == "clear":
+        removed = store.clear()
+    elif args.older_than is None:
+        raise CommandError("gc requires --older-than (e.g. --older-than 30d)")
+    else:
+        removed = store.gc(_parse_age(args.older_than))
+    print(f"removed {removed} entries")
     return 0
 
 
 def add_parsers(sub) -> None:
-    p = sub.add_parser("cache", help="inspect/maintain the result cache and scheme store")
+    p = sub.add_parser("cache", help="inspect/maintain the synthesis store")
     p.add_argument("action", choices=("stats", "clear", "gc"))
     p.add_argument("--cache-dir", default=None,
-                   help="cache root (default: REPRO_CACHE_DIR or ~/.cache/repro)")
+                   help="store root (default: REPRO_CACHE_DIR or ~/.cache/repro)")
     p.add_argument("--older-than", default=None, metavar="AGE",
                    help="gc: remove entries older than AGE "
                         "(30d, 12h, 45m, 90s; bare number = days)")
-    which = p.add_mutually_exclusive_group()
-    which.add_argument("--results", action="store_true", help="only the synthesis result cache")
-    which.add_argument("--schemes", action="store_true", help="only the compiled scheme store")
     p.set_defaults(func=_cmd_cache)

@@ -1,8 +1,9 @@
 """The synthesis verbs: ``compile``, ``synthesize``, ``bench`` and ``list``.
 
 * ``compile`` — batch function in (Python or s-expression file), persisted
-  scheme out.  Backed by the scheme store: the first call synthesizes, any
-  later call (any process) is a store hit::
+  scheme out.  Backed by the synthesis store (:mod:`repro.store`): the first
+  call synthesizes, any later call (any process, or after a ``bench`` run of
+  the same program) is a store hit::
 
       python -m repro compile examples/batch_mean.py -o mean.scheme.json
       python -m repro compile mean.sexp -o s.json --timeout 120
@@ -27,16 +28,16 @@
   ``--workers`` shards (solver, benchmark) tasks across processes with
   hard wall-clock kills; ``--hole-workers`` / ``REPRO_HOLE_WORKERS``
   additionally spread one task's sketch holes across processes (identical
-  reports and cache keys, only faster — see
+  reports and store keys, only faster — see
   :mod:`repro.core.parallel_synthesize`).  ``bench holes`` measures exactly
   that speedup on multi-hole tasks, keeping the per-mode minimum of
   ``--repeats`` interleaved runs, and ``--assert-speedup X`` exits 1 when
   the best speedup is below X (:mod:`repro.evaluation.hole_bench`).  Runs
-  reuse cached per-task results from previous invocations unless
-  ``--no-cache`` is given (``--cache-dir`` overrides the location; see
-  :mod:`repro.evaluation.cache` for the key scheme).  The env knobs
-  ``REPRO_BENCH_TIMEOUT``, ``REPRO_BENCH_WORKERS``, ``REPRO_CACHE`` and
-  ``REPRO_CACHE_DIR`` provide the defaults.  End-to-end performance of
+  reuse stored per-task results from previous invocations, ``compile``'s
+  included, unless ``--no-cache`` is given (``--cache-dir`` overrides the
+  location; see :mod:`repro.store` for the key and the budget rule).  The
+  env knobs ``REPRO_BENCH_TIMEOUT``, ``REPRO_BENCH_WORKERS``,
+  ``REPRO_CACHE`` and ``REPRO_CACHE_DIR`` provide the defaults.  End-to-end performance of
   synthesis, deployment and serving is measured by ``perfbench/`` at the
   repository root.
 
@@ -64,7 +65,6 @@ from ..evaluation import (
     default_hole_workers,
     default_timeout,
     default_workers,
-    resolve_cache,
     run_matrix,
     run_suite,
     table1,
@@ -90,7 +90,7 @@ def _add_budget_flags(parser: argparse.ArgumentParser, *, timeout: float | None,
         parser.add_argument(
             "--hole-workers", type=int, default=None,
             help="processes for intra-task hole-level parallelism (default: "
-                 "REPRO_HOLE_WORKERS or 1; reports and cache keys are "
+                 "REPRO_HOLE_WORKERS or 1; reports and store keys are "
                  "identical to sequential synthesis, only faster)",
         )
 
@@ -153,7 +153,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     else:
         print(compiled.dumps())
     if store is not None:
-        print(store.stats_line(), file=diag)
+        print(f"scheme store: {store.stats_line()}", file=diag)
     return 0
 
 
@@ -254,8 +254,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         raise CommandError(f"--task does not apply to bench {args.target}")
     if args.target == "holes":
         return _bench_holes(args, config.timeout_s, tasks)
-    cache = resolve_cache(enabled=False if args.no_cache else None, directory=args.cache_dir)
-    run = dict(verbose=True, workers=workers, cache=cache)
+    store = resolve_store(enabled=False if args.no_cache else None, directory=args.cache_dir)
+    run = dict(verbose=True, workers=workers, store=store)
 
     if args.target == "table1":
         benches = all_benchmarks()
@@ -295,8 +295,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         suite = run_suite(SOLVERS[args.solver](), benches, config, **run)
         print()
         print(_solved_line(suite))
-    if cache is not None:
-        print(cache.stats_line())
+    if store is not None:
+        print(f"cache: {store.stats_line()}")
     return 0
 
 
@@ -326,9 +326,9 @@ def add_parsers(sub) -> None:
     p_compile.add_argument("--arity", type=int, default=1, help="stream element arity (tuples: k)")
     p_compile.add_argument("--force", action="store_true", help="recompile even on a store hit")
     p_compile.add_argument("--no-store", action="store_true",
-                           help="do not read or write the persistent scheme store")
+                           help="do not read or write the persistent store")
     p_compile.add_argument("--store-dir", default=None,
-                           help="scheme store root (default: REPRO_CACHE_DIR or "
+                           help="store root (default: REPRO_CACHE_DIR or "
                                 "~/.cache/repro)")
     p_compile.set_defaults(func=_cmd_compile)
 
@@ -355,9 +355,9 @@ def add_parsers(sub) -> None:
                          help="worker processes (default: REPRO_BENCH_WORKERS or 1; "
                               ">1 enables hard wall-clock kills of runaway tasks)")
     p_bench.add_argument("--no-cache", action="store_true",
-                         help="ignore and do not update the persistent result cache")
+                         help="ignore and do not update the persistent store")
     p_bench.add_argument("--cache-dir", default=None,
-                         help="result cache location (default: REPRO_CACHE_DIR "
+                         help="store root (default: REPRO_CACHE_DIR "
                               "or ~/.cache/repro)")
     holes = p_bench.add_argument_group(
         "holes target", "options for `repro bench holes` (wall-clock of "

@@ -6,7 +6,7 @@ of Section 7.2 are expressed as flags here (``use_decomposition``,
 
 Configs are picklable (they cross process boundaries in the parallel suite
 runner) and expose a stable :meth:`SynthesisConfig.fingerprint` used as part
-of the on-disk result-cache key (:mod:`repro.evaluation.cache`).
+of the synthesis store's key (:mod:`repro.store`).
 """
 
 from __future__ import annotations
@@ -26,11 +26,6 @@ class SynthesisConfig:
     #: constant; Example 5.6 shows k = 3).
     unroll_depth: int = 3
 
-    #: Number of sample lengths for SolveTemplate (the paper picks 11,
-    #: bounding interpolated polynomials to degree <= 10; degree 4 suffices
-    #: in practice, so the default trades a little generality for speed).
-    interpolation_lengths: int = 12
-
     #: Maximum degree for interpolated coefficient polynomials over ``n``.
     interpolation_max_degree: int = 6
 
@@ -40,9 +35,6 @@ class SynthesisConfig:
 
     #: Number of random tests used by the equivalence oracle.
     equivalence_tests: int = 24
-
-    #: Maximum list length in randomly generated equivalence tests.
-    equivalence_max_len: int = 7
 
     #: RNG seed for the testing oracle (determinism across runs).
     seed: int = 2024
@@ -81,14 +73,14 @@ class SynthesisConfig:
         """Stable hex digest of every behaviour-relevant knob.
 
         Two configs with equal fingerprints make the synthesizer explore the
-        same search space in the same order (the RNG is seeded), so cached
+        same search space in the same order (the RNG is seeded), so stored
         results keyed by this digest are safe to reuse.  ``timeout_s`` is
         deliberately *excluded*: the budget decides only whether the search
-        finishes, not what it finds, and the result cache re-checks budgets
-        for failed entries itself.  ``hole_workers`` is likewise excluded —
+        finishes, not what it finds, and the store checks budgets against
+        each entry itself.  ``hole_workers`` is likewise excluded —
         it only decides which *process* solves each sketch hole, and the
         invariant (enforced by tests) is that parallel and sequential
-        synthesis produce identical reports modulo ``elapsed_s``, so cached
+        synthesis produce identical reports modulo ``elapsed_s``, so stored
         results are shared across worker counts.  ``_deadline`` is
         process-local transient state and is excluded.
         """

@@ -41,6 +41,7 @@ from ..ir.values import Value, is_number
 from .config import SynthesisConfig
 from .decompose import ELEM_PARAM
 from .equivalence import (
+    EQUIVALENCE_MAX_LEN,
     check_expr_equivalence,
     make_rng,
     random_element,
@@ -116,7 +117,7 @@ def build_bank(rfs: RFS, spec: Expr, config: SynthesisConfig, salt: str) -> Bank
     wanted = max(8, config.equivalence_tests // 2)
     while len(envs) < wanted and attempts < wanted * 6:
         attempts += 1
-        xs = random_list(rng, config.equivalence_max_len, arity=config.element_arity)
+        xs = random_list(rng, EQUIVALENCE_MAX_LEN, arity=config.element_arity)
         x = random_element(rng, config.element_arity)
         extras = random_extras(rng, rfs.extra_params)
         bindings = bind(xs, extras)

@@ -28,6 +28,9 @@ from .config import SynthesisConfig
 from .rfs import RFS
 from .scheme import OnlineScheme
 
+#: Maximum list length in randomly generated equivalence tests.
+EQUIVALENCE_MAX_LEN = 7
+
 
 def make_rng(config: SynthesisConfig, salt: str = "") -> random.Random:
     return random.Random(f"{config.seed}:{salt}")
@@ -134,7 +137,7 @@ def check_expr_equivalence(
     attempts = 0
     while checked < config.equivalence_tests and attempts < config.equivalence_tests * 4:
         attempts += 1
-        xs = random_list(rng, config.equivalence_max_len, arity=config.element_arity)
+        xs = random_list(rng, EQUIVALENCE_MAX_LEN, arity=config.element_arity)
         x = random_element(rng, config.element_arity)
         extras = random_extras(rng, rfs.extra_params)
         bindings = bind(xs, extras)
@@ -175,7 +178,7 @@ def check_scheme_equivalence(
         return offline_fn(env)
 
     for _ in range(config.equivalence_tests):
-        xs = random_list(rng, config.equivalence_max_len, arity=config.element_arity)
+        xs = random_list(rng, EQUIVALENCE_MAX_LEN, arity=config.element_arity)
         extras = random_extras(rng, program.extra_params)
         state = scheme.initializer
         try:
@@ -203,7 +206,7 @@ def check_inductiveness(
     step = scheme._resolve_step()  # compiled once for the whole battery
     bind = rfs_binder(rfs)
     for _ in range(config.equivalence_tests):
-        xs = random_list(rng, config.equivalence_max_len, arity=config.element_arity)
+        xs = random_list(rng, EQUIVALENCE_MAX_LEN, arity=config.element_arity)
         x = random_element(rng, config.element_arity)
         extras = random_extras(rng, rfs.extra_params)
         before = bind(xs, extras)

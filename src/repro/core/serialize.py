@@ -24,7 +24,10 @@ Design notes:
   survive the round trip bit-for-bit — serializing Welford's scheme must not
   quietly turn ``1/3`` into ``0.3333...``;
 * the envelope is versioned; loading rejects unknown formats/versions
-  instead of guessing.
+  instead of guessing;
+* a synthesis report has a JSON form too (:func:`report_to_dict`), with
+  its scheme in this envelope: it is what the synthesis store
+  (:mod:`repro.store`) keeps.
 
 Value encoding
     ``true``/``false`` stay JSON booleans; other values are tagged arrays:
@@ -42,6 +45,7 @@ from __future__ import annotations
 
 import json
 import re
+from dataclasses import asdict
 from decimal import Decimal
 from fractions import Fraction
 from typing import Any
@@ -180,6 +184,53 @@ def scheme_from_dict(data: dict):
             f"initializer arity {len(initializer)} != program arity {program.arity}"
         )
     return OnlineScheme(initializer, program, provenance=provenance)
+
+
+def report_to_dict(report) -> dict:
+    """The JSON-ready form of one :class:`~repro.core.report.SynthesisReport`:
+    its fields as they are, holes as objects, the scheme as its envelope."""
+    return {
+        "task": report.task,
+        "success": report.success,
+        "elapsed_s": report.elapsed_s,
+        "failure_reason": report.failure_reason,
+        "holes": [asdict(hole) for hole in report.holes],
+        "method_counts": dict(report.method_counts),
+        "scheme": None if report.scheme is None else scheme_to_dict(report.scheme),
+    }
+
+
+def _typed(value, types, what: str):
+    if isinstance(value, bool) and bool not in types or not isinstance(value, types):
+        raise SchemeFormatError(f"malformed report: bad {what} {value!r}")
+    return value
+
+
+def report_from_dict(data: dict):
+    """Strict inverse of :func:`report_to_dict`; raises
+    :class:`SchemeFormatError` on any malformed input."""
+    from .report import HoleOutcome, SynthesisReport
+
+    _typed(data, (dict,), "report")
+    hole_types = {"hole_id": int, "method": str, "spec_size": int, "solution_size": int}
+    holes = []
+    for hole in _typed(data.get("holes"), (list,), "holes"):
+        if not (isinstance(hole, dict) and hole.keys() == hole_types.keys()):
+            raise SchemeFormatError(f"malformed report: bad hole {hole!r}")
+        holes.append(HoleOutcome(**{k: _typed(hole[k], (t,), k) for k, t in hole_types.items()}))
+    counts = _typed(data.get("method_counts"), (dict,), "method_counts")
+    for method, count in counts.items():
+        _typed(count, (int,), f"count of {method}")
+    scheme = data.get("scheme")
+    return SynthesisReport(
+        task=_typed(data.get("task"), (str,), "task"),
+        success=_typed(data.get("success"), (bool,), "success"),
+        elapsed_s=_typed(data.get("elapsed_s"), (int, float), "elapsed_s"),
+        scheme=None if scheme is None else scheme_from_dict(scheme),
+        holes=holes,
+        failure_reason=_typed(data.get("failure_reason"), (str, type(None)), "failure_reason"),
+        method_counts=counts,
+    )
 
 
 def dumps_scheme(scheme, *, indent: int | None = 2) -> str:

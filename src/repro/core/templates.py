@@ -45,6 +45,10 @@ from .equivalence import (
 from .mining import MinedTerm
 from .rfs import RFS
 
+#: Number of sample lengths for SolveTemplate (the paper picks 11, bounding
+#: interpolated polynomials to degree <= 10; degree 4 suffices in practice,
+#: so this trades a little generality for speed).
+INTERPOLATION_LENGTHS = 12
 
 @dataclass
 class Template:
@@ -191,13 +195,13 @@ def solve_template(
     # them and keep sampling until enough well-determined lengths are found.
     needed = config.interpolation_max_degree + 2
     alphas: dict[int, list[Fraction]] = {}
-    for length in range(1, config.interpolation_lengths + needed + 1):
+    for length in range(1, INTERPOLATION_LENGTHS + needed + 1):
         if config.expired():
             return None
         alpha = _sample_alpha(template, rfs, spec, length, config, salt)
         if alpha is not None:
             alphas[length] = alpha
-        if len(alphas) >= config.interpolation_lengths:
+        if len(alphas) >= INTERPOLATION_LENGTHS:
             break
     if len(alphas) < needed:
         return None

@@ -1,10 +1,10 @@
 """Evaluation harness: runners and table/figure regenerators (Section 7).
 
 The suite runner executes sequentially or across a process pool with hard
-wall-clock kills (:mod:`repro.evaluation.parallel`), backed by a persistent
-content-addressed result cache (:mod:`repro.evaluation.cache`); see
-``run_suite(workers=..., cache=...)`` and the ``--workers`` / ``--no-cache``
-flags of ``python -m repro bench``.
+wall-clock kills (:mod:`repro.evaluation.parallel`), backed by the
+persistent synthesis store that ``repro compile`` also uses
+(:mod:`repro.store`); see ``run_suite(workers=..., store=...)`` and the
+``--workers`` / ``--no-cache`` flags of ``python -m repro bench``.
 
 Besides the paper's artifacts, ``bench holes`` measures hole-parallel
 against sequential synthesis (:mod:`repro.evaluation.hole_bench`) and
@@ -13,7 +13,6 @@ against sequential synthesis (:mod:`repro.evaluation.hole_bench`) and
 ``perfbench/`` at the repository root, not here.
 """
 
-from .cache import ResultCache, cache_enabled, default_cache_dir, resolve_cache
 from .cdf import ascii_cdf, cdf_series
 from .export import (
     bench_metadata,
@@ -29,14 +28,11 @@ from .runner import SuiteResult, default_timeout, run_matrix, run_suite
 from .tables import qualitative, table1, table2
 
 __all__ = [
-    "ResultCache",
     "SuiteResult",
     "Task",
     "ascii_cdf",
     "bench_metadata",
-    "cache_enabled",
     "cdf_series",
-    "default_cache_dir",
     "default_hole_workers",
     "default_timeout",
     "default_workers",
@@ -44,7 +40,6 @@ __all__ = [
     "matrix_to_csv",
     "matrix_to_json",
     "qualitative",
-    "resolve_cache",
     "run_hole_benchmark",
     "run_matrix",
     "run_suite",

@@ -17,9 +17,10 @@ modulo ``elapsed_s``):
   runaway workers, and the final report dict is assembled in benchmark
   order regardless of completion order.
 
-Either mode consults an optional :class:`repro.evaluation.cache.ResultCache`
-before running a task and persists fresh reports afterwards, so re-running a
-table or figure only re-synthesizes what actually changed.
+Either mode consults an optional :class:`repro.store.SchemeStore` before
+running a task and persists fresh reports afterwards, so re-running a table
+or figure only re-synthesizes what actually changed, and a later
+``repro compile`` of a suite program is a store hit.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from typing import Callable, Iterable
 
 from ..core.config import SynthesisConfig
 from ..core.report import SynthesisReport
+from ..store import SchemeStore, synthesis_key
 from ..suites.registry import Benchmark
-from .cache import ResultCache
 from .parallel import Task, default_hole_workers, default_workers, execute_tasks
 
 #: Environment knob for scaling per-task budgets in the benchmark harness.
@@ -110,13 +111,6 @@ def _task_config(base: SynthesisConfig, bench: Benchmark) -> SynthesisConfig:
     return replace(base, element_arity=bench.element_arity)
 
 
-def _cacheable(report: SynthesisReport) -> bool:
-    """Crashed/errored workers are environment failures, not task outcomes;
-    persisting them would replay e.g. an OOM kill on every later run."""
-    reason = report.failure_reason or ""
-    return report.success or not reason.startswith(("WorkerCrashed", "WorkerError"))
-
-
 def run_suite(
     solver,
     benchmarks: list[Benchmark],
@@ -124,15 +118,15 @@ def run_suite(
     verbose: bool = False,
     *,
     workers: int = 1,
-    cache: ResultCache | None = None,
+    store: SchemeStore | None = None,
     on_result: Callable[[SynthesisReport], None] | None = None,
 ) -> SuiteResult:
     """Run one solver over the given benchmarks.
 
     ``workers`` selects sequential (1) or process-pool execution (>1);
-    ``cache`` short-circuits tasks whose result is already on disk;
+    ``store`` short-circuits tasks whose result is already on disk;
     ``on_result`` observes reports incrementally, in completion order
-    (cached results first).  The returned ``SuiteResult`` lists reports in
+    (stored results first).  The returned ``SuiteResult`` lists reports in
     benchmark order in both modes.
     """
     base = config or SynthesisConfig(
@@ -151,34 +145,32 @@ def run_suite(
     for bench in benchmarks:
         task_config = _task_config(base, bench)
         key = None
-        if cache is not None:
-            key = cache.task_key(solver.name, bench, task_config)
-            hit = cache.get(key, task_config.timeout_s)
+        if store is not None:
+            key = synthesis_key(solver.name, bench.program, task_config)
+            hit = store.get(key, task_config.timeout_s, bench.name)
             if hit is not None:
                 collected[bench.name] = hit
                 emit(hit)
                 continue
         fresh.append((bench, task_config, key))
 
+    def finish(index: int, report: SynthesisReport) -> None:
+        bench, task_config, key = fresh[index]
+        collected[bench.name] = report
+        if store is not None and key is not None:
+            store.put(key, task_config.timeout_s, report)
+        emit(report)
+
     if workers <= 1 or not fresh:
-        for bench, task_config, key in fresh:
-            report = solver.synthesize(bench.program, task_config, bench.name)
-            collected[bench.name] = report
-            if cache is not None and key is not None and _cacheable(report):
-                cache.put(key, task_config.timeout_s, report)
-            emit(report)
+        for i, (bench, task_config, _) in enumerate(fresh):
+            finish(i, solver.synthesize(bench.program, task_config, bench.name))
     else:
         tasks = [
             Task(index=i, solver=solver, benchmark=bench, config=task_config)
             for i, (bench, task_config, _) in enumerate(fresh)
         ]
-        keys = {task.index: key for task, (_, _, key) in zip(tasks, fresh)}
         for task, report in execute_tasks(tasks, workers=workers):
-            collected[task.name] = report
-            key = keys[task.index]
-            if cache is not None and key is not None and _cacheable(report):
-                cache.put(key, task.config.timeout_s, report)
-            emit(report)
+            finish(task.index, report)
 
     # Deterministic final ordering: benchmark order, not completion order.
     for bench in benchmarks:
@@ -194,7 +186,7 @@ def run_matrix(
     verbose: bool = False,
     *,
     workers: int = 1,
-    cache: ResultCache | None = None,
+    store: SchemeStore | None = None,
 ) -> dict[str, SuiteResult]:
     """Run several solvers over the same benchmarks."""
     return {
@@ -204,7 +196,7 @@ def run_matrix(
             config,
             verbose,
             workers=workers,
-            cache=cache,
+            store=store,
         )
         for solver in solvers
     }

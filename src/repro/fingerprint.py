@@ -1,8 +1,8 @@
 """Fingerprints of the synthesizer implementation and of synthesis tasks.
 
-Cached artifacts (the result cache of :mod:`repro.evaluation.cache` and the
-scheme store of :mod:`repro.store`) must be invalidated when the *code that
-produced them* changes, not only when the task or the knobs change.  This
+Stored synthesis results (:mod:`repro.store`) must be invalidated when the
+*code that produced them* changes, not only when the task or the knobs
+change.  This
 module provides the missing ingredient: a content hash over the source tree
 of the packages that determine synthesis behaviour (``repro.core``,
 ``repro.algebra``, ``repro.ir``, ``repro.frontend``).  Editing a docstring
@@ -10,9 +10,8 @@ still invalidates — a deliberately conservative trade: a spurious re-run
 costs seconds, a stale scheme served after a semantics change costs
 correctness.
 
-Also home to :func:`program_fingerprint`, the task-identity hash used by the
-scheme store for ad-hoc programs that are not suite benchmarks (compare
-:meth:`repro.suites.registry.Benchmark.source_fingerprint`).
+Also home to :func:`program_fingerprint`, the task-identity hash of the
+store's key, for ad-hoc programs and suite benchmarks alike.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ def implementation_digest() -> str:
     Hashes every ``*.py`` file under :data:`IMPL_PACKAGES` (path and
     content, in sorted order), so any code change — new axiom, fixed
     simplifier, different enumeration order — yields a different digest and
-    auto-invalidates cache and store entries produced by the old code.
+    auto-invalidates store entries produced by the old code.
     Cached per process: the source tree cannot change under a running
     interpreter in any way we should honour.
     """

@@ -92,9 +92,6 @@ def _check_expr(expr: Expr, bound: frozenset[str], site: str) -> list[dict]:
             return
         if isinstance(node, (Map, Filter, Fold)) and not isinstance(node.func, Lambda):
             findings.append(_finding("error", f"cannot apply {type(node.func).__name__}", site))
-            for child in node.children()[1:]:
-                walk(child, scope)
-            return
         if isinstance(node, Let):
             walk(node.value, scope)
             walk(node.body, scope | {node.name})

@@ -49,7 +49,9 @@ class Expr:
         return isinstance(self, (Map, Filter, Fold))
 
     def children(self) -> tuple["Expr", ...]:
-        """Direct sub-expressions, in evaluation order."""
+        """Direct sub-expressions, in evaluation order.  A callee is one
+        only when it is a ``Lambda``: a builtin name is no expression, and
+        a callee outside the contract is left for the passes to refuse."""
         raise NotImplementedError
 
 
@@ -149,7 +151,9 @@ class Map(Expr):
     lst: Expr
 
     def children(self) -> tuple[Expr, ...]:
-        return (self.func, self.lst)
+        if isinstance(self.func, Lambda):
+            return (self.func, self.lst)
+        return (self.lst,)
 
 
 @dataclass(frozen=True)
@@ -158,7 +162,9 @@ class Filter(Expr):
     lst: Expr
 
     def children(self) -> tuple[Expr, ...]:
-        return (self.func, self.lst)
+        if isinstance(self.func, Lambda):
+            return (self.func, self.lst)
+        return (self.lst,)
 
 
 @dataclass(frozen=True)
@@ -170,7 +176,9 @@ class Fold(Expr):
     lst: Expr
 
     def children(self) -> tuple[Expr, ...]:
-        return (self.func, self.init, self.lst)
+        if isinstance(self.func, Lambda):
+            return (self.func, self.init, self.lst)
+        return (self.init, self.lst)
 
 
 @dataclass(frozen=True)

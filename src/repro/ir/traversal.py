@@ -47,15 +47,10 @@ def rebuild(expr: Expr, new_children: tuple[Expr, ...]) -> Expr:
     if isinstance(expr, If):
         cond, then, orelse = new_children
         return If(cond, then, orelse)
-    if isinstance(expr, Map):
-        func, lst = new_children
-        return Map(func, lst)
-    if isinstance(expr, Filter):
-        func, lst = new_children
-        return Filter(func, lst)
-    if isinstance(expr, Fold):
-        func, init, lst = new_children
-        return Fold(func, init, lst)
+    if isinstance(expr, (Map, Filter, Fold)):
+        if isinstance(expr.func, Lambda):
+            return type(expr)(*new_children)
+        return type(expr)(expr.func, *new_children)
     if isinstance(expr, Let):
         value, body = new_children
         return Let(expr.name, value, body)

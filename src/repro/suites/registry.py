@@ -15,12 +15,10 @@ stream (auction events are tuples).
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 from ..core.scheme import OnlineScheme
 from ..ir.nodes import Program
-from ..ir.pretty import pretty_program
 
 
 @dataclass
@@ -35,26 +33,6 @@ class Benchmark:
     #: the paper's single expected failure (kurtosis, Section 7.1)
     expected_hard: bool = False
     tags: tuple[str, ...] = field(default=())
-
-    def source_fingerprint(self) -> str:
-        """Content hash of everything that defines the synthesis *task*.
-
-        The offline program is hashed through its canonical s-expression
-        printing, so editing a suite module without changing the program
-        (comments, descriptions, ground truths) does not invalidate cached
-        results, while any semantic change to the task does.  Used by
-        :mod:`repro.evaluation.cache` as the benchmark part of the cache key.
-        """
-        payload = "\n\x00".join(
-            (
-                self.name,
-                self.domain,
-                str(self.element_arity),
-                pretty_program(self.program),
-                self.python_source or "",
-            )
-        )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 _SUITES: dict[str, list[Benchmark]] = {}

@@ -24,3 +24,15 @@ def ungated(monkeypatch):
 
     monkeypatch.setattr(vectorize, "_MIN_SCAN_BATCH", 1)
     monkeypatch.setattr(vectorize, "_MIN_MULTI_BATCH", 1)
+
+
+@pytest.fixture(autouse=True, scope="session")
+def private_store(tmp_path_factory):
+    """Root the default synthesis store (``REPRO_CACHE_DIR``) in a temporary
+    directory for the whole run, so that no test reads an entry left in the
+    user's ``~/.cache/repro`` by ``repro compile`` or ``repro bench``, or
+    writes one there."""
+    patch = pytest.MonkeyPatch()
+    patch.setenv("REPRO_CACHE_DIR", str(tmp_path_factory.mktemp("store")))
+    yield
+    patch.undo()

@@ -1,8 +1,9 @@
 """Tests for the compile/load/deploy API (repro.api) and the new CLI verbs.
 
 The central property under test is the compile-once contract: the second
-compile of the same task is served from the persistent scheme store without
-invoking the synthesizer, observed via repro.api.synthesis_count().
+compile of the same task (or a compile after a suite run of the same
+program) is served from the persistent store without invoking the
+synthesizer, observed via repro.api.synthesis_count().
 """
 
 from fractions import Fraction
@@ -10,8 +11,11 @@ from fractions import Fraction
 import pytest
 
 from repro import api
+from repro.baselines import OperaFull
 from repro.cli import main
 from repro.core import SynthesisConfig
+from repro.evaluation import run_suite
+from repro.ir.pretty import program_to_sexpr
 from repro.store import SchemeStore
 from repro.suites import get_benchmark
 
@@ -109,6 +113,31 @@ class TestCompile:
                 MEAN_SRC, store=None, config=SynthesisConfig(timeout_s=1e-9)
             )
         assert exc_info.value.report.failure_reason
+
+    def test_stored_failure_raises_without_synthesis(self, store):
+        config = SynthesisConfig(timeout_s=1e-9)
+        with pytest.raises(api.CompileError):
+            api.compile(MEAN_SRC, store=store, config=config)
+        before = api.synthesis_count()
+        with pytest.raises(api.CompileError) as stored:
+            api.compile(MEAN_SRC, store=store, config=config)
+        assert api.synthesis_count() == before  # served from the store
+        assert stored.value.report.failure_reason
+        with pytest.raises(api.CompileError):
+            api.compile(MEAN_SRC, store=store, config=config, force=True)
+        assert api.synthesis_count() == before + 1
+        # A larger budget than the failure ran under is worth a retry.
+        assert not api.compile(MEAN_SRC, store=store).from_store
+        assert api.synthesis_count() == before + 2
+
+    def test_suite_run_makes_compile_a_hit(self, store):
+        bench = get_benchmark("mean")
+        run_suite(OperaFull(), [bench], SynthesisConfig(timeout_s=20), store=store)
+        before = api.synthesis_count()
+        compiled = api.compile(bench.program, store=store, name="my_mean")
+        assert compiled.from_store and api.synthesis_count() == before
+        assert compiled.name == compiled.report.task == "my_mean"
+        assert compiled([Fraction(2), Fraction(4)]) == 3
 
     def test_compiled_scheme_batch_call(self, store):
         compiled = api.compile(MEAN_SRC, store=store)
@@ -316,21 +345,36 @@ class TestCli:
         run_out = capsys.readouterr().out
         assert "result: 23" in run_out  # 3 + 10*2, not 3 + 10*1
 
+    def test_compile_after_bench_is_a_hit(self, tmp_path, capsys):
+        """``bench`` and ``compile`` share one store: an s-expression file of
+        a suite program compiles without synthesis after a suite run."""
+        root = str(tmp_path / "store")
+        assert main(["bench", "stats", "--task", "mean", "--timeout", "20",
+                     "--cache-dir", root]) == 0
+        assert "cache: 0 hits, 1 misses" in capsys.readouterr().out
+        sexp = tmp_path / "mean.sexp"
+        sexp.write_text(program_to_sexpr(get_benchmark("mean").program), encoding="utf-8")
+        assert main(["compile", str(sexp), "-o", str(tmp_path / "s.json"),
+                     "--store-dir", root]) == 0
+        out = capsys.readouterr().out
+        assert "scheme store: hit — mean served without synthesis" in out
+        assert "scheme store: 1 hits, 0 misses" in out
+
     def test_cache_stats_clear_gc(self, tmp_path, capsys):
         root = tmp_path / "store"
         self.compile_twice(tmp_path, capsys)
         assert main(["cache", "stats", "--cache-dir", str(root)]) == 0
         stats = capsys.readouterr().out
-        assert "schemes: 1 entries" in stats
+        assert "1 entries" in stats
 
         assert main(["cache", "gc", "--older-than", "30d",
                      "--cache-dir", str(root)]) == 0
-        capsys.readouterr()
+        assert "removed 0 entries" in capsys.readouterr().out
         assert main(["cache", "clear", "--cache-dir", str(root)]) == 0
-        assert "schemes: removed 1" in capsys.readouterr().out
+        assert "removed 1 entries" in capsys.readouterr().out
 
         assert main(["cache", "stats", "--cache-dir", str(root)]) == 0
-        assert "schemes: 0 entries" in capsys.readouterr().out
+        assert "0 entries" in capsys.readouterr().out
 
     def test_cache_gc_requires_age(self, tmp_path, capsys):
         assert main(["cache", "gc", "--cache-dir", str(tmp_path)]) == 2

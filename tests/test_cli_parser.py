@@ -114,8 +114,6 @@ PARSER_TABLE = {
         "action": opt(choices=("stats", "clear", "gc"), required=True),
         "--cache-dir": opt(),
         "--older-than": opt(),
-        "--results": FLAG,
-        "--schemes": FLAG,
     }),
     "synthesize": (None, {
         "--benchmark": opt(),

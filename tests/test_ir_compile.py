@@ -471,6 +471,14 @@ class TestCalleeContract:
         with pytest.raises(EvaluationError, match="cannot apply"):
             fn(CONTRACT_ENV)
 
+    def test_online_step_falls_back_to_the_interpreter_error(self, name, jit_mode):
+        program = OnlineProgram(("s",), "x", (OUT_OF_CONTRACT[name],), ("f", "xs"))
+        with pytest.raises(IRCompileError, match="cannot apply"):
+            compile_online_step(program)
+        extra = {"f": CONTRACT_ENV["f"], "xs": CONTRACT_ENV["xs"]}
+        with pytest.raises(EvaluationError, match="cannot apply"):
+            OnlineScheme((0,), program).step((0,), 1, extra)
+
     def test_audit_and_preflight_refuse(self, name):
         program = OnlineProgram(("s",), "x", (OUT_OF_CONTRACT[name],), ("f", "xs"))
         errors = [f for f in audit_program(program, (0,)) if f["level"] == "error"]

@@ -1,5 +1,7 @@
-"""Tests for the parallel suite runner and the persistent result cache."""
+"""Tests for the parallel suite runner and its use of the persistent
+synthesis store (:mod:`repro.store`)."""
 
+import json
 import multiprocessing as mp
 import os
 import pickle
@@ -12,15 +14,14 @@ from repro.baselines import OperaFull
 from repro.core import SynthesisConfig
 from repro.core.report import SynthesisReport
 from repro.evaluation import (
-    ResultCache,
     Task,
     default_timeout,
     default_workers,
     execute_tasks,
-    resolve_cache,
     run_suite,
 )
 from repro.evaluation.runner import SuiteResult
+from repro.store import SchemeStore, resolve_store, synthesis_key
 from repro.suites import get_benchmark
 
 
@@ -60,6 +61,16 @@ class DaemonProbeSolver:
             task=task_name, success=False, elapsed_s=0.0,
             failure_reason=f"daemon={mp.current_process().daemon}",
         )
+
+
+class _Planted:
+    """Unpickling this creates ``path``: proof that a pickle was loaded."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def __reduce__(self):
+        return (open, (self.path, "w"))
 
 
 def small_suite():
@@ -161,56 +172,90 @@ class TestDeterminism:
 
 
 class TestCache:
-    def _run(self, cache, config=None, solver=None):
+    def _run(self, store, config=None, solver=None, names=("sum", "mean", "max")):
         return run_suite(
             solver or OperaFull(),
-            small_suite(),
+            [get_benchmark(n) for n in names],
             config or SynthesisConfig(timeout_s=20),
-            cache=cache,
+            store=store,
         )
 
+    @staticmethod
+    def _key(name, config):
+        bench = get_benchmark(name)
+        return synthesis_key("opera", bench.program, replace(config, element_arity=bench.element_arity))
+
     def test_miss_then_hit(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        first = self._run(cache)
-        assert (cache.hits, cache.misses) == (0, 3)
-        again = self._run(cache)
-        assert cache.hits == 3
+        store = SchemeStore(tmp_path)
+        first = self._run(store)
+        assert (store.hits, store.misses) == (0, 3)
+        again = self._run(store)
+        assert store.hits == 3
         for name in first.reports:
-            assert again.reports[name].scheme == first.reports[name].scheme
-            # Cached reports replay even elapsed_s verbatim.
+            assert again.reports[name] == first.reports[name]
+            # Stored reports replay even elapsed_s verbatim.
             assert again.reports[name].elapsed_s == first.reports[name].elapsed_s
 
     def test_config_change_invalidates(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        self._run(cache)
-        cache.hits = cache.misses = 0
-        self._run(cache, config=SynthesisConfig(timeout_s=20, unroll_depth=4))
-        assert cache.hits == 0 and cache.misses == 3
+        store = SchemeStore(tmp_path)
+        self._run(store)
+        store.hits = store.misses = 0
+        self._run(store, config=SynthesisConfig(timeout_s=20, unroll_depth=4))
+        assert store.hits == 0 and store.misses == 3
 
     def test_timeout_change_does_not_invalidate_successes(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        self._run(cache, config=SynthesisConfig(timeout_s=20))
-        cache.hits = cache.misses = 0
-        self._run(cache, config=SynthesisConfig(timeout_s=30))
-        assert cache.hits == 3
+        store = SchemeStore(tmp_path)
+        self._run(store, config=SynthesisConfig(timeout_s=20))
+        store.hits = store.misses = 0
+        self._run(store, config=SynthesisConfig(timeout_s=30))
+        assert store.hits == 3
 
     def test_failures_rerun_under_larger_budget(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        bench = get_benchmark("sum")
-        key = cache.task_key("opera", bench, SynthesisConfig(timeout_s=1))
+        store = SchemeStore(tmp_path)
+        key = self._key("sum", SynthesisConfig(timeout_s=1))
         failure = SynthesisReport("sum", False, 1.0, failure_reason="Timeout")
-        cache.put(key, 1.0, failure)
-        assert cache.get(key, 0.5) is not None  # smaller budget: still fails
-        assert cache.get(key, 5.0) is None      # larger budget: worth a retry
+        store.put(key, 1.0, failure)
+        assert store.get(key, 0.5, "sum") == failure  # smaller budget: still fails
+        assert store.get(key, 1.0, "sum") == failure
+        assert store.get(key, 5.0, "sum") is None     # larger budget: worth a retry
+
+    def test_success_is_served_only_under_a_budget_it_fits(self, tmp_path):
+        """A 50 s solve under a 120 s budget does not count as solved under
+        10 s, so a fig13 run at 10 s after one at 120 s re-synthesizes."""
+        store = SchemeStore(tmp_path)
+        key = self._key("covariance", SynthesisConfig())
+        store.put(key, 120.0, SynthesisReport(task="covariance", success=True, elapsed_s=50.0))
+        assert store.get(key, 10.0, "covariance") is None
+        assert store.get(key, 50.0, "covariance").elapsed_s == 50.0  # it fits
+        assert store.get(key, 120.0, "covariance") is not None       # same budget
+        # Under a smaller budget than the request, any success is reusable.
+        store.put(key, 5.0, SynthesisReport(task="covariance", success=True, elapsed_s=4.0))
+        assert store.get(key, 10.0, "covariance") is not None
+        assert (store.hits, store.misses) == (3, 1)
 
     def test_benchmark_fingerprint_keys_task_content(self):
-        sum_bench = get_benchmark("sum")
-        assert sum_bench.source_fingerprint() == sum_bench.source_fingerprint()
-        assert (sum_bench.source_fingerprint()
-                != get_benchmark("mean").source_fingerprint())
-        # Doc-only edits do not invalidate cached results.
-        redoc = replace(sum_bench, description="something else")
-        assert redoc.source_fingerprint() == sum_bench.source_fingerprint()
+        """Keys hash the program, not the benchmark's name or docs: tasks
+        with one program share an entry."""
+        config = SynthesisConfig()
+        assert self._key("sum", config) == self._key("sum", config)
+        assert self._key("sum", config) != self._key("mean", config)
+        for first, second in (("sum", "q_bid_volume"), ("count", "q_bid_count"),
+                              ("mean", "q_avg_price")):
+            assert self._key(first, config) == self._key(second, config)
+        assert synthesis_key("opera", get_benchmark("sum").program, config) != synthesis_key(
+            "opera-nodecomp", get_benchmark("sum").program, config
+        )
+
+    def test_hit_under_another_task_name(self, tmp_path):
+        store = SchemeStore(tmp_path)
+        first = self._run(store, names=("sum",)).reports["sum"]
+        store.hits = store.misses = 0
+        shared = self._run(store, names=("q_bid_volume",)).reports["q_bid_volume"]
+        assert (store.hits, store.misses) == (1, 0)
+        assert shared.task == "q_bid_volume"
+        assert shared.scheme == first.scheme
+        # The stored scheme keeps the provenance it was written with.
+        assert shared.scheme.provenance == "opera:sum"
 
     def test_config_fingerprint_ignores_budget_only(self):
         base = SynthesisConfig()
@@ -219,53 +264,76 @@ class TestCache:
         assert base.fingerprint() != SynthesisConfig(seed=7).fingerprint()
 
     def test_corrupt_entry_degrades_to_miss(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        bench = get_benchmark("sum")
-        key = cache.task_key("opera", bench, SynthesisConfig(timeout_s=5))
-        path = cache._path(key)
+        store = SchemeStore(tmp_path)
+        key = self._key("sum", SynthesisConfig(timeout_s=5))
+        path = store.path(key)
         path.parent.mkdir(parents=True)
-        path.write_bytes(b"not a pickle")
-        assert cache.get(key, 5.0) is None
+        path.write_bytes(b"not json")
+        assert store.get(key, 5.0, "sum") is None
 
     def test_foreign_entry_shapes_degrade_to_miss(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        bench = get_benchmark("sum")
-        key = cache.task_key("opera", bench, SynthesisConfig(timeout_s=5))
-        path = cache._path(key)
+        store = SchemeStore(tmp_path)
+        key = self._key("sum", SynthesisConfig(timeout_s=5))
+        path = store.path(key)
         path.parent.mkdir(parents=True)
-        for foreign in ({"a": 1}, (1, 2, 3), ("x", SynthesisReport("s", True, 0.1))):
-            path.write_bytes(pickle.dumps(foreign))
-            assert cache.get(key, 5.0) is None
+        good = {"task": "s", "success": True, "elapsed_s": 0.1, "failure_reason": None,
+                "holes": [], "method_counts": {}, "scheme": None}
+        for foreign in ({"a": 1}, [1, 2, 3], {"budget_s": "x", "report": good},
+                        {"budget_s": 5.0}, {"budget_s": 5.0, "report": {**good, "success": 1}},
+                        {"budget_s": 5.0, "report": {**good, "holes": [[1, "mined", 2, 3]]}},
+                        {"budget_s": 5.0, "report": {**good, "scheme": {"format": "x"}}}):
+            path.write_text(json.dumps(foreign), encoding="utf-8")
+            assert store.get(key, 5.0, "sum") is None
+        path.write_text(json.dumps({"budget_s": 5.0, "report": good}), encoding="utf-8")
+        assert store.get(key, 5.0, "sum") == SynthesisReport("sum", True, 0.1)
+
+    def test_old_pickle_is_never_read(self, tmp_path):
+        """Entries of the old pickled result cache sit under ``objects/``;
+        loading one would run its code.  The store never opens them."""
+        store = SchemeStore(tmp_path)
+        key = self._key("sum", SynthesisConfig(timeout_s=20))
+        marker = tmp_path / "unpickled"
+        for planted in (tmp_path / "objects" / key[:2] / f"{key}.pkl",
+                        tmp_path / "schemes" / key[:2] / f"{key}.pkl"):
+            planted.parent.mkdir(parents=True, exist_ok=True)
+            planted.write_bytes(pickle.dumps(_Planted(str(marker))))
+        report = self._run(store, names=("sum",)).reports["sum"]
+        assert report.success and (store.hits, store.misses) == (0, 1)
+        assert store.entry_stats()[0] == 1
+        assert not marker.exists()
+        assert store.clear() == 1
+        assert all(p.exists() for p in tmp_path.glob("*/*/*.pkl"))
 
     def test_worker_crashes_are_not_cached(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        store = SchemeStore(tmp_path)
         suite = run_suite(
             DyingSolver(), [get_benchmark("sum")],
-            SynthesisConfig(timeout_s=5), workers=2, cache=cache,
+            SynthesisConfig(timeout_s=5), workers=2, store=store,
         )
         assert "WorkerCrashed" in suite.reports["sum"].failure_reason
         # An environment failure must not be replayed on the next run.
-        cache.hits = cache.misses = 0
+        store.hits = store.misses = 0
         run_suite(
             DyingSolver(), [get_benchmark("sum")],
-            SynthesisConfig(timeout_s=5), workers=2, cache=cache,
+            SynthesisConfig(timeout_s=5), workers=2, store=store,
         )
-        assert (cache.hits, cache.misses) == (0, 1)
+        assert (store.hits, store.misses) == (0, 1)
+        assert store.entry_stats() == (0, 0)
 
     def test_clear(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        self._run(cache)
-        assert cache.clear() == 3
-        assert cache.clear() == 0
+        store = SchemeStore(tmp_path)
+        self._run(store)
+        assert store.clear() == 3
+        assert store.clear() == 0
 
     def test_resolve_cache_knobs(self, tmp_path, monkeypatch):
-        assert resolve_cache(enabled=False) is None
+        assert resolve_store(enabled=False) is None
         monkeypatch.setenv("REPRO_CACHE", "0")
-        assert resolve_cache() is None
+        assert resolve_store() is None
         monkeypatch.setenv("REPRO_CACHE", "1")
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "here"))
-        cache = resolve_cache()
-        assert cache is not None and cache.root == tmp_path / "here"
+        store = resolve_store()
+        assert store is not None and store.root == tmp_path / "here"
 
 
 class TestEnvValidation:

@@ -11,8 +11,9 @@ from test_enumerative_grammar import built_per_tier, record_tiers
 
 import repro.core.enumerative as enumerative
 from repro.core import SynthesisConfig, synthesize
-from repro.evaluation import ResultCache, default_hole_workers
+from repro.evaluation import default_hole_workers
 from repro.evaluation.hole_bench import hole_bench_targets
+from repro.store import synthesis_key
 from repro.suites import get_benchmark
 from repro.supervisor import Job, ProcessSupervisor
 
@@ -105,12 +106,12 @@ class TestCacheKeyStability:
         assert base.fingerprint() == SynthesisConfig(hole_workers=8).fingerprint()
 
     def test_cache_key_unchanged_by_hole_workers(self):
-        bench = get_benchmark("variance")
-        sequential = ResultCache.task_key(
-            "opera", bench, SynthesisConfig(timeout_s=10, hole_workers=1)
+        program = get_benchmark("variance").program
+        sequential = synthesis_key(
+            "opera", program, SynthesisConfig(timeout_s=10, hole_workers=1)
         )
-        parallel = ResultCache.task_key(
-            "opera", bench, SynthesisConfig(timeout_s=10, hole_workers=4)
+        parallel = synthesis_key(
+            "opera", program, SynthesisConfig(timeout_s=10, hole_workers=4)
         )
         assert sequential == parallel
 

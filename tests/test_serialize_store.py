@@ -1,5 +1,5 @@
-"""Tests for scheme serialization (repro.core.serialize) and the persistent
-scheme store (repro.store)."""
+"""Tests for scheme and report serialization (repro.core.serialize) and the
+persistent synthesis store (repro.store)."""
 
 import json
 import sys
@@ -10,18 +10,21 @@ from differential import mean_scheme
 
 from repro.core import SynthesisConfig
 from repro.core.scheme import OnlineScheme
+from repro.core.report import HoleOutcome, SynthesisReport
 from repro.core.serialize import (
     SchemeFormatError,
     decode_value,
     encode_value,
     loads_scheme,
+    report_from_dict,
+    report_to_dict,
 )
 from repro.ir.dsl import add, mul
 from repro.ir.nodes import OnlineProgram
 from repro.ir.parser import ParseError, parse_online_program
 from repro.ir.pretty import online_program_to_sexpr
 from repro.runtime import OnlineOperator
-from repro.store import SchemeStore, scheme_key
+from repro.store import SchemeStore, synthesis_key
 from repro.suites import all_benchmarks, get_benchmark
 
 
@@ -197,86 +200,79 @@ class TestSchemeRoundTrip:
             OnlineScheme.from_dict(["nope"])
 
 
+class TestReportRoundTrip:
+    def test_every_suite_ground_truth_report_round_trips(self):
+        """Every report the store can hold survives its JSON form, equal to
+        the original: a success per suite ground truth, holes and method
+        counts included, and a failure without a scheme."""
+        reports = []
+        for i, bench in enumerate(b for b in all_benchmarks() if b.ground_truth):
+            report = SynthesisReport(bench.name, True, 0.125 * i, scheme=bench.ground_truth)
+            report.record_hole(HoleOutcome(0, "implicate", 5, 3))
+            report.record_hole(HoleOutcome(1, "template", 17, 9))
+            reports.append(report)
+        reports.append(SynthesisReport("kurtosis", False, 10.0, failure_reason="Timeout"))
+        for report in reports:
+            restored = report_from_dict(json.loads(json.dumps(report_to_dict(report))))
+            assert restored == report
+            if report.scheme is not None:
+                for got, want in zip(restored.scheme.initializer, report.scheme.initializer):
+                    assert type(got) is type(want)
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda d: d.update(task=3),
+            lambda d: d.update(success="yes"),
+            lambda d: d.update(elapsed_s=True),
+            lambda d: d.update(failure_reason=[]),
+            lambda d: d.update(holes=[{"hole_id": 0, "method": "mined"}]),
+            lambda d: d.update(method_counts={"mined": "1"}),
+            lambda d: d.update(scheme={"format": "other/format"}),
+            lambda d: d.pop("holes"),
+        ],
+    )
+    def test_strict_load_validation(self, mutate):
+        data = report_to_dict(SynthesisReport("mean", True, 0.5, scheme=mean_scheme()))
+        mutate(data)
+        with pytest.raises(SchemeFormatError):
+            report_from_dict(data)
+
+
 class TestSchemeStore:
     def program(self):
         return get_benchmark("mean").program
 
+    def key(self, config=None, program=None):
+        return synthesis_key("opera", program or self.program(), config or SynthesisConfig())
+
+    def report(self):
+        return SynthesisReport("mean", True, 0.5, scheme=mean_scheme())
+
     def test_miss_then_hit(self, tmp_path):
         store = SchemeStore(tmp_path)
-        key = scheme_key(self.program(), SynthesisConfig())
-        assert store.get(key) is None
-        store.put(key, mean_scheme(), task="mean")
-        assert store.get(key) == mean_scheme()
+        key = self.key()
+        assert store.get(key, 60.0, "mean") is None
+        store.put(key, 60.0, self.report())
+        assert store.get(key, 60.0, "mean") == self.report()
         assert (store.hits, store.misses) == (1, 1)
 
     def test_key_depends_on_program(self):
-        config = SynthesisConfig()
-        assert scheme_key(self.program(), config) != scheme_key(
-            get_benchmark("variance").program, config
-        )
+        assert self.key() != self.key(program=get_benchmark("variance").program)
 
     def test_key_depends_on_config(self):
-        program = self.program()
-        assert scheme_key(program, SynthesisConfig()) != scheme_key(
-            program, SynthesisConfig(unroll_depth=4)
-        )
+        assert self.key() != self.key(SynthesisConfig(unroll_depth=4))
 
     def test_key_ignores_timeout(self):
         # The budget decides whether synthesis finishes, not what it finds.
-        program = self.program()
-        assert scheme_key(program, SynthesisConfig(timeout_s=1)) == scheme_key(
-            program, SynthesisConfig(timeout_s=600)
-        )
+        assert self.key(SynthesisConfig(timeout_s=1)) == self.key(SynthesisConfig(timeout_s=600))
 
     def test_key_depends_on_implementation(self, monkeypatch):
-        program = self.program()
-        before = scheme_key(program, SynthesisConfig())
+        before = self.key()
         import repro.fingerprint as fp
 
         monkeypatch.setattr(fp, "implementation_digest", lambda: "different")
-        assert scheme_key(program, SynthesisConfig()) != before
-
-    def test_corrupt_entry_is_a_miss(self, tmp_path):
-        store = SchemeStore(tmp_path)
-        key = scheme_key(self.program(), SynthesisConfig())
-        store.put(key, mean_scheme())
-        path = store._path(key)
-        path.write_text("{broken json", encoding="utf-8")
-        assert store.get(key) is None
-        path.write_text('{"scheme": {"format": "wrong"}}', encoding="utf-8")
-        assert store.get(key) is None
-
-    def test_unwritable_store_degrades_gracefully(self, tmp_path):
-        blocker = tmp_path / "file"
-        blocker.write_text("")
-        store = SchemeStore(blocker / "sub")  # parent is a file: mkdir fails
-        store.put("ab" * 32, mean_scheme())
-        assert store.get("ab" * 32) is None
-
-    def test_stats_clear_gc(self, tmp_path):
-        store = SchemeStore(tmp_path)
-        for i in range(3):
-            store.put(f"{i:02d}" + "e" * 62, mean_scheme())
-        count, size = store.entry_stats()
-        assert count == 3 and size > 0
-        assert store.gc(max_age_s=3600) == 0  # all fresh
-        assert store.gc(max_age_s=-1) == 3  # everything is older than -1s
-        store.put("ff" + "e" * 62, mean_scheme())
-        assert store.clear() == 1
-        assert store.entry_stats() == (0, 0)
-
-
-class TestResultCacheImplDigest:
-    def test_task_key_depends_on_implementation(self, monkeypatch):
-        from repro.evaluation import ResultCache
-
-        bench = get_benchmark("mean")
-        before = ResultCache.task_key("opera", bench, SynthesisConfig())
-        import repro.fingerprint as fp
-
-        monkeypatch.setattr(fp, "implementation_digest", lambda: "different")
-        after = ResultCache.task_key("opera", bench, SynthesisConfig())
-        assert before != after
+        assert self.key() != before
 
     def test_implementation_digest_is_stable_hex(self):
         from repro.fingerprint import implementation_digest
@@ -284,3 +280,48 @@ class TestResultCacheImplDigest:
         digest = implementation_digest()
         assert digest == implementation_digest()
         assert len(digest) == 64 and int(digest, 16) >= 0
+
+    def test_corrupt_entry_is_a_miss(self, tmp_path):
+        store = SchemeStore(tmp_path)
+        key = self.key()
+        store.put(key, 60.0, self.report())
+        path = store.path(key)
+        path.write_text("{broken json", encoding="utf-8")
+        assert store.get(key, 60.0, "mean") is None
+        path.write_text('{"budget_s": 60, "report": {"scheme": {"format": "wrong"}}}',
+                        encoding="utf-8")
+        assert store.get(key, 60.0, "mean") is None
+
+    def test_unwritable_store_degrades_gracefully(self, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        store = SchemeStore(blocker / "sub")  # parent is a file: mkdir fails
+        store.put("ab" * 32, 60.0, self.report())
+        assert store.get("ab" * 32, 60.0, "mean") is None
+
+    def test_stats_clear_gc(self, tmp_path):
+        store = SchemeStore(tmp_path)
+        for i in range(3):
+            store.put(f"{i:02d}" + "e" * 62, 60.0, self.report())
+        count, size = store.entry_stats()
+        assert count == 3 and size > 0
+        assert store.gc(max_age_s=3600) == 0  # all fresh
+        assert store.gc(max_age_s=-1) == 3  # everything is older than -1s
+        store.put("ff" + "e" * 62, 60.0, self.report())
+        assert store.clear() == 1
+        assert store.entry_stats() == (0, 0)
+
+
+class TestResultCacheImplDigest:
+    """Evaluation runs key each (solver, benchmark, config) task's result
+    with the store key, so a changed synthesizer must not reuse them."""
+
+    def test_task_key_depends_on_implementation(self, monkeypatch):
+        bench = get_benchmark("mean")
+        before = [synthesis_key(s, bench.program, SynthesisConfig()) for s in ("opera", "cvc5")]
+        import repro.fingerprint as fp
+
+        monkeypatch.setattr(fp, "implementation_digest", lambda: "different")
+        after = [synthesis_key(s, bench.program, SynthesisConfig()) for s in ("opera", "cvc5")]
+        assert before[0] != before[1]
+        assert all(b != a for b, a in zip(before, after))
